@@ -40,7 +40,11 @@
 #   8b. fast-path gate      varint boundary sweep (scalar/SWAR/hw three-way),
 #                           fastpath-vs-CPU differential suite, and
 #                           bench_codec --smoke (fails on any byte or verdict
-#                           divergence; emits target/BENCH_codec.json)
+#                           divergence; emits target/BENCH_codec.json); then
+#                           the perfbench package's own tests and a 1-second
+#                           --trace 0 run of host-small and host-blob, whose
+#                           byte-identity gate over the fixed host populations
+#                           exits nonzero on any divergence
 #   9. envelope soundness   cross-validation that measured deser/ser cycles
 #                           stay inside the absint [lower, upper] envelopes
 #  10. trace round trip     serve_tail_latency --smoke --trace emits a
@@ -137,6 +141,14 @@ cargo test --offline -q --test varint_boundary --test fastpath_differential
 # byte divergence and emits target/BENCH_codec.json next to BENCH_lint.json.
 cargo run --offline -q --release -p protoacc-bench --bin bench_codec -- \
     --smoke --out target/BENCH_codec.json
+# The benchmark's host correctness gate: every request of its fixed
+# populations must encode byte-identically to reference::encode, round-trip
+# through encode_decoded, and frame cleanly, or the run exits 1.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+for workload in host-small host-blob; do
+    cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
 
 echo "== envelope soundness cross-validation =="
 cargo test --offline -q --test envelope_soundness --test serve_sanitizer

@@ -13,6 +13,11 @@
 //! buffer (which must outlive the arena's contents). Repeated fields store
 //! a 24-byte `{data_offset, count, capacity}` header, matching the
 //! `REPEATED_HEADER_BYTES` shape the rest of the suite uses.
+//!
+//! The arena also owns the decoder's scratch ([`Scratch`]): the repeated-
+//! field element buffers and the accumulator stack. Callers reuse one arena
+//! across decodes, so steady-state decoding allocates nothing. Scratch is
+//! not object storage: [`DecodeArena::len`] counts object bytes only.
 
 use protoacc_runtime::{ArenaError, RuntimeError};
 
@@ -28,6 +33,56 @@ pub const DEFAULT_LIMIT: usize = 1 << 30;
 pub struct DecodeArena {
     buf: Vec<u8>,
     limit: usize,
+    pub(crate) scratch: Scratch,
+}
+
+/// Elements of one repeated field within one message frame, in arrival
+/// order.
+#[derive(Debug, Clone)]
+pub(crate) struct RepAccum {
+    pub(crate) number: u32,
+    pub(crate) elems: Vec<u64>,
+}
+
+/// Decoder scratch kept across decodes.
+///
+/// `accums` is one stack shared down the recursion: a frame opened at stack
+/// height `base` owns `accums[base..]` and truncates back to `base` when it
+/// materializes. Element buffers of retired accumulators go to `pool` with
+/// their capacity, so the next frame's accumulators reuse them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch {
+    pub(crate) accums: Vec<RepAccum>,
+    pub(crate) pool: Vec<Vec<u64>>,
+}
+
+impl Scratch {
+    /// Index of the accumulator for `number` in the frame owning
+    /// `accums[base..]`, opening one with a pooled buffer on first arrival.
+    /// The accumulator used last (`hint`, never below `base`) is tried
+    /// before the linear search.
+    #[inline]
+    pub(crate) fn accum(&mut self, base: usize, hint: &mut usize, number: u32) -> usize {
+        if self.accums.get(*hint).is_some_and(|a| a.number == number) {
+            return *hint;
+        }
+        *hint = match self.accums[base..].iter().position(|a| a.number == number) {
+            Some(i) => base + i,
+            None => {
+                let mut elems = self.pool.pop().unwrap_or_default();
+                elems.clear();
+                self.accums.push(RepAccum { number, elems });
+                self.accums.len() - 1
+            }
+        };
+        *hint
+    }
+
+    /// Retires every accumulator from `base` up, pooling their buffers.
+    pub(crate) fn unwind(&mut self, base: usize) {
+        self.pool
+            .extend(self.accums.drain(base..).map(|acc| acc.elems));
+    }
 }
 
 impl DecodeArena {
@@ -41,15 +96,17 @@ impl DecodeArena {
         DecodeArena {
             buf: Vec::new(),
             limit,
+            scratch: Scratch::default(),
         }
     }
 
-    /// Discards all objects, keeping the allocation.
+    /// Discards all objects, keeping the allocation (and the decoder
+    /// scratch).
     pub fn reset(&mut self) {
         self.buf.clear();
     }
 
-    /// Bytes currently allocated.
+    /// Object bytes currently allocated (decoder scratch not included).
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -94,19 +151,73 @@ impl DecodeArena {
     }
 
     /// Writes the low `size` bytes of `bits` at `off` (scalar slot store).
+    ///
+    /// Layout sizes 1/4/8 are fixed-width stores; only other sizes copy a
+    /// runtime-length slice.
     #[inline]
     pub fn write_scalar(&mut self, off: u32, bits: u64, size: usize) {
         let off = off as usize;
-        self.buf[off..off + size].copy_from_slice(&bits.to_le_bytes()[..size]);
+        match size {
+            8 => self.buf[off..off + 8].copy_from_slice(&bits.to_le_bytes()),
+            4 => self.buf[off..off + 4].copy_from_slice(&(bits as u32).to_le_bytes()),
+            1 => self.buf[off] = bits as u8,
+            _ => self.buf[off..off + size].copy_from_slice(&bits.to_le_bytes()[..size]),
+        }
     }
 
     /// Reads a `size`-byte little-endian scalar at `off`.
     #[inline]
     pub fn read_scalar(&self, off: u32, size: usize) -> u64 {
         let off = off as usize;
-        let mut bytes = [0u8; 8];
-        bytes[..size].copy_from_slice(&self.buf[off..off + size]);
-        u64::from_le_bytes(bytes)
+        match size {
+            8 => u64::from_le_bytes(self.buf[off..off + 8].try_into().expect("8 bytes")),
+            4 => u64::from(u32::from_le_bytes(
+                self.buf[off..off + 4].try_into().expect("4 bytes"),
+            )),
+            1 => u64::from(self.buf[off]),
+            _ => {
+                let mut bytes = [0u8; 8];
+                bytes[..size].copy_from_slice(&self.buf[off..off + size]);
+                u64::from_le_bytes(bytes)
+            }
+        }
+    }
+
+    /// Stores `elems` as a packed array of `size`-byte little-endian scalars
+    /// at `off`, with one fixed-width loop per array.
+    #[inline]
+    pub(crate) fn write_array(&mut self, off: u32, elems: &[u64], size: usize) {
+        let off = off as usize;
+        let dst = &mut self.buf[off..off + elems.len() * size];
+        match size {
+            8 => {
+                for (d, &e) in dst.chunks_exact_mut(8).zip(elems) {
+                    d.copy_from_slice(&e.to_le_bytes());
+                }
+            }
+            4 => {
+                for (d, &e) in dst.chunks_exact_mut(4).zip(elems) {
+                    d.copy_from_slice(&(e as u32).to_le_bytes());
+                }
+            }
+            1 => {
+                for (d, &e) in dst.iter_mut().zip(elems) {
+                    *d = e as u8;
+                }
+            }
+            _ => {
+                for (d, &e) in dst.chunks_exact_mut(size).zip(elems) {
+                    d.copy_from_slice(&e.to_le_bytes()[..size]);
+                }
+            }
+        }
+    }
+
+    /// The raw object bytes `off..off + len` (a fixed-width array's
+    /// little-endian image, which is also its packed wire body).
+    #[inline]
+    pub(crate) fn bytes(&self, off: u32, len: usize) -> &[u8] {
+        &self.buf[off as usize..off as usize + len]
     }
 
     /// ORs `mask` into the byte at `off` (hasbit set).
@@ -174,6 +285,28 @@ mod tests {
         a.set_bit(o, 0b100);
         assert!(a.bit(o, 0b100));
         assert!(!a.bit(o, 0b1000));
+    }
+
+    #[test]
+    fn arrays_store_little_endian_elements_at_every_width() {
+        let elems = [0x1122_3344_5566_7788u64, u64::MAX, 0, 0x80];
+        for size in [1usize, 2, 4, 8] {
+            let mut a = DecodeArena::new();
+            let o = a.alloc_zeroed(elems.len() * size).unwrap();
+            a.write_array(o, &elems, size);
+            let expected: Vec<u8> = elems
+                .iter()
+                .flat_map(|e| e.to_le_bytes()[..size].to_vec())
+                .collect();
+            assert_eq!(a.bytes(o, elems.len() * size), expected, "size {size}");
+            for (i, &e) in elems.iter().enumerate() {
+                let mask = u64::MAX >> (64 - 8 * size);
+                let at = o + (i * size) as u32;
+                assert_eq!(a.read_scalar(at, size), e & mask, "size {size}");
+                a.write_scalar(at, !e, size);
+                assert_eq!(a.read_scalar(at, size), !e & mask, "size {size}");
+            }
+        }
     }
 
     #[test]

@@ -27,20 +27,6 @@ pub struct FastCodec {
     compiled: CompiledSchema,
 }
 
-/// Accumulator for one repeated field within one message frame.
-struct RepAccum {
-    number: u32,
-    elems: Vec<u64>,
-}
-
-/// Decode state shared down the recursion: the compiled schema plus a
-/// recycling pool for repeated-field element buffers, so steady-state decode
-/// of repeated-heavy messages does no per-frame heap allocation.
-struct Decoder<'c> {
-    cs: &'c CompiledSchema,
-    pool: Vec<Vec<u64>>,
-}
-
 impl FastCodec {
     /// Compiles `schema` into dispatch tables.
     pub fn new(schema: &Schema) -> Self {
@@ -78,11 +64,12 @@ impl FastCodec {
         arena.reset();
         let cm = self.compiled.message(type_id);
         let obj = arena.alloc_zeroed(cm.object_size as usize)?;
-        let mut dec = Decoder {
-            cs: &self.compiled,
-            pool: Vec::new(),
-        };
-        dec.frame(arena, input, 0, input.len(), type_id, obj, 0)?;
+        if let Err(e) = self.frame(arena, input, 0, input.len(), type_id, obj, 0) {
+            // A failed frame leaves its own and its ancestors' accumulators
+            // open; hand their buffers back for the next decode.
+            arena.scratch.unwind(0);
+            return Err(e);
+        }
         Ok(obj)
     }
 
@@ -317,9 +304,15 @@ impl FastCodec {
                 let elem = u32::from(entry.elem_size);
                 if entry.packed {
                     let before = w.len();
-                    for i in (0..count).rev() {
-                        let bits = arena.read_scalar(data + i as u32 * elem, elem as usize);
-                        self.prepend_scalar(entry, bits, w);
+                    if fixed_width(entry.op) == Some(elem as usize) {
+                        // The arena array is little-endian at the wire
+                        // width: it already is the packed body.
+                        w.prepend_slice(arena.bytes(data, count * elem as usize));
+                    } else {
+                        for i in (0..count).rev() {
+                            let bits = arena.read_scalar(data + i as u32 * elem, elem as usize);
+                            self.prepend_scalar(entry, bits, w);
+                        }
                     }
                     w.prepend_varint((w.len() - before) as u64);
                     w.prepend_varint(entry.packed_key_encoded);
@@ -437,6 +430,17 @@ fn prepend_packed_element(
     Ok(())
 }
 
+/// Wire width of a fixed-width op (`None` for varint and length-delimited
+/// ops).
+#[inline]
+fn fixed_width(op: Op) -> Option<usize> {
+    match op {
+        Op::Fixed32 => Some(4),
+        Op::Fixed64 => Some(8),
+        _ => None,
+    }
+}
+
 /// Normalizes a decoded varint payload into slot bits — the same transforms
 /// `crates/cpu`'s scalar path applies.
 #[inline]
@@ -451,15 +455,18 @@ fn decode_bits(op: Op, raw: u64) -> u64 {
     }
 }
 
-impl Decoder<'_> {
+impl FastCodec {
     /// Decodes one message frame spanning `full[start..end]` into `obj`.
+    /// Its scratch (repeated-field element buffers and the accumulator
+    /// stack) lives in the caller's `arena`, so steady-state decoding
+    /// through a reused arena does no heap allocation.
     ///
     /// Error ordering and classification deliberately mirror
     /// `crates/cpu::SoftwareCodec::deser_message` step for step; comments
     /// mark the decision points the differential suite exercises.
     #[allow(clippy::too_many_arguments)]
     fn frame(
-        &mut self,
+        &self,
         arena: &mut DecodeArena,
         full: &[u8],
         start: usize,
@@ -473,20 +480,35 @@ impl Decoder<'_> {
                 limit: MAX_DECODE_DEPTH,
             });
         }
-        let cs = self.cs;
+        let cs = &self.compiled;
         let cm = cs.message(type_id);
-        let mut accums: Vec<RepAccum> = Vec::new();
+        // This frame's repeated-field accumulators are the scratch stack
+        // from `base` up; `hint` is the one used last.
+        let base = arena.scratch.accums.len();
+        let mut hint = base;
+        // Same-key prediction: the last known key with its resolved entry
+        // and wire type. Runs of one repeated field repeat the key, and a
+        // hit skips key validation and the table lookup. Unknown keys are
+        // never cached.
+        let mut last: Option<(u64, &FieldEntry, WireType)> = None;
         let mut pos = start;
         while pos < end {
             let (key_raw, key_len) = swar::decode(&full[pos..end])?;
             pos += key_len;
-            let key = FieldKey::from_encoded(key_raw)?;
-            let number = key.field_number();
-            let wt = key.wire_type();
-            let Some(&entry) = cm.entry(number) else {
-                pos += skip_len(&full[..end], pos, wt)?;
-                continue;
+            let (entry, wt) = match last {
+                Some((k, entry, wt)) if k == key_raw => (entry, wt),
+                _ => {
+                    let key = FieldKey::from_encoded(key_raw)?;
+                    let wt = key.wire_type();
+                    let Some(entry) = cm.entry(key.field_number()) else {
+                        pos += skip_len(&full[..end], pos, wt)?;
+                        continue;
+                    };
+                    last = Some((key_raw, entry, wt));
+                    (entry, wt)
+                }
             };
+            let number = entry.number;
             // Packed arrival: a length-delimited body for a packable
             // repeated field whose scalar wire type is not LD itself.
             if wt == WireType::LengthDelimited
@@ -511,11 +533,39 @@ impl Decoder<'_> {
                     // An accumulator (and hence the hasbit) appears only
                     // once at least one element exists: an empty packed body
                     // leaves the field absent, exactly like crates/cpu.
-                    let acc = self.accum(&mut accums, number);
-                    while pos < body_end {
-                        let (bits, n) = scalar_element(&full[..body_end], pos, &entry)?;
-                        accums[acc].elems.push(bits);
-                        pos += n;
+                    let acc = arena.scratch.accum(base, &mut hint, number);
+                    let elems = &mut arena.scratch.accums[acc].elems;
+                    match fixed_width(entry.op) {
+                        // Fixed-width bodies convert in bulk. A ragged tail
+                        // is the Truncated verdict the element loop reaches
+                        // at its last, straddling element.
+                        Some(width) => {
+                            let words = full[pos..body_end].chunks_exact(width);
+                            if !words.remainder().is_empty() {
+                                return Err(RuntimeError::Wire(WireError::Truncated {
+                                    offset: body_end,
+                                }));
+                            }
+                            if width == 4 {
+                                elems.extend(words.map(|c| {
+                                    u64::from(u32::from_le_bytes(c.try_into().expect("4 bytes")))
+                                }));
+                            } else {
+                                elems.extend(
+                                    words.map(|c| {
+                                        u64::from_le_bytes(c.try_into().expect("8 bytes"))
+                                    }),
+                                );
+                            }
+                            pos = body_end;
+                        }
+                        None => {
+                            while pos < body_end {
+                                let (bits, n) = scalar_element(&full[..body_end], pos, entry)?;
+                                elems.push(bits);
+                                pos += n;
+                            }
+                        }
                     }
                 }
                 continue;
@@ -531,8 +581,8 @@ impl Decoder<'_> {
                     pos = payload_off + len;
                     let word = pack_str(payload_off, len);
                     if entry.repeated {
-                        let acc = self.accum(&mut accums, number);
-                        accums[acc].elems.push(word);
+                        let acc = arena.scratch.accum(base, &mut hint, number);
+                        arena.scratch.accums[acc].elems.push(word);
                     } else {
                         arena.write_u64(obj + entry.slot_offset, word);
                         arena.set_bit(
@@ -561,8 +611,8 @@ impl Decoder<'_> {
                         depth + 1,
                     )?;
                     if entry.repeated {
-                        let acc = self.accum(&mut accums, number);
-                        accums[acc].elems.push(u64::from(sub_obj));
+                        let acc = arena.scratch.accum(base, &mut hint, number);
+                        arena.scratch.accums[acc].elems.push(u64::from(sub_obj));
                     } else {
                         arena.write_u64(obj + entry.slot_offset, u64::from(sub_obj));
                         arena.set_bit(
@@ -572,11 +622,11 @@ impl Decoder<'_> {
                     }
                 }
                 _ => {
-                    let (bits, n) = scalar_element(&full[..end], pos, &entry)?;
+                    let (bits, n) = scalar_element(&full[..end], pos, entry)?;
                     pos += n;
                     if entry.repeated {
-                        let acc = self.accum(&mut accums, number);
-                        accums[acc].elems.push(bits);
+                        let acc = arena.scratch.accum(base, &mut hint, number);
+                        arena.scratch.accums[acc].elems.push(bits);
                     } else {
                         arena.write_scalar(obj + entry.slot_offset, bits, entry.elem_size as usize);
                         arena.set_bit(
@@ -588,43 +638,37 @@ impl Decoder<'_> {
             }
         }
         // Materialize repeated fields in ascending field-number order (the
-        // BTreeMap order crates/cpu materializes in).
-        accums.sort_unstable_by_key(|a| a.number);
-        for acc in &mut accums {
-            let entry = cm
-                .entry(acc.number)
-                .expect("accum numbers are known fields");
-            let elem = usize::from(entry.elem_size);
-            let count = acc.elems.len();
-            let header = arena.alloc_zeroed(REPEATED_HEADER_BYTES as usize)?;
-            let data = arena.alloc_zeroed(count * elem)?;
-            arena.write_u64(header, u64::from(data));
-            arena.write_u64(header + 8, count as u64);
-            arena.write_u64(header + 16, count as u64);
-            for (i, &bits) in acc.elems.iter().enumerate() {
-                arena.write_scalar(data + (i * elem) as u32, bits, elem);
-            }
-            arena.write_u64(obj + entry.slot_offset, u64::from(header));
+        // BTreeMap order crates/cpu materializes in), then retire this
+        // frame's accumulators.
+        arena.scratch.accums[base..].sort_unstable_by_key(|a| a.number);
+        for i in base..arena.scratch.accums.len() {
+            let number = arena.scratch.accums[i].number;
+            let elems = std::mem::take(&mut arena.scratch.accums[i].elems);
+            let entry = cm.entry(number).expect("accum numbers are known fields");
+            let header = place_array(arena, &elems, usize::from(entry.elem_size));
+            arena.scratch.pool.push(elems);
+            arena.write_u64(obj + entry.slot_offset, u64::from(header?));
             arena.set_bit(
                 obj + cm.hasbits_offset + entry.hasbit_byte,
                 entry.hasbit_mask,
             );
-            self.pool.push(std::mem::take(&mut acc.elems));
         }
+        arena.scratch.accums.truncate(base);
         Ok(())
     }
+}
 
-    /// Index of the accumulator for `number`, creating one (with a recycled
-    /// element buffer) on first arrival.
-    fn accum(&mut self, accums: &mut Vec<RepAccum>, number: u32) -> usize {
-        if let Some(i) = accums.iter().position(|a| a.number == number) {
-            return i;
-        }
-        let mut elems = self.pool.pop().unwrap_or_default();
-        elems.clear();
-        accums.push(RepAccum { number, elems });
-        accums.len() - 1
-    }
+/// Allocates a repeated field's 24-byte header and its `size`-byte element
+/// array, fills both, and returns the header offset.
+fn place_array(arena: &mut DecodeArena, elems: &[u64], size: usize) -> Result<u32, RuntimeError> {
+    let count = elems.len();
+    let header = arena.alloc_zeroed(REPEATED_HEADER_BYTES as usize)?;
+    let data = arena.alloc_zeroed(count * size)?;
+    arena.write_u64(header, u64::from(data));
+    arena.write_u64(header + 8, count as u64);
+    arena.write_u64(header + 16, count as u64);
+    arena.write_array(data, elems, size);
+    Ok(header)
 }
 
 /// Bytes consumed skipping an unknown field's payload at `pos` in
@@ -722,7 +766,8 @@ mod tests {
         let inner = b.declare("Inner");
         b.message(inner)
             .optional("id", FieldType::UInt64, 1)
-            .optional("label", FieldType::String, 2);
+            .optional("label", FieldType::String, 2)
+            .repeated("marks", FieldType::UInt32, 3);
         let root = b.declare("Root");
         b.message(root)
             .optional("a", FieldType::Int32, 1)
@@ -871,6 +916,42 @@ mod tests {
             m
         };
         assert!(expected.bits_eq(&back), "second arrival must win, no merge");
+    }
+
+    /// A decode that fails with accumulators open at two depths hands every
+    /// element buffer back; later decodes reuse them instead of allocating.
+    #[test]
+    fn error_path_returns_scratch_to_the_arena() {
+        let (schema, root, inner) = test_schema();
+        let codec = FastCodec::new(&schema);
+        let wire = reference::encode(&sample(root, inner), &schema).unwrap();
+        let mut arena = DecodeArena::new();
+        codec.decode(root, &wire, &mut arena).unwrap();
+        assert!(arena.scratch.accums.is_empty());
+        let pooled = arena.scratch.pool.len();
+        assert!(pooled > 0, "repeated fields must leave buffers in the pool");
+        // Root: a `tags` run open; then a `subs` element (field 6) whose
+        // Inner body opens a `marks` run and ends in a cut varint.
+        let mut bad = vec![0x42, 0x01, b'x', 0x42, 0x00];
+        bad.extend_from_slice(&[0x32, 0x04, 0x18, 0x01, 0x18, 0x96]);
+        let err = codec.decode(root, &bad, &mut arena).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Wire(WireError::Truncated { .. })),
+            "{err:?}"
+        );
+        assert!(
+            arena.scratch.accums.is_empty(),
+            "error left accumulators open"
+        );
+        assert_eq!(
+            arena.scratch.pool.len(),
+            pooled,
+            "error lost pooled buffers"
+        );
+        for _ in 0..3 {
+            codec.decode(root, &wire, &mut arena).unwrap();
+            assert_eq!(arena.scratch.pool.len(), pooled, "steady state must reuse");
+        }
     }
 
     #[test]

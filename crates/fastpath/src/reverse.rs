@@ -12,9 +12,10 @@
 //! Data grows from the end of the buffer toward the front; `head` is the
 //! offset of the most recently written byte. Growth copies the existing
 //! tail to the end of a larger buffer, preserving all offsets relative to
-//! the *end*.
+//! the *end*. [`ReverseWriter::into_bytes`] slides the data to the front of
+//! the same buffer, so finishing a message allocates nothing.
 
-use protoacc_wire::{varint, MAX_VARINT_LEN};
+use protoacc_wire::varint;
 
 /// A buffer that is written back-to-front.
 #[derive(Debug, Clone)]
@@ -82,12 +83,24 @@ impl ReverseWriter {
         self.buf[self.head] = byte;
     }
 
-    /// Prepends the varint encoding of `value`.
+    /// Prepends the varint encoding of `value`, written in place.
     #[inline]
     pub fn prepend_varint(&mut self, value: u64) {
-        let mut scratch = [0u8; MAX_VARINT_LEN];
-        let n = varint::encode_to_array(value, &mut scratch);
-        self.prepend_slice(&scratch[..n]);
+        if value < 0x80 {
+            // One-byte varints: most keys, lengths and small scalars.
+            self.prepend_byte(value as u8);
+            return;
+        }
+        let n = varint::encoded_len(value);
+        self.ensure(n);
+        self.head -= n;
+        let out = &mut self.buf[self.head..self.head + n];
+        let mut v = value;
+        for b in &mut out[..n - 1] {
+            *b = v as u8 | 0x80;
+            v >>= 7;
+        }
+        out[n - 1] = v as u8;
     }
 
     /// Prepends a little-endian fixed32.
@@ -107,9 +120,13 @@ impl ReverseWriter {
         &self.buf[self.head..]
     }
 
-    /// Consumes the writer, returning the written bytes.
+    /// Consumes the writer, returning the written bytes in its own buffer:
+    /// the data moves to the front and the headroom is truncated away.
     pub fn into_bytes(mut self) -> Vec<u8> {
-        self.buf.split_off(self.head)
+        let len = self.len();
+        self.buf.copy_within(self.head.., 0);
+        self.buf.truncate(len);
+        self.buf
     }
 
     /// Discards all written bytes, keeping the allocation.
@@ -192,6 +209,49 @@ mod tests {
             varint::encode(v, &mut fwd);
             assert_eq!(w.as_slice(), fwd.as_slice(), "value {v}");
         }
+    }
+
+    /// Every encoded-length boundary, 2^7k - 1 and 2^7k for k = 1..9, on
+    /// its own and behind existing data, in a buffer that has to grow.
+    #[test]
+    fn varint_prepend_matches_forward_encoding_at_every_length_boundary() {
+        let mut w = ReverseWriter::with_capacity(0);
+        let mut fwd = Vec::new();
+        for k in 1..=9u32 {
+            for v in [(1u64 << (7 * k)) - 1, 1u64 << (7 * k)] {
+                let mut one = ReverseWriter::with_capacity(0);
+                one.prepend_varint(v);
+                let mut expected = Vec::new();
+                varint::encode(v, &mut expected);
+                assert_eq!(one.as_slice(), expected.as_slice(), "value {v:#x}");
+                assert_eq!(one.len(), varint::encoded_len(v), "value {v:#x}");
+                w.prepend_varint(v);
+                expected.extend_from_slice(&fwd);
+                fwd = expected;
+            }
+        }
+        assert_eq!(w.into_bytes(), fwd);
+    }
+
+    /// `into_bytes` after several growths, on an exact fit (head == 0), and
+    /// when nothing was written.
+    #[test]
+    fn into_bytes_compacts_after_growth_and_on_exact_fit() {
+        let mut w = ReverseWriter::with_capacity(3);
+        let mut expected = Vec::new();
+        for i in 0..50u8 {
+            w.prepend_slice(&[i, i.wrapping_mul(7)]);
+            expected.splice(0..0, [i, i.wrapping_mul(7)]);
+        }
+        assert!(w.head > 0, "growth leaves headroom in front");
+        assert_eq!(w.into_bytes(), expected);
+        let mut w = ReverseWriter::with_capacity(6);
+        w.prepend_slice(&[4, 5, 6]);
+        w.prepend_varint(300);
+        w.prepend_byte(1);
+        assert_eq!(w.head, 0, "exact fit");
+        assert_eq!(w.into_bytes(), [1, 0xac, 0x02, 4, 5, 6]);
+        assert!(ReverseWriter::with_capacity(16).into_bytes().is_empty());
     }
 
     #[test]

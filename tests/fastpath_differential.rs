@@ -9,11 +9,13 @@
 //! the reference encoder; decodes must produce value-identical trees on
 //! accepts and the same `DecodeFault` class as `crates/cpu` on rejects.
 
+use protoacc_suite::accel::DecodeFault;
 use protoacc_suite::fastpath::{swar, DecodeArena, FastCodec};
 use protoacc_suite::faults::{depth_bomb, mutate, DiffReport, FastpathHarness, Verdict};
 use protoacc_suite::hyperbench::{generate_suite, populate::populate_messages, ServiceProfile};
 use protoacc_suite::runtime::{reference, MessageValue, Value};
 use protoacc_suite::schema::{parse_descriptor_set, parse_proto, MessageId, Schema};
+use protoacc_suite::wire::varint;
 use protoacc_suite::xrand::StdRng;
 
 fn load_proto(name: &str) -> Schema {
@@ -188,7 +190,6 @@ fn mutation_sweep_verdicts_match_the_cpu_oracle() {
 /// bounded work, no stack exhaustion.
 #[test]
 fn depth_bomb_is_rejected_with_depth_exceeded_on_both_sides() {
-    use protoacc_suite::accel::DecodeFault;
     let schema = load_proto("storage_row.proto");
     let row_id = schema.id_by_name("Row").unwrap();
     let mut h = FastpathHarness::new(&schema, row_id);
@@ -294,7 +295,6 @@ fn zigzag_extremes_are_byte_identical() {
 /// `tests/varint_boundary.rs`).
 #[test]
 fn facade_exports_the_swar_decoder() {
-    use protoacc_suite::wire::varint;
     let buf = [0x96, 0x01, 0xde];
     assert_eq!(swar::decode(&buf).unwrap(), (150, 2));
     assert_eq!(swar::decode(&buf), varint::decode(&buf));
@@ -369,4 +369,404 @@ fn corpus_messages() -> Vec<(&'static str, MessageValue)> {
     out.push(("storage_row.proto", tablet));
 
     out
+}
+
+// ---------------------------------------------------------------------------
+// Run prediction, bulk fixed-width arrays and reused decode scratch.
+// ---------------------------------------------------------------------------
+
+/// Schema for the run-prediction and bulk-path edges: unpacked repeated
+/// scalars (which may also arrive packed), repeated strings, a singular
+/// scalar, packed fixed-width arrays, an unpacked fixed64 array, and
+/// repeated sub-messages that carry their own repeated run.
+const RUNS_PROTO: &str = "
+message Inner { repeated uint32 x = 1; optional string t = 2; }
+message R {
+  repeated int32 a = 1;
+  repeated string b = 2;
+  optional int64 s = 3;
+  repeated fixed32 f = 4 [packed = true];
+  repeated double d = 5 [packed = true];
+  repeated sfixed64 g = 6;
+  repeated Inner m = 7;
+}";
+
+fn runs_schema() -> (Schema, MessageId) {
+    let schema = parse_proto(RUNS_PROTO).expect("runs schema parses");
+    let root = schema.id_by_name("R").unwrap();
+    (schema, root)
+}
+
+/// Wire-building helpers: a key, a varint, a length-delimited field.
+fn put_key(out: &mut Vec<u8>, number: u32, wire_type: u64) {
+    varint::encode(u64::from(number) << 3 | wire_type, out);
+}
+
+fn put_varint_field(out: &mut Vec<u8>, number: u32, value: u64) {
+    put_key(out, number, 0);
+    varint::encode(value, out);
+}
+
+fn put_ld_field(out: &mut Vec<u8>, number: u32, body: &[u8]) {
+    put_key(out, number, 2);
+    varint::encode(body.len() as u64, out);
+    out.extend_from_slice(body);
+}
+
+/// Both engines accept `wire`; the fast path's value tree equals the
+/// reference decoder's and `expected`, and re-serializes to the reference
+/// encoding of that tree.
+#[track_caller]
+fn check_accepts_as(
+    h: &mut FastpathHarness,
+    schema: &Schema,
+    wire: &[u8],
+    expected: &MessageValue,
+) {
+    let (fast, cpu) = h.verdicts(wire);
+    assert!(fast.is_accept() && cpu.is_accept(), "{fast:?} / {cpu:?}");
+    let type_id = expected.type_id();
+    let oracle = reference::decode(wire, type_id, schema).expect("reference decodes");
+    assert!(
+        oracle.bits_eq(expected),
+        "reference tree differs from expected"
+    );
+    let codec = h.codec();
+    let mut arena = DecodeArena::new();
+    let obj = codec.decode(type_id, wire, &mut arena).unwrap();
+    let back = codec.to_value(type_id, wire, &arena, obj);
+    assert!(back.bits_eq(expected), "fastpath tree differs: {back:?}");
+    assert_eq!(
+        codec.encode_decoded(type_id, wire, &arena, obj),
+        reference::encode(expected, schema).unwrap(),
+        "arena re-serialization differs"
+    );
+}
+
+/// Both engines reject `wire` with `fault`.
+#[track_caller]
+fn check_rejects_as(h: &mut FastpathHarness, wire: &[u8], fault: DecodeFault) {
+    let (fast, cpu) = h.verdicts(wire);
+    assert_eq!(fast, cpu, "fastpath {fast:?} vs cpu {cpu:?}");
+    assert_eq!(fast, Verdict::Reject(fault));
+}
+
+fn inner(schema: &Schema, xs: &[u32], t: Option<&str>) -> Value {
+    let mut m = MessageValue::new(schema.id_by_name("Inner").unwrap());
+    if !xs.is_empty() {
+        m.set_repeated(1, xs.iter().map(|&x| Value::UInt32(x)).collect());
+    }
+    if let Some(t) = t {
+        m.set_unchecked(2, Value::Str(t.into()));
+    }
+    Value::Message(m)
+}
+
+fn inner_body(xs: &[u32], t: Option<&str>) -> Vec<u8> {
+    let mut body = Vec::new();
+    for &x in xs {
+        put_varint_field(&mut body, 1, u64::from(x));
+    }
+    if let Some(t) = t {
+        put_ld_field(&mut body, 2, t.as_bytes());
+    }
+    body
+}
+
+/// Interleaved runs (A A B A, and sub-message runs split by scalars) keep
+/// each field's arrival order: the accumulator cache must follow the key,
+/// not the position in the run.
+#[test]
+fn interleaved_runs_keep_arrival_order() {
+    let (schema, root) = runs_schema();
+    let mut h = FastpathHarness::new(&schema, root);
+    let mut wire = Vec::new();
+    put_varint_field(&mut wire, 1, 1);
+    put_varint_field(&mut wire, 1, 2);
+    put_ld_field(&mut wire, 2, b"x");
+    put_varint_field(&mut wire, 1, 3);
+    put_ld_field(&mut wire, 7, &inner_body(&[7, 8], None));
+    put_varint_field(&mut wire, 1, 300);
+    put_ld_field(&mut wire, 7, &inner_body(&[9], Some("i")));
+    put_ld_field(&mut wire, 2, b"yz");
+    let mut expected = MessageValue::new(root);
+    expected.set_repeated(1, [1, 2, 3, 300].into_iter().map(Value::Int32).collect());
+    expected.set_repeated(2, vec![Value::Str("x".into()), Value::Str("yz".into())]);
+    expected.set_repeated(
+        7,
+        vec![
+            inner(&schema, &[7, 8], None),
+            inner(&schema, &[9], Some("i")),
+        ],
+    );
+    check_accepts_as(&mut h, &schema, &wire, &expected);
+}
+
+/// Packed and unpacked arrivals of one field concatenate in arrival order,
+/// for varint and fixed-width element types alike.
+#[test]
+fn packed_and_unpacked_arrivals_of_one_field_mix() {
+    let (schema, root) = runs_schema();
+    let mut h = FastpathHarness::new(&schema, root);
+    let mut wire = Vec::new();
+    put_varint_field(&mut wire, 1, 1);
+    let mut packed = Vec::new();
+    varint::encode(2, &mut packed);
+    varint::encode(3, &mut packed);
+    put_ld_field(&mut wire, 1, &packed);
+    put_varint_field(&mut wire, 1, 4);
+    // Field 4 is declared packed but may arrive one fixed32 at a time.
+    put_key(&mut wire, 4, 5);
+    wire.extend_from_slice(&10u32.to_le_bytes());
+    put_ld_field(
+        &mut wire,
+        4,
+        &[11u32.to_le_bytes(), 12u32.to_le_bytes()].concat(),
+    );
+    put_key(&mut wire, 4, 5);
+    wire.extend_from_slice(&13u32.to_le_bytes());
+    let mut expected = MessageValue::new(root);
+    expected.set_repeated(1, (1..=4).map(Value::Int32).collect());
+    expected.set_repeated(4, (10..=13).map(Value::Fixed32).collect());
+    check_accepts_as(&mut h, &schema, &wire, &expected);
+}
+
+/// A run of one singular field stays last-one-wins, with and without other
+/// fields between the arrivals.
+#[test]
+fn repeated_singular_field_is_last_one_wins() {
+    let (schema, root) = runs_schema();
+    let mut h = FastpathHarness::new(&schema, root);
+    let mut wire = Vec::new();
+    for v in [1, 2, 3] {
+        put_varint_field(&mut wire, 3, v);
+    }
+    let mut expected = MessageValue::new(root);
+    expected.set_unchecked(3, Value::Int64(3));
+    check_accepts_as(&mut h, &schema, &wire, &expected);
+    put_varint_field(&mut wire, 1, 5);
+    put_varint_field(&mut wire, 3, u64::MAX);
+    expected.set_repeated(1, vec![Value::Int32(5)]);
+    expected.set_unchecked(3, Value::Int64(-1));
+    check_accepts_as(&mut h, &schema, &wire, &expected);
+}
+
+/// Runs of an unknown field are skipped every time (unknown keys are never
+/// cached), and a truncated run member gets the same verdict on both sides.
+#[test]
+fn runs_of_an_unknown_field_are_skipped() {
+    let (schema, root) = runs_schema();
+    let mut h = FastpathHarness::new(&schema, root);
+    let mut wire = Vec::new();
+    for v in [1, 300, 70_000] {
+        put_varint_field(&mut wire, 100, v);
+    }
+    for body in [&b"ab"[..], b"", b"cde"] {
+        put_ld_field(&mut wire, 101, body);
+    }
+    put_varint_field(&mut wire, 1, 7);
+    for _ in 0..3 {
+        put_key(&mut wire, 102, 1);
+        wire.extend_from_slice(&u64::MAX.to_le_bytes());
+    }
+    let mut expected = MessageValue::new(root);
+    expected.set_repeated(1, vec![Value::Int32(7)]);
+    check_accepts_as(&mut h, &schema, &wire, &expected);
+    check_rejects_as(&mut h, &wire[..wire.len() - 3], DecodeFault::Truncated);
+}
+
+/// A field number whose key is cached, arriving again with a different
+/// wire type, is a `WireTypeMismatch` — the cache is keyed on the raw key,
+/// wire type included.
+#[test]
+fn cached_field_with_the_wrong_wire_type_mismatches() {
+    let (schema, root) = runs_schema();
+    let mut h = FastpathHarness::new(&schema, root);
+    // Repeated `a` (varint), then a fixed64 arrival of field 1.
+    let mut wire = Vec::new();
+    put_varint_field(&mut wire, 1, 1);
+    put_varint_field(&mut wire, 1, 2);
+    put_key(&mut wire, 1, 1);
+    wire.extend_from_slice(&[0; 8]);
+    check_rejects_as(&mut h, &wire, DecodeFault::WireTypeMismatch);
+    // Singular `s` (varint), then a length-delimited arrival of field 3:
+    // not packable, so not a packed body either.
+    let mut wire = Vec::new();
+    put_varint_field(&mut wire, 3, 1);
+    put_varint_field(&mut wire, 3, 2);
+    put_ld_field(&mut wire, 3, &[1]);
+    check_rejects_as(&mut h, &wire, DecodeFault::WireTypeMismatch);
+    // Unpacked sfixed64 `g`, then a fixed32 arrival of field 6.
+    let mut wire = Vec::new();
+    for _ in 0..2 {
+        put_key(&mut wire, 6, 1);
+        wire.extend_from_slice(&(-1i64).to_le_bytes());
+    }
+    put_key(&mut wire, 6, 5);
+    wire.extend_from_slice(&[0; 4]);
+    check_rejects_as(&mut h, &wire, DecodeFault::WireTypeMismatch);
+}
+
+/// Packed fixed32/fixed64 bodies whose length is not a multiple of the
+/// element width are `Truncated` on both sides, even when a valid field
+/// follows the body; whole multiples accept.
+#[test]
+fn ragged_packed_fixed_bodies_are_truncated() {
+    let (schema, root) = runs_schema();
+    let mut h = FastpathHarness::new(&schema, root);
+    for (number, width) in [(4u32, 4usize), (5, 8)] {
+        for len in 1..=3 * width {
+            let body: Vec<u8> = (0..len as u8).collect();
+            let mut wire = Vec::new();
+            put_ld_field(&mut wire, number, &body);
+            put_varint_field(&mut wire, 1, 5);
+            if len % width == 0 {
+                let (fast, cpu) = h.verdicts(&wire);
+                assert!(
+                    fast.is_accept() && cpu.is_accept(),
+                    "{number}/{len}: {fast:?} / {cpu:?}"
+                );
+            } else {
+                check_rejects_as(&mut h, &wire, DecodeFault::Truncated);
+            }
+        }
+    }
+}
+
+/// Packed float/double/fixed arrays, including -0.0, infinities,
+/// subnormals and NaN payload bits, encode byte-identically to the
+/// reference encoder from a value tree and from the decoded arena.
+#[test]
+fn packed_fixed_arrays_encode_byte_identically() {
+    let schema = parse_proto(
+        "message P { repeated float f = 1 [packed = true]; \
+         repeated double d = 2 [packed = true]; \
+         repeated fixed32 u = 3 [packed = true]; \
+         repeated sfixed32 i = 4 [packed = true]; \
+         repeated fixed64 v = 5 [packed = true]; \
+         repeated sfixed64 j = 6 [packed = true]; }",
+    )
+    .unwrap();
+    let type_id = schema.id_by_name("P").unwrap();
+    let floats = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE / 2.0,
+        f32::from_bits(0x7fc0_0001),
+        f32::from_bits(0xff80_dead),
+        1.5,
+    ];
+    let doubles = [
+        -0.0,
+        f64::MAX,
+        f64::from_bits(1),
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        f64::from_bits(0xfff0_0000_dead_beef),
+    ];
+    let mut m = MessageValue::new(type_id);
+    m.set_repeated(1, floats.into_iter().map(Value::Float).collect());
+    m.set_repeated(2, doubles.into_iter().map(Value::Double).collect());
+    m.set_repeated(3, vec![Value::Fixed32(0), Value::Fixed32(u32::MAX)]);
+    m.set_repeated(4, vec![Value::SFixed32(i32::MIN), Value::SFixed32(-1)]);
+    m.set_repeated(5, vec![Value::Fixed64(u64::MAX), Value::Fixed64(1)]);
+    m.set_repeated(6, vec![Value::SFixed64(i64::MIN)]);
+    check_message("packed fixed arrays", &schema, type_id, &m);
+}
+
+/// Encodes `m` of the runs schema and appends `tail` as a final field.
+fn runs_wire(schema: &Schema, m: &MessageValue, tail: &[u8]) -> Vec<u8> {
+    let mut wire = reference::encode(m, schema).unwrap();
+    wire.extend_from_slice(tail);
+    wire
+}
+
+/// One arena pushed through different schemas and mid-decode errors decodes
+/// every later input exactly like a fresh arena: same value tree, same
+/// `encode_decoded` bytes. The errors leave accumulators open at the moment
+/// they strike — inside a repeated run, and inside a repeated sub-message
+/// that has its own run open — so a scratch stack that is not unwound
+/// would leak elements into the next decode.
+#[test]
+fn reused_arena_decodes_like_a_fresh_one_after_errors() {
+    let (runs, root) = runs_schema();
+    let runs_codec = FastCodec::new(&runs);
+    let mut h = FastpathHarness::new(&runs, root);
+    let mut m = MessageValue::new(root);
+    m.set_repeated(1, (0..40).map(|i| Value::Int32(i * 37 - 500)).collect());
+    m.set_repeated(2, vec![Value::Str("run".into()); 5]);
+    m.set_repeated(4, (0..9).map(Value::Fixed32).collect());
+    m.set_repeated(
+        7,
+        vec![
+            inner(&runs, &[1, 2, 3], Some("a")),
+            inner(&runs, &[300; 6], None),
+        ],
+    );
+    let clean = runs_wire(&runs, &m, &[]);
+    // Truncation inside the run of `a`: the run's last element is a
+    // two-byte varint cut after its first byte.
+    let mut run_cut = Vec::new();
+    for v in [5, 6, 300] {
+        put_varint_field(&mut run_cut, 1, v);
+    }
+    let run_cut = runs_wire(&runs, &m, &run_cut[..run_cut.len() - 1]);
+    // Truncation inside a repeated sub-message's own run: the frame length
+    // is intact, the last `x` inside it is cut.
+    let mut body = inner_body(&[4, 5], None);
+    put_key(&mut body, 1, 0);
+    body.push(0x96);
+    let mut nested_cut = Vec::new();
+    put_ld_field(&mut nested_cut, 7, &body);
+    let nested_cut = runs_wire(&runs, &m, &nested_cut);
+    for bad in [&run_cut, &nested_cut] {
+        check_rejects_as(&mut h, bad, DecodeFault::Truncated);
+    }
+
+    let suites = generate_suite(2, 0xA4E7A);
+    let mut shared = DecodeArena::new();
+    let mut check = |codec: &FastCodec, type_id: MessageId, wire: &[u8], label: &str| {
+        let mut fresh = DecodeArena::new();
+        let want = codec.decode(type_id, wire, &mut fresh);
+        let got = codec.decode(type_id, wire, &mut shared);
+        match (want, got) {
+            (Ok(want), Ok(got)) => {
+                let fresh_tree = codec.to_value(type_id, wire, &fresh, want);
+                let shared_tree = codec.to_value(type_id, wire, &shared, got);
+                assert!(shared_tree.bits_eq(&fresh_tree), "{label}: tree differs");
+                assert_eq!(
+                    codec.encode_decoded(type_id, wire, &shared, got),
+                    codec.encode_decoded(type_id, wire, &fresh, want),
+                    "{label}: encode_decoded differs"
+                );
+                assert_eq!(shared.len(), fresh.len(), "{label}: object bytes differ");
+            }
+            (want, got) => assert_eq!(got.err(), want.err(), "{label}: verdict differs"),
+        }
+    };
+    for round in 0..2 {
+        for bench in &suites {
+            let codec = FastCodec::new(&bench.schema);
+            for (mi, message) in bench.messages.iter().enumerate() {
+                let wire = reference::encode(message, &bench.schema).unwrap();
+                let label = format!("round {round} {}/m{mi}", bench.profile.name);
+                check(&codec, bench.type_id, &wire, &label);
+                check(
+                    &runs_codec,
+                    root,
+                    &run_cut,
+                    &format!("{label} then run cut"),
+                );
+                check(&runs_codec, root, &clean, &format!("{label} then runs"));
+                check(
+                    &runs_codec,
+                    root,
+                    &nested_cut,
+                    &format!("{label} then nested cut"),
+                );
+                check(&codec, bench.type_id, &wire, &format!("{label} again"));
+            }
+        }
+    }
 }
