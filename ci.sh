@@ -41,10 +41,12 @@
 #                           fastpath-vs-CPU differential suite, and
 #                           bench_codec --smoke (fails on any byte or verdict
 #                           divergence; emits target/BENCH_codec.json); then
-#                           the perfbench package's own tests and a 1-second
-#                           --trace 0 run of host-small and host-blob, whose
-#                           byte-identity gate over the fixed host populations
-#                           exits nonzero on any divergence
+#                           the perfbench package's own tests, a 1-second
+#                           --trace 0 run of host-small and host-blob, and a
+#                           1-second --trace 1 run of host-small (the traced
+#                           host path the per-layer numbers come from); each
+#                           run's byte-identity gate over the fixed host
+#                           populations exits nonzero on any divergence
 #   9. envelope soundness   cross-validation that measured deser/ser cycles
 #                           stay inside the absint [lower, upper] envelopes
 #  10. trace round trip     serve_tail_latency --smoke --trace emits a
@@ -149,6 +151,8 @@ for workload in host-small host-blob; do
     cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
 done
+cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
+    --workload host-small --seed 1 --seconds 1 --trace 1 > /dev/null
 
 echo "== envelope soundness cross-validation =="
 cargo test --offline -q --test envelope_soundness --test serve_sanitizer

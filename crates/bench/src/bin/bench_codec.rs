@@ -37,12 +37,48 @@ use xrand::StdRng;
 struct Row {
     name: String,
     wire_bytes: u64,
-    fast_deser: f64,
-    fast_ser: f64,
-    cpu_deser: f64,
-    cpu_ser: f64,
-    ref_deser: f64,
-    ref_ser: f64,
+    fast_deser: Spread,
+    fast_ser: Spread,
+    cpu_deser: Spread,
+    cpu_ser: Spread,
+    ref_deser: Spread,
+    ref_ser: Spread,
+}
+
+impl Row {
+    /// The six measurements in column order, with their JSON names.
+    fn columns(&self) -> [(&'static str, Spread); 6] {
+        [
+            ("fast_deser", self.fast_deser),
+            ("fast_ser", self.fast_ser),
+            ("cpu_deser", self.cpu_deser),
+            ("cpu_ser", self.cpu_ser),
+            ("ref_deser", self.ref_deser),
+            ("ref_ser", self.ref_ser),
+        ]
+    }
+}
+
+/// GB/s over the timed passes of one measurement: the median pass, the
+/// slowest pass, and the 90th-percentile pass (nearest rank).
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    p90: f64,
+}
+
+impl Spread {
+    fn of(mut gbps: Vec<f64>) -> Spread {
+        gbps.sort_by(f64::total_cmp);
+        let rank =
+            |p: f64| gbps[((p * gbps.len() as f64).ceil() as usize).clamp(1, gbps.len()) - 1];
+        Spread {
+            median: rank(0.5),
+            min: gbps[0],
+            p90: rank(0.9),
+        }
+    }
 }
 
 /// Correctness-gate tally across all workloads.
@@ -87,35 +123,38 @@ fn main() {
     }
 
     let mut rows = Vec::new();
+    println!("GB/s per timed pass: median (min-p90)");
     println!(
-        "{:<26} {:>10} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11}",
+        "{:<20} {:>8} {:>20} {:>20} {:>20} {:>20} {:>20} {:>20}",
         "workload", "wire B", "fast de", "fast ser", "cpu de", "cpu ser", "ref de", "ref ser"
     );
     for w in &workloads {
         let row = measure_workload(w, target_secs);
-        println!(
-            "{:<26} {:>10} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3}",
-            row.name,
-            row.wire_bytes,
-            row.fast_deser,
-            row.fast_ser,
-            row.cpu_deser,
-            row.cpu_ser,
-            row.ref_deser,
-            row.ref_ser
-        );
+        let mut line = format!("{:<20} {:>8}", row.name, row.wire_bytes);
+        for (_, s) in row.columns() {
+            line.push_str(&format!(
+                " {:>20}",
+                format!("{:.3} ({:.3}-{:.3})", s.median, s.min, s.p90)
+            ));
+        }
+        println!("{line}");
         rows.push(row);
     }
 
-    let g_fast_de = geomean(&rows.iter().map(|r| r.fast_deser).collect::<Vec<_>>());
-    let g_fast_se = geomean(&rows.iter().map(|r| r.fast_ser).collect::<Vec<_>>());
-    let g_cpu_de = geomean(&rows.iter().map(|r| r.cpu_deser).collect::<Vec<_>>());
-    let g_cpu_se = geomean(&rows.iter().map(|r| r.cpu_ser).collect::<Vec<_>>());
-    let g_ref_de = geomean(&rows.iter().map(|r| r.ref_deser).collect::<Vec<_>>());
-    let g_ref_se = geomean(&rows.iter().map(|r| r.ref_ser).collect::<Vec<_>>());
+    // Geomeans and the speedup floor are over the per-row medians.
+    let geo = |col: usize| {
+        geomean(
+            &rows
+                .iter()
+                .map(|r| r.columns()[col].1.median)
+                .collect::<Vec<_>>(),
+        )
+    };
+    let [g_fast_de, g_fast_se, g_cpu_de, g_cpu_se, g_ref_de, g_ref_se] =
+        [0, 1, 2, 3, 4, 5].map(geo);
     let deser_speedup = g_fast_de / g_cpu_de;
     println!(
-        "geomean: fastpath {g_fast_de:.3}/{g_fast_se:.3} GB/s, cpu codec {g_cpu_de:.3}/{g_cpu_se:.3}, \
+        "geomean of medians: fastpath {g_fast_de:.3}/{g_fast_se:.3} GB/s, cpu codec {g_cpu_de:.3}/{g_cpu_se:.3}, \
          reference {g_ref_de:.3}/{g_ref_se:.3} (deser speedup vs cpu: {deser_speedup:.1}x)"
     );
     println!(
@@ -331,7 +370,12 @@ const OUTPUT_BASE: u64 = 0x4000_0000;
 const ARENA_BASE: u64 = 0x1_0000_0000;
 const ARENA_LEN: u64 = 1 << 30;
 
-fn measure_cpu(w: &Workload, wires: &[Vec<u8>], per_pass: u64, target_secs: f64) -> (f64, f64) {
+fn measure_cpu(
+    w: &Workload,
+    wires: &[Vec<u8>],
+    per_pass: u64,
+    target_secs: f64,
+) -> (Spread, Spread) {
     let cost = CostTable::boom();
     let layouts = MessageLayouts::compute(&w.schema);
     let mut mem = Memory::new(cost.mem);
@@ -380,52 +424,52 @@ fn measure_cpu(w: &Workload, wires: &[Vec<u8>], per_pass: u64, target_secs: f64)
 }
 
 /// Runs `pass` once to warm up, then repeatedly until `target_secs` elapses
-/// (or `max_passes`), returning GB/s over the timed passes.
+/// (or `max_passes`), timing each pass, and returns the spread of per-pass
+/// GB/s.
 fn throughput(
     bytes_per_pass: u64,
     target_secs: f64,
     max_passes: usize,
     mut pass: impl FnMut(),
-) -> f64 {
+) -> Spread {
     pass(); // warm-up
     let start = Instant::now();
-    let mut passes = 0usize;
+    let mut gbps = Vec::new();
     loop {
+        let t = Instant::now();
         pass();
-        passes += 1;
-        let elapsed = start.elapsed().as_secs_f64();
-        if (elapsed >= target_secs && passes >= 3) || passes >= max_passes {
-            let total = bytes_per_pass as f64 * passes as f64;
-            return total / elapsed / 1e9;
+        gbps.push(bytes_per_pass as f64 / t.elapsed().as_secs_f64() / 1e9);
+        if (start.elapsed().as_secs_f64() >= target_secs && gbps.len() >= 3)
+            || gbps.len() >= max_passes
+        {
+            return Spread::of(gbps);
         }
     }
 }
 
 fn render_json(mode: &str, rows: &[Row], geo: &[f64; 7], gate: &Gate) -> String {
-    let mut out = format!("{{\n  \"schema_version\": 1,\n  \"mode\": \"{mode}\",\n  \"unit\": \"GB/s host wall-clock\",\n  \"workloads\": [");
+    let mut out = format!("{{\n  \"schema_version\": 2,\n  \"mode\": \"{mode}\",\n  \"unit\": \"GB/s host wall-clock, per timed pass: median, min, p90\",\n  \"workloads\": [");
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"wire_bytes\": {}, \
-             \"fastpath\": {{\"deser_gbps\": {:.4}, \"ser_gbps\": {:.4}}}, \
-             \"cpu_codec\": {{\"deser_gbps\": {:.4}, \"ser_gbps\": {:.4}}}, \
-             \"reference\": {{\"deser_gbps\": {:.4}, \"ser_gbps\": {:.4}}}, \
-             \"deser_speedup_vs_cpu\": {:.2}}}",
-            r.name,
-            r.wire_bytes,
-            r.fast_deser,
-            r.fast_ser,
-            r.cpu_deser,
-            r.cpu_ser,
-            r.ref_deser,
-            r.ref_ser,
-            r.fast_deser / r.cpu_deser
+            "\n    {{\"name\": \"{}\", \"wire_bytes\": {}",
+            r.name, r.wire_bytes
+        ));
+        for (name, s) in r.columns() {
+            out.push_str(&format!(
+                ", \"{name}\": {{\"median\": {:.4}, \"min\": {:.4}, \"p90\": {:.4}}}",
+                s.median, s.min, s.p90
+            ));
+        }
+        out.push_str(&format!(
+            ", \"deser_speedup_vs_cpu\": {:.2}}}",
+            r.fast_deser.median / r.cpu_deser.median
         ));
     }
     out.push_str(&format!(
-        "\n  ],\n  \"geomean\": {{\"fast_deser_gbps\": {:.4}, \"fast_ser_gbps\": {:.4}, \
+        "\n  ],\n  \"geomean_of_medians\": {{\"fast_deser_gbps\": {:.4}, \"fast_ser_gbps\": {:.4}, \
          \"cpu_deser_gbps\": {:.4}, \"cpu_ser_gbps\": {:.4}, \
          \"ref_deser_gbps\": {:.4}, \"ref_ser_gbps\": {:.4}, \
          \"deser_speedup_vs_cpu\": {:.2}}},\n",

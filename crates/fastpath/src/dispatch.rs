@@ -155,8 +155,9 @@ pub struct CompiledMessage {
     pub hasbits_offset: u32,
     /// Smallest defined field number (dense-table base).
     pub min_field: u32,
-    /// Defined field numbers in ascending order (the serializer walks these
-    /// in reverse for the memwriter's back-to-front pass).
+    /// Defined field numbers in ascending order (the value-tree conversion
+    /// and the verifier walk these; the serializer scans hasbits instead,
+    /// see [`CompiledMessage::present_rev`]).
     pub numbers: Vec<u32>,
     table: TableImage,
 }
@@ -173,6 +174,34 @@ impl CompiledMessage {
                 .binary_search_by_key(&number, |e| e.number)
                 .ok()
                 .map(|i| &t[i]),
+        }
+    }
+
+    /// The fields whose hasbits are set in `object` (one object's bytes,
+    /// `object_size` long), in descending field-number order: the order the
+    /// reverse serializer emits them in.
+    ///
+    /// A dense table scans the hasbits words from the top with
+    /// `leading_zeros`, the software form of the serializer frontend's
+    /// sparse-hasbits scan (Section 4.5.3): bit `i` is field
+    /// `min_field + i` and table index `i`, so absent fields cost nothing.
+    /// A sparse table walks its sorted entries backwards and tests each
+    /// entry's own hasbit.
+    #[inline]
+    pub fn present_rev<'a>(&'a self, object: &'a [u8]) -> PresentRev<'a> {
+        let hasbits = &object[self.hasbits_offset as usize..];
+        match &self.table {
+            TableImage::Dense(table) => PresentRev(Scan::Dense {
+                table,
+                hasbits,
+                word: 0,
+                base: 0,
+                words_left: table.len().div_ceil(64),
+            }),
+            TableImage::Sparse(entries) => PresentRev(Scan::Sparse {
+                entries: entries.iter().rev(),
+                hasbits,
+            }),
         }
     }
 
@@ -217,6 +246,66 @@ impl CompiledMessage {
             min_field,
             numbers,
             table,
+        }
+    }
+}
+
+/// Iterator over one object's present fields, last first; see
+/// [`CompiledMessage::present_rev`].
+pub struct PresentRev<'a>(Scan<'a>);
+
+enum Scan<'a> {
+    /// Hasbits scan over a dense table. `hasbits` runs from the object's
+    /// hasbits array to its end; `word` holds the current word's unvisited
+    /// bits, `base` the hasbit position of its bit 0, and `words_left` the
+    /// words below it still to load.
+    Dense {
+        table: &'a [Option<FieldEntry>],
+        hasbits: &'a [u8],
+        word: u64,
+        base: usize,
+        words_left: usize,
+    },
+    /// Reverse walk over a sparse table's sorted entries.
+    Sparse {
+        entries: std::iter::Rev<std::slice::Iter<'a, FieldEntry>>,
+        hasbits: &'a [u8],
+    },
+}
+
+impl<'a> Iterator for PresentRev<'a> {
+    type Item = &'a FieldEntry;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a FieldEntry> {
+        match &mut self.0 {
+            Scan::Dense {
+                table,
+                hasbits,
+                word,
+                base,
+                words_left,
+            } => loop {
+                while *word != 0 {
+                    let bit = 63 - word.leading_zeros() as usize;
+                    *word ^= 1 << bit;
+                    // Decode sets bits of defined fields only; a bit on a
+                    // hole or in the padding names no field.
+                    if let Some(Some(entry)) = table.get(*base + bit) {
+                        return Some(entry);
+                    }
+                }
+                if *words_left == 0 {
+                    return None;
+                }
+                *words_left -= 1;
+                *base = *words_left * 64;
+                let at = *base / 8;
+                *word = u64::from_le_bytes(hasbits[at..at + 8].try_into().expect("8 bytes"));
+            },
+            Scan::Sparse { entries, hasbits } => {
+                entries.find(|e| hasbits[e.hasbit_byte as usize] & e.hasbit_mask != 0)
+            }
         }
     }
 }
@@ -480,6 +569,50 @@ mod tests {
         let nums: Vec<u32> = cm.entries().map(|e| e.number).collect();
         assert_eq!(nums, vec![2, 5, 9]);
         assert_eq!(nums, cm.numbers);
+    }
+
+    /// Sets the hasbits of `present` in a zeroed object of `cm` and returns
+    /// what `present_rev` reports for it.
+    fn scan(cm: &CompiledMessage, present: &[u32]) -> Vec<u32> {
+        let mut object = vec![0u8; cm.object_size as usize];
+        for &n in present {
+            let e = cm.entry(n).unwrap();
+            object[(cm.hasbits_offset + e.hasbit_byte) as usize] |= e.hasbit_mask;
+        }
+        cm.present_rev(&object).map(|e| e.number).collect()
+    }
+
+    #[test]
+    fn present_rev_scans_hasbit_words_from_the_top() {
+        let mut b = SchemaBuilder::new();
+        let root = b.declare("Words");
+        for n in [1u32, 63, 64, 65, 128, 129, 200] {
+            b.message(root)
+                .optional(&format!("f{n}"), FieldType::UInt32, n);
+        }
+        let cs = CompiledSchema::compile(&b.build().unwrap());
+        let cm = cs.message(root);
+        assert_eq!(cm.table_kind(), TableKind::Dense);
+        assert_eq!(scan(cm, &[]), Vec::<u32>::new());
+        assert_eq!(
+            scan(cm, &[1, 63, 64, 65, 128, 129, 200]),
+            [200, 129, 128, 65, 64, 63, 1]
+        );
+        // Bits 63 and 64 sit on either side of the first word boundary.
+        assert_eq!(scan(cm, &[64, 65]), [65, 64]);
+        assert_eq!(scan(cm, &[1, 200]), [200, 1]);
+    }
+
+    #[test]
+    fn present_rev_walks_sparse_entries_backwards() {
+        let cs = compile_span(1, DENSE_SPAN_LIMIT + 1);
+        let cm = cs.message(cs.schema().iter().next().unwrap().0);
+        assert_eq!(cm.table_kind(), TableKind::Sparse);
+        let hi = u32::try_from(DENSE_SPAN_LIMIT).unwrap() + 1;
+        assert_eq!(scan(cm, &[1, hi]), [hi, 1]);
+        assert_eq!(scan(cm, &[hi]), [hi]);
+        assert_eq!(scan(cm, &[1]), [1]);
+        assert_eq!(scan(cm, &[]), Vec::<u32>::new());
     }
 
     #[test]

@@ -75,6 +75,16 @@ impl ReverseWriter {
         self.buf[self.head..self.head + bytes.len()].copy_from_slice(bytes);
     }
 
+    /// Reserves `n` bytes in front of the written data and returns them for
+    /// the caller to fill front to back. The caller must write all `n`
+    /// bytes: the region holds whatever the buffer held before.
+    #[inline]
+    pub fn prepend_region(&mut self, n: usize) -> &mut [u8] {
+        self.ensure(n);
+        self.head -= n;
+        &mut self.buf[self.head..self.head + n]
+    }
+
     /// Prepends one byte.
     #[inline]
     pub fn prepend_byte(&mut self, byte: u8) {
@@ -185,6 +195,43 @@ mod tests {
         assert_eq!(w.buf.len(), cap_before, "exact fit must not grow");
         assert_eq!(w.head, 0);
         assert_eq!(w.as_slice(), &[7, 7, 7, 7, 7, 7, 7, 9, 9, 9]);
+    }
+
+    /// `prepend_region` edges, mirroring the `ensure` tests above: a zero
+    /// length on a zero-capacity writer, an exact fit that must not grow,
+    /// and growth that keeps the written suffix.
+    #[test]
+    fn zero_length_region_on_a_zero_capacity_writer_is_a_noop() {
+        let mut w = ReverseWriter::with_capacity(0);
+        assert!(w.prepend_region(0).is_empty());
+        assert!(w.is_empty());
+        assert_eq!(w.buf.len(), 0, "zero-length region must not grow");
+    }
+
+    #[test]
+    fn exact_fit_region_does_not_grow() {
+        let mut w = ReverseWriter::with_capacity(8);
+        w.prepend_slice(&[9; 3]);
+        let cap_before = w.buf.len();
+        w.prepend_region(5).copy_from_slice(&[1, 2, 3, 4, 5]);
+        assert_eq!(w.buf.len(), cap_before, "exact fit must not grow");
+        assert_eq!(w.head, 0);
+        assert_eq!(w.as_slice(), &[1, 2, 3, 4, 5, 9, 9, 9]);
+    }
+
+    #[test]
+    fn region_growth_preserves_written_suffix() {
+        let mut w = ReverseWriter::with_capacity(4);
+        w.prepend_slice(&[7, 8, 9]);
+        let region = w.prepend_region(100);
+        assert_eq!(region.len(), 100);
+        for (i, b) in region.iter_mut().enumerate() {
+            *b = i as u8;
+        }
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 103);
+        assert!(bytes[..100].iter().enumerate().all(|(i, &b)| b == i as u8));
+        assert_eq!(&bytes[100..], &[7, 8, 9]);
     }
 
     #[test]

@@ -375,10 +375,11 @@ fn corpus_messages() -> Vec<(&'static str, MessageValue)> {
 // Run prediction, bulk fixed-width arrays and reused decode scratch.
 // ---------------------------------------------------------------------------
 
-/// Schema for the run-prediction and bulk-path edges: unpacked repeated
-/// scalars (which may also arrive packed), repeated strings, a singular
-/// scalar, packed fixed-width arrays, an unpacked fixed64 array, and
-/// repeated sub-messages that carry their own repeated run.
+/// Schema for the run-loop and bulk-path edges: unpacked repeated scalars
+/// (which may also arrive packed), repeated strings, a singular scalar,
+/// packed fixed-width arrays, an unpacked fixed64 array, repeated
+/// sub-messages that carry their own repeated run, and runs under 2-byte
+/// keys (fields 16 and up).
 const RUNS_PROTO: &str = "
 message Inner { repeated uint32 x = 1; optional string t = 2; }
 message R {
@@ -389,6 +390,10 @@ message R {
   repeated double d = 5 [packed = true];
   repeated sfixed64 g = 6;
   repeated Inner m = 7;
+  repeated sint32 wa = 16;
+  repeated bytes wb = 17;
+  repeated fixed32 wf = 18;
+  repeated sfixed64 wg = 19;
 }";
 
 fn runs_schema() -> (Schema, MessageId) {
@@ -500,6 +505,129 @@ fn interleaved_runs_keep_arrival_order() {
         ],
     );
     check_accepts_as(&mut h, &schema, &wire, &expected);
+
+    // A run broken by a 2-byte overlong encoding of its own key (0x88 0x00
+    // is field 1, varint): the element behind it still joins the field in
+    // order, and the run after it resumes under the 1-byte key.
+    let mut wire = Vec::new();
+    put_varint_field(&mut wire, 1, 1);
+    put_varint_field(&mut wire, 1, 2);
+    wire.extend_from_slice(&[0x88, 0x00, 0x03]);
+    put_varint_field(&mut wire, 1, 4);
+    put_varint_field(&mut wire, 1, 5);
+    // The same for a string run (0x92 0x00 is field 2, length-delimited).
+    put_ld_field(&mut wire, 2, b"p");
+    wire.extend_from_slice(&[0x92, 0x00, 0x01, b'q']);
+    put_ld_field(&mut wire, 2, b"r");
+    let mut expected = MessageValue::new(root);
+    expected.set_repeated(1, (1..=5).map(Value::Int32).collect());
+    expected.set_repeated(2, ["p", "q", "r"].map(|t| Value::Str(t.into())).to_vec());
+    check_accepts_as(&mut h, &schema, &wire, &expected);
+
+    // A string run with an empty element and one whose length prefix takes
+    // two bytes.
+    let long = "L".repeat(200);
+    let mut wire = Vec::new();
+    for t in ["a", "", long.as_str(), "", "z"] {
+        put_ld_field(&mut wire, 2, t.as_bytes());
+    }
+    let mut expected = MessageValue::new(root);
+    expected.set_repeated(
+        2,
+        ["a", "", long.as_str(), "", "z"]
+            .map(|t| Value::Str(t.into()))
+            .to_vec(),
+    );
+    check_accepts_as(&mut h, &schema, &wire, &expected);
+}
+
+/// Runs under 2-byte keys (fields 16 to 19) decode like 1-byte-key runs,
+/// for varint, bytes and both fixed widths, and re-encode through the
+/// per-element path byte-identically.
+#[test]
+fn runs_under_two_byte_keys_agree() {
+    let (schema, root) = runs_schema();
+    let mut h = FastpathHarness::new(&schema, root);
+    let mut wire = Vec::new();
+    for v in [0u64, 1, 2, 3, 300] {
+        put_varint_field(&mut wire, 16, v);
+    }
+    for body in [&b"k"[..], b"", &[0xab; 130]] {
+        put_ld_field(&mut wire, 17, body);
+    }
+    for v in [7u32, 0, u32::MAX] {
+        put_key(&mut wire, 18, 5);
+        wire.extend_from_slice(&v.to_le_bytes());
+    }
+    for v in [i64::MIN, -1] {
+        put_key(&mut wire, 19, 1);
+        wire.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut expected = MessageValue::new(root);
+    expected.set_repeated(16, [0, -1, 1, -2, 150].map(Value::SInt32).to_vec());
+    expected.set_repeated(
+        17,
+        vec![
+            Value::Bytes(b"k".to_vec()),
+            Value::Bytes(Vec::new()),
+            Value::Bytes(vec![0xab; 130]),
+        ],
+    );
+    expected.set_repeated(18, [7, 0, u32::MAX].map(Value::Fixed32).to_vec());
+    expected.set_repeated(19, [i64::MIN, -1].map(Value::SFixed64).to_vec());
+    check_accepts_as(&mut h, &schema, &wire, &expected);
+    check_message("2-byte-key runs", &schema, root, &expected);
+    check_truncations("2-byte-key runs", &mut h, &wire, usize::MAX);
+}
+
+/// A run whose last element is cut gets the CPU decoder's verdict: at the
+/// end of the input for each element kind, and at a sub-message's clamped
+/// end with valid bytes after it that the element must not run into.
+#[test]
+fn runs_cut_at_a_frame_end_match_the_cpu_oracle() {
+    let (schema, root) = runs_schema();
+    let mut h = FastpathHarness::new(&schema, root);
+    // Cut at the end of the input: a 2-byte varint, a fixed64, a string
+    // payload and a string length prefix, each the last of a 3-element run.
+    let mut varints = Vec::new();
+    for v in [5, 6, 300] {
+        put_varint_field(&mut varints, 1, v);
+    }
+    let mut fixeds = Vec::new();
+    for v in [1i64, 2, 3] {
+        put_key(&mut fixeds, 6, 1);
+        fixeds.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut strings = Vec::new();
+    for t in [&b"ab"[..], b"cd", b"efgh"] {
+        put_ld_field(&mut strings, 2, t);
+    }
+    let mut long_prefix = Vec::new();
+    for t in [&b"ab"[..], &[b'x'; 140]] {
+        put_ld_field(&mut long_prefix, 2, t);
+    }
+    for (wire, keep, fault) in [
+        (&varints, 1, DecodeFault::Truncated),
+        (&fixeds, 3, DecodeFault::Truncated),
+        (&strings, 2, DecodeFault::LengthOverrun),
+        (&long_prefix, 141, DecodeFault::Truncated),
+    ] {
+        check_rejects_as(&mut h, &wire[..wire.len() - keep], fault);
+        check_truncations("cut run", &mut h, wire, usize::MAX);
+    }
+    // Cut at a sub-message's clamped end: the Inner frame declares 4 bytes
+    // ending in a varint with its continuation bit set, and a valid `a`
+    // field follows that the element must not consume.
+    let mut wire = Vec::new();
+    put_ld_field(&mut wire, 7, &[0x08, 0x01, 0x08, 0x96]);
+    put_varint_field(&mut wire, 1, 1);
+    check_rejects_as(&mut h, &wire, DecodeFault::Truncated);
+    // The same for a string run inside Inner: the frame ends inside the
+    // second payload, and a valid field follows.
+    let mut wire = Vec::new();
+    put_ld_field(&mut wire, 7, &[0x12, 0x01, b'a', 0x12, 0x03, b'b']);
+    put_varint_field(&mut wire, 1, 1);
+    check_rejects_as(&mut h, &wire, DecodeFault::LengthOverrun);
 }
 
 /// Packed and unpacked arrivals of one field concatenate in arrival order,
@@ -673,6 +801,99 @@ fn packed_fixed_arrays_encode_byte_identically() {
     m.set_repeated(5, vec![Value::Fixed64(u64::MAX), Value::Fixed64(1)]);
     m.set_repeated(6, vec![Value::SFixed64(i64::MIN)]);
     check_message("packed fixed arrays", &schema, type_id, &m);
+}
+
+/// The encoder finds present fields by scanning hasbits words from the
+/// top. Fields on bits 63 and 64 straddle the first word boundary, field
+/// 130 sits in the third word and field 200 in the fourth; every subset of
+/// them must encode byte-identically, from a value tree and from the
+/// decoded arena.
+#[test]
+fn multi_word_hasbits_encode_byte_identically() {
+    let schema = parse_proto(
+        "message Sub { optional uint32 v = 1; }
+         message W {
+           optional int32 a = 1;
+           optional string b = 64;
+           repeated fixed32 c = 65;
+           repeated uint64 d = 130 [packed = true];
+           optional Sub e = 200;
+         }",
+    )
+    .unwrap();
+    let type_id = schema.id_by_name("W").unwrap();
+    let mut sub = MessageValue::new(schema.id_by_name("Sub").unwrap());
+    sub.set_unchecked(1, Value::UInt32(9));
+    let fields: [(u32, Vec<Value>); 5] = [
+        (1, vec![Value::Int32(-3)]),
+        (64, vec![Value::Str("bit 63".into())]),
+        (65, vec![Value::Fixed32(1), Value::Fixed32(2)]),
+        (130, vec![Value::UInt64(300), Value::UInt64(0)]),
+        (200, vec![Value::Message(sub)]),
+    ];
+    for mask in 0..1u32 << fields.len() {
+        let mut m = MessageValue::new(type_id);
+        for (i, (number, values)) in fields.iter().enumerate() {
+            if mask & 1 << i == 0 {
+                continue;
+            }
+            if matches!(number, 65 | 130) {
+                m.set_repeated(*number, values.clone());
+            } else {
+                m.set_unchecked(*number, values[0].clone());
+            }
+        }
+        check_message(
+            &format!("hasbit words, mask {mask:#b}"),
+            &schema,
+            type_id,
+            &m,
+        );
+    }
+}
+
+/// A message whose field-number span exceeds the dense limit compiles to a
+/// sparse table, which the encoder walks backwards; present and absent
+/// fields at both ends of the span and in between encode byte-identically.
+#[test]
+fn sparse_table_messages_encode_byte_identically() {
+    let schema = parse_proto(
+        "message S {
+           optional uint32 lo = 1;
+           repeated string mid = 3000;
+           repeated fixed64 far = 5000;
+           repeated sint32 run = 70000;
+           optional bytes hi = 100000;
+         }",
+    )
+    .unwrap();
+    let type_id = schema.id_by_name("S").unwrap();
+    let codec = FastCodec::new(&schema);
+    assert_eq!(
+        codec.compiled().message(type_id).table_kind(),
+        protoacc_suite::fastpath::TableKind::Sparse
+    );
+    let fields: [(u32, Value); 5] = [
+        (1, Value::UInt32(1)),
+        (3000, Value::Str("m".into())),
+        (5000, Value::Fixed64(u64::MAX)),
+        (70000, Value::SInt32(-5)),
+        (100_000, Value::Bytes(vec![1, 2, 3])),
+    ];
+    for mask in 0..1u32 << fields.len() {
+        let mut m = MessageValue::new(type_id);
+        for (i, (number, value)) in fields.iter().enumerate() {
+            if mask & 1 << i == 0 {
+                continue;
+            }
+            if matches!(number, 1 | 100_000) {
+                m.set_unchecked(*number, value.clone());
+            } else {
+                m.set_repeated(*number, vec![value.clone(), value.clone()]);
+            }
+        }
+        check_message(&format!("sparse, mask {mask:#b}"), &schema, type_id, &m);
+    }
 }
 
 /// Encodes `m` of the runs schema and appends `tail` as a final field.
