@@ -177,6 +177,15 @@ cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- \
     --smoke --shards 4 | tee target/shard_gate_4.txt
 cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- \
     --shards 1 | tee target/shard_gate_1.txt
+# The diff below passes when neither file holds the line, so first require
+# exactly one fingerprint line in each.
+for n in 4 1; do
+    lines=$(grep -c '^sharded fingerprint:' "target/shard_gate_$n.txt" || true)
+    if [ "$lines" != 1 ]; then
+        echo "shard gate: target/shard_gate_$n.txt holds $lines fingerprint line(s), want 1" >&2
+        exit 1
+    fi
+done
 diff <(grep '^sharded fingerprint:' target/shard_gate_4.txt) \
      <(grep '^sharded fingerprint:' target/shard_gate_1.txt)
 cargo test --offline -q --release --test serve_sharded

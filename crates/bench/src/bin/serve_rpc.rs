@@ -32,21 +32,17 @@
 use std::process::ExitCode;
 
 use protoacc::serve::{CommandRecord, CommandStatus};
-use protoacc::{AccelConfig, DispatchPolicy, RequestOp, ServeConfig};
-use protoacc_absint::Envelope;
+use protoacc::{DispatchPolicy, ServeConfig};
+use protoacc_bench::serving::{Staging, ARENA_BASE, ARENA_STRIDE};
 use protoacc_fleet::traffic::{ClosedLoop, TrafficMix};
 use protoacc_mem::{Cycles, MemConfig, Memory};
 use protoacc_rpc::{encode_frame, IncomingFrame, Method, RpcConfig, RpcHeader, RpcServer};
-use protoacc_runtime::{object, reference, write_adts, BumpArena, MessageLayouts};
 use xrand::StdRng;
 
 /// Seed for synthesizing the prototype population.
 const MIX_SEED: u64 = 0xF1EE7;
 /// Seed for both arrival processes (open-loop stream, closed-loop draws).
 const STREAM_SEED: u64 = 0x10AD;
-/// Per-instance slice of guest memory for arenas (64 MiB).
-const ARENA_STRIDE: u64 = 1 << 26;
-const ARENA_BASE: u64 = 0x1_0000_0000;
 /// Accelerator instances behind the server.
 const INSTANCES: usize = 4;
 /// Connections the open-loop schedule spreads across.
@@ -64,60 +60,6 @@ const RHOS: [f64; 3] = [0.5, 1.0, 2.0];
 /// Goodput at 2x overload must stay within this fraction of the
 /// discipline's peak — the load-shedding acceptance floor.
 const GOODPUT_FLOOR: f64 = 0.8;
-
-/// Stages the mix into a fresh memory image as an RPC method table: one
-/// method per prototype, operation templates pointing at the staged wire
-/// input / object graph, admission costs from the absint envelopes.
-fn stage_methods(mix: &TrafficMix, mem: &mut Memory) -> Vec<Method> {
-    let layouts = MessageLayouts::compute(&mix.schema);
-    let accel = AccelConfig::default();
-    let mem_cfg = MemConfig::default();
-    let mut setup = BumpArena::new(0x1_0000, 1 << 26);
-    let adts = write_adts(&mix.schema, &layouts, &mut mem.data, &mut setup).unwrap();
-    let mut input_cursor = 0x2000_0000u64;
-    let mut objects = BumpArena::new(0x8000_0000, 1 << 30);
-    mix.prototypes
-        .iter()
-        .map(|p| {
-            let wire = reference::encode(&p.message, &mix.schema).unwrap();
-            let input_addr = input_cursor;
-            mem.data.write_bytes(input_addr, &wire);
-            input_cursor += wire.len() as u64 + 64;
-            let obj_ptr = object::write_message(
-                &mut mem.data,
-                &mix.schema,
-                &layouts,
-                &mut objects,
-                &p.message,
-            )
-            .unwrap();
-            let layout = layouts.layout(p.type_id);
-            let dest_obj = objects.alloc(layout.object_size(), 8).unwrap();
-            let deser_env = Envelope::deser(&mix.schema, &layouts, p.type_id, &accel, &mem_cfg);
-            let ser_env = Envelope::ser(&mix.schema, &layouts, p.type_id, &accel, &mem_cfg);
-            Method::from_envelopes(
-                RequestOp::Deserialize {
-                    adt_ptr: adts.addr(p.type_id),
-                    input_addr,
-                    input_len: wire.len() as u64,
-                    dest_obj,
-                    min_field: layout.min_field(),
-                },
-                RequestOp::Serialize {
-                    adt_ptr: adts.addr(p.type_id),
-                    obj_ptr,
-                    hasbits_offset: layout.hasbits_offset(),
-                    min_field: layout.min_field(),
-                    max_field: layout.max_field(),
-                },
-                &deser_env,
-                &ser_env,
-                wire.len() as u64,
-                wire.len() as u64,
-            )
-        })
-        .collect()
-}
 
 /// Encodes one request frame for `method`, optionally carrying the
 /// deadline budget (`DEADLINE_SLACK` x the direction's admission cost).
@@ -240,7 +182,7 @@ fn summarize(discipline: &'static str, rho: f64, srv: &RpcServer) -> Cell {
 /// round-robin across [`CONNS`] connections.
 fn open_loop_cell(mix: &TrafficMix, rho: f64, n_req: usize, gap: f64, with_deadline: bool) -> Cell {
     let mut mem = Memory::new(MemConfig::default());
-    let methods = stage_methods(mix, &mut mem);
+    let methods = Staging::new(mix, &mut mem).methods(mix);
     let mut srng = StdRng::seed_from_u64(STREAM_SEED);
     let events = mix.stream(&mut srng, n_req, gap);
     let frames: Vec<IncomingFrame> = events
@@ -263,7 +205,7 @@ fn open_loop_cell(mix: &TrafficMix, rho: f64, n_req: usize, gap: f64, with_deadl
 /// been issued.
 fn closed_loop_cell(mix: &TrafficMix, rho: f64, users: usize, total: usize, think: f64) -> Cell {
     let mut mem = Memory::new(MemConfig::default());
-    let methods = stage_methods(mix, &mut mem);
+    let methods = Staging::new(mix, &mut mem).methods(mix);
     let mut srv = server(methods.clone());
     let mut clients = ClosedLoop::new(users, think);
     let mut rng = StdRng::seed_from_u64(STREAM_SEED);
@@ -355,7 +297,7 @@ fn sweep(n_req: usize, check_determinism: bool, shards: usize) -> (f64, Vec<Cell
     // Calibrate uncontended mean service on a sparse deadline-free stream.
     let service = {
         let mut mem = Memory::new(MemConfig::default());
-        let methods = stage_methods(&mix, &mut mem);
+        let methods = Staging::new(&mix, &mut mem).methods(&mix);
         let mut srng = StdRng::seed_from_u64(STREAM_SEED);
         let events = mix.stream(&mut srng, 64, 10_000_000.0);
         let frames: Vec<IncomingFrame> = events

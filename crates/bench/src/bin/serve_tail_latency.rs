@@ -38,10 +38,11 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use protoacc::{
-    AccelConfig, DispatchPolicy, InstanceFault, Request, RequestOp, ServeCluster, ServeConfig,
-    ShardOutcome, ShardedCluster,
+    DispatchPolicy, InstanceFault, Request, RequestOp, ServeCluster, ServeConfig, ShardOutcome,
+    ShardedCluster,
 };
 use protoacc_absint::{Envelope, ServiceBounds};
+use protoacc_bench::serving::{Staging, ARENA_BASE, ARENA_STRIDE};
 use protoacc_faults::memory::{arm_random_ecc, arm_random_stalls};
 use protoacc_faults::wire::corrupt;
 use protoacc_faults::WIRE_FAULTS;
@@ -49,146 +50,31 @@ use protoacc_faults::{random_script, InstanceFaultPlan, SoftwareFallback};
 use protoacc_fleet::traffic::{TrafficEvent, TrafficMix};
 use protoacc_lint::{findings_to_diagnostics, LintConfig, LintReport};
 use protoacc_mem::{Cycles, MemConfig, Memory};
-use protoacc_runtime::{object, reference, write_adts, AdtTables, BumpArena, MessageLayouts};
+use protoacc_runtime::{reference, BumpArena};
 use xrand::{Rng, StdRng};
 
 /// Seed for synthesizing the prototype population.
 const MIX_SEED: u64 = 0xF1EE7;
 /// Seed for the arrival process.
 const STREAM_SEED: u64 = 0x10AD;
-/// Per-instance slice of guest memory for arenas (64 MiB).
-const ARENA_STRIDE: u64 = 1 << 26;
-const ARENA_BASE: u64 = 0x1_0000_0000;
-
-/// Guest-memory addresses of one staged prototype.
-#[derive(Debug, Clone, Copy)]
-struct StagedProto {
-    adt_ptr: u64,
-    input_addr: u64,
-    input_len: u64,
-    dest_obj: u64,
-    obj_ptr: u64,
-    object_size: u64,
-    hasbits_offset: u64,
-    min_field: u32,
-    max_field: u32,
-}
-
-/// Writes ADTs, wire inputs, and object graphs for every prototype into a
-/// fresh memory image, returning the staged prototypes plus the ADT tables
-/// (the software-fallback codec resolves ADT pointers back to message
-/// types). Deterministic: addresses depend only on the mix.
-fn stage(mix: &TrafficMix, mem: &mut Memory) -> (Vec<StagedProto>, AdtTables) {
-    let layouts = MessageLayouts::compute(&mix.schema);
-    let mut setup = BumpArena::new(0x1_0000, 1 << 26);
-    let adts = write_adts(&mix.schema, &layouts, &mut mem.data, &mut setup).unwrap();
-    let mut input_cursor = 0x2000_0000u64;
-    let mut objects = BumpArena::new(0x8000_0000, 1 << 30);
-    let staged = mix
-        .prototypes
-        .iter()
-        .map(|p| {
-            let wire = reference::encode(&p.message, &mix.schema).unwrap();
-            let input_addr = input_cursor;
-            mem.data.write_bytes(input_addr, &wire);
-            input_cursor += wire.len() as u64 + 64;
-            let obj_ptr = object::write_message(
-                &mut mem.data,
-                &mix.schema,
-                &layouts,
-                &mut objects,
-                &p.message,
-            )
-            .unwrap();
-            let layout = layouts.layout(p.type_id);
-            let dest_obj = objects.alloc(layout.object_size(), 8).unwrap();
-            StagedProto {
-                adt_ptr: adts.addr(p.type_id),
-                input_addr,
-                input_len: wire.len() as u64,
-                dest_obj,
-                obj_ptr,
-                object_size: layout.object_size(),
-                hasbits_offset: layout.hasbits_offset(),
-                min_field: layout.min_field(),
-                max_field: layout.max_field(),
-            }
-        })
-        .collect();
-    (staged, adts)
-}
-
-fn to_requests(events: &[TrafficEvent], staged: &[StagedProto]) -> Vec<Request> {
-    events
-        .iter()
-        .map(|e| {
-            let s = staged[e.prototype];
-            Request {
-                arrival: e.arrival,
-                watchdog: None,
-                deadline: None,
-                cost: None,
-                op: if e.deser {
-                    RequestOp::Deserialize {
-                        adt_ptr: s.adt_ptr,
-                        input_addr: s.input_addr,
-                        input_len: s.input_len,
-                        dest_obj: s.dest_obj,
-                        min_field: s.min_field,
-                    }
-                } else {
-                    RequestOp::Serialize {
-                        adt_ptr: s.adt_ptr,
-                        obj_ptr: s.obj_ptr,
-                        hasbits_offset: s.hasbits_offset,
-                        min_field: s.min_field,
-                        max_field: s.max_field,
-                    }
-                },
-            }
-        })
-        .collect()
-}
-
-/// Like [`to_requests`], but gives every deserialization its own
-/// destination object. The default staging reuses one slot per prototype,
-/// which is a genuine arena-aliasing hazard (PA009) the moment two
-/// instances deserialize the same prototype concurrently — acceptable for
-/// pure timing studies, but exactly what a sanitized run must not do.
+/// Gives every deserialization its own destination object. The shared
+/// staging reuses one slot per prototype, which is a genuine arena-aliasing
+/// hazard (PA009) the moment two instances deserialize the same prototype
+/// concurrently — acceptable for pure timing studies, but exactly what a
+/// sanitized run must not do.
 fn to_requests_isolated(
     events: &[TrafficEvent],
-    staged: &[StagedProto],
+    staging: &Staging,
     dests: &mut BumpArena,
 ) -> Vec<Request> {
-    events
-        .iter()
-        .map(|e| {
-            let s = staged[e.prototype];
-            Request {
-                arrival: e.arrival,
-                watchdog: None,
-                deadline: None,
-                cost: None,
-                op: if e.deser {
-                    RequestOp::Deserialize {
-                        adt_ptr: s.adt_ptr,
-                        input_addr: s.input_addr,
-                        input_len: s.input_len,
-                        dest_obj: dests.alloc(s.object_size, 8).expect("dest arena"),
-                        min_field: s.min_field,
-                    }
-                } else {
-                    RequestOp::Serialize {
-                        adt_ptr: s.adt_ptr,
-                        obj_ptr: s.obj_ptr,
-                        hasbits_offset: s.hasbits_offset,
-                        min_field: s.min_field,
-                        max_field: s.max_field,
-                    }
-                },
-            }
-        })
-        .collect()
+    let mut requests = staging.requests(events);
+    for (r, e) in requests.iter_mut().zip(events) {
+        if let RequestOp::Deserialize { dest_obj, .. } = &mut r.op {
+            let size = staging.protos[e.prototype].object_size;
+            *dest_obj = dests.alloc(size, 8).expect("dest arena");
+        }
+    }
+    requests
 }
 
 /// `--sanitize`: instrumented replays through the absint race/hazard
@@ -198,29 +84,16 @@ fn to_requests_isolated(
 fn sanitize_mode() -> bool {
     let mut rng = StdRng::seed_from_u64(MIX_SEED);
     let mix = TrafficMix::build(&mut rng, 8);
-    let layouts = MessageLayouts::compute(&mix.schema);
-    let accel = AccelConfig::default();
-    let mem_cfg = MemConfig::default();
-    let envelopes: Vec<(Envelope, Envelope)> = mix
-        .prototypes
-        .iter()
-        .map(|p| {
-            (
-                Envelope::deser(&mix.schema, &layouts, p.type_id, &accel, &mem_cfg),
-                Envelope::ser(&mix.schema, &layouts, p.type_id, &accel, &mem_cfg),
-            )
-        })
-        .collect();
-
     let lint_cfg = LintConfig::default();
     let mut ok = true;
     for &instances in &[1usize, 2, 4] {
         let mut srng = StdRng::seed_from_u64(STREAM_SEED);
         let events = mix.stream(&mut srng, 96, 2_000.0);
         let mut mem = Memory::new(MemConfig::default());
-        let (staged, _adts) = stage(&mix, &mut mem);
+        let staging = Staging::new(&mix, &mut mem);
+        let envelopes = staging.envelopes(&mix);
         let mut dests = BumpArena::new(0xC000_0000, 1 << 28);
-        let requests = to_requests_isolated(&events, &staged, &mut dests);
+        let requests = to_requests_isolated(&events, &staging, &mut dests);
         let mut cluster = ServeCluster::new(
             config(instances, 32, DispatchPolicy::Fifo),
             ARENA_BASE,
@@ -344,8 +217,7 @@ fn summarize(cluster: &ServeCluster, mem: &Memory, instances: usize) -> RunResul
 /// Stages a fresh memory image and runs one stream through one cluster.
 fn run_stream(mix: &TrafficMix, events: &[TrafficEvent], config: ServeConfig) -> RunResult {
     let mut mem = Memory::new(MemConfig::default());
-    let (staged, _adts) = stage(mix, &mut mem);
-    let requests = to_requests(events, &staged);
+    let requests = Staging::new(mix, &mut mem).requests(events);
     let mut cluster = ServeCluster::new(config, ARENA_BASE, ARENA_STRIDE);
     cluster
         .run(&mut mem, &requests)
@@ -373,9 +245,9 @@ fn traced_cell(
     tracer: Option<protoacc_trace::SharedTracer>,
 ) -> TracedCell {
     let mut mem = Memory::new(MemConfig::default());
-    let (staged, _adts) = stage(mix, &mut mem);
+    let staging = Staging::new(mix, &mut mem);
     let mut dests = BumpArena::new(0xC000_0000, 1 << 28);
-    let requests = to_requests_isolated(events, &staged, &mut dests);
+    let requests = to_requests_isolated(events, &staging, &mut dests);
     let mut cluster = ServeCluster::new(cfg, ARENA_BASE, ARENA_STRIDE);
     cluster.set_trace_footprints(true);
     let attached = tracer.is_some();
@@ -566,81 +438,42 @@ const FAULT_CLASSES: [&str; 6] = ["crash", "hang", "slow", "ecc", "stall", "flip
 /// the seeded router.
 type CorruptRouting<'a> = Option<(&'a [(u64, u64)], f64, &'a mut StdRng)>;
 
-/// Deser/ser envelopes per prototype: the static watchdog ceilings.
-fn envelopes(mix: &TrafficMix, layouts: &MessageLayouts) -> Vec<(Envelope, Envelope)> {
-    let accel = AccelConfig::default();
-    let mem_cfg = MemConfig::default();
-    mix.prototypes
-        .iter()
-        .map(|p| {
-            (
-                Envelope::deser(&mix.schema, layouts, p.type_id, &accel, &mem_cfg),
-                Envelope::ser(&mix.schema, layouts, p.type_id, &accel, &mem_cfg),
-            )
-        })
-        .collect()
-}
-
-/// Like [`to_requests`], but every request carries the absint-derived
-/// watchdog ceiling (`service_bounds(wire_len, instances).upper`): no
-/// correct command can exceed it, so a hung or pathologically slow attempt
-/// is killed and retried instead of wedging its instance. For the `flip`
-/// fault class, `corrupted` routes a seeded fraction of deserializations to
-/// a bit-flipped copy of their input.
+/// Gives every request the absint-derived watchdog ceiling
+/// (`service_bounds(wire_len, instances).upper`): no correct command can
+/// exceed it, so a hung or pathologically slow attempt is killed and retried
+/// instead of wedging its instance. For the `flip` fault class, `corrupted`
+/// routes a seeded fraction of deserializations to a bit-flipped copy of
+/// their input.
 fn to_requests_watchdogged(
     events: &[TrafficEvent],
-    staged: &[StagedProto],
+    staging: &Staging,
     envs: &[(Envelope, Envelope)],
     instances: usize,
-    corrupted: CorruptRouting<'_>,
+    mut corrupted: CorruptRouting<'_>,
 ) -> Vec<Request> {
-    let mut corrupted = corrupted;
-    events
-        .iter()
-        .map(|e| {
-            let s = staged[e.prototype];
-            let (deser_env, ser_env) = &envs[e.prototype];
-            if e.deser {
-                let (input_addr, input_len) = match corrupted.as_mut() {
-                    Some((copies, rate, rng)) => {
-                        if rng.gen_bool(*rate) {
-                            copies[e.prototype]
-                        } else {
-                            (s.input_addr, s.input_len)
-                        }
+    let mut requests = staging.requests(events);
+    for (r, e) in requests.iter_mut().zip(events) {
+        let (deser_env, ser_env) = &envs[e.prototype];
+        let bounds = match &mut r.op {
+            RequestOp::Deserialize {
+                input_addr,
+                input_len,
+                ..
+            } => {
+                if let Some((copies, rate, rng)) = corrupted.as_mut() {
+                    if rng.gen_bool(*rate) {
+                        (*input_addr, *input_len) = copies[e.prototype];
                     }
-                    None => (s.input_addr, s.input_len),
-                };
-                Request {
-                    arrival: e.arrival,
-                    watchdog: Some(deser_env.service_bounds(input_len.max(1), instances).upper),
-                    deadline: None,
-                    cost: None,
-                    op: RequestOp::Deserialize {
-                        adt_ptr: s.adt_ptr,
-                        input_addr,
-                        input_len,
-                        dest_obj: s.dest_obj,
-                        min_field: s.min_field,
-                    },
                 }
-            } else {
-                Request {
-                    arrival: e.arrival,
-                    watchdog: Some(ser_env.service_bounds(s.input_len, instances).upper),
-                    deadline: None,
-                    cost: None,
-                    op: RequestOp::Serialize {
-                        adt_ptr: s.adt_ptr,
-                        obj_ptr: s.obj_ptr,
-                        hasbits_offset: s.hasbits_offset,
-                        min_field: s.min_field,
-                        max_field: s.max_field,
-                    },
-                }
+                deser_env.service_bounds((*input_len).max(1), instances)
             }
-        })
-        .collect()
+            RequestOp::Serialize { .. } => {
+                ser_env.service_bounds(staging.protos[e.prototype].input_len, instances)
+            }
+        };
+        r.watchdog = Some(bounds.upper);
+    }
+    requests
 }
 
 /// Outcome of one fault-injected cluster run.
@@ -699,10 +532,9 @@ fn run_faulted(
     class: &str,
     rate: f64,
 ) -> FaultRunResult {
-    let layouts = MessageLayouts::compute(&mix.schema);
-    let envs = envelopes(mix, &layouts);
     let mut mem = Memory::new(MemConfig::default());
-    let (staged, adts) = stage(mix, &mut mem);
+    let staging = Staging::new(mix, &mut mem);
+    let envs = staging.envelopes(mix);
     // Mix the class name into the seed so each cell draws an independent
     // (but replayable) schedule.
     let class_hash = class
@@ -728,11 +560,15 @@ fn run_faulted(
         })
         .collect();
     let routing = (class == "flip").then_some((copies.as_slice(), rate, &mut frng));
-    let requests = to_requests_watchdogged(events, &staged, &envs, instances, routing);
+    let requests = to_requests_watchdogged(events, &staging, &envs, instances, routing);
 
     // Memory plane: arm one-shot faults inside the staged wire inputs so
     // the deserializer's streaming reads trip them.
-    let regions: Vec<(u64, u64)> = staged.iter().map(|s| (s.input_addr, s.input_len)).collect();
+    let regions: Vec<(u64, u64)> = staging
+        .protos
+        .iter()
+        .map(|s| (s.input_addr, s.input_len))
+        .collect();
     let armed = ((events.len() as f64 * rate).round() as usize).max(1);
     match class {
         "ecc" => arm_random_ecc(&mut mem.system, &regions, armed, &mut frng),
@@ -751,7 +587,13 @@ fn run_faulted(
     };
     let faults: Vec<InstanceFault> = random_script(&plan, instances, horizon, &mut frng);
 
-    let mut fb = SoftwareFallback::new(&mix.schema, &layouts, &adts, FB_ARENA, FB_OUT);
+    let mut fb = SoftwareFallback::new(
+        &mix.schema,
+        &staging.layouts,
+        &staging.adts,
+        FB_ARENA,
+        FB_OUT,
+    );
     let mut cluster = ServeCluster::new(
         config(instances, 256, DispatchPolicy::Fifo),
         ARENA_BASE,
@@ -1096,8 +938,7 @@ fn shard_cells(mix: &TrafficMix, per_shard: usize, gap: f64) -> Vec<ShardCell> {
 /// the outcome is a pure function of `(mix, cell)`.
 fn run_shard_cell(mix: &TrafficMix, cell: &ShardCell, traced: bool) -> ShardOutcome {
     let mut mem = Memory::new(MemConfig::default().llc_slice(SHARD_CELLS));
-    let (staged, _adts) = stage(mix, &mut mem);
-    let requests = to_requests(&cell.events, &staged);
+    let requests = Staging::new(mix, &mut mem).requests(&cell.events);
     let mut cluster = ServeCluster::new(
         config(SHARD_INSTANCES, 32, DispatchPolicy::Fifo),
         ARENA_BASE,

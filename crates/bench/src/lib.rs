@@ -20,6 +20,7 @@
 
 pub mod lintrep;
 pub mod report;
+pub mod serving;
 pub mod systems;
 pub mod ubench;
 

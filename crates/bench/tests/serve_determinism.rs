@@ -4,10 +4,10 @@
 //! `serve_tail_latency --smoke` CI gate enforces; here it is pinned as a
 //! cargo test over the library APIs.
 
-use protoacc::{DispatchPolicy, Request, RequestOp, ServeCluster, ServeConfig};
+use protoacc::{DispatchPolicy, ServeCluster, ServeConfig};
+use protoacc_bench::serving::{Staging, ARENA_BASE};
 use protoacc_fleet::traffic::TrafficMix;
 use protoacc_mem::{MemConfig, Memory};
-use protoacc_runtime::{object, reference, write_adts, BumpArena, MessageLayouts};
 use xrand::StdRng;
 
 /// Runs one seeded stream through a fresh memory image + cluster and
@@ -19,63 +19,7 @@ fn serve_report(instances: usize, policy: DispatchPolicy) -> String {
     let events = mix.stream(&mut srng, 64, 2_000.0);
 
     let mut mem = Memory::new(MemConfig::default());
-    let layouts = MessageLayouts::compute(&mix.schema);
-    let mut setup = BumpArena::new(0x1_0000, 1 << 26);
-    let adts = write_adts(&mix.schema, &layouts, &mut mem.data, &mut setup).unwrap();
-    let mut objects = BumpArena::new(0x8000_0000, 1 << 30);
-    let mut input_cursor = 0x2000_0000u64;
-    let staged: Vec<_> = mix
-        .prototypes
-        .iter()
-        .map(|p| {
-            let wire = reference::encode(&p.message, &mix.schema).unwrap();
-            let input_addr = input_cursor;
-            mem.data.write_bytes(input_addr, &wire);
-            input_cursor += wire.len() as u64 + 64;
-            let obj_ptr = object::write_message(
-                &mut mem.data,
-                &mix.schema,
-                &layouts,
-                &mut objects,
-                &p.message,
-            )
-            .unwrap();
-            let layout = layouts.layout(p.type_id);
-            let dest_obj = objects.alloc(layout.object_size(), 8).unwrap();
-            (p.type_id, wire.len() as u64, input_addr, obj_ptr, dest_obj)
-        })
-        .collect();
-
-    let requests: Vec<Request> = events
-        .iter()
-        .map(|e| {
-            let (type_id, input_len, input_addr, obj_ptr, dest_obj) = staged[e.prototype];
-            let layout = layouts.layout(type_id);
-            Request {
-                arrival: e.arrival,
-                watchdog: None,
-                deadline: None,
-                cost: None,
-                op: if e.deser {
-                    RequestOp::Deserialize {
-                        adt_ptr: adts.addr(type_id),
-                        input_addr,
-                        input_len,
-                        dest_obj,
-                        min_field: layout.min_field(),
-                    }
-                } else {
-                    RequestOp::Serialize {
-                        adt_ptr: adts.addr(type_id),
-                        obj_ptr,
-                        hasbits_offset: layout.hasbits_offset(),
-                        min_field: layout.min_field(),
-                        max_field: layout.max_field(),
-                    }
-                },
-            }
-        })
-        .collect();
+    let requests = Staging::new(&mix, &mut mem).requests(&events);
 
     let mut cluster = ServeCluster::new(
         ServeConfig {
@@ -84,7 +28,7 @@ fn serve_report(instances: usize, policy: DispatchPolicy) -> String {
             policy,
             ..ServeConfig::default()
         },
-        0x1_0000_0000,
+        ARENA_BASE,
         1 << 25,
     );
     cluster.run(&mut mem, &requests).unwrap();

@@ -1168,8 +1168,7 @@ impl ServeCluster {
     /// Dividing by [`ServeCluster::makespan`] — which starts at cycle 0 —
     /// understates the cluster whenever the request stream is sparse or
     /// warms up slowly: idle lead-in and the gap after the last arrival get
-    /// charged as if the cluster were busy. The makespan-based quantity is
-    /// still available as [`ServeCluster::offered_window_gbits`].
+    /// charged as if the cluster were busy.
     pub fn throughput_gbits(&self) -> f64 {
         let Some((first, last)) = self.service_window() else {
             return 0.0;
@@ -1179,18 +1178,6 @@ impl ServeCluster {
             return 0.0;
         }
         self.completed_wire_bytes() as f64 * 8.0 * self.config.accel.freq_ghz / window as f64
-    }
-
-    /// Throughput in Gbits/s over the full offered window (cycle 0 through
-    /// the makespan) — the arrival-clock-inclusive quantity
-    /// [`ServeCluster::throughput_gbits`] used to report. Meaningful when
-    /// the offered load itself is the denominator of interest.
-    pub fn offered_window_gbits(&self) -> f64 {
-        let makespan = self.makespan();
-        if makespan == 0 {
-            return 0.0;
-        }
-        self.completed_wire_bytes() as f64 * 8.0 * self.config.accel.freq_ghz / makespan as f64
     }
 
     /// Statistics of instance `i`.
@@ -1481,10 +1468,6 @@ mod tests {
         let freq = cluster.config().accel.freq_ghz;
         let expect = cluster.completed_wire_bytes() as f64 * 8.0 * freq / (last - first) as f64;
         assert!((cluster.throughput_gbits() - expect).abs() < 1e-12);
-        // The old quantity is preserved under its own name and, on this
-        // stream, understates goodput by orders of magnitude.
-        assert!(cluster.offered_window_gbits() < cluster.throughput_gbits() / 100.0);
-        assert!(cluster.offered_window_gbits() > 0.0);
     }
 
     #[test]

@@ -63,6 +63,7 @@ use protoacc_fastpath::{CompiledSchema, TableKind};
 use protoacc_mem::{Cycles, MemConfig};
 use protoacc_runtime::{MessageLayouts, MessageValue};
 use protoacc_schema::{FieldType, Label, MessageId, Schema};
+use protoacc_trace::chrome::json_str;
 use protoacc_wire::{FieldKey, MAX_VARINT_LEN};
 
 /// How seriously a diagnostic should be treated.
@@ -715,24 +716,6 @@ impl LintReport {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Nesting-depth probe limit: far beyond any stack depth we model, so a
 /// `None` from [`Schema::nesting_depth`] means "recursive" in practice.
 fn depth_probe_limit(config: &AccelConfig) -> usize {
@@ -1369,12 +1352,6 @@ mod tests {
         // Balanced braces/brackets as a cheap structural check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn json_escapes_control_and_quote_chars() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -36,7 +36,10 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// id; `args.instance` still carries the exact value).
 const CPU_TID: u64 = 9_999;
 
-fn json_str(s: &str) -> String {
+/// Renders `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters.
+#[must_use]
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -999,6 +1002,12 @@ pub fn parse(json: &str) -> Result<ParsedTrace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escapes_control_and_quote_chars() {
+        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+    }
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![

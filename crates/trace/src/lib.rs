@@ -3,7 +3,7 @@
 //! Every unit of the model — memloader, field-handler FSM, ADT cache,
 //! serializer FSU pool, memwriter, the serve cluster, and the memory
 //! system — emits typed [`TraceEvent`]s with cycle timestamps into an
-//! optional [`Tracer`]. The design contract is **zero behavioral cost when
+//! optional [`TraceLog`]. The design contract is **zero behavioral cost when
 //! disabled**: instrumentation never participates in cycle arithmetic, so a
 //! run with no tracer attached is bit-identical to a run that predates the
 //! tracing layer, and a run with a tracer attached produces the exact same
@@ -466,27 +466,13 @@ impl TraceEvent {
     }
 }
 
-/// Sink for trace events. Implementations must not feed anything back into
-/// the model — tracing is strictly observational.
-pub trait Tracer: std::fmt::Debug {
-    /// Records one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// Shared, dynamically-dispatched tracer handle. Model structs hold an
-/// `Option<SharedTracer>`; `Rc` sharing keeps `Clone` working on structs
+/// Shared tracer handle. Model structs hold an `Option<SharedTracer>`
+/// (`None` disables tracing); `Rc` sharing keeps `Clone` working on structs
 /// that carry one and lets the caller retain a handle to drain events.
-pub type SharedTracer = Rc<RefCell<dyn Tracer>>;
+pub type SharedTracer = Rc<RefCell<TraceLog>>;
 
-/// Tracer that discards every event.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn record(&mut self, _event: TraceEvent) {}
-}
-
-/// Tracer that collects every event in order.
+/// The event sink: collects every event in order. The model only ever
+/// appends to it — tracing is strictly observational.
 #[derive(Debug, Default)]
 pub struct TraceLog {
     /// Recorded events, in emission order.
@@ -494,17 +480,15 @@ pub struct TraceLog {
 }
 
 impl TraceLog {
-    /// Creates an empty shared log. Keep the returned concrete handle to
-    /// drain events; pass `clone` coerced to [`SharedTracer`] into the
-    /// model via the `set_tracer` setters.
+    /// Creates an empty shared log. Keep one clone to drain events and pass
+    /// another into the model via the `set_tracer` setters.
     #[must_use]
-    pub fn shared() -> Rc<RefCell<TraceLog>> {
+    pub fn shared() -> SharedTracer {
         Rc::new(RefCell::new(TraceLog::default()))
     }
-}
 
-impl Tracer for TraceLog {
-    fn record(&mut self, event: TraceEvent) {
+    /// Records one event.
+    pub fn record(&mut self, event: TraceEvent) {
         self.events.push(event);
     }
 }

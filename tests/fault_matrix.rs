@@ -22,26 +22,21 @@
 
 use protoacc_suite::absint::Envelope;
 use protoacc_suite::accel::{
-    AccelConfig, CommandStatus, DispatchPolicy, FaultCategory, InstanceFault, InstanceFaultKind,
-    Request, RequestOp, ServeCluster, ServeConfig, FALLBACK_INSTANCE,
+    CommandStatus, DispatchPolicy, FaultCategory, InstanceFault, InstanceFaultKind, Request,
+    RequestOp, ServeCluster, ServeConfig, FALLBACK_INSTANCE,
 };
+use protoacc_suite::bench::serving::{Staging, ARENA_BASE};
 use protoacc_suite::faults::memory::{arm_random_ecc, arm_random_stalls};
 use protoacc_suite::faults::wire::corrupt;
 use protoacc_suite::faults::{random_script, InstanceFaultPlan, SoftwareFallback, WIRE_FAULTS};
-use protoacc_suite::fleet::traffic::TrafficMix;
+use protoacc_suite::fleet::traffic::{TrafficEvent, TrafficMix};
 use protoacc_suite::mem::{Cycles, MemConfig, Memory};
-use protoacc_suite::runtime::{
-    object, reference, write_adts, AdtTables, BumpArena, MessageLayouts,
-};
+use protoacc_suite::runtime::reference;
 use protoacc_suite::xrand::StdRng;
 
-/// Guest-memory map: setup/ADTs, clean inputs, corrupted inputs, object
-/// graphs, per-instance accelerator arenas, software-fallback regions.
-const SETUP_BASE: u64 = 0x1_0000;
-const INPUT_BASE: u64 = 0x200_0000;
+/// Guest regions beside the shared staging plan: corrupted inputs,
+/// per-instance accelerator arenas, software-fallback regions.
 const CORRUPT_BASE: u64 = 0x400_0000;
-const OBJECT_BASE: u64 = 0x800_0000;
-const ARENA_BASE: u64 = 0x1_0000_0000;
 const ARENA_STRIDE: u64 = 1 << 24;
 const FB_ARENA: (u64, u64) = (0x4000_0000, 1 << 22);
 const FB_OUT: u64 = 0x5000_0000;
@@ -50,28 +45,14 @@ const FB_OUT: u64 = 0x5000_0000;
 /// (the model charges `1 << 40` cycles to an unrecovered hung command).
 const HANG_SENTINEL: Cycles = 1 << 39;
 
-/// One staged prototype plus its statically derived watchdog ceilings.
-struct Staged {
-    adt_ptr: u64,
-    input_addr: u64,
-    input_len: u64,
-    dest_obj: u64,
-    obj_ptr: u64,
-    hasbits_offset: u64,
-    min_field: u32,
-    max_field: u32,
-    deser_env: Envelope,
-    ser_env: Envelope,
-}
-
 /// A staged memory image plus everything needed to build requests and the
 /// software fallback. Re-staged fresh per run so replays are exact.
 struct Rig {
     mix: TrafficMix,
-    layouts: MessageLayouts,
-    adts: AdtTables,
+    staging: Staging,
+    /// Per-prototype `(deser, ser)` envelopes: the watchdog ceilings.
+    envs: Vec<(Envelope, Envelope)>,
     mem: Memory,
-    staged: Vec<Staged>,
     /// Worst-case sharers used for the watchdog upper bounds.
     sharers: usize,
 }
@@ -80,111 +61,60 @@ impl Rig {
     fn stage(prototypes: usize, sharers: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(0xFA57_0001);
         let mix = TrafficMix::build(&mut rng, prototypes);
-        let layouts = MessageLayouts::compute(&mix.schema);
         let mut mem = Memory::new(MemConfig::default());
-        let mut setup = BumpArena::new(SETUP_BASE, 1 << 22);
-        let adts = write_adts(&mix.schema, &layouts, &mut mem.data, &mut setup).unwrap();
-        let accel = AccelConfig::default();
-        let mem_cfg = MemConfig::default();
-        let mut input_cursor = INPUT_BASE;
-        let mut objects = BumpArena::new(OBJECT_BASE, 1 << 26);
-        let staged = mix
-            .prototypes
-            .iter()
-            .map(|p| {
-                let wire = reference::encode(&p.message, &mix.schema).unwrap();
-                let input_addr = input_cursor;
-                mem.data.write_bytes(input_addr, &wire);
-                input_cursor += wire.len() as u64 + 64;
-                let obj_ptr = object::write_message(
-                    &mut mem.data,
-                    &mix.schema,
-                    &layouts,
-                    &mut objects,
-                    &p.message,
-                )
-                .unwrap();
-                let layout = layouts.layout(p.type_id);
-                let dest_obj = objects.alloc(layout.object_size(), 8).unwrap();
-                Staged {
-                    adt_ptr: adts.addr(p.type_id),
-                    input_addr,
-                    input_len: wire.len() as u64,
-                    dest_obj,
-                    obj_ptr,
-                    hasbits_offset: layout.hasbits_offset(),
-                    min_field: layout.min_field(),
-                    max_field: layout.max_field(),
-                    deser_env: Envelope::deser(&mix.schema, &layouts, p.type_id, &accel, &mem_cfg),
-                    ser_env: Envelope::ser(&mix.schema, &layouts, p.type_id, &accel, &mem_cfg),
-                }
-            })
-            .collect();
+        let staging = Staging::new(&mix, &mut mem);
+        let envs = staging.envelopes(&mix);
         Rig {
             mix,
-            layouts,
-            adts,
+            staging,
+            envs,
             mem,
-            staged,
             sharers,
         }
     }
 
     /// Watchdog ceiling for deserializing `len` wire bytes of prototype `p`.
     fn deser_watchdog(&self, p: usize, len: u64) -> Cycles {
-        self.staged[p]
-            .deser_env
-            .service_bounds(len, self.sharers)
-            .upper
+        self.envs[p].0.service_bounds(len, self.sharers).upper
     }
 
     /// Watchdog ceiling for serializing prototype `p` (output length equals
     /// the reference encoding length).
     fn ser_watchdog(&self, p: usize) -> Cycles {
-        let s = &self.staged[p];
-        s.ser_env.service_bounds(s.input_len, self.sharers).upper
+        let len = self.staging.protos[p].input_len;
+        self.envs[p].1.service_bounds(len, self.sharers).upper
+    }
+
+    /// The staged wire inputs, as `(addr, len)` regions.
+    fn input_regions(&self) -> Vec<(u64, u64)> {
+        self.staging
+            .protos
+            .iter()
+            .map(|s| (s.input_addr, s.input_len))
+            .collect()
     }
 
     /// Clean request stream: round-robin over the prototypes, two
     /// deserializations per serialization, fixed inter-arrival gap, every
     /// request carrying its absint-derived watchdog.
     fn clean_requests(&self, n: usize, gap: Cycles) -> Vec<Request> {
-        (0..n)
-            .map(|i| {
-                let p = i % self.staged.len();
-                let s = &self.staged[p];
-                let arrival = i as Cycles * gap;
-                if i % 3 == 2 {
-                    Request {
-                        arrival,
-                        watchdog: Some(self.ser_watchdog(p)),
-                        deadline: None,
-                        cost: None,
-                        op: RequestOp::Serialize {
-                            adt_ptr: s.adt_ptr,
-                            obj_ptr: s.obj_ptr,
-                            hasbits_offset: s.hasbits_offset,
-                            min_field: s.min_field,
-                            max_field: s.max_field,
-                        },
-                    }
-                } else {
-                    Request {
-                        arrival,
-                        watchdog: Some(self.deser_watchdog(p, s.input_len)),
-                        deadline: None,
-                        cost: None,
-                        op: RequestOp::Deserialize {
-                            adt_ptr: s.adt_ptr,
-                            input_addr: s.input_addr,
-                            input_len: s.input_len,
-                            dest_obj: s.dest_obj,
-                            min_field: s.min_field,
-                        },
-                    }
-                }
+        let events: Vec<TrafficEvent> = (0..n)
+            .map(|i| TrafficEvent {
+                arrival: i as Cycles * gap,
+                prototype: i % self.staging.protos.len(),
+                deser: i % 3 != 2,
             })
-            .collect()
+            .collect();
+        let mut requests = self.staging.requests(&events);
+        for (r, e) in requests.iter_mut().zip(&events) {
+            let p = e.prototype;
+            r.watchdog = Some(if e.deser {
+                self.deser_watchdog(p, self.staging.protos[p].input_len)
+            } else {
+                self.ser_watchdog(p)
+            });
+        }
+        requests
     }
 
     /// Runs `requests` through a cluster with the software fallback wired
@@ -197,8 +127,8 @@ impl Rig {
     ) -> ServeCluster {
         let mut fb = SoftwareFallback::new(
             &self.mix.schema,
-            &self.layouts,
-            &self.adts,
+            &self.staging.layouts,
+            &self.staging.adts,
             FB_ARENA,
             FB_OUT,
         );
@@ -255,23 +185,26 @@ fn wire_plane_matrix_resolves_every_fault_class_to_a_typed_verdict() {
     let mut arrival: Cycles = 0;
     // 5 wire fault classes x 4 prototypes x 4 seeded variants each.
     for &fault in &WIRE_FAULTS {
-        for (p, s) in rig.staged.iter().enumerate() {
-            let wire = reference::encode(&rig.mix.prototypes[p].message, &rig.mix.schema).unwrap();
+        for (p, proto) in rig.mix.prototypes.iter().enumerate() {
+            let wire = reference::encode(&proto.message, &rig.mix.schema).unwrap();
             for _ in 0..4 {
                 let bad = corrupt(&wire, fault, &mut rng);
                 rig.mem.data.write_bytes(cursor, &bad);
+                let mut op = rig.staging.protos[p].deser;
+                if let RequestOp::Deserialize {
+                    input_addr,
+                    input_len,
+                    ..
+                } = &mut op
+                {
+                    (*input_addr, *input_len) = (cursor, bad.len() as u64);
+                }
                 requests.push(Request {
                     arrival,
                     watchdog: Some(rig.deser_watchdog(p, bad.len().max(1) as u64)),
                     deadline: None,
                     cost: None,
-                    op: RequestOp::Deserialize {
-                        adt_ptr: s.adt_ptr,
-                        input_addr: cursor,
-                        input_len: bad.len() as u64,
-                        dest_obj: s.dest_obj,
-                        min_field: s.min_field,
-                    },
+                    op,
                 });
                 cursor += bad.len() as u64 + 64;
                 arrival += 400;
@@ -309,11 +242,7 @@ fn memory_plane_ecc_and_stall_faults_are_retried_to_completion() {
     let mut rng = StdRng::seed_from_u64(0xEC0_57A1);
     // Arm the faults inside the staged wire inputs so the deserializer's
     // own streaming reads trip them.
-    let regions: Vec<(u64, u64)> = rig
-        .staged
-        .iter()
-        .map(|s| (s.input_addr, s.input_len))
-        .collect();
+    let regions = rig.input_regions();
     arm_random_ecc(&mut rig.mem.system, &regions, 8, &mut rng);
     arm_random_stalls(&mut rig.mem.system, &regions, 4, 1 << 32, &mut rng);
     let offered = requests.len();
@@ -337,11 +266,7 @@ fn memory_plane_with_no_retry_budget_degrades_to_the_software_fallback() {
     let mut rig = Rig::stage(2, 1);
     let requests = rig.clean_requests(12, 500);
     let mut rng = StdRng::seed_from_u64(0xEC0_57A2);
-    let regions: Vec<(u64, u64)> = rig
-        .staged
-        .iter()
-        .map(|s| (s.input_addr, s.input_len))
-        .collect();
+    let regions = rig.input_regions();
     arm_random_ecc(&mut rig.mem.system, &regions, 6, &mut rng);
     let offered = requests.len();
     let cfg = ServeConfig {

@@ -20,20 +20,18 @@
 //! exactly, and no command span leaks across the shard boundaries.
 
 use protoacc_suite::accel::{
-    DispatchPolicy, Request, RequestOp, ServeCluster, ServeConfig, ShardOutcome, ShardedCluster,
+    DispatchPolicy, ServeCluster, ServeConfig, ShardOutcome, ShardedCluster,
 };
+use protoacc_suite::bench::serving::{Staging, ARENA_BASE, ARENA_STRIDE};
 use protoacc_suite::faults::{random_script, InstanceFaultPlan, SoftwareFallback};
 use protoacc_suite::fleet::traffic::{TrafficEvent, TrafficMix};
 use protoacc_suite::mem::{Cycles, MemConfig, Memory};
-use protoacc_suite::runtime::{reference, write_adts, AdtTables, BumpArena, MessageLayouts};
 use protoacc_suite::trace::TraceLog;
 use protoacc_suite::xrand::StdRng;
 
 const MIX_SEED: u64 = 0xF1EE7;
 const STREAM_SEED: u64 = 0x10AD;
 const FAULT_SEED: u64 = 0xFA_17;
-const ARENA_BASE: u64 = 0x1_0000_0000;
-const ARENA_STRIDE: u64 = 1 << 26;
 const FB_ARENA: (u64, u64) = (0x4000_0000, 1 << 24);
 const FB_OUT: u64 = 0x5000_0000;
 
@@ -73,101 +71,6 @@ impl Workload {
     }
 }
 
-/// Guest-memory addresses of one staged prototype (the subset of the
-/// bench staging this suite needs).
-#[derive(Debug, Clone, Copy)]
-struct Staged {
-    adt_ptr: u64,
-    input_addr: u64,
-    input_len: u64,
-    dest_obj: u64,
-    obj_ptr: u64,
-    hasbits_offset: u64,
-    min_field: u32,
-    max_field: u32,
-}
-
-fn stage(mix: &TrafficMix, mem: &mut Memory) -> (Vec<Staged>, AdtTables) {
-    let layouts = MessageLayouts::compute(&mix.schema);
-    let mut setup = BumpArena::new(0x1_0000, 1 << 26);
-    let adts = write_adts(&mix.schema, &layouts, &mut mem.data, &mut setup).unwrap();
-    let mut input_cursor = 0x2000_0000u64;
-    let mut objects = BumpArena::new(0x8000_0000, 1 << 30);
-    let staged = mix
-        .prototypes
-        .iter()
-        .map(|p| {
-            let wire = reference::encode(&p.message, &mix.schema).unwrap();
-            let input_addr = input_cursor;
-            mem.data.write_bytes(input_addr, &wire);
-            input_cursor += wire.len() as u64 + 64;
-            let obj_ptr = protoacc_suite::runtime::object::write_message(
-                &mut mem.data,
-                &mix.schema,
-                &layouts,
-                &mut objects,
-                &p.message,
-            )
-            .unwrap();
-            let layout = layouts.layout(p.type_id);
-            Staged {
-                adt_ptr: adts.addr(p.type_id),
-                input_addr,
-                input_len: wire.len() as u64,
-                dest_obj: objects.alloc(layout.object_size(), 8).unwrap(),
-                obj_ptr,
-                hasbits_offset: layout.hasbits_offset(),
-                min_field: layout.min_field(),
-                max_field: layout.max_field(),
-            }
-        })
-        .collect();
-    (staged, adts)
-}
-
-fn to_requests(events: &[TrafficEvent], staged: &[Staged], workload: Workload) -> Vec<Request> {
-    // Shed-heavy requests carry an admission-cost estimate and an absolute
-    // deadline with little slack over it: once the overload backlog pushes
-    // an instance's free time a few thousand cycles past arrival, the
-    // estimate blows the deadline and admission control sheds pre-enqueue.
-    const SHED_COST: Cycles = 30_000;
-    const SHED_DEADLINE: Cycles = 35_000;
-    events
-        .iter()
-        .map(|e| {
-            let s = staged[e.prototype];
-            let (deadline, cost) = if workload == Workload::ShedHeavy {
-                (Some(e.arrival + SHED_DEADLINE), Some(SHED_COST))
-            } else {
-                (None, None)
-            };
-            Request {
-                arrival: e.arrival,
-                watchdog: None,
-                deadline,
-                cost,
-                op: if e.deser {
-                    RequestOp::Deserialize {
-                        adt_ptr: s.adt_ptr,
-                        input_addr: s.input_addr,
-                        input_len: s.input_len,
-                        dest_obj: s.dest_obj,
-                        min_field: s.min_field,
-                    }
-                } else {
-                    RequestOp::Serialize {
-                        adt_ptr: s.adt_ptr,
-                        obj_ptr: s.obj_ptr,
-                        hasbits_offset: s.hasbits_offset,
-                        min_field: s.min_field,
-                        max_field: s.max_field,
-                    }
-                },
-            }
-        })
-        .collect()
-}
-
 /// Runs one cell end-to-end on the calling thread: private memory system
 /// (its LLC slice), private staging, private cluster, private trace log.
 /// A pure function of `(mix, shard, events, workload)` — the determinism
@@ -179,8 +82,19 @@ fn run_cell(
     workload: Workload,
 ) -> ShardOutcome {
     let mut mem = Memory::new(MemConfig::default().llc_slice(CELLS));
-    let (staged, adts) = stage(mix, &mut mem);
-    let requests = to_requests(events, &staged, workload);
+    let staging = Staging::new(mix, &mut mem);
+    let mut requests = staging.requests(events);
+    if workload == Workload::ShedHeavy {
+        // Each request carries an admission-cost estimate and an absolute
+        // deadline with little slack over it: once the overload backlog
+        // pushes an instance's free time a few thousand cycles past arrival,
+        // the estimate blows the deadline and admission control sheds
+        // pre-enqueue.
+        for r in &mut requests {
+            r.cost = Some(30_000);
+            r.deadline = Some(r.arrival + 35_000);
+        }
+    }
     let mut cluster = ServeCluster::new(
         ServeConfig {
             instances: INSTANCES,
@@ -196,7 +110,6 @@ fn run_cell(
     if workload == Workload::Faulted {
         // Per-shard crash script, replayable from (FAULT_SEED, shard)
         // alone; the software CPU codec backstops quarantined instances.
-        let layouts = MessageLayouts::compute(&mix.schema);
         let horizon: Cycles = events.last().map_or(1, |e| e.arrival.max(1));
         let mut frng = StdRng::seed_from_u64(FAULT_SEED ^ shard as u64);
         let faults = random_script(
@@ -205,7 +118,13 @@ fn run_cell(
             horizon,
             &mut frng,
         );
-        let mut fb = SoftwareFallback::new(&mix.schema, &layouts, &adts, FB_ARENA, FB_OUT);
+        let mut fb = SoftwareFallback::new(
+            &mix.schema,
+            &staging.layouts,
+            &staging.adts,
+            FB_ARENA,
+            FB_OUT,
+        );
         cluster
             .run_with(&mut mem, &requests, &faults, Some(&mut fb))
             .expect("faulted serve run succeeds");
