@@ -4,9 +4,17 @@
 //! path uses (`MessageLayout` offsets, sparse hasbits, 8-byte slot
 //! alignment), but live in one contiguous host `Vec<u8>` addressed by
 //! 32-bit offsets. A decode is one monotonic bump through the buffer;
-//! resetting for the next message is a length reset, not a free — the
+//! resetting for the next message is a cursor reset, not a free — the
 //! arena-allocation discipline Section 2.3 credits for the C++ library's own
 //! fastest configurations.
+//!
+//! Allocation does not zero. The buffer is initialized up to its high-water
+//! mark, and a reused arena hands out bytes an earlier decode left behind.
+//! That is sound because decode writes every byte it later reads: an object
+//! clears its own hasbits ([`CompiledMessage::clear_hasbits`]), a slot is
+//! read only when its hasbit is set and is written before the bit is set,
+//! and a repeated field's header and element array are written in full when
+//! they are placed.
 //!
 //! String and bytes fields are not copied at all: their 8-byte slots pack
 //! `(length << 32) | input_offset`, borrowing the payload from the input
@@ -19,6 +27,7 @@
 //! across decodes, so steady-state decoding allocates nothing. Scratch is
 //! not object storage: [`DecodeArena::len`] counts object bytes only.
 
+use crate::dispatch::CompiledMessage;
 use protoacc_runtime::{ArenaError, RuntimeError};
 
 /// Default ceiling on decoded-object storage. Hostile inputs cannot make a
@@ -31,7 +40,10 @@ pub const DEFAULT_LIMIT: usize = 1 << 30;
 /// A bump allocator over one host buffer.
 #[derive(Debug, Clone)]
 pub struct DecodeArena {
+    /// Initialized bytes up to the high-water mark of every decode so far.
     buf: Vec<u8>,
+    /// End of the live objects; the next allocation starts here.
+    len: usize,
     limit: usize,
     pub(crate) scratch: Scratch,
 }
@@ -95,35 +107,40 @@ impl DecodeArena {
     pub fn with_limit(limit: usize) -> Self {
         DecodeArena {
             buf: Vec::new(),
+            len: 0,
             limit,
             scratch: Scratch::default(),
         }
     }
 
     /// Discards all objects, keeping the allocation (and the decoder
-    /// scratch).
+    /// scratch). Nothing is zeroed.
     pub fn reset(&mut self) {
-        self.buf.clear();
+        self.len = 0;
     }
 
     /// Object bytes currently allocated (decoder scratch not included).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// Whether the arena holds no objects.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
     }
 
-    /// Allocates `size` zeroed bytes, 8-byte aligned, returning the offset.
+    /// Allocates `size` bytes, 8-byte aligned, returning the offset.
+    ///
+    /// The bytes are zero only the first time the arena reaches them; after
+    /// a [`reset`](Self::reset) they hold whatever the last decode wrote
+    /// there. The caller writes every byte it later reads.
     ///
     /// # Errors
     ///
     /// `ResourceExhausted`-class error when the backstop limit is exceeded.
     #[inline]
-    pub fn alloc_zeroed(&mut self, size: usize) -> Result<u32, RuntimeError> {
-        let off = self.buf.len();
+    pub fn alloc(&mut self, size: usize) -> Result<u32, RuntimeError> {
+        let off = self.len;
         let padded = size.div_ceil(8) * 8;
         let new_len = off + padded;
         if new_len > self.limit {
@@ -132,8 +149,21 @@ impl DecodeArena {
                 remaining: (self.limit - off) as u64,
             }));
         }
-        self.buf.resize(new_len, 0);
+        if new_len > self.buf.len() {
+            self.buf.resize(new_len, 0);
+        }
+        self.len = new_len;
         Ok(off as u32)
+    }
+
+    /// Allocates one `cm` object with its hasbits cleared. Its other bytes
+    /// are stale until decode writes them.
+    #[inline]
+    pub(crate) fn alloc_object(&mut self, cm: &CompiledMessage) -> Result<u32, RuntimeError> {
+        let size = cm.object_size as usize;
+        let obj = self.alloc(size)?;
+        cm.clear_hasbits(&mut self.buf[obj as usize..obj as usize + size]);
+        Ok(obj)
     }
 
     /// Reads a u64 slot.
@@ -258,26 +288,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn allocations_are_aligned_zeroed_and_bumping() {
+    fn allocations_are_aligned_and_bumping_and_reset_keeps_the_bytes() {
         let mut a = DecodeArena::new();
-        let x = a.alloc_zeroed(12).unwrap();
-        let y = a.alloc_zeroed(1).unwrap();
+        let x = a.alloc(12).unwrap();
+        let y = a.alloc(1).unwrap();
         assert_eq!(x, 0);
         assert_eq!(y, 16, "12 pads to 16");
-        assert_eq!(a.read_u64(x), 0);
+        assert_eq!(a.len(), 24);
+        assert_eq!(a.read_u64(x), 0, "fresh bytes start zeroed");
         a.write_u64(x, 0xdead_beef_0102_0304);
         assert_eq!(a.read_u64(x), 0xdead_beef_0102_0304);
         a.reset();
         assert_eq!(a.len(), 0);
-        let z = a.alloc_zeroed(8).unwrap();
+        assert!(a.is_empty());
+        let z = a.alloc(8).unwrap();
         assert_eq!(z, 0);
-        assert_eq!(a.read_u64(z), 0, "reset + realloc must re-zero");
+        assert_eq!(a.len(), 8, "len counts live bytes, not the high-water mark");
+        assert_eq!(
+            a.read_u64(z),
+            0xdead_beef_0102_0304,
+            "reset does not zero: the caller writes what it reads"
+        );
     }
 
     #[test]
     fn scalar_and_bit_accessors_round_trip() {
         let mut a = DecodeArena::new();
-        let o = a.alloc_zeroed(32).unwrap();
+        let o = a.alloc(32).unwrap();
         a.write_scalar(o + 8, 0x1122_3344_5566_7788, 4);
         assert_eq!(a.read_scalar(o + 8, 4), 0x5566_7788);
         a.write_scalar(o + 16, 0xff, 1);
@@ -292,7 +329,7 @@ mod tests {
         let elems = [0x1122_3344_5566_7788u64, u64::MAX, 0, 0x80];
         for size in [1usize, 2, 4, 8] {
             let mut a = DecodeArena::new();
-            let o = a.alloc_zeroed(elems.len() * size).unwrap();
+            let o = a.alloc(elems.len() * size).unwrap();
             a.write_array(o, &elems, size);
             let expected: Vec<u8> = elems
                 .iter()
@@ -312,8 +349,8 @@ mod tests {
     #[test]
     fn limit_is_a_typed_resource_fault() {
         let mut a = DecodeArena::with_limit(64);
-        assert!(a.alloc_zeroed(64).is_ok());
-        let err = a.alloc_zeroed(8).unwrap_err();
+        assert!(a.alloc(64).is_ok());
+        let err = a.alloc(8).unwrap_err();
         assert!(matches!(err, RuntimeError::Arena(_)), "{err:?}");
     }
 

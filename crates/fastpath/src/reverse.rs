@@ -12,10 +12,48 @@
 //! Data grows from the end of the buffer toward the front; `head` is the
 //! offset of the most recently written byte. Growth copies the existing
 //! tail to the end of a larger buffer, preserving all offsets relative to
-//! the *end*. [`ReverseWriter::into_bytes`] slides the data to the front of
-//! the same buffer, so finishing a message allocates nothing.
+//! the *end*. [`ReverseWriter::into_bytes`] hands back the buffer itself
+//! when the data fills it exactly, and otherwise slides the data to the
+//! front of the same buffer, so finishing a message allocates nothing.
+//!
+//! Writing backwards also makes *headroom stores* safe: a fixed-width store
+//! that ends at `head` writes its leading bytes into free headroom, never
+//! into data already written. A multi-byte varint is built in a register
+//! and goes out as one 16-byte store, and a short string as one 32-byte
+//! copy ([`ReverseWriter::prepend_tail`]); `head` then moves back by the
+//! bytes that count. The spare bytes are overwritten by later prepends or
+//! left in front of the data. Without enough headroom, an exact copy
+//! writes the same bytes.
 
-use protoacc_wire::varint;
+/// Headroom a flat varint store needs: one 16-byte store ending at `head`.
+const VARINT_STORE: usize = 16;
+
+/// Longest payload [`ReverseWriter::prepend_tail`] writes with one
+/// fixed-width copy, and that copy's width.
+const WILD_COPY: usize = 32;
+
+/// Continuation bit of every byte lane of a 16-byte image.
+const CONT_MASK: u128 = 0x8080_8080_8080_8080_8080_8080_8080_8080;
+
+/// The varint encoding of `value` as a little-endian image (byte `i` of the
+/// encoding is byte `i` of the image) and its length in bytes.
+///
+/// The inverse of [`crate::swar`]'s fold: the low 56 bits spread into eight
+/// 7-bit lanes in three parallel steps, bits 56..=63 fill lanes 8 and 9,
+/// and every lane below the last gets its continuation bit. The length is
+/// `(bits * 9 + 64) / 64` for a `bits`-bit value: one byte per 7 bits,
+/// rounded up, with no loop and no division.
+#[inline(always)]
+fn flat_varint(value: u64) -> (u128, usize) {
+    let bits = 64 - (value | 1).leading_zeros() as usize;
+    let n = (bits * 9 + 64) / 64;
+    let x = (value & 0x0fff_ffff) | ((value & 0x00ff_ffff_f000_0000) << 4);
+    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x0fff_c000_0fff_c000) << 2);
+    let x = (x & 0x007f_007f_007f_007f) | ((x & 0x3f80_3f80_3f80_3f80) << 1);
+    let high = ((value >> 56) & 0x7f) | ((value >> 63) << 8);
+    let lanes = u128::from(x) | (u128::from(high) << 64);
+    (lanes | (CONT_MASK & ((1u128 << (8 * (n - 1))) - 1)), n)
+}
 
 /// A buffer that is written back-to-front.
 #[derive(Debug, Clone)]
@@ -55,9 +93,16 @@ impl ReverseWriter {
     /// risky edges in the divergence sweep and are pinned by tests below.
     #[inline]
     fn ensure(&mut self, need: usize) {
-        if need <= self.head {
-            return;
+        if need > self.head {
+            self.grow(need);
         }
+    }
+
+    /// Moves the data to the end of a buffer with at least `need` bytes of
+    /// headroom.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, need: usize) {
         let data_len = self.len();
         let new_cap = (self.buf.len() * 2).max(data_len + need).max(64);
         let mut grown = vec![0u8; new_cap];
@@ -73,6 +118,24 @@ impl ReverseWriter {
         self.ensure(bytes.len());
         self.head -= bytes.len();
         self.buf[self.head..self.head + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// Prepends `src[end - len..end]`, the payload that ends at `end`.
+    ///
+    /// A payload of at most 32 bytes goes out as one fixed 32-byte copy of
+    /// `src[end - 32..end]` ending at `head`, when there are 32 bytes of
+    /// headroom and `src` has 32 bytes before `end`; the copy's leading
+    /// bytes land in free headroom. Anything else is an exact copy.
+    #[inline]
+    pub fn prepend_tail(&mut self, src: &[u8], end: usize, len: usize) {
+        let head = self.head;
+        if len <= WILD_COPY && end >= WILD_COPY && head >= WILD_COPY {
+            let tail: &[u8; WILD_COPY] = src[end - WILD_COPY..end].try_into().expect("32 bytes");
+            self.buf[head - WILD_COPY..head].copy_from_slice(tail);
+            self.head = head - len;
+        } else {
+            self.prepend_slice(&src[end - len..end]);
+        }
     }
 
     /// Reserves `n` bytes in front of the written data and returns them for
@@ -93,7 +156,10 @@ impl ReverseWriter {
         self.buf[self.head] = byte;
     }
 
-    /// Prepends the varint encoding of `value`, written in place.
+    /// Prepends the varint encoding of `value`.
+    ///
+    /// A multi-byte varint with 16 bytes of headroom is one register build
+    /// and one 16-byte store ending at `head`, whatever its length.
     #[inline]
     pub fn prepend_varint(&mut self, value: u64) {
         if value < 0x80 {
@@ -101,16 +167,25 @@ impl ReverseWriter {
             self.prepend_byte(value as u8);
             return;
         }
-        let n = varint::encoded_len(value);
-        self.ensure(n);
-        self.head -= n;
-        let out = &mut self.buf[self.head..self.head + n];
-        let mut v = value;
-        for b in &mut out[..n - 1] {
-            *b = v as u8 | 0x80;
-            v >>= 7;
+        let head = self.head;
+        if head < VARINT_STORE {
+            self.prepend_varint_cold(value);
+            return;
         }
-        out[n - 1] = v as u8;
+        let (image, n) = flat_varint(value);
+        // Shift the encoding to the top of the store so it ends at `head`.
+        let store = image << (8 * (VARINT_STORE - n));
+        self.buf[head - VARINT_STORE..head].copy_from_slice(&store.to_le_bytes());
+        self.head = head - n;
+    }
+
+    /// [`prepend_varint`](Self::prepend_varint) with less than 16 bytes of
+    /// headroom: an exact copy of the encoding.
+    #[cold]
+    #[inline(never)]
+    fn prepend_varint_cold(&mut self, value: u64) {
+        let (image, n) = flat_varint(value);
+        self.prepend_slice(&image.to_le_bytes()[..n]);
     }
 
     /// Prepends a little-endian fixed32.
@@ -130,12 +205,16 @@ impl ReverseWriter {
         &self.buf[self.head..]
     }
 
-    /// Consumes the writer, returning the written bytes in its own buffer:
-    /// the data moves to the front and the headroom is truncated away.
+    /// Consumes the writer, returning the written bytes in its own buffer.
+    /// A buffer the data fills exactly (`head == 0`) is returned untouched;
+    /// otherwise the data moves to the front and the headroom is truncated
+    /// away.
     pub fn into_bytes(mut self) -> Vec<u8> {
-        let len = self.len();
-        self.buf.copy_within(self.head.., 0);
-        self.buf.truncate(len);
+        if self.head > 0 {
+            let len = self.len();
+            self.buf.copy_within(self.head.., 0);
+            self.buf.truncate(len);
+        }
         self.buf
     }
 
@@ -154,6 +233,7 @@ impl Default for ReverseWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use protoacc_wire::varint;
 
     #[test]
     fn prepends_accumulate_front_to_back() {
@@ -247,17 +327,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn varint_prepend_matches_forward_encoding() {
-        for v in [0u64, 1, 127, 128, 300, 1 << 21, 1 << 56, u64::MAX] {
-            let mut w = ReverseWriter::new();
-            w.prepend_varint(v);
-            let mut fwd = Vec::new();
-            varint::encode(v, &mut fwd);
-            assert_eq!(w.as_slice(), fwd.as_slice(), "value {v}");
-        }
-    }
-
     /// Every encoded-length boundary, 2^7k - 1 and 2^7k for k = 1..9, on
     /// its own and behind existing data, in a buffer that has to grow.
     #[test]
@@ -280,8 +349,8 @@ mod tests {
         assert_eq!(w.into_bytes(), fwd);
     }
 
-    /// `into_bytes` after several growths, on an exact fit (head == 0), and
-    /// when nothing was written.
+    /// `into_bytes` after several growths, on an exact fit (head == 0, where
+    /// the buffer comes back untouched), and when nothing was written.
     #[test]
     fn into_bytes_compacts_after_growth_and_on_exact_fit() {
         let mut w = ReverseWriter::with_capacity(3);
@@ -297,8 +366,111 @@ mod tests {
         w.prepend_varint(300);
         w.prepend_byte(1);
         assert_eq!(w.head, 0, "exact fit");
-        assert_eq!(w.into_bytes(), [1, 0xac, 0x02, 4, 5, 6]);
+        let at = w.as_slice().as_ptr();
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.as_ptr(), at, "an exact fit must not move the data");
+        assert_eq!(bytes, [1, 0xac, 0x02, 4, 5, 6]);
         assert!(ReverseWriter::with_capacity(16).into_bytes().is_empty());
+    }
+
+    /// Varint boundaries: 2^7k - 1 and 2^7k for k = 0..=9, so every
+    /// length from 1 to 10 bytes, plus the widest value.
+    fn varint_edges() -> Vec<u64> {
+        (0..=9u32)
+            .flat_map(|k| [(1u64 << (7 * k)) - 1, 1u64 << (7 * k)])
+            .chain([u64::MAX])
+            .collect()
+    }
+
+    /// A writer holding only a sentinel suffix, with exactly `headroom`
+    /// bytes free in front of it.
+    fn behind_sentinel(headroom: usize) -> ReverseWriter {
+        let mut w = ReverseWriter::with_capacity(headroom + 48);
+        w.prepend_slice(&[0xa5; 48]);
+        assert_eq!(w.head, headroom);
+        w
+    }
+
+    /// The flat store equals the forward encoder at every length and
+    /// boundary, with headroom below, at and above the 16-byte store, and
+    /// never writes past `head` into the data behind it.
+    #[test]
+    fn flat_varint_matches_forward_encoding_at_every_headroom() {
+        for v in varint_edges() {
+            let mut expected = Vec::new();
+            let n = varint::encode(v, &mut expected);
+            assert_eq!(flat_varint(v).1, n, "length of {v:#x}");
+            expected.extend_from_slice(&[0xa5; 48]);
+            for headroom in 0..=24 {
+                let mut w = behind_sentinel(headroom);
+                w.prepend_varint(v);
+                assert_eq!(w.as_slice(), expected, "{v:#x} with {headroom} B headroom");
+            }
+        }
+    }
+
+    /// A seeded mix of every store kind against a forward model: after
+    /// each prepend the written bytes, sentinel suffix included, equal the
+    /// model exactly, so no wild store ever lands on written data.
+    #[test]
+    fn wild_stores_never_touch_written_data() {
+        let src: Vec<u8> = (0..96u8).collect();
+        let edges = varint_edges();
+        for capacity in [0usize, 17, 33, 64, 4096] {
+            let mut w = ReverseWriter::with_capacity(capacity);
+            let mut model = vec![0xa5u8; 48];
+            w.prepend_slice(&model);
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..600 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                let pick = (state >> 33) as usize;
+                let mut front = Vec::new();
+                if pick.is_multiple_of(2) {
+                    let v = edges[pick / 2 % edges.len()];
+                    varint::encode(v, &mut front);
+                    w.prepend_varint(v);
+                } else {
+                    let len = pick / 2 % 41;
+                    let end = len + pick / 128 % (src.len() - len + 1);
+                    front.extend_from_slice(&src[end - len..end]);
+                    w.prepend_tail(&src, end, len);
+                }
+                model.splice(0..0, front);
+                assert_eq!(w.as_slice(), model, "capacity {capacity}");
+            }
+        }
+    }
+
+    /// `prepend_tail` at the wild-copy edges (len 0, 31, 32 and 33), with
+    /// `end` below 32 (the source has no 32 bytes before it), and with
+    /// headroom below 32.
+    #[test]
+    fn prepend_tail_edges() {
+        let src: Vec<u8> = (0..64u8).collect();
+        for (end, len) in [
+            (64, 0),
+            (64, 31),
+            (64, 32),
+            (64, 33),
+            (40, 32),
+            (31, 31),
+            (5, 3),
+            (0, 0),
+        ] {
+            for headroom in [0usize, 31, 32, 33, 100] {
+                let mut w = behind_sentinel(headroom);
+                w.prepend_tail(&src, end, len);
+                let mut expected = src[end - len..end].to_vec();
+                expected.extend_from_slice(&[0xa5; 48]);
+                assert_eq!(
+                    w.as_slice(),
+                    expected,
+                    "end {end}, len {len}, {headroom} B headroom"
+                );
+            }
+        }
     }
 
     #[test]

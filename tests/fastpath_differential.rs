@@ -10,10 +10,10 @@
 //! accepts and the same `DecodeFault` class as `crates/cpu` on rejects.
 
 use protoacc_suite::accel::DecodeFault;
-use protoacc_suite::fastpath::{swar, DecodeArena, FastCodec};
+use protoacc_suite::fastpath::{swar, DecodeArena, FastCodec, TableKind};
 use protoacc_suite::faults::{depth_bomb, mutate, DiffReport, FastpathHarness, Verdict};
 use protoacc_suite::hyperbench::{generate_suite, populate::populate_messages, ServiceProfile};
-use protoacc_suite::runtime::{reference, MessageValue, Value};
+use protoacc_suite::runtime::{reference, FieldPayload, MessageValue, Value};
 use protoacc_suite::schema::{parse_descriptor_set, parse_proto, MessageId, Schema};
 use protoacc_suite::wire::varint;
 use protoacc_suite::xrand::StdRng;
@@ -871,7 +871,7 @@ fn sparse_table_messages_encode_byte_identically() {
     let codec = FastCodec::new(&schema);
     assert_eq!(
         codec.compiled().message(type_id).table_kind(),
-        protoacc_suite::fastpath::TableKind::Sparse
+        TableKind::Sparse
     );
     let fields: [(u32, Value); 5] = [
         (1, Value::UInt32(1)),
@@ -989,5 +989,135 @@ fn reused_arena_decodes_like_a_fresh_one_after_errors() {
                 check(&codec, bench.type_id, &wire, &format!("{label} again"));
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Stale arena bytes: allocation does not zero.
+// ---------------------------------------------------------------------------
+
+/// `m` with every other present field dropped, at every depth.
+fn every_other_field(m: &MessageValue) -> MessageValue {
+    let thin = |v: &Value| match v {
+        Value::Message(sub) => Value::Message(every_other_field(sub)),
+        v => v.clone(),
+    };
+    let mut out = MessageValue::new(m.type_id());
+    for (number, payload) in m.iter().step_by(2) {
+        match payload {
+            FieldPayload::Single(v) => out.set_unchecked(number, thin(v)),
+            FieldPayload::Repeated(vs) => out.set_repeated(number, vs.iter().map(thin).collect()),
+        }
+    }
+    out
+}
+
+/// Decodes `full` and then `subset` through one arena. The arena does not
+/// zero what it allocates, so the subset's objects sit on bytes the full
+/// decode wrote; only their cleared hasbits keep stale fields out. The
+/// result must equal a fresh arena's decode of `subset`: the same value
+/// tree (which is `subset` itself), the same `encode_decoded` bytes and
+/// the same `DecodeArena::len`.
+#[track_caller]
+fn check_stale_reuse(
+    label: &str,
+    schema: &Schema,
+    type_id: MessageId,
+    full: &MessageValue,
+    subset: &MessageValue,
+) {
+    let codec = FastCodec::new(schema);
+    let full_wire = reference::encode(full, schema).unwrap();
+    let wire = reference::encode(subset, schema).unwrap();
+    let mut fresh = DecodeArena::new();
+    let want = codec.decode(type_id, &wire, &mut fresh).unwrap();
+    let mut shared = DecodeArena::new();
+    codec.decode(type_id, &full_wire, &mut shared).unwrap();
+    let got = codec.decode(type_id, &wire, &mut shared).unwrap();
+    let tree = codec.to_value(type_id, &wire, &shared, got);
+    assert!(
+        tree.bits_eq(&codec.to_value(type_id, &wire, &fresh, want)),
+        "{label}: tree differs"
+    );
+    assert!(tree.bits_eq(subset), "{label}: stale fields show through");
+    assert_eq!(
+        codec.encode_decoded(type_id, &wire, &shared, got),
+        codec.encode_decoded(type_id, &wire, &fresh, want),
+        "{label}: encode_decoded differs"
+    );
+    assert_eq!(shared.len(), fresh.len(), "{label}: object bytes differ");
+}
+
+#[test]
+fn stale_arena_bytes_never_show_through_a_dense_root() {
+    let mut dense_roots = 0;
+    for bench in generate_suite(2, 0x57A1E) {
+        let codec = FastCodec::new(&bench.schema);
+        if codec.compiled().message(bench.type_id).table_kind() != TableKind::Dense {
+            continue;
+        }
+        dense_roots += 1;
+        for (mi, full) in bench.messages.iter().enumerate() {
+            let subset = every_other_field(full);
+            let label = format!("{}/m{mi}", bench.profile.name);
+            check_stale_reuse(&label, &bench.schema, bench.type_id, full, &subset);
+            let empty = MessageValue::new(bench.type_id);
+            check_stale_reuse(
+                &format!("{label} then empty"),
+                &bench.schema,
+                bench.type_id,
+                full,
+                &empty,
+            );
+        }
+    }
+    assert!(dense_roots > 0, "no suite has a dense root");
+}
+
+/// The consensus schema's `Vote` carries field 250000, so its table is
+/// sparse and its hasbits array spans 31 KB, of which decode clears only
+/// the fields' own bytes. Covered as a root of its own and as the
+/// repeated sub-message of the corpus root.
+#[test]
+fn stale_arena_bytes_never_show_through_the_consensus_sparse_root() {
+    let schema = load_binpb("consensus");
+    let vote = schema.id_by_name("Vote").expect("consensus defines Vote");
+    let codec = FastCodec::new(&schema);
+    assert_eq!(
+        codec.compiled().message(vote).table_kind(),
+        TableKind::Sparse
+    );
+    let mut full = MessageValue::new(vote);
+    full.set_unchecked(1, Value::UInt64(1 << 40));
+    full.set_unchecked(2, Value::UInt32(7));
+    full.set_unchecked(3, Value::Bytes(vec![0xab; 32]));
+    full.set_unchecked(4, Value::SInt64(-9));
+    full.set_unchecked(250_000, Value::UInt64(u64::MAX));
+    for keep in [vec![], vec![1], vec![2, 250_000], vec![3, 4]] {
+        let mut subset = MessageValue::new(vote);
+        for number in &keep {
+            subset.set_unchecked(*number, full.get_single(*number).unwrap().clone());
+        }
+        check_stale_reuse(
+            &format!("Vote keeping {keep:?}"),
+            &schema,
+            vote,
+            &full,
+            &subset,
+        );
+    }
+    let root = root_of(&schema);
+    let shape = ServiceProfile::bench(4).shape;
+    let messages = populate_messages(&schema, root, &shape, 0x57A1E, 6);
+    assert!(!messages.is_empty(), "consensus population is empty");
+    for (mi, full) in messages.iter().enumerate() {
+        let subset = every_other_field(full);
+        check_stale_reuse(
+            &format!("chain/consensus/m{mi}"),
+            &schema,
+            root,
+            full,
+            &subset,
+        );
     }
 }
