@@ -42,11 +42,14 @@
 #                           bench_codec --smoke (fails on any byte or verdict
 #                           divergence; emits target/BENCH_codec.json); then
 #                           the perfbench package's own tests, a 1-second
-#                           --trace 0 run of host-small and host-blob, and a
-#                           1-second --trace 1 run of host-small (the traced
-#                           host path the per-layer numbers come from); each
-#                           run's byte-identity gate over the fixed host
-#                           populations exits nonzero on any divergence
+#                           --trace 0 run of host-small, host-blob and
+#                           sim-rpc-2x (the one workload where RpcServer
+#                           drives FrameDecoder), and a 1-second --trace 1
+#                           run of host-small (the traced host path the
+#                           per-layer numbers come from); each run's
+#                           correctness gate (host byte identity, RPC
+#                           framing and accounting) exits nonzero on any
+#                           divergence
 #   9. envelope soundness   cross-validation that measured deser/ser cycles
 #                           stay inside the absint [lower, upper] envelopes
 #  10. trace round trip     serve_tail_latency --smoke --trace emits a
@@ -145,9 +148,12 @@ cargo run --offline -q --release -p protoacc-bench --bin bench_codec -- \
     --smoke --out target/BENCH_codec.json
 # The benchmark's host correctness gate: every request of its fixed
 # populations must encode byte-identically to reference::encode, round-trip
-# through encode_decoded, and frame cleanly, or the run exits 1.
+# through encode_decoded, and frame cleanly, or the run exits 1. sim-rpc-2x
+# is the one workload where RpcServer drives FrameDecoder over connection
+# byte streams; it exits 1 on any frame or header error, a request dropped,
+# rejected or failed on clean traffic, or an accounting mismatch.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
-for workload in host-small host-blob; do
+for workload in host-small host-blob sim-rpc-2x; do
     cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
 done

@@ -23,9 +23,12 @@
 //! `REPEATED_HEADER_BYTES` shape the rest of the suite uses.
 //!
 //! The arena also owns the decoder's scratch ([`Scratch`]): the repeated-
-//! field element buffers and the accumulator stack. Callers reuse one arena
-//! across decodes, so steady-state decoding allocates nothing. Scratch is
-//! not object storage: [`DecodeArena::len`] counts object bytes only.
+//! field element buffers, each holding its field's elements already at
+//! their arena width ([`Op::width`](crate::dispatch::Op::width)) so that
+//! placing the array is one copy, and the accumulator stack. Callers
+//! reuse one arena across decodes, so steady-state decoding allocates
+//! nothing. Scratch is not object storage: [`DecodeArena::len`] counts
+//! object bytes only.
 
 use crate::dispatch::CompiledMessage;
 use protoacc_runtime::{ArenaError, RuntimeError};
@@ -49,11 +52,11 @@ pub struct DecodeArena {
 }
 
 /// Elements of one repeated field within one message frame, in arrival
-/// order.
+/// order, as the little-endian bytes of the arena array they become.
 #[derive(Debug, Clone)]
 pub(crate) struct RepAccum {
     pub(crate) number: u32,
-    pub(crate) elems: Vec<u64>,
+    pub(crate) elems: Vec<u8>,
 }
 
 /// Decoder scratch kept across decodes.
@@ -65,7 +68,7 @@ pub(crate) struct RepAccum {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch {
     pub(crate) accums: Vec<RepAccum>,
-    pub(crate) pool: Vec<Vec<u64>>,
+    pub(crate) pool: Vec<Vec<u8>>,
 }
 
 impl Scratch {
@@ -213,34 +216,11 @@ impl DecodeArena {
         }
     }
 
-    /// Stores `elems` as a packed array of `size`-byte little-endian scalars
-    /// at `off`, with one fixed-width loop per array.
+    /// Copies `bytes` to `off..off + bytes.len()` (an element array).
     #[inline]
-    pub(crate) fn write_array(&mut self, off: u32, elems: &[u64], size: usize) {
+    pub(crate) fn write_bytes(&mut self, off: u32, bytes: &[u8]) {
         let off = off as usize;
-        let dst = &mut self.buf[off..off + elems.len() * size];
-        match size {
-            8 => {
-                for (d, &e) in dst.chunks_exact_mut(8).zip(elems) {
-                    d.copy_from_slice(&e.to_le_bytes());
-                }
-            }
-            4 => {
-                for (d, &e) in dst.chunks_exact_mut(4).zip(elems) {
-                    d.copy_from_slice(&(e as u32).to_le_bytes());
-                }
-            }
-            1 => {
-                for (d, &e) in dst.iter_mut().zip(elems) {
-                    *d = e as u8;
-                }
-            }
-            _ => {
-                for (d, &e) in dst.chunks_exact_mut(size).zip(elems) {
-                    d.copy_from_slice(&e.to_le_bytes()[..size]);
-                }
-            }
-        }
+        self.buf[off..off + bytes.len()].copy_from_slice(bytes);
     }
 
     /// The raw object bytes `off..off + len` (a fixed-width array's
@@ -322,28 +302,6 @@ mod tests {
         a.set_bit(o, 0b100);
         assert!(a.bit(o, 0b100));
         assert!(!a.bit(o, 0b1000));
-    }
-
-    #[test]
-    fn arrays_store_little_endian_elements_at_every_width() {
-        let elems = [0x1122_3344_5566_7788u64, u64::MAX, 0, 0x80];
-        for size in [1usize, 2, 4, 8] {
-            let mut a = DecodeArena::new();
-            let o = a.alloc(elems.len() * size).unwrap();
-            a.write_array(o, &elems, size);
-            let expected: Vec<u8> = elems
-                .iter()
-                .flat_map(|e| e.to_le_bytes()[..size].to_vec())
-                .collect();
-            assert_eq!(a.bytes(o, elems.len() * size), expected, "size {size}");
-            for (i, &e) in elems.iter().enumerate() {
-                let mask = u64::MAX >> (64 - 8 * size);
-                let at = o + (i * size) as u32;
-                assert_eq!(a.read_scalar(at, size), e & mask, "size {size}");
-                a.write_scalar(at, !e, size);
-                assert_eq!(a.read_scalar(at, size), !e & mask, "size {size}");
-            }
-        }
     }
 
     #[test]

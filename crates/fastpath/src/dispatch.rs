@@ -49,6 +49,19 @@ pub enum Op {
 }
 
 impl Op {
+    /// Bytes one element of this op takes in an arena object: 1 for bool,
+    /// 4 for the 32-bit scalars, 8 for the 64-bit scalars, a string's
+    /// packed (offset, length) word and a sub-object's offset. A compiled
+    /// entry's `elem_size` equals its op's width.
+    #[inline]
+    pub fn width(self) -> usize {
+        match self {
+            Op::VarintBool => 1,
+            Op::VarintI32 | Op::VarintU32 | Op::VarintZig32 | Op::Fixed32 => 4,
+            Op::VarintRaw | Op::VarintZig64 | Op::Fixed64 | Op::Bytes | Op::Msg => 8,
+        }
+    }
+
     fn from_field_type(ft: FieldType) -> Op {
         match ft {
             FieldType::Int64 | FieldType::UInt64 => Op::VarintRaw,
@@ -510,6 +523,42 @@ mod tests {
         assert_eq!(m.sub, Some(inner));
         for unknown in [0u32, 1, 2, 4, 8, 13, 1000, u32::MAX] {
             assert!(cm.entry(unknown).is_none(), "field {unknown}");
+        }
+    }
+
+    /// Every compiled entry's element size is its op's width, over the six
+    /// HyperProtoBench suites and every `protos/chain` descriptor set:
+    /// decode keeps repeated-field scratch at `Op::width`, and the arena
+    /// readers walk element arrays at `elem_size`.
+    #[test]
+    fn elem_size_is_the_op_width_for_every_compiled_entry() {
+        let mut schemas: Vec<(String, Schema)> = hyperprotobench::generate_suite(1, 0xC0DE)
+            .into_iter()
+            .map(|bench| (bench.profile.name.to_string(), bench.schema))
+            .collect();
+        let chain = format!("{}/../../protos/chain", env!("CARGO_MANIFEST_DIR"));
+        for file in std::fs::read_dir(&chain).expect("protos/chain exists") {
+            let path = file.unwrap().path();
+            if path.extension().is_some_and(|ext| ext == "binpb") {
+                let bytes = std::fs::read(&path).unwrap();
+                let schema = protoacc_schema::parse_descriptor_set(&bytes).unwrap();
+                schemas.push((path.display().to_string(), schema));
+            }
+        }
+        assert_eq!(schemas.len(), 10, "six suites and four descriptor sets");
+        for (label, schema) in &schemas {
+            let cs = CompiledSchema::compile(schema);
+            for (id, _) in schema.iter() {
+                for e in cs.message(id).entries() {
+                    assert_eq!(
+                        usize::from(e.elem_size),
+                        e.op.width(),
+                        "{label}: field {} ({:?})",
+                        e.number,
+                        e.op
+                    );
+                }
+            }
         }
     }
 

@@ -22,6 +22,7 @@
 //! for more bytes"; only [`FrameDecoder::finish`] at connection teardown
 //! turns a partial frame into an error).
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -198,11 +199,30 @@ pub fn decode_frame(buf: &[u8], max_len: u64) -> Result<(Frame, usize), FrameErr
 /// materialize. A malformed prefix (reserved flag, oversized length)
 /// *poisons* the decoder — framing sync is unrecoverable once the length
 /// field can't be trusted — and every later call returns the same error.
+///
+/// Each payload byte is copied once: `push` parses prefixes as they
+/// complete and appends payload bytes straight into the [`Frame`] that
+/// `next_frame` later hands out. A payload's capacity grows with the bytes
+/// that have arrived, never past twice their count or the declared
+/// length, so a hostile length field cannot drive allocation. A prefix
+/// that fails validation stops parsing: later bytes are only counted, and
+/// `next_frame` reports the fault once the frames in front of it are out.
 #[derive(Debug)]
 pub struct FrameDecoder {
-    buf: Vec<u8>,
-    pos: usize,
     max_len: u64,
+    /// Prefix bytes of the frame in flight while fewer than five have
+    /// arrived.
+    prefix: [u8; FRAME_HEADER_LEN],
+    prefix_len: usize,
+    /// The frame in flight once its prefix validated, with its declared
+    /// payload length.
+    body: Option<(Frame, u32)>,
+    /// Complete frames not yet yielded, in arrival order.
+    ready: VecDeque<Frame>,
+    /// The malformed prefix behind `ready`, not yet reported.
+    pending: Option<FrameError>,
+    /// Bytes pushed and not yet yielded as part of a frame.
+    buffered: usize,
     fault: Option<FrameError>,
 }
 
@@ -211,25 +231,86 @@ impl FrameDecoder {
     #[must_use]
     pub fn new(max_len: u64) -> Self {
         FrameDecoder {
-            buf: Vec::new(),
-            pos: 0,
             max_len,
+            prefix: [0; FRAME_HEADER_LEN],
+            prefix_len: 0,
+            body: None,
+            ready: VecDeque::new(),
+            pending: None,
+            buffered: 0,
             fault: None,
         }
     }
 
     /// Appends stream bytes. Bytes pushed after a framing fault are
     /// discarded — the connection is already dead.
-    pub fn push(&mut self, bytes: &[u8]) {
-        if self.fault.is_none() {
-            self.buf.extend_from_slice(bytes);
+    pub fn push(&mut self, mut bytes: &[u8]) {
+        if self.fault.is_some() {
+            return;
+        }
+        self.buffered += bytes.len();
+        while self.pending.is_none() && !bytes.is_empty() {
+            let (mut frame, declared) = match self.body.take() {
+                Some(body) => body,
+                None => {
+                    // A prefix that arrived whole is read where it lies;
+                    // one split across pushes is gathered first.
+                    let parsed = if self.prefix_len == 0 && bytes.len() >= FRAME_HEADER_LEN {
+                        let parsed = decode_prefix(bytes, self.max_len);
+                        bytes = &bytes[FRAME_HEADER_LEN..];
+                        parsed
+                    } else {
+                        let take = (FRAME_HEADER_LEN - self.prefix_len).min(bytes.len());
+                        self.prefix[self.prefix_len..self.prefix_len + take]
+                            .copy_from_slice(&bytes[..take]);
+                        self.prefix_len += take;
+                        bytes = &bytes[take..];
+                        if self.prefix_len < FRAME_HEADER_LEN {
+                            return;
+                        }
+                        self.prefix_len = 0;
+                        decode_prefix(&self.prefix, self.max_len)
+                    };
+                    match parsed {
+                        Ok((compressed, declared)) => {
+                            let payload = Vec::with_capacity(bytes.len().min(declared as usize));
+                            (
+                                Frame {
+                                    compressed,
+                                    payload,
+                                },
+                                declared,
+                            )
+                        }
+                        Err(e) => {
+                            self.pending = Some(e);
+                            return;
+                        }
+                    }
+                }
+            };
+            let payload = &mut frame.payload;
+            let missing = declared as usize - payload.len();
+            let take = missing.min(bytes.len());
+            if payload.capacity() - payload.len() < take {
+                // Geometric growth for dribbled bytes, capped at the
+                // declared length.
+                payload.reserve_exact(take.max(payload.len()).min(missing));
+            }
+            payload.extend_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            if take == missing {
+                self.ready.push_back(frame);
+            } else {
+                self.body = Some((frame, declared));
+            }
         }
     }
 
     /// Unconsumed buffered bytes (a partial frame in flight).
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buffered
     }
 
     /// Yields the next complete frame, `Ok(None)` if more bytes are needed,
@@ -238,52 +319,44 @@ impl FrameDecoder {
         if let Some(fault) = self.fault {
             return Err(fault);
         }
-        let avail = &self.buf[self.pos..];
-        if avail.len() < FRAME_HEADER_LEN {
-            return Ok(None);
+        if let Some(frame) = self.ready.pop_front() {
+            self.buffered -= FRAME_HEADER_LEN + frame.payload.len();
+            return Ok(Some(frame));
         }
-        let (compressed, declared) = match decode_prefix(avail, self.max_len) {
-            Ok(p) => p,
-            Err(e) => {
-                self.fault = Some(e);
-                return Err(e);
-            }
-        };
-        let total = FRAME_HEADER_LEN + declared as usize;
-        if avail.len() < total {
-            return Ok(None);
+        if let Some(fault) = self.pending {
+            self.fault = Some(fault);
+            return Err(fault);
         }
-        let payload = avail[FRAME_HEADER_LEN..total].to_vec();
-        self.pos += total;
-        // Reclaim consumed space once it dominates the buffer.
-        if self.pos > 4096 && self.pos * 2 > self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        Ok(Some(Frame {
-            compressed,
-            payload,
-        }))
+        Ok(None)
     }
 
     /// Connection teardown: a clean stream ends on a frame boundary. Any
     /// buffered partial frame becomes the truncation error it would have
     /// been in one-shot decoding, and a poisoned decoder reports its fault.
+    ///
+    /// Like a one-shot decode of the unconsumed bytes, the verdict is about
+    /// the first frame among them: one complete but not yet yielded reads
+    /// as a body truncated at the end of everything buffered.
     pub fn finish(&self) -> Result<(), FrameError> {
         if let Some(fault) = self.fault {
             return Err(fault);
         }
-        let avail = &self.buf[self.pos..];
-        if avail.is_empty() {
+        if self.buffered == 0 {
             return Ok(());
         }
-        if avail.len() < FRAME_HEADER_LEN {
-            return Err(FrameError::TruncatedHeader { have: avail.len() });
-        }
-        let (_, declared) = decode_prefix(avail, self.max_len)?;
+        let declared = match (self.ready.front(), self.pending, &self.body) {
+            (Some(frame), _, _) => frame.payload.len() as u32,
+            (None, Some(fault), _) => return Err(fault),
+            (None, None, Some((_, declared))) => *declared,
+            (None, None, None) => {
+                return Err(FrameError::TruncatedHeader {
+                    have: self.buffered,
+                })
+            }
+        };
         Err(FrameError::TruncatedBody {
             declared,
-            have: (avail.len() - FRAME_HEADER_LEN) as u64,
+            have: (self.buffered - FRAME_HEADER_LEN) as u64,
         })
     }
 }

@@ -659,6 +659,96 @@ fn packed_and_unpacked_arrivals_of_one_field_mix() {
     check_accepts_as(&mut h, &schema, &wire, &expected);
 }
 
+/// One repeated field per fast-path op, none declared packed, and a
+/// singular field to split their runs with.
+const OPS_PROTO: &str = "
+message Inner { optional uint32 v = 1; }
+message Ops {
+  repeated int64 raw = 1;
+  repeated int32 i32 = 2;
+  repeated uint32 u32 = 3;
+  repeated bool flag = 4;
+  repeated sint32 zig32 = 5;
+  repeated sint64 zig64 = 6;
+  repeated fixed32 fixed32 = 7;
+  repeated double fixed64 = 8;
+  repeated string text = 9;
+  repeated Inner sub = 10;
+  optional uint32 other = 11;
+}";
+
+/// Five elements for each repeated field of [`OPS_PROTO`], fields 1 to 10
+/// in order, at the edges of the op's wire and arena widths.
+fn ops_elements(schema: &Schema) -> Vec<Vec<Value>> {
+    let inner = schema.id_by_name("Inner").unwrap();
+    let sub = |v| {
+        let mut m = MessageValue::new(inner);
+        m.set_unchecked(1, Value::UInt32(v));
+        Value::Message(m)
+    };
+    let text = |n: usize| Value::Str("t".repeat(n));
+    vec![
+        [i64::MIN, -1, 0, 1 << 35, i64::MAX]
+            .map(Value::Int64)
+            .to_vec(),
+        [i32::MIN, -1, 0, 300, i32::MAX].map(Value::Int32).to_vec(),
+        [0, 127, 128, 1 << 28, u32::MAX].map(Value::UInt32).to_vec(),
+        [true, false, true, true, false].map(Value::Bool).to_vec(),
+        [i32::MIN, -1, 0, 1, i32::MAX].map(Value::SInt32).to_vec(),
+        [i64::MIN, -1, 0, 1, i64::MAX].map(Value::SInt64).to_vec(),
+        [0, 1, 1 << 31, 0xdead_beef, u32::MAX]
+            .map(Value::Fixed32)
+            .to_vec(),
+        [-0.0, f64::MAX, f64::MIN_POSITIVE, f64::NAN, 1.5]
+            .map(Value::Double)
+            .to_vec(),
+        [0, 1, 63, 65, 200].map(text).to_vec(),
+        [0, 1, 300, u32::MAX, 7].map(sub).to_vec(),
+    ]
+}
+
+/// For every op, a second arrival appends to an accumulator that already
+/// holds elements: a field split into two runs around another field, and,
+/// for the packable ops, a packed body followed by an unpacked run. Both
+/// engines accept with the same value tree, and the arena re-encodes
+/// byte-identically.
+#[test]
+fn split_runs_append_to_the_accumulator_at_every_op() {
+    let schema = parse_proto(OPS_PROTO).unwrap();
+    let root = schema.id_by_name("Ops").unwrap();
+    let mut h = FastpathHarness::new(&schema, root);
+    let encode = |number: u32, values: &[Value]| {
+        let mut m = MessageValue::new(root);
+        m.set_repeated(number, values.to_vec());
+        reference::encode(&m, &schema).unwrap()
+    };
+    for (number, values) in (1..).zip(ops_elements(&schema)) {
+        let mut expected = MessageValue::new(root);
+        expected.set_repeated(number, values.clone());
+
+        let mut wire = encode(number, &values[..2]);
+        put_varint_field(&mut wire, 11, 5);
+        wire.extend_from_slice(&encode(number, &values[2..]));
+        let mut split = expected.clone();
+        split.set_unchecked(11, Value::UInt32(5));
+        check_accepts_as(&mut h, &schema, &wire, &split);
+
+        if matches!(values[0], Value::Str(_) | Value::Message(_)) {
+            continue;
+        }
+        // Each element's unpacked encoding behind its 1-byte key is its
+        // packed encoding.
+        let body: Vec<u8> = values[..2]
+            .iter()
+            .flat_map(|v| encode(number, std::slice::from_ref(v))[1..].to_vec())
+            .collect();
+        let mut wire = Vec::new();
+        put_ld_field(&mut wire, number, &body);
+        wire.extend_from_slice(&encode(number, &values[2..]));
+        check_accepts_as(&mut h, &schema, &wire, &expected);
+    }
+}
+
 /// A run of one singular field stays last-one-wins, with and without other
 /// fields between the arrivals.
 #[test]

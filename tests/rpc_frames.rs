@@ -10,7 +10,8 @@
 
 use protoacc_suite::faults::frames::{corrupt, mutate, FrameFault, FRAME_PREFIX_LEN};
 use protoacc_suite::rpc::{
-    decode_frame, encode_frame, FrameDecoder, FrameError, DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN,
+    decode_frame, encode_frame, Frame, FrameDecoder, FrameError, DEFAULT_MAX_FRAME_LEN,
+    FRAME_HEADER_LEN,
 };
 use protoacc_suite::xrand::{Rng, StdRng};
 
@@ -255,6 +256,146 @@ fn seeded_sweep_is_total_on_chunked_streams() {
             (Ok(_), None) => teardown.unwrap_or_else(|e| {
                 panic!("round {round}: clean drain but teardown error {e:?} ({fault:?})")
             }),
+        }
+    }
+}
+
+/// A seeded stream of 1–6 frames with payloads from empty to 64 KiB, and
+/// the offset where each frame's prefix starts. Odd rounds replace one
+/// frame's prefix partway through with a reserved flag or an oversized
+/// length; every fourth round ends inside its last frame.
+fn seeded_stream(round: u64, rng: &mut StdRng) -> (Vec<u8>, Vec<usize>) {
+    let mut stream = Vec::new();
+    let mut starts = Vec::new();
+    let frames = rng.gen_range(1..=6usize);
+    for _ in 0..frames {
+        let len = match rng.gen_range(0..8u32) {
+            0 => 0,
+            1 => rng.gen_range(4096..=65_536usize),
+            _ => rng.gen_range(1..300usize),
+        };
+        let payload: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
+        starts.push(stream.len());
+        stream.extend_from_slice(&encode_frame(rng.gen_range(0..2u32) == 1, &payload).unwrap());
+    }
+    if round % 2 == 1 {
+        let at = starts[rng.gen_range(0..starts.len())];
+        if rng.gen_range(0..2u32) == 0 {
+            stream[at] = rng.gen_range(2..=255u8);
+        } else {
+            stream[at + 1..at + FRAME_HEADER_LEN]
+                .copy_from_slice(&(DEFAULT_MAX_FRAME_LEN as u32 + 1).to_be_bytes());
+        }
+    }
+    if round.is_multiple_of(4) {
+        let last = *starts.last().unwrap();
+        stream.truncate(rng.gen_range(last + 1..stream.len().max(last + 2)));
+    }
+    (stream, starts)
+}
+
+/// What a decoder shows over one stream: every frame or fault
+/// `next_frame` yields, each with the stream bytes still unconsumed after
+/// it (buffered plus not yet pushed), then `finish()`.
+type Observed = (
+    Vec<(Result<Frame, FrameError>, usize)>,
+    Result<(), FrameError>,
+);
+
+/// Streams `stream` into a decoder in the chunks that end at `cuts`,
+/// draining after every push and stopping at the first fault. After every
+/// `next_frame` call, `buffered()` must equal the bytes pushed and not yet
+/// yielded as frames.
+fn observe_chunked(stream: &[u8], cuts: &[usize]) -> Observed {
+    let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME_LEN);
+    let (mut pushed, mut yielded) = (0, 0);
+    let mut seen = Vec::new();
+    'push: for &cut in cuts.iter().chain([&stream.len()]) {
+        dec.push(&stream[pushed..cut]);
+        pushed = cut;
+        loop {
+            let next = dec.next_frame();
+            if let Ok(Some(frame)) = &next {
+                yielded += FRAME_HEADER_LEN + frame.payload.len();
+            }
+            assert_eq!(dec.buffered(), pushed - yielded, "cuts {cuts:?}");
+            let unconsumed = dec.buffered() + stream.len() - pushed;
+            match next {
+                Ok(None) => break,
+                Ok(Some(frame)) => seen.push((Ok(frame), unconsumed)),
+                Err(e) => {
+                    seen.push((Err(e), unconsumed));
+                    break 'push;
+                }
+            }
+        }
+    }
+    (seen, dec.finish())
+}
+
+/// The same observation from one-shot `decode_frame` walked over the
+/// stream: a malformed prefix is yielded where the stream reaches it, a
+/// truncated tail surfaces only at teardown.
+fn observe_one_shot(stream: &[u8]) -> Observed {
+    let mut seen = Vec::new();
+    let mut off = 0;
+    while off < stream.len() {
+        match decode_frame(&stream[off..], DEFAULT_MAX_FRAME_LEN) {
+            Ok((frame, used)) => {
+                off += used;
+                seen.push((Ok(frame), stream.len() - off));
+            }
+            Err(e @ (FrameError::ReservedFlag { .. } | FrameError::Oversized { .. })) => {
+                seen.push((Err(e), stream.len() - off));
+                return (seen, Err(e));
+            }
+            Err(e) => return (seen, Err(e)),
+        }
+    }
+    (seen, Ok(()))
+}
+
+/// Chunking equivalence: whole frames per push, several frames per push,
+/// one byte per push, and pushes that end inside the 5-byte prefix all
+/// observe exactly what one push of the whole stream observes, and that
+/// equals the one-shot decode.
+#[test]
+fn every_chunking_matches_one_push_and_one_shot_decode() {
+    let mut rng = StdRng::seed_from_u64(0xF4A3_0003);
+    for round in 0..24u64 {
+        let (stream, starts) = seeded_stream(round, &mut rng);
+        let whole = observe_chunked(&stream, &[]);
+        assert_eq!(whole, observe_one_shot(&stream), "round {round}");
+        let inner = |cuts: Vec<usize>| -> Vec<usize> {
+            cuts.into_iter()
+                .filter(|&c| c > 0 && c < stream.len())
+                .collect()
+        };
+        let per_frame = inner(starts.clone());
+        let group = rng.gen_range(2..=3usize);
+        let per_group = inner(starts.iter().copied().step_by(group).collect());
+        let per_byte = inner((1..stream.len()).collect());
+        let mut in_prefix: Vec<usize> = starts
+            .iter()
+            .flat_map(|&s| {
+                let a = rng.gen_range(1..FRAME_HEADER_LEN);
+                let b = rng.gen_range(a..FRAME_HEADER_LEN);
+                [s, s + a, s + b]
+            })
+            .collect();
+        in_prefix.dedup();
+        let in_prefix = inner(in_prefix);
+        for (name, cuts) in [
+            ("frame", per_frame),
+            ("group", per_group),
+            ("byte", per_byte),
+            ("prefix", in_prefix),
+        ] {
+            assert_eq!(
+                observe_chunked(&stream, &cuts),
+                whole,
+                "round {round}, {name} chunking"
+            );
         }
     }
 }
