@@ -31,6 +31,7 @@ use protoacc_faults::{mutate, DiffReport, FastpathHarness};
 use protoacc_mem::Memory;
 use protoacc_runtime::{object, reference, BumpArena, MessageLayouts};
 use protoacc_schema::parse_descriptor_set;
+use protoacc_trace::json::{self, Json};
 use xrand::StdRng;
 
 /// Per-workload measured throughput (GB/s, host wall-clock).
@@ -448,43 +449,47 @@ fn throughput(
 }
 
 fn render_json(mode: &str, rows: &[Row], geo: &[f64; 7], gate: &Gate) -> String {
-    let mut out = format!("{{\n  \"schema_version\": 2,\n  \"mode\": \"{mode}\",\n  \"unit\": \"GB/s host wall-clock, per timed pass: median, min, p90\",\n  \"workloads\": [");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"wire_bytes\": {}",
-            r.name, r.wire_bytes
-        ));
-        for (name, s) in r.columns() {
-            out.push_str(&format!(
-                ", \"{name}\": {{\"median\": {:.4}, \"min\": {:.4}, \"p90\": {:.4}}}",
-                s.median, s.min, s.p90
-            ));
-        }
-        out.push_str(&format!(
-            ", \"deser_speedup_vs_cpu\": {:.2}}}",
-            r.fast_deser.median / r.cpu_deser.median
-        ));
-    }
-    out.push_str(&format!(
-        "\n  ],\n  \"geomean_of_medians\": {{\"fast_deser_gbps\": {:.4}, \"fast_ser_gbps\": {:.4}, \
-         \"cpu_deser_gbps\": {:.4}, \"cpu_ser_gbps\": {:.4}, \
-         \"ref_deser_gbps\": {:.4}, \"ref_ser_gbps\": {:.4}, \
-         \"deser_speedup_vs_cpu\": {:.2}}},\n",
-        geo[0], geo[1], geo[2], geo[3], geo[4], geo[5], geo[6]
-    ));
-    out.push_str(&format!(
-        "  \"differential\": {{\"trials\": {}, \"accepted\": {}, \"rejected\": {}, \
-         \"verdict_mismatches\": {}, \"encode_divergences\": {}, \
-         \"roundtrip_divergences\": {}}}\n}}\n",
-        gate.report.trials,
-        gate.report.accepted,
-        gate.report.rejected,
-        gate.report.mismatches.len(),
-        gate.encode_divergences,
-        gate.roundtrip_divergences
-    ));
-    out
+    let workloads = rows.iter().map(|r| {
+        let mut members = vec![
+            ("name", r.name.as_str().into()),
+            ("wire_bytes", r.wire_bytes.into()),
+        ];
+        members.extend(r.columns().map(|(name, s)| {
+            let spread = [("median", s.median), ("min", s.min), ("p90", s.p90)];
+            (name, Json::obj(spread.map(|(k, v)| (k, Json::fixed(v, 4)))))
+        }));
+        let speedup = r.fast_deser.median / r.cpu_deser.median;
+        members.push(("deser_speedup_vs_cpu", Json::fixed(speedup, 2)));
+        Json::obj(members)
+    });
+    let geomean = [
+        ("fast_deser_gbps", Json::fixed(geo[0], 4)),
+        ("fast_ser_gbps", Json::fixed(geo[1], 4)),
+        ("cpu_deser_gbps", Json::fixed(geo[2], 4)),
+        ("cpu_ser_gbps", Json::fixed(geo[3], 4)),
+        ("ref_deser_gbps", Json::fixed(geo[4], 4)),
+        ("ref_ser_gbps", Json::fixed(geo[5], 4)),
+        ("deser_speedup_vs_cpu", Json::fixed(geo[6], 2)),
+    ];
+    json::write(&Json::obj([
+        ("schema_version", 2u32.into()),
+        ("mode", mode.into()),
+        (
+            "unit",
+            "GB/s host wall-clock, per timed pass: median, min, p90".into(),
+        ),
+        ("workloads", Json::Arr(workloads.collect())),
+        ("geomean_of_medians", Json::obj(geomean)),
+        (
+            "differential",
+            Json::obj([
+                ("trials", gate.report.trials.into()),
+                ("accepted", gate.report.accepted.into()),
+                ("rejected", gate.report.rejected.into()),
+                ("verdict_mismatches", gate.report.mismatches.len().into()),
+                ("encode_divergences", gate.encode_divergences.into()),
+                ("roundtrip_divergences", gate.roundtrip_divergences.into()),
+            ]),
+        ),
+    ]))
 }

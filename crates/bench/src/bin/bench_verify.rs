@@ -29,6 +29,7 @@ use protoacc_fastpath::CompiledSchema;
 use protoacc_faults::{mutate_adt, mutate_compiled, ADT_MUTATIONS, TABLE_MUTATIONS};
 use protoacc_runtime::MessageLayouts;
 use protoacc_schema::{parse_descriptor_set, parse_proto, Schema};
+use protoacc_trace::json::{self, Json};
 use protoacc_verify::{
     build_adt_image, check_adt_image, verify_schema, verify_software, VerifyConfig,
 };
@@ -279,35 +280,41 @@ fn render_json(
     silent: bool,
     rate: f64,
 ) -> String {
-    let mut out =
-        format!("{{\n  \"schema_version\": 1,\n  \"mode\": \"{mode}\",\n  \"workloads\": [");
-    for (i, r) in clean.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"types\": {}, \"violations\": {}, \"wall_ms\": {:.3}}}",
-            r.name, r.types, r.violations, r.wall_ms
-        ));
-    }
-    out.push_str("\n  ],\n  \"mutations\": [");
-    for (i, r) in mutations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"plane\": \"{}\", \"label\": \"{}\", \"attempted\": {}, \
-             \"applied\": {}, \"detected\": {}}}",
-            r.plane, r.label, r.attempted, r.applied, r.detected
-        ));
-    }
+    let workloads = clean.iter().map(|r| {
+        Json::obj([
+            ("name", r.name.as_str().into()),
+            ("types", r.types.into()),
+            ("violations", r.violations.into()),
+            ("wall_ms", Json::fixed(r.wall_ms, 3)),
+        ])
+    });
+    let rows = mutations.iter().map(|r| {
+        Json::obj([
+            ("plane", r.plane.into()),
+            ("label", r.label.into()),
+            ("attempted", r.attempted.into()),
+            ("applied", r.applied.into()),
+            ("detected", r.detected.into()),
+        ])
+    });
     let attempted: usize = mutations.iter().map(|r| r.attempted).sum();
     let applied: usize = mutations.iter().map(|r| r.applied).sum();
     let detected: usize = mutations.iter().map(|r| r.detected).sum();
-    out.push_str(&format!(
-        "\n  ],\n  \"campaign\": {{\"attempted\": {attempted}, \"applied\": {applied}, \
-         \"detected\": {detected}, \"detection_rate\": {rate:.4}, \
-         \"detection_floor\": {DETECTION_FLOOR}, \"clean_workloads_silent\": {silent}}}\n}}\n"
-    ));
-    out
+    json::write(&Json::obj([
+        ("schema_version", 1u32.into()),
+        ("mode", mode.into()),
+        ("workloads", Json::Arr(workloads.collect())),
+        ("mutations", Json::Arr(rows.collect())),
+        (
+            "campaign",
+            Json::obj([
+                ("attempted", attempted.into()),
+                ("applied", applied.into()),
+                ("detected", detected.into()),
+                ("detection_rate", Json::fixed(rate, 4)),
+                ("detection_floor", Json::Num(DETECTION_FLOOR.to_string())),
+                ("clean_workloads_silent", silent.into()),
+            ]),
+        ),
+    ]))
 }

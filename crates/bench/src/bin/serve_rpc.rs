@@ -37,6 +37,7 @@ use protoacc_bench::serving::{Staging, ARENA_BASE, ARENA_STRIDE};
 use protoacc_fleet::traffic::{ClosedLoop, TrafficMix};
 use protoacc_mem::{Cycles, MemConfig, Memory};
 use protoacc_rpc::{encode_frame, IncomingFrame, Method, RpcConfig, RpcHeader, RpcServer};
+use protoacc_trace::json::{self, Json};
 use xrand::StdRng;
 
 /// Seed for synthesizing the prototype population.
@@ -242,39 +243,33 @@ fn flag(name: &str) -> bool {
 }
 
 fn render_json(mode: &str, service: f64, cells: &[Cell]) -> String {
-    let mut out = format!(
-        "{{\n  \"schema_version\": 1,\n  \"mode\": \"{mode}\",\n  \
-         \"instances\": {INSTANCES},\n  \"deadline_slack\": {DEADLINE_SLACK},\n  \
-         \"mean_service_cycles\": {service:.3},\n  \"cells\": ["
-    );
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"discipline\": \"{}\", \"rho\": {}, \"offered\": {}, \"ok\": {}, \
-             \"fallback\": {}, \"rejected\": {}, \"failed\": {}, \"shed\": {}, \
-             \"dropped\": {}, \"frames\": {}, \"frame_errors\": {}, \"deferred\": {}, \
-             \"goodput_gbits\": {:.6}, \"p50_cycles\": {}, \"p99_cycles\": {}}}",
-            c.discipline,
-            c.rho,
-            c.offered,
-            c.ok,
-            c.fallback,
-            c.rejected,
-            c.failed,
-            c.shed,
-            c.dropped,
-            c.frames,
-            c.frame_errors,
-            c.deferred,
-            c.goodput,
-            c.p50,
-            c.p99
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let cells = cells.iter().map(|c| {
+        Json::obj([
+            ("discipline", c.discipline.into()),
+            ("rho", Json::Num(c.rho.to_string())),
+            ("offered", c.offered.into()),
+            ("ok", c.ok.into()),
+            ("fallback", c.fallback.into()),
+            ("rejected", c.rejected.into()),
+            ("failed", c.failed.into()),
+            ("shed", c.shed.into()),
+            ("dropped", c.dropped.into()),
+            ("frames", c.frames.into()),
+            ("frame_errors", c.frame_errors.into()),
+            ("deferred", c.deferred.into()),
+            ("goodput_gbits", Json::fixed(c.goodput, 6)),
+            ("p50_cycles", c.p50.into()),
+            ("p99_cycles", c.p99.into()),
+        ])
+    });
+    json::write(&Json::obj([
+        ("schema_version", 1u32.into()),
+        ("mode", mode.into()),
+        ("instances", INSTANCES.into()),
+        ("deadline_slack", DEADLINE_SLACK.into()),
+        ("mean_service_cycles", Json::fixed(service, 3)),
+        ("cells", Json::Arr(cells.collect())),
+    ]))
 }
 
 /// One sweep cell's inputs. The grid is a pure function of the

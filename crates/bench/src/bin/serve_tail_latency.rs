@@ -51,6 +51,7 @@ use protoacc_fleet::traffic::{TrafficEvent, TrafficMix};
 use protoacc_lint::{findings_to_diagnostics, LintConfig, LintReport};
 use protoacc_mem::{Cycles, MemConfig, Memory};
 use protoacc_runtime::{reference, BumpArena};
+use protoacc_trace::json::{self, Json};
 use xrand::{Rng, StdRng};
 
 /// Seed for synthesizing the prototype population.
@@ -1092,26 +1093,23 @@ fn bench_shards(path: &str, total_commands: usize) -> ExitCode {
         );
         ok = false;
     }
-    use std::fmt::Write as _;
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema_version\": 1,");
-    let _ = writeln!(json, "  \"bench\": \"serve_shard\",");
-    let _ = writeln!(json, "  \"cells\": {SHARD_CELLS},");
-    let _ = writeln!(json, "  \"instances_per_cell\": {SHARD_INSTANCES},");
-    let _ = writeln!(json, "  \"commands\": {},", per_shard * SHARD_CELLS);
-    let _ = writeln!(json, "  \"hardware_threads\": {threads},");
-    let _ = writeln!(json, "  \"deterministic\": {deterministic},");
-    let _ = writeln!(json, "  \"rows\": [");
-    for (i, (workers, wall, speedup)) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"shards\": {workers}, \"wall_s\": {wall:.6}, \"speedup\": {speedup:.4}}}{comma}"
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
+    let rows = rows.iter().map(|&(workers, wall, speedup)| {
+        Json::obj([
+            ("shards", workers.into()),
+            ("wall_s", Json::fixed(wall, 6)),
+            ("speedup", Json::fixed(speedup, 4)),
+        ])
+    });
+    let json = json::write(&Json::obj([
+        ("schema_version", 1u32.into()),
+        ("bench", "serve_shard".into()),
+        ("cells", SHARD_CELLS.into()),
+        ("instances_per_cell", SHARD_INSTANCES.into()),
+        ("commands", (per_shard * SHARD_CELLS).into()),
+        ("hardware_threads", threads.into()),
+        ("deterministic", deterministic.into()),
+        ("rows", Json::Arr(rows.collect())),
+    ]));
     if let Err(e) = std::fs::write(path, &json) {
         println!("FAIL [bench-shards]: writing {path}: {e}");
         return ExitCode::FAILURE;

@@ -41,6 +41,7 @@ use protoacc_lint::{
     lint_schema, lint_schema_verified, DiagCode, LintConfig, LintReport, Severity, ALL_CODES,
 };
 use protoacc_schema::{parse_descriptor_set, parse_proto};
+use protoacc_trace::json::{self, Json};
 
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
 enum Format {
@@ -202,45 +203,33 @@ struct BenchRow {
 }
 
 fn render_bench(rows: &[BenchRow], report: &LintReport, total_ms: f64) -> String {
-    let mut out = String::from("{\n  \"inputs\": [");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"path\": \"{}\", \"kind\": \"{}\", \"types\": {}, \
-             \"deny\": {}, \"warn\": {}, \"wall_ms\": {:.3}}}",
-            r.path.replace('\\', "/"),
-            r.kind.as_str(),
-            r.types,
-            r.deny,
-            r.warn,
-            r.wall_ms
-        ));
-    }
-    out.push_str(if rows.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"codes\": {");
-    for (i, code) in ALL_CODES.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "\"{}\": {}",
-            code.code(),
-            report.with_code(*code).count()
-        ));
-    }
-    out.push_str("},\n");
-    out.push_str(&format!(
-        "  \"total\": {{\"files\": {}, \"types\": {}, \"deny\": {}, \
-         \"warn\": {}, \"wall_ms\": {:.3}}}\n}}\n",
-        rows.len(),
-        report.types.len(),
-        report.deny_count(),
-        report.warn_count(),
-        total_ms
-    ));
-    out
+    let inputs = rows.iter().map(|r| {
+        Json::obj([
+            ("path", Json::Str(r.path.replace('\\', "/"))),
+            ("kind", r.kind.as_str().into()),
+            ("types", r.types.into()),
+            ("deny", r.deny.into()),
+            ("warn", r.warn.into()),
+            ("wall_ms", Json::fixed(r.wall_ms, 3)),
+        ])
+    });
+    let codes = ALL_CODES
+        .iter()
+        .map(|code| (code.code(), report.with_code(*code).count().into()));
+    json::write(&Json::obj([
+        ("inputs", Json::Arr(inputs.collect())),
+        ("codes", Json::obj(codes)),
+        (
+            "total",
+            Json::obj([
+                ("files", rows.len().into()),
+                ("types", report.types.len().into()),
+                ("deny", report.deny_count().into()),
+                ("warn", report.warn_count().into()),
+                ("wall_ms", Json::fixed(total_ms, 3)),
+            ]),
+        ),
+    ]))
 }
 
 fn run() -> Result<ExitCode, String> {
@@ -417,19 +406,33 @@ mod tests {
     }
 
     #[test]
-    fn bench_report_is_balanced_json() {
-        let rows = vec![BenchRow {
-            path: "protos/x.proto".to_string(),
-            kind: InputKind::Proto,
-            types: 2,
-            deny: 0,
-            warn: 1,
-            wall_ms: 0.25,
-        }];
+    fn bench_report_parses_back_with_escaped_paths() {
+        let rows = vec![
+            BenchRow {
+                path: "protos/x.proto".to_string(),
+                kind: InputKind::Proto,
+                types: 2,
+                deny: 0,
+                warn: 1,
+                wall_ms: 0.25,
+            },
+            BenchRow {
+                path: "protos\\a \"quoted\" dir\\y.proto".to_string(),
+                kind: InputKind::Proto,
+                types: 1,
+                deny: 0,
+                warn: 0,
+                wall_ms: 0.5,
+            },
+        ];
         let json = render_bench(&rows, &LintReport::default(), 0.5);
-        assert!(json.contains("\"kind\": \"proto\""));
-        assert!(json.contains("\"PA011\": 0"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let root = json::parse(&json).expect("the bench report is valid JSON");
+        let inputs = root.get("inputs").and_then(Json::as_arr).unwrap();
+        let field = |i: usize, key| inputs[i].get(key).and_then(Json::as_str);
+        assert_eq!(field(0, "kind"), Some("proto"));
+        assert_eq!(field(0, "path"), Some("protos/x.proto"));
+        assert_eq!(field(1, "path"), Some("protos/a \"quoted\" dir/y.proto"));
+        let codes = root.get("codes").unwrap();
+        assert_eq!(codes.get("PA011").and_then(Json::as_u64), Some(0));
     }
 }

@@ -63,7 +63,7 @@ use protoacc_fastpath::{CompiledSchema, TableKind};
 use protoacc_mem::{Cycles, MemConfig};
 use protoacc_runtime::{MessageLayouts, MessageValue};
 use protoacc_schema::{FieldType, Label, MessageId, Schema};
-use protoacc_trace::chrome::json_str;
+use protoacc_trace::json::{self, Json};
 use protoacc_wire::{FieldKey, MAX_VARINT_LEN};
 
 /// How seriously a diagnostic should be treated.
@@ -631,88 +631,60 @@ impl LintReport {
         out
     }
 
-    /// Renders the report as a single JSON object (hand-rolled; the
-    /// workspace is dependency-free).
+    /// Renders the report as one JSON object through the shared
+    /// [`protoacc_trace::json`] writer, whose single layout puts each
+    /// diagnostic and each type on its own line.
     pub fn render_json(&self) -> String {
-        let mut out = format!("{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"diagnostics\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"code\": {}, ", json_str(d.code.code())));
-            out.push_str(&format!("\"name\": {}, ", json_str(d.code.name())));
-            out.push_str(&format!(
-                "\"severity\": {}, ",
-                json_str(d.severity.as_str())
-            ));
-            out.push_str(&format!("\"type\": {}, ", json_str(&d.message_type)));
-            match &d.field {
-                Some(f) => out.push_str(&format!("\"field\": {}, ", json_str(f))),
-                None => out.push_str("\"field\": null, "),
-            }
-            out.push_str(&format!("\"detail\": {}}}", json_str(&d.detail)));
-        }
-        if self.diagnostics.is_empty() {
-            out.push_str("],\n");
-        } else {
-            out.push_str("\n  ],\n");
-        }
-        out.push_str("  \"types\": [");
-        for (i, t) in self.types.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"type\": {}, ", json_str(&t.type_name)));
-            match t.nesting {
-                Nesting::Finite(d) => out.push_str(&format!("\"nesting\": {d}, ")),
-                Nesting::Unbounded => out.push_str("\"nesting\": null, "),
-            }
-            out.push_str(&format!("\"adt_working_set\": {}, ", t.adt_working_set));
-            out.push_str(&format!("\"static_density\": {:.6}, ", t.static_density));
-            out.push_str(&format!(
-                "\"dispatch_cycles\": {}, ",
-                t.bound.dispatch_cycles
-            ));
-            out.push_str(&format!("\"window_bytes\": {}, ", t.bound.window_bytes));
-            match t.bound.max_record_bytes {
-                Some(b) => out.push_str(&format!("\"max_record_bytes\": {b}, ")),
-                None => out.push_str("\"max_record_bytes\": null, "),
-            }
-            out.push_str(&format!(
-                "\"cycles_per_byte_floor\": {:.6}, ",
-                t.bound.cycles_per_byte_floor()
-            ));
-            out.push_str(&format!(
-                "\"deser_envelope\": [{}, {}], ",
-                t.deser_envelope.lower, t.deser_envelope.upper
-            ));
-            out.push_str(&format!(
-                "\"ser_envelope\": [{}, {}], ",
-                t.ser_envelope.lower, t.ser_envelope.upper
-            ));
-            out.push_str(&format!("\"watchdog_ceiling\": {}, ", t.watchdog_ceiling));
-            out.push_str(&format!("\"amplification\": {:.3}, ", t.amplification));
-            out.push_str(&format!("\"composed_ceiling\": {}, ", t.composed_ceiling));
-            out.push_str(&format!(
-                "\"table_kind\": {}, ",
-                json_str(t.table_kind.as_str())
-            ));
-            out.push_str(&format!("\"table_bytes\": {}}}", t.table_bytes));
-        }
-        if self.types.is_empty() {
-            out.push_str("],\n");
-        } else {
-            out.push_str("\n  ],\n");
-        }
-        out.push_str(&format!(
-            "  \"summary\": {{\"deny\": {}, \"warn\": {}, \"types\": {}}}\n}}\n",
-            self.deny_count(),
-            self.warn_count(),
-            self.types.len()
-        ));
-        out
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Json::obj([
+                ("code", d.code.code().into()),
+                ("name", d.code.name().into()),
+                ("severity", d.severity.as_str().into()),
+                ("type", d.message_type.as_str().into()),
+                ("field", d.field.as_deref().into()),
+                ("detail", d.detail.as_str().into()),
+            ])
+        });
+        let types = self.types.iter().map(|t| {
+            let nesting = match t.nesting {
+                Nesting::Finite(d) => Some(d),
+                Nesting::Unbounded => None,
+            };
+            let envelope = |e: &Interval| Json::Arr(vec![e.lower.into(), e.upper.into()]);
+            Json::obj([
+                ("type", t.type_name.as_str().into()),
+                ("nesting", nesting.into()),
+                ("adt_working_set", t.adt_working_set.into()),
+                ("static_density", Json::fixed(t.static_density, 6)),
+                ("dispatch_cycles", t.bound.dispatch_cycles.into()),
+                ("window_bytes", t.bound.window_bytes.into()),
+                ("max_record_bytes", t.bound.max_record_bytes.into()),
+                (
+                    "cycles_per_byte_floor",
+                    Json::fixed(t.bound.cycles_per_byte_floor(), 6),
+                ),
+                ("deser_envelope", envelope(&t.deser_envelope)),
+                ("ser_envelope", envelope(&t.ser_envelope)),
+                ("watchdog_ceiling", t.watchdog_ceiling.into()),
+                ("amplification", Json::fixed(t.amplification, 3)),
+                ("composed_ceiling", t.composed_ceiling.into()),
+                ("table_kind", t.table_kind.as_str().into()),
+                ("table_bytes", t.table_bytes.into()),
+            ])
+        });
+        json::write(&Json::obj([
+            ("schema_version", SCHEMA_VERSION.into()),
+            ("diagnostics", Json::Arr(diagnostics.collect())),
+            ("types", Json::Arr(types.collect())),
+            (
+                "summary",
+                Json::obj([
+                    ("deny", self.deny_count().into()),
+                    ("warn", self.warn_count().into()),
+                    ("types", self.types.len().into()),
+                ]),
+            ),
+        ]))
     }
 }
 
@@ -1342,30 +1314,46 @@ mod tests {
         assert_eq!(b.lower_bound(32), config.rocc_dispatch_cycles + 2);
     }
 
+    /// Parses `r.render_json()` back with the shared parser.
+    fn parsed_json(r: &LintReport) -> Json {
+        json::parse(&r.render_json()).expect("render_json writes valid JSON")
+    }
+
     #[test]
-    fn json_output_is_well_formed_enough() {
+    fn json_output_parses_and_carries_diagnostics() {
         let r = lint("message Node { optional Node next = 1; required string s = 2; }");
-        let json = r.render_json();
-        assert!(json.contains("\"PA001\""));
-        assert!(json.contains("\"severity\": \"warn\""));
-        assert!(json.contains("\"summary\""));
-        // Balanced braces/brackets as a cheap structural check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let root = parsed_json(&r);
+        let diagnostics = root.get("diagnostics").and_then(Json::as_arr).unwrap();
+        let any = |key, value| {
+            diagnostics
+                .iter()
+                .any(|d| d.get(key).and_then(Json::as_str) == Some(value))
+        };
+        assert!(any("code", "PA001"));
+        assert!(any("severity", "warn"));
+        assert!(root.get("summary").is_some());
     }
 
     #[test]
     fn json_is_versioned_and_carries_envelopes() {
         let r = lint("message Point { optional int32 x = 1; optional int32 y = 2; }");
-        let json = r.render_json();
-        assert!(
-            json.starts_with(&format!("{{\n  \"schema_version\": {SCHEMA_VERSION},")),
-            "schema_version must be the first key: {json}"
+        let root = parsed_json(&r);
+        let Json::Obj(members) = &root else {
+            panic!("the report is an object: {root:?}")
+        };
+        assert_eq!(
+            members[0].0, "schema_version",
+            "schema_version must be the first key"
         );
-        assert!(json.contains("\"deser_envelope\": ["));
-        assert!(json.contains("\"ser_envelope\": ["));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert_eq!(members[0].1.as_u64(), Some(u64::from(SCHEMA_VERSION)));
+        let t = &root.get("types").and_then(Json::as_arr).unwrap()[0];
+        for (key, e) in [
+            ("deser_envelope", r.types[0].deser_envelope),
+            ("ser_envelope", r.types[0].ser_envelope),
+        ] {
+            let bounds = Json::Arr(vec![e.lower.into(), e.upper.into()]);
+            assert_eq!(t.get(key), Some(&bounds), "{key}");
+        }
     }
 
     #[test]
@@ -1597,10 +1585,16 @@ mod tests {
     #[test]
     fn json_carries_amplification_and_composed_ceiling() {
         let r = lint("message Point { optional int32 x = 1; optional int32 y = 2; }");
-        let json = r.render_json();
-        assert!(json.contains("\"amplification\": "));
-        assert!(json.contains("\"composed_ceiling\": "));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let root = parsed_json(&r);
+        let t = &root.get("types").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(
+            t.get("amplification"),
+            Some(&Json::fixed(r.types[0].amplification, 3))
+        );
+        assert_eq!(
+            t.get("composed_ceiling").and_then(Json::as_u64),
+            Some(r.types[0].composed_ceiling)
+        );
     }
 
     #[test]

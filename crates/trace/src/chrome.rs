@@ -21,11 +21,13 @@
 //! round-trip, plus re-running the accounting audit against the embedded
 //! `expected_stats`, is the `ci.sh` trace gate. Like the lint report, the
 //! file carries a versioned [`SCHEMA_VERSION`] field.
-
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+//!
+//! The [`json`](crate::json) module writes and reads the file: [`export`]
+//! builds a [`Json`] value and hands it to the shared writer, and [`parse`]
+//! reads the events back out of the shared parser's value.
 
 use crate::audit::ExpectedStats;
+use crate::json::{self, Json};
 use crate::{AdtUnit, CmdOutcome, FsmState, MemAccessMode, TraceEvent, FALLBACK_TRACK};
 
 /// Version of the trace JSON schema produced by [`export`].
@@ -36,35 +38,22 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// id; `args.instance` still carries the exact value).
 const CPU_TID: u64 = 9_999;
 
-/// Renders `s` as a quoted JSON string, escaping quotes, backslashes and
-/// control characters.
-#[must_use]
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn display_tid(instance: usize) -> u64 {
     if instance == FALLBACK_TRACK {
         CPU_TID
     } else {
         instance as u64
     }
+}
+
+/// `(key, value)` args named after the event's own fields: `field` takes
+/// the binding of that name, `field = expr` a derived value.
+macro_rules! args {
+    ($($field:ident $(= $value:expr)?),* $(,)?) => {
+        vec![$((stringify!($field), Json::from(args!(@value $field $($value)?)))),*]
+    };
+    (@value $field:ident) => { $field };
+    (@value $field:ident $value:expr) => { $value };
 }
 
 struct EventJson {
@@ -74,15 +63,11 @@ struct EventJson {
     ts: u64,
     /// `Some(dur)` renders a complete ("X") span, `None` an instant ("i").
     dur: Option<u64>,
-    args: Vec<(&'static str, String)>,
-}
-
-fn num(v: u64) -> String {
-    v.to_string()
+    /// Every field of the event; the exporter puts its `kind` in front.
+    args: Vec<(&'static str, Json)>,
 }
 
 fn evt_json(e: &TraceEvent) -> EventJson {
-    let kind = e.kind();
     match *e {
         TraceEvent::CmdEnqueue {
             seq,
@@ -95,13 +80,7 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: 0,
             ts: at,
             dur: None,
-            args: vec![
-                ("kind", json_str(kind)),
-                ("seq", num(seq as u64)),
-                ("at", num(at)),
-                ("wire_bytes", num(wire_bytes)),
-                ("deser", deser.to_string()),
-            ],
+            args: args![seq, at, wire_bytes, deser],
         },
         TraceEvent::CmdDrop { seq, at } => EventJson {
             name: format!("drop#{seq}"),
@@ -109,11 +88,7 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: 0,
             ts: at,
             dur: None,
-            args: vec![
-                ("kind", json_str(kind)),
-                ("seq", num(seq as u64)),
-                ("at", num(at)),
-            ],
+            args: args![seq, at],
         },
         TraceEvent::CmdShed {
             seq,
@@ -126,13 +101,7 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: 0,
             ts: at,
             dur: None,
-            args: vec![
-                ("kind", json_str(kind)),
-                ("seq", num(seq as u64)),
-                ("at", num(at)),
-                ("deadline", num(deadline)),
-                ("estimate", num(estimate)),
-            ],
+            args: args![seq, at, deadline, estimate],
         },
         TraceEvent::FrameDecode { conn, at, len, ok } => EventJson {
             name: format!("frame@{conn}"),
@@ -140,13 +109,7 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: 0,
             ts: at,
             dur: None,
-            args: vec![
-                ("kind", json_str(kind)),
-                ("conn", num(conn as u64)),
-                ("at", num(at)),
-                ("len", num(len)),
-                ("ok", ok.to_string()),
-            ],
+            args: args![conn, at, len, ok],
         },
         TraceEvent::CmdDispatch {
             seq,
@@ -159,13 +122,7 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: display_tid(instance) + 1,
             ts: at,
             dur: None,
-            args: vec![
-                ("kind", json_str(kind)),
-                ("seq", num(seq as u64)),
-                ("at", num(at)),
-                ("instance", num(instance as u64)),
-                ("attempt", num(u64::from(attempt))),
-            ],
+            args: args![seq, at, instance, attempt],
         },
         TraceEvent::CmdRetry {
             seq,
@@ -178,13 +135,7 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: display_tid(instance) + 1,
             ts: at,
             dur: None,
-            args: vec![
-                ("kind", json_str(kind)),
-                ("seq", num(seq as u64)),
-                ("at", num(at)),
-                ("instance", num(instance as u64)),
-                ("attempt", num(u64::from(attempt))),
-            ],
+            args: args![seq, at, instance, attempt],
         },
         TraceEvent::CmdFallback { seq, at } => EventJson {
             name: format!("fallback#{seq}"),
@@ -192,11 +143,7 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: 0,
             ts: at,
             dur: None,
-            args: vec![
-                ("kind", json_str(kind)),
-                ("seq", num(seq as u64)),
-                ("at", num(at)),
-            ],
+            args: args![seq, at],
         },
         TraceEvent::CmdComplete {
             seq,
@@ -216,19 +163,18 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: display_tid(instance) + 1,
             ts: dispatch,
             dur: Some(service),
-            args: vec![
-                ("kind", json_str(kind)),
-                ("seq", num(seq as u64)),
-                ("enqueue", num(enqueue)),
-                ("dispatch", num(dispatch)),
-                ("complete", num(complete)),
-                ("service", num(service)),
-                ("instance", num(instance as u64)),
-                ("wire_bytes", num(wire_bytes)),
-                ("deser", deser.to_string()),
-                ("sharers", num(sharers as u64)),
-                ("attempts", num(u64::from(attempts))),
-                ("outcome", json_str(outcome.label())),
+            args: args![
+                seq,
+                enqueue,
+                dispatch,
+                complete,
+                service,
+                instance,
+                wire_bytes,
+                deser,
+                sharers,
+                attempts,
+                outcome = outcome.label()
             ],
         },
         TraceEvent::DeserOp {
@@ -245,15 +191,14 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: display_tid(instance),
             ts: start,
             dur: Some(cycles),
-            args: vec![
-                ("kind", json_str(kind)),
-                ("instance", num(instance as u64)),
-                ("start", num(start)),
-                ("cycles", num(cycles)),
-                ("fsm_cycles", num(fsm_cycles)),
-                ("stream_cycles", num(stream_cycles)),
-                ("wire_bytes", num(wire_bytes)),
-                ("fields", num(fields)),
+            args: args![
+                instance,
+                start,
+                cycles,
+                fsm_cycles,
+                stream_cycles,
+                wire_bytes,
+                fields
             ],
         },
         TraceEvent::SerOp {
@@ -271,16 +216,15 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: display_tid(instance),
             ts: start,
             dur: Some(cycles),
-            args: vec![
-                ("kind", json_str(kind)),
-                ("instance", num(instance as u64)),
-                ("start", num(start)),
-                ("cycles", num(cycles)),
-                ("frontend_cycles", num(frontend_cycles)),
-                ("fsu_cycles", num(fsu_cycles)),
-                ("memwriter_cycles", num(memwriter_cycles)),
-                ("out_len", num(out_len)),
-                ("fields", num(fields)),
+            args: args![
+                instance,
+                start,
+                cycles,
+                frontend_cycles,
+                fsu_cycles,
+                memwriter_cycles,
+                out_len,
+                fields
             ],
         },
         TraceEvent::MemloaderStream {
@@ -295,14 +239,7 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: display_tid(instance),
             ts: start,
             dur: Some(cycles),
-            args: vec![
-                ("kind", json_str(kind)),
-                ("instance", num(instance as u64)),
-                ("start", num(start)),
-                ("cycles", num(cycles)),
-                ("bytes", num(bytes)),
-                ("windows", num(windows)),
-            ],
+            args: args![instance, start, cycles, bytes, windows],
         },
         TraceEvent::FsmTransition {
             instance,
@@ -315,13 +252,7 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: display_tid(instance),
             ts: at,
             dur: None,
-            args: vec![
-                ("kind", json_str(kind)),
-                ("instance", num(instance as u64)),
-                ("at", num(at)),
-                ("state", json_str(state.label())),
-                ("field_number", num(u64::from(field_number))),
-            ],
+            args: args![instance, at, state = state.label(), field_number],
         },
         TraceEvent::Field {
             instance,
@@ -334,13 +265,7 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: display_tid(instance),
             ts: start,
             dur: Some(cycles),
-            args: vec![
-                ("kind", json_str(kind)),
-                ("instance", num(instance as u64)),
-                ("start", num(start)),
-                ("cycles", num(cycles)),
-                ("field_number", num(u64::from(field_number))),
-            ],
+            args: args![instance, start, cycles, field_number],
         },
         TraceEvent::AdtAccess {
             instance,
@@ -354,14 +279,7 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: display_tid(instance),
             ts: at,
             dur: None,
-            args: vec![
-                ("kind", json_str(kind)),
-                ("instance", num(instance as u64)),
-                ("at", num(at)),
-                ("unit", json_str(unit.label())),
-                ("hit", hit.to_string()),
-                ("cycles", num(cycles)),
-            ],
+            args: args![instance, at, unit = unit.label(), hit, cycles],
         },
         TraceEvent::FsuOp {
             instance,
@@ -375,14 +293,7 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: display_tid(instance) * 256 + unit as u64,
             ts: start,
             dur: Some(cycles),
-            args: vec![
-                ("kind", json_str(kind)),
-                ("instance", num(instance as u64)),
-                ("unit", num(unit as u64)),
-                ("start", num(start)),
-                ("cycles", num(cycles)),
-                ("field_number", num(u64::from(field_number))),
-            ],
+            args: args![instance, unit, start, cycles, field_number],
         },
         TraceEvent::MemwriterFlush {
             instance,
@@ -395,13 +306,7 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: display_tid(instance) * 256 + 255,
             ts: start,
             dur: Some(cycles),
-            args: vec![
-                ("kind", json_str(kind)),
-                ("instance", num(instance as u64)),
-                ("start", num(start)),
-                ("cycles", num(cycles)),
-                ("bytes", num(bytes)),
-            ],
+            args: args![instance, start, cycles, bytes],
         },
         TraceEvent::MemAccess {
             requester,
@@ -422,20 +327,19 @@ fn evt_json(e: &TraceEvent) -> EventJson {
             tid: requester as u64,
             ts: at,
             dur: Some(cycles),
-            args: vec![
-                ("kind", json_str(kind)),
-                ("requester", num(requester as u64)),
-                ("at", num(at)),
-                ("cycles", num(cycles)),
-                ("addr", num(addr)),
-                ("len", num(len)),
-                ("write", write.to_string()),
-                ("mode", json_str(mode.label())),
-                ("tlb_walk_cycles", num(tlb_walk_cycles)),
-                ("l1_hits", num(l1_hits)),
-                ("l2_hits", num(l2_hits)),
-                ("llc_hits", num(llc_hits)),
-                ("dram_accesses", num(dram_accesses)),
+            args: args![
+                requester,
+                at,
+                cycles,
+                addr,
+                len,
+                write,
+                mode = mode.label(),
+                tlb_walk_cycles,
+                l1_hits,
+                l2_hits,
+                llc_hits,
+                dram_accesses
             ],
         },
     }
@@ -448,312 +352,58 @@ fn evt_json(e: &TraceEvent) -> EventJson {
 /// to the run that produced it.
 #[must_use]
 pub fn export(events: &[TraceEvent], expected: &[ExpectedStats]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-    out.push_str("  \"displayTimeUnit\": \"ns\",\n");
-    out.push_str("  \"traceEvents\": [\n");
-    let mut first = true;
     // Process-name metadata so Perfetto labels the tracks.
-    for (pid, name) in [
+    let metadata = [
         (0u64, "serve cluster"),
         (1, "accelerator"),
         (2, "fsu"),
         (3, "memory"),
-    ] {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "    {{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
-            json_str(name)
-        );
-    }
-    for e in events {
-        let j = evt_json(e);
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let (ph, dur) = match j.dur {
-            Some(d) => ("X", format!(",\"dur\":{d}")),
-            None => ("i", ",\"s\":\"t\"".to_string()),
-        };
-        let args: Vec<String> = j
-            .args
-            .iter()
-            .map(|(k, v)| format!("{}:{v}", json_str(k)))
-            .collect();
-        let _ = write!(
-            out,
-            "    {{\"name\":{},\"cat\":\"protoacc\",\"ph\":\"{ph}\",\"ts\":{}{dur},\"pid\":{},\"tid\":{},\"args\":{{{}}}}}",
-            json_str(&j.name),
-            j.ts,
-            j.pid,
-            j.tid,
-            args.join(",")
-        );
-    }
-    out.push_str("\n  ],\n");
-    out.push_str("  \"otherData\": {\n    \"expected_stats\": [\n");
-    for (i, s) in expected.iter().enumerate() {
-        let sep = if i + 1 == expected.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "      {{\"instance\":{},\"deser_ops\":{},\"deser_cycles\":{},\"ser_ops\":{},\"ser_cycles\":{},\"saturated\":{}}}{sep}",
-            s.instance, s.deser_ops, s.deser_cycles, s.ser_ops, s.ser_cycles, s.saturated
-        );
-    }
-    out.push_str("    ]\n  }\n}\n");
-    out
+    ]
+    .map(|(pid, name)| {
+        Json::obj([
+            ("ph", "M".into()),
+            ("pid", pid.into()),
+            ("tid", 0u64.into()),
+            ("name", "process_name".into()),
+            ("args", Json::obj([("name", name.into())])),
+        ])
+    });
+    let trace_events = metadata.into_iter().chain(events.iter().map(event_obj));
+    let expected_stats = expected.iter().map(|s| {
+        Json::obj([
+            ("instance", s.instance.into()),
+            ("deser_ops", s.deser_ops.into()),
+            ("deser_cycles", s.deser_cycles.into()),
+            ("ser_ops", s.ser_ops.into()),
+            ("ser_cycles", s.ser_cycles.into()),
+            ("saturated", s.saturated.into()),
+        ])
+    });
+    json::write(&Json::obj([
+        ("schema_version", SCHEMA_VERSION.into()),
+        ("displayTimeUnit", "ns".into()),
+        ("traceEvents", Json::Arr(trace_events.collect())),
+        (
+            "otherData",
+            Json::obj([("expected_stats", Json::Arr(expected_stats.collect()))]),
+        ),
+    ]))
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON parser — just enough to round-trip our own exporter output.
-// ---------------------------------------------------------------------------
-
-/// Parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    /// Non-negative integers are kept exact; everything else is `f64`.
-    UInt(u64),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
+fn event_obj(e: &TraceEvent) -> Json {
+    let j = evt_json(e);
+    let mut members = vec![("name", Json::Str(j.name)), ("cat", "protoacc".into())];
+    match j.dur {
+        Some(dur) => members.extend([("ph", "X".into()), ("ts", j.ts.into()), ("dur", dur.into())]),
+        None => members.extend([("ph", "i".into()), ("ts", j.ts.into()), ("s", "t".into())]),
     }
-
-    fn err(&self, msg: &str) -> String {
-        format!("trace json parse error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected literal '{lit}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("non-utf8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the full sequence through.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    self.pos = start + width;
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    out.push_str(s);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-utf8 number"))?;
-        if text.is_empty() {
-            return Err(self.err("expected a number"));
-        }
-        if let Ok(u) = text.parse::<u64>() {
-            return Ok(Json::UInt(u));
-        }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(&format!("bad number '{text}'")))
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::UInt(u) => Some(*u),
-            Json::Num(f) if *f >= 0.0 && f.fract() == 0.0 => Some(*f as u64),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
+    let args = std::iter::once(("kind", e.kind().into())).chain(j.args);
+    members.extend([
+        ("pid", j.pid.into()),
+        ("tid", j.tid.into()),
+        ("args", Json::obj(args)),
+    ]);
+    Json::obj(members)
 }
 
 /// A trace file reconstructed by [`parse`].
@@ -767,22 +417,17 @@ pub struct ParsedTrace {
     pub expected: Vec<ExpectedStats>,
 }
 
-fn field_u64(args: &Json, key: &str, kind: &str) -> Result<u64, String> {
+/// Reads `args[key]` with `read`, naming `kind` and `key` when it is
+/// missing or of the wrong type.
+fn field<'j, T>(
+    args: &'j Json,
+    key: &str,
+    kind: &str,
+    read: impl FnOnce(&'j Json) -> Option<T>,
+) -> Result<T, String> {
     args.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{kind} event missing numeric field '{key}'"))
-}
-
-fn field_bool(args: &Json, key: &str, kind: &str) -> Result<bool, String> {
-    args.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{kind} event missing boolean field '{key}'"))
-}
-
-fn field_str<'j>(args: &'j Json, key: &str, kind: &str) -> Result<&'j str, String> {
-    args.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{kind} event missing string field '{key}'"))
+        .and_then(read)
+        .ok_or_else(|| format!("{kind} event missing or mistyped field '{key}'"))
 }
 
 #[allow(clippy::too_many_lines)]
@@ -791,10 +436,9 @@ fn event_from_args(args: &Json) -> Result<Option<TraceEvent>, String> {
         // Metadata events (process names) carry no kind tag.
         return Ok(None);
     };
-    let k = kind.to_string();
-    let u = |key: &str| field_u64(args, key, &k);
-    let b = |key: &str| field_bool(args, key, &k);
-    let s = |key: &str| field_str(args, key, &k);
+    let u = |key: &str| field(args, key, kind, Json::as_u64);
+    let b = |key: &str| field(args, key, kind, Json::as_bool);
+    let s = |key: &str| field(args, key, kind, Json::as_str);
     let event = match kind {
         "cmd_enqueue" => TraceEvent::CmdEnqueue {
             seq: u("seq")? as usize,
@@ -948,13 +592,8 @@ fn event_from_args(args: &Json) -> Result<Option<TraceEvent>, String> {
 /// Returns a description of the first structural problem: malformed JSON,
 /// a missing or unsupported `schema_version`, or an event whose `args` do
 /// not reconstruct a known [`TraceEvent`].
-pub fn parse(json: &str) -> Result<ParsedTrace, String> {
-    let mut p = Parser::new(json);
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after top-level value"));
-    }
+pub fn parse(text: &str) -> Result<ParsedTrace, String> {
+    let root = json::parse(text).map_err(|e| e.to_string())?;
     let schema_version = root
         .get("schema_version")
         .and_then(Json::as_u64)
@@ -970,8 +609,10 @@ pub fn parse(json: &str) -> Result<ParsedTrace, String> {
         .and_then(Json::as_arr)
         .ok_or_else(|| "missing traceEvents array".to_string())?
     {
-        let args = raw.get("args").cloned().unwrap_or(Json::Null);
-        if let Some(event) = event_from_args(&args)? {
+        let Some(args) = raw.get("args") else {
+            continue;
+        };
+        if let Some(event) = event_from_args(args)? {
             events.push(event);
         }
     }
@@ -982,13 +623,14 @@ pub fn parse(json: &str) -> Result<ParsedTrace, String> {
         .and_then(Json::as_arr)
     {
         for s in list {
+            let u = |key: &str| field(s, key, "expected_stats", Json::as_u64);
             expected.push(ExpectedStats {
-                instance: field_u64(s, "instance", "expected_stats")? as usize,
-                deser_ops: field_u64(s, "deser_ops", "expected_stats")?,
-                deser_cycles: field_u64(s, "deser_cycles", "expected_stats")?,
-                ser_ops: field_u64(s, "ser_ops", "expected_stats")?,
-                ser_cycles: field_u64(s, "ser_cycles", "expected_stats")?,
-                saturated: field_bool(s, "saturated", "expected_stats")?,
+                instance: u("instance")? as usize,
+                deser_ops: u("deser_ops")?,
+                deser_cycles: u("deser_cycles")?,
+                ser_ops: u("ser_ops")?,
+                ser_cycles: u("ser_cycles")?,
+                saturated: field(s, "saturated", "expected_stats", Json::as_bool)?,
             });
         }
     }
@@ -1002,12 +644,6 @@ pub fn parse(json: &str) -> Result<ParsedTrace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escapes_control_and_quote_chars() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -1183,10 +819,12 @@ mod tests {
     }
 
     #[test]
-    fn string_escapes_round_trip() {
-        let s = json_str("a\"b\\c\nd\te\u{1}");
-        let mut p = Parser::new(&s);
-        let v = p.value().unwrap();
-        assert_eq!(v.as_str(), Some("a\"b\\c\nd\te\u{1}"));
+    fn deeply_nested_trace_events_are_an_error_not_a_crash() {
+        let bomb = format!(
+            "{{\"schema_version\": 1, \"traceEvents\": {}}}",
+            "[".repeat(1_000_000)
+        );
+        let err = parse(&bomb).unwrap_err();
+        assert!(err.contains("nested deeper"), "{err}");
     }
 }

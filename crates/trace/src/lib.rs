@@ -15,6 +15,8 @@
 //!   / `chrome://tracing`), one track per accelerator instance, one per
 //!   serializer FSU, and one for the memory system, plus a parser for the
 //!   same format so CI can round-trip a trace file.
+//! * [`json`] — the one JSON value, writer and parser that the trace
+//!   and every lint and `BENCH_*.json` report are written and read with.
 //! * [`audit`] — an aggregating profile reporter whose per-type cycle
 //!   breakdowns are cross-checked against `AccelStats`: the traced
 //!   [`TraceEvent::DeserOp`]/[`TraceEvent::SerOp`] spans must sum *exactly*
@@ -32,6 +34,7 @@ use std::rc::Rc;
 
 pub mod audit;
 pub mod chrome;
+pub mod json;
 pub mod metrics;
 pub mod stitch;
 
