@@ -28,12 +28,16 @@
 #                           (fails on queue-invariant violations,
 #                           nondeterministic multi-instance replay, or any
 #                           PA007/PA008/PA009 sanitizer finding: envelope
-#                           violations, lifecycle reordering, arena aliasing)
+#                           violations, lifecycle reordering, arena aliasing),
+#                           then the full study with no flags (fails on a
+#                           queue-invariant violation in the scaling sweep)
 #   7. fault smoke          serve_tail_latency --smoke --faults
 #                           (every fault class — instance crash/hang/slow,
 #                           memory ECC/stall, wire corruption — must serve
 #                           100% of admitted load, deterministically, with
-#                           watchdogs derived from the absint envelopes)
+#                           watchdogs derived from the absint envelopes),
+#                           then the full --faults sweep (fails on any
+#                           command that ends Failed)
 #   8. corruption diff      10k seeded corrupted inputs: accelerator and
 #                           CPU reference must agree on every accept/reject
 #                           verdict and error class
@@ -129,9 +133,11 @@ cargo test --offline -q --test verify_mutation
 
 echo "== serving-model smoke + sanitizer (invariants, determinism, PA007-PA009) =="
 cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- --smoke --sanitize
+cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency
 
 echo "== graceful-degradation smoke (fault classes x serve cluster) =="
 cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- --smoke --faults
+cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- --faults
 
 echo "== corruption differential (accel vs CPU verdict parity) =="
 cargo test --offline -q --test corruption_differential --test fault_matrix

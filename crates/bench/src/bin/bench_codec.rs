@@ -24,6 +24,7 @@
 use std::time::Instant;
 
 use hyperprotobench::{generate_suite, populate::populate_messages, ServiceProfile};
+use protoacc_bench::cli::Args;
 use protoacc_bench::{geomean, Workload};
 use protoacc_cpu::{CostTable, SoftwareCodec};
 use protoacc_fastpath::{DecodeArena, FastCodec};
@@ -90,23 +91,14 @@ struct Gate {
     roundtrip_divergences: usize,
 }
 
-fn arg(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 fn main() {
-    let smoke = flag("--smoke");
-    let out_path = arg("--out").unwrap_or_else(|| "target/BENCH_codec.json".to_string());
-    let count: usize = arg("--count")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 4 } else { 16 });
-    let seed: u64 = arg("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0xC0DEC);
+    let args = Args::parse("bench_codec [--smoke] [--out PATH] [--count N] [--seed S]");
+    let smoke = args.flag("--smoke");
+    let out_path = args
+        .value("--out")
+        .unwrap_or_else(|| "target/BENCH_codec.json".to_string());
+    let count = args.value("--count").unwrap_or(if smoke { 4 } else { 16 });
+    let seed = args.value("--seed").unwrap_or(0xC0DEC);
     // Timing window per measurement; smoke mode only needs plausible numbers.
     let target_secs = if smoke { 0.02 } else { 0.25 };
 

@@ -14,17 +14,16 @@
 //! riscv-boom, Xeon, and riscv-boom-accel.
 
 use hyperprotobench::{populate::populate_messages, ServiceProfile};
+use protoacc_bench::cli::Args;
 use protoacc_bench::{measure, Direction, SystemKind, Workload};
 use protoacc_schema::parse_proto;
 
-fn arg(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
-
 fn main() {
-    let Some(path) = arg("--proto") else {
-        eprintln!("usage: bench_proto_file --proto <file.proto> [--root <Message>] [--count N] [--seed S]");
-        std::process::exit(2);
+    let args = Args::parse(
+        "bench_proto_file --proto <file.proto> [--root <Message>] [--count N] [--seed S]",
+    );
+    let Some(path) = args.value::<String>("--proto") else {
+        args.fail("--proto is required");
     };
     let source = match std::fs::read_to_string(&path) {
         Ok(s) => s,
@@ -42,7 +41,7 @@ fn main() {
     };
     // Root: --root by name, else the last top-level message (files
     // conventionally build up to their aggregate type).
-    let root = match arg("--root") {
+    let root = match args.value::<String>("--root") {
         Some(name) => schema.id_by_name(&name).unwrap_or_else(|| {
             eprintln!("message `{name}` not found in {path}");
             std::process::exit(2);
@@ -54,8 +53,8 @@ fn main() {
             .last()
             .expect("schema has at least one message"),
     };
-    let count: usize = arg("--count").and_then(|v| v.parse().ok()).unwrap_or(32);
-    let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
+    let count = args.value("--count").unwrap_or(32);
+    let seed = args.value("--seed").unwrap_or(42);
 
     let params = ServiceProfile::bench(4).shape; // balanced default mix
     let messages = populate_messages(&schema, root, &params, seed, count);

@@ -25,6 +25,7 @@
 use std::time::Instant;
 
 use hyperprotobench::generate_suite;
+use protoacc_bench::cli::Args;
 use protoacc_fastpath::CompiledSchema;
 use protoacc_faults::{mutate_adt, mutate_compiled, ADT_MUTATIONS, TABLE_MUTATIONS};
 use protoacc_runtime::MessageLayouts;
@@ -55,20 +56,13 @@ struct MutationRow {
     detected: usize,
 }
 
-fn arg(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 fn main() {
-    let smoke = flag("--smoke");
-    let out_path = arg("--out").unwrap_or_else(|| "target/BENCH_verify.json".to_string());
-    let seed: u64 = arg("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0x7AB1E);
+    let args = Args::parse("bench_verify [--smoke] [--out PATH] [--seed S]");
+    let smoke = args.flag("--smoke");
+    let out_path = args
+        .value("--out")
+        .unwrap_or_else(|| "target/BENCH_verify.json".to_string());
+    let seed = args.value("--seed").unwrap_or(0x7AB1E);
     let trials_per_workload = if smoke { 2 } else { 8 };
 
     let workloads = build_workloads(seed);

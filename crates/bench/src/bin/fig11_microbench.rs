@@ -9,6 +9,7 @@
 //!
 //! Usage: `fig11_microbench [--part a|b|c|d|all]` (default `all`).
 
+use protoacc_bench::cli::Args;
 use protoacc_bench::ubench::{alloc_workloads, nonalloc_workloads};
 use protoacc_bench::{format_gbits_table, geomean, measure, Direction, SystemKind, Workload};
 
@@ -35,9 +36,8 @@ fn run_part(title: &str, workloads: &[Workload], direction: Direction) -> (f64, 
 }
 
 fn main() {
-    let part = std::env::args()
-        .skip_while(|a| a != "--part")
-        .nth(1)
+    let part = Args::parse("fig11_microbench [--part a|b|c|d|all]")
+        .value("--part")
         .unwrap_or_else(|| "all".to_owned());
     let nonalloc = nonalloc_workloads();
     let alloc = alloc_workloads();

@@ -4,6 +4,7 @@
 //! Usage: `fig12_hyperbench [--op deser|ser|both]` (default `both`).
 
 use hyperprotobench::generate_suite;
+use protoacc_bench::cli::Args;
 use protoacc_bench::{format_gbits_table, geomean, measure, Direction, SystemKind, Workload};
 use protoacc_fleet::gwp::ServiceCycles;
 
@@ -34,9 +35,8 @@ fn run(direction: Direction, workloads: &[Workload]) -> (f64, f64) {
 }
 
 fn main() {
-    let op = std::env::args()
-        .skip_while(|a| a != "--op")
-        .nth(1)
+    let op = Args::parse("fig12_hyperbench [--op deser|ser|both]")
+        .value("--op")
         .unwrap_or_else(|| "both".to_owned());
     let suite = generate_suite(48, 0xB0B);
     let workloads: Vec<Workload> = suite

@@ -16,6 +16,7 @@
 
 use hyperprotobench::generate_suite;
 use protoacc::{AccelConfig, ProtoAccelerator};
+use protoacc_bench::cli::Args;
 use protoacc_mem::{MemConfig, Memory};
 use protoacc_runtime::{object, reference, write_adts, BumpArena, MessageLayouts};
 use protoacc_schema::{MessageId, Schema};
@@ -200,15 +201,9 @@ fn reparse(path: &str) -> bool {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let reparse_path = args
-        .iter()
-        .position(|a| a == "--reparse")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
-    let ok = if let Some(path) = reparse_path {
+    let args = Args::parse("profile_report [--smoke] [--reparse TRACE.json]");
+    let smoke = args.flag("--smoke");
+    let ok = if let Some(path) = args.value::<String>("--reparse") {
         reparse(&path)
     } else {
         profile_suite(if smoke { 8 } else { 48 })

@@ -33,6 +33,7 @@ use std::process::ExitCode;
 
 use protoacc::serve::{CommandRecord, CommandStatus};
 use protoacc::{DispatchPolicy, ServeConfig};
+use protoacc_bench::cli::Args;
 use protoacc_bench::serving::{Staging, ARENA_BASE, ARENA_STRIDE};
 use protoacc_fleet::traffic::{ClosedLoop, TrafficMix};
 use protoacc_mem::{Cycles, MemConfig, Memory};
@@ -93,7 +94,9 @@ fn server(methods: Vec<Method>) -> RpcServer {
     )
 }
 
-/// Everything one sweep cell reports.
+/// Everything one sweep cell reports. The replay gate compares cells by
+/// value.
+#[derive(Debug, PartialEq)]
 struct Cell {
     discipline: &'static str,
     rho: f64,
@@ -113,27 +116,6 @@ struct Cell {
 }
 
 impl Cell {
-    /// Canonical textual form for the determinism check.
-    fn fingerprint(&self) -> String {
-        format!(
-            "offered={} ok={} fallback={} rejected={} failed={} shed={} dropped={} \
-             frames={} frame_errors={} deferred={} goodput={:.6} p50={} p99={}",
-            self.offered,
-            self.ok,
-            self.fallback,
-            self.rejected,
-            self.failed,
-            self.shed,
-            self.dropped,
-            self.frames,
-            self.frame_errors,
-            self.deferred,
-            self.goodput,
-            self.p50,
-            self.p99
-        )
-    }
-
     /// Every offered request must land in exactly one terminal bucket.
     fn accounting_ok(&self) -> bool {
         self.ok + self.fallback + self.rejected + self.failed + self.shed + self.dropped
@@ -179,9 +161,9 @@ fn summarize(discipline: &'static str, rho: f64, srv: &RpcServer) -> Cell {
     }
 }
 
-/// One open-loop cell: a Poisson frame schedule at mean gap `gap`, spread
-/// round-robin across [`CONNS`] connections.
-fn open_loop_cell(mix: &TrafficMix, rho: f64, n_req: usize, gap: f64, with_deadline: bool) -> Cell {
+/// Serves a Poisson frame schedule of `n_req` requests at mean gap `gap`,
+/// spread round-robin across [`CONNS`] connections, and returns the server.
+fn open_loop(mix: &TrafficMix, n_req: usize, gap: f64, with_deadline: bool) -> RpcServer {
     let mut mem = Memory::new(MemConfig::default());
     let methods = Staging::new(mix, &mut mem).methods(mix);
     let mut srng = StdRng::seed_from_u64(STREAM_SEED);
@@ -197,7 +179,7 @@ fn open_loop_cell(mix: &TrafficMix, rho: f64, n_req: usize, gap: f64, with_deadl
         .collect();
     let mut srv = server(methods);
     srv.serve(&mut mem, &frames).expect("rpc serve succeeds");
-    summarize("open", rho, &srv)
+    srv
 }
 
 /// One closed-loop cell: `users` clients (one connection each), each
@@ -232,14 +214,6 @@ fn closed_loop_cell(mix: &TrafficMix, rho: f64, users: usize, total: usize, thin
         clients.complete(user, completion, &mut rng);
     }
     summarize("closed", rho, &srv)
-}
-
-fn arg(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
 }
 
 fn render_json(mode: &str, service: f64, cells: &[Cell]) -> String {
@@ -291,21 +265,7 @@ fn sweep(n_req: usize, check_determinism: bool, shards: usize) -> (f64, Vec<Cell
 
     // Calibrate uncontended mean service on a sparse deadline-free stream.
     let service = {
-        let mut mem = Memory::new(MemConfig::default());
-        let methods = Staging::new(&mix, &mut mem).methods(&mix);
-        let mut srng = StdRng::seed_from_u64(STREAM_SEED);
-        let events = mix.stream(&mut srng, 64, 10_000_000.0);
-        let frames: Vec<IncomingFrame> = events
-            .iter()
-            .enumerate()
-            .map(|(i, e)| IncomingFrame {
-                conn: i % CONNS,
-                arrival: e.arrival,
-                bytes: request_frame(&methods, e.prototype, e.deser, false),
-            })
-            .collect();
-        let mut srv = server(methods);
-        srv.serve(&mut mem, &frames).expect("rpc serve succeeds");
+        let srv = open_loop(&mix, 64, 10_000_000.0, false);
         let records = srv.cluster().records();
         records.iter().map(|r| r.service).sum::<u64>() as f64 / records.len().max(1) as f64
     };
@@ -336,7 +296,7 @@ fn sweep(n_req: usize, check_determinism: bool, shards: usize) -> (f64, Vec<Cell
         .collect();
     let run_cell = |_: usize, spec: &CellSpec| {
         if spec.discipline == "open" {
-            open_loop_cell(&mix, spec.rho, n_req, spec.gap, true)
+            summarize("open", spec.rho, &open_loop(&mix, n_req, spec.gap, true))
         } else {
             closed_loop_cell(&mix, spec.rho, spec.users, n_req, service)
         }
@@ -350,14 +310,11 @@ fn sweep(n_req: usize, check_determinism: bool, shards: usize) -> (f64, Vec<Cell
         // --shards 1 it degenerates to the run-twice replay check.
         let reference = protoacc::run_indexed(&specs, 1, run_cell);
         for (cell, again) in cells.iter().zip(&reference) {
-            if cell.fingerprint() != again.fingerprint() {
+            if cell != again {
                 println!(
                     "FAIL [{} rho={}]: diverged from the sequential reference\n  \
-                     sharded:    {}\n  sequential: {}",
-                    cell.discipline,
-                    cell.rho,
-                    cell.fingerprint(),
-                    again.fingerprint()
+                     sharded:    {cell:?}\n  sequential: {again:?}",
+                    cell.discipline, cell.rho
                 );
                 failures += 1;
             }
@@ -386,7 +343,7 @@ fn sweep(n_req: usize, check_determinism: bool, shards: usize) -> (f64, Vec<Cell
             );
             failures += 1;
         }
-        println!("ok   [{label}] {}", cell.fingerprint());
+        println!("ok   [{label}] {cell:?}");
     }
 
     // Overload gates, per discipline: goodput at the 2x cell must hold at
@@ -419,10 +376,12 @@ fn sweep(n_req: usize, check_determinism: bool, shards: usize) -> (f64, Vec<Cell
 }
 
 fn main() -> ExitCode {
-    let smoke = flag("--smoke");
-    let out_path = arg("--out").unwrap_or_else(|| "target/BENCH_rpc.json".to_string());
-    let shards: usize =
-        arg("--shards").map_or(1, |s| s.parse().expect("--shards takes a worker count"));
+    let args = Args::parse("serve_rpc [--smoke] [--out PATH] [--shards N]");
+    let smoke = args.flag("--smoke");
+    let out_path = args
+        .value("--out")
+        .unwrap_or_else(|| "target/BENCH_rpc.json".to_string());
+    let shards = args.value("--shards").unwrap_or(1);
     let n_req = if smoke { 160 } else { 512 };
 
     println!(

@@ -37,16 +37,14 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use protoacc::{
-    DispatchPolicy, InstanceFault, Request, RequestOp, ServeCluster, ServeConfig, ShardOutcome,
-    ShardedCluster,
-};
+use protoacc::{DispatchPolicy, InstanceFault, Request, RequestOp, ServeConfig, ShardedCluster};
 use protoacc_absint::{Envelope, ServiceBounds};
-use protoacc_bench::serving::{Staging, ARENA_BASE, ARENA_STRIDE};
+use protoacc_bench::cli::Args;
+use protoacc_bench::serving::{run_cell, Capture, Staging, CORRUPT_BASE, DEST_BASE, DEST_LEN};
 use protoacc_faults::memory::{arm_random_ecc, arm_random_stalls};
 use protoacc_faults::wire::corrupt;
 use protoacc_faults::WIRE_FAULTS;
-use protoacc_faults::{random_script, InstanceFaultPlan, SoftwareFallback};
+use protoacc_faults::{random_script, InstanceFaultPlan};
 use protoacc_fleet::traffic::{TrafficEvent, TrafficMix};
 use protoacc_lint::{findings_to_diagnostics, LintConfig, LintReport};
 use protoacc_mem::{Cycles, MemConfig, Memory};
@@ -58,24 +56,76 @@ use xrand::{Rng, StdRng};
 const MIX_SEED: u64 = 0xF1EE7;
 /// Seed for the arrival process.
 const STREAM_SEED: u64 = 0x10AD;
-/// Gives every deserialization its own destination object. The shared
-/// staging reuses one slot per prototype, which is a genuine arena-aliasing
-/// hazard (PA009) the moment two instances deserialize the same prototype
+
+const USAGE: &str = "serve_tail_latency [--smoke] [--sanitize] [--faults] [--trace OUT.json] \
+                     [--shards N] [--bench-shards OUT.json] [--commands N]";
+
+/// The fleet mix of `prototypes` prototypes every mode replays.
+fn fleet_mix(prototypes: usize) -> TrafficMix {
+    TrafficMix::build(&mut StdRng::seed_from_u64(MIX_SEED), prototypes)
+}
+
+/// `n` arrivals at mean gap `gap`, drawn from [`STREAM_SEED`].
+fn stream(mix: &TrafficMix, n: usize, gap: f64) -> Vec<TrafficEvent> {
+    mix.stream(&mut StdRng::seed_from_u64(STREAM_SEED), n, gap)
+}
+
+fn config(instances: usize, queue_depth: usize, policy: DispatchPolicy) -> ServeConfig {
+    ServeConfig {
+        instances,
+        queue_depth,
+        policy,
+        ..ServeConfig::default()
+    }
+}
+
+/// Runs one cluster over the default memory as the one-cell decomposition.
+fn one_cell(
+    mix: &TrafficMix,
+    cfg: ServeConfig,
+    capture: Capture,
+    build: impl Fn(&Staging, &mut Memory) -> (Vec<Request>, Vec<InstanceFault>) + Sync,
+) -> ShardedCluster {
+    ShardedCluster::run(&[()], 1, |shard, ()| {
+        run_cell(shard, mix, MemConfig::default(), cfg, capture, &build)
+    })
+}
+
+/// Runs `events` through one fault-free cluster with nothing captured.
+fn clean(mix: &TrafficMix, events: &[TrafficEvent], cfg: ServeConfig) -> ShardedCluster {
+    one_cell(mix, cfg, Capture::default(), |staging, _| {
+        (staging.requests(events), Vec::new())
+    })
+}
+
+/// Runs `events` with footprint capture on, optionally traced, giving
+/// every deserialization its own destination object. The shared staging
+/// reuses one slot per prototype, which is a genuine arena-aliasing hazard
+/// (PA009) the moment two instances deserialize the same prototype
 /// concurrently — acceptable for pure timing studies, but exactly what a
 /// sanitized run must not do.
-fn to_requests_isolated(
+fn isolated(
+    mix: &TrafficMix,
     events: &[TrafficEvent],
-    staging: &Staging,
-    dests: &mut BumpArena,
-) -> Vec<Request> {
-    let mut requests = staging.requests(events);
-    for (r, e) in requests.iter_mut().zip(events) {
-        if let RequestOp::Deserialize { dest_obj, .. } = &mut r.op {
-            let size = staging.protos[e.prototype].object_size;
-            *dest_obj = dests.alloc(size, 8).expect("dest arena");
+    cfg: ServeConfig,
+    trace: bool,
+) -> ShardedCluster {
+    let capture = Capture {
+        trace,
+        footprints: true,
+        fallback: false,
+    };
+    one_cell(mix, cfg, capture, |staging, _| {
+        let mut dests = BumpArena::new(DEST_BASE, DEST_LEN);
+        let mut requests = staging.requests(events);
+        for (r, e) in requests.iter_mut().zip(events) {
+            if let RequestOp::Deserialize { dest_obj, .. } = &mut r.op {
+                let size = staging.protos[e.prototype].object_size;
+                *dest_obj = dests.alloc(size, 8).expect("dest arena");
+            }
         }
-    }
-    requests
+        (requests, Vec::new())
+    })
 }
 
 /// `--sanitize`: instrumented replays through the absint race/hazard
@@ -83,30 +133,21 @@ fn to_requests_isolated(
 /// tracing on and per-event destination objects; any PA007/PA008/PA009
 /// finding fails the run through the lint severity machinery.
 fn sanitize_mode() -> bool {
-    let mut rng = StdRng::seed_from_u64(MIX_SEED);
-    let mix = TrafficMix::build(&mut rng, 8);
+    let mix = fleet_mix(8);
+    let envelopes = Staging::new(&mix, &mut Memory::new(MemConfig::default())).envelopes(&mix);
     let lint_cfg = LintConfig::default();
     let mut ok = true;
     for &instances in &[1usize, 2, 4] {
-        let mut srng = StdRng::seed_from_u64(STREAM_SEED);
-        let events = mix.stream(&mut srng, 96, 2_000.0);
-        let mut mem = Memory::new(MemConfig::default());
-        let staging = Staging::new(&mix, &mut mem);
-        let envelopes = staging.envelopes(&mix);
-        let mut dests = BumpArena::new(0xC000_0000, 1 << 28);
-        let requests = to_requests_isolated(&events, &staging, &mut dests);
-        let mut cluster = ServeCluster::new(
+        let events = stream(&mix, 96, 2_000.0);
+        let run = isolated(
+            &mix,
+            &events,
             config(instances, 32, DispatchPolicy::Fifo),
-            ARENA_BASE,
-            ARENA_STRIDE,
+            false,
         );
-        cluster.set_trace_footprints(true);
-        cluster
-            .run(&mut mem, &requests)
-            .expect("serve run succeeds");
-
-        let bounds: Vec<ServiceBounds> = cluster
-            .records()
+        let cell = &run.outcomes()[0];
+        let bounds: Vec<ServiceBounds> = cell
+            .records
             .iter()
             .map(|r| {
                 let (deser_env, ser_env) = &envelopes[events[r.seq].prototype];
@@ -120,11 +161,11 @@ fn sanitize_mode() -> bool {
             })
             .collect();
         let findings = protoacc_absint::sanitize(
-            cluster.records(),
-            cluster.footprints(),
+            &cell.records,
+            &cell.footprints,
             instances,
             events.len() as u64,
-            cluster.dropped(),
+            cell.dropped,
             &bounds,
         );
         let diagnostics = findings_to_diagnostics(&findings, &lint_cfg);
@@ -132,7 +173,7 @@ fn sanitize_mode() -> bool {
         if diagnostics.is_empty() {
             println!(
                 "ok   [{label}] {} command(s) clean: lifecycle, aliasing, envelopes",
-                cluster.records().len()
+                cell.records.len()
             );
         } else {
             for d in &diagnostics {
@@ -156,135 +197,6 @@ fn sanitize_mode() -> bool {
     ok
 }
 
-/// Outcome of one cluster run, with everything the tables need.
-struct RunResult {
-    completed: usize,
-    dropped: u64,
-    p50: u64,
-    p95: u64,
-    p99: u64,
-    gbits: f64,
-    mean_service: f64,
-    /// Per-instance (accesses, dram_fraction) pairs.
-    per_instance: Vec<(u64, u64, u64, f64)>,
-    invariants: Result<(), String>,
-}
-
-impl RunResult {
-    /// Canonical textual form used for the determinism check: every
-    /// timestamp-derived number a run produces.
-    fn fingerprint(&self) -> String {
-        format!(
-            "completed={} dropped={} p50={} p95={} p99={} gbits={:.6} mean_service={:.3} per_instance={:?}",
-            self.completed,
-            self.dropped,
-            self.p50,
-            self.p95,
-            self.p99,
-            self.gbits,
-            self.mean_service,
-            self.per_instance
-        )
-    }
-}
-
-/// Collapses one finished cluster run into the report numbers.
-fn summarize(cluster: &ServeCluster, mem: &Memory, instances: usize) -> RunResult {
-    let records = cluster.records();
-    let mean_service = if records.is_empty() {
-        0.0
-    } else {
-        records.iter().map(|r| r.service).sum::<u64>() as f64 / records.len() as f64
-    };
-    let per_instance = (0..instances)
-        .map(|i| {
-            let s = cluster.instance_mem_stats(mem, i);
-            (s.accesses, s.bytes, s.llc_hits, s.dram_fraction())
-        })
-        .collect();
-    RunResult {
-        completed: records.len(),
-        dropped: cluster.dropped(),
-        p50: cluster.latency_percentile(50.0),
-        p95: cluster.latency_percentile(95.0),
-        p99: cluster.latency_percentile(99.0),
-        gbits: cluster.throughput_gbits(),
-        mean_service,
-        per_instance,
-        invariants: cluster.check_invariants(),
-    }
-}
-
-/// Stages a fresh memory image and runs one stream through one cluster.
-fn run_stream(mix: &TrafficMix, events: &[TrafficEvent], config: ServeConfig) -> RunResult {
-    let mut mem = Memory::new(MemConfig::default());
-    let requests = Staging::new(mix, &mut mem).requests(events);
-    let mut cluster = ServeCluster::new(config, ARENA_BASE, ARENA_STRIDE);
-    cluster
-        .run(&mut mem, &requests)
-        .expect("serve run succeeds");
-    summarize(&cluster, &mem, config.instances)
-}
-
-/// Everything one traced (or untraced reference) cell produces.
-struct TracedCell {
-    result: RunResult,
-    records: Vec<protoacc::CommandRecord>,
-    footprints: Vec<protoacc::serve::CommandFootprint>,
-    offered: u64,
-    dropped: u64,
-    expected: Vec<protoacc_trace::ExpectedStats>,
-}
-
-/// Runs one isolated-destination cell, optionally with the event tracer
-/// attached. Footprint capture is on in both cases so the traced and
-/// untraced runs are exercised identically.
-fn traced_cell(
-    mix: &TrafficMix,
-    events: &[TrafficEvent],
-    cfg: ServeConfig,
-    tracer: Option<protoacc_trace::SharedTracer>,
-) -> TracedCell {
-    let mut mem = Memory::new(MemConfig::default());
-    let staging = Staging::new(mix, &mut mem);
-    let mut dests = BumpArena::new(0xC000_0000, 1 << 28);
-    let requests = to_requests_isolated(events, &staging, &mut dests);
-    let mut cluster = ServeCluster::new(cfg, ARENA_BASE, ARENA_STRIDE);
-    cluster.set_trace_footprints(true);
-    let attached = tracer.is_some();
-    if attached {
-        cluster.set_tracer(tracer);
-    }
-    cluster
-        .run(&mut mem, &requests)
-        .expect("serve run succeeds");
-    if attached {
-        cluster.set_tracer(None);
-    }
-    let expected = (0..cfg.instances)
-        .map(|i| {
-            let s = cluster.instance_stats(i);
-            s.debug_assert_unsaturated();
-            protoacc_trace::ExpectedStats {
-                instance: i,
-                deser_ops: s.deser_ops,
-                deser_cycles: s.deser_cycles,
-                ser_ops: s.ser_ops,
-                ser_cycles: s.ser_cycles,
-                saturated: s.saturated,
-            }
-        })
-        .collect();
-    TracedCell {
-        result: summarize(&cluster, &mem, cfg.instances),
-        records: cluster.records().to_vec(),
-        footprints: cluster.footprints().to_vec(),
-        offered: cluster.offered(),
-        dropped: cluster.dropped(),
-        expected,
-    }
-}
-
 /// `--trace <out.json>`: runs one cell untraced and once with the
 /// structured-event tracer attached, then checks the whole trace contract:
 ///
@@ -298,28 +210,27 @@ fn traced_cell(
 ///    stats image embedded, so `profile_report --reparse` can re-run the
 ///    audit offline.
 fn trace_mode(path: &str) -> bool {
-    let mut rng = StdRng::seed_from_u64(MIX_SEED);
-    let mix = TrafficMix::build(&mut rng, 8);
+    let mix = fleet_mix(8);
     let cfg = config(2, 16, DispatchPolicy::Fifo);
-    let mut srng = StdRng::seed_from_u64(STREAM_SEED);
-    let events = mix.stream(&mut srng, 48, 5_000.0);
+    let events = stream(&mix, 48, 5_000.0);
 
-    let base = traced_cell(&mix, &events, cfg, None);
-    let log = protoacc_trace::TraceLog::shared();
-    let cell = traced_cell(&mix, &events, cfg, Some(log.clone()));
-    let evs = std::mem::take(&mut log.borrow_mut().events);
+    let base = isolated(&mix, &events, cfg, false);
+    let run = isolated(&mix, &events, cfg, true);
+    let cell = &run.outcomes()[0];
+    let evs = &cell.events;
+    let expected = run.expected_stats();
 
     let mut ok = true;
-    if base.result.fingerprint() != cell.result.fingerprint() {
+    if base.fingerprint() != run.fingerprint() {
         println!(
             "FAIL [trace]: tracing perturbed the run\n  untraced: {}\n  traced:   {}",
-            base.result.fingerprint(),
-            cell.result.fingerprint()
+            base.fingerprint(),
+            run.fingerprint()
         );
         ok = false;
     }
 
-    let report = protoacc_trace::audit(&evs, &cell.expected);
+    let report = protoacc_trace::audit(evs, &expected);
     if report.ok() {
         println!(
             "ok   [trace audit] {} instance(s): traced span sums match AccelStats exactly",
@@ -334,7 +245,7 @@ fn trace_mode(path: &str) -> bool {
 
     // Trace-derived records must reproduce the live cluster's, down to the
     // status discriminant (the typed fault detail does not survive export).
-    let (trecords, toffered, tdropped) = protoacc_absint::from_trace::records_from_trace(&evs);
+    let (trecords, toffered, tdropped) = protoacc_absint::from_trace::records_from_trace(evs);
     if (toffered, tdropped) != (cell.offered, cell.dropped) || trecords.len() != cell.records.len()
     {
         println!(
@@ -368,7 +279,7 @@ fn trace_mode(path: &str) -> bool {
             }
         }
     }
-    let tfps = protoacc_absint::from_trace::footprints_from_trace(&evs, cfg.instances);
+    let tfps = protoacc_absint::from_trace::footprints_from_trace(evs, cfg.instances);
     if tfps != cell.footprints {
         println!(
             "FAIL [trace derive]: {} trace-derived footprint(s) diverge from the live capture",
@@ -385,7 +296,7 @@ fn trace_mode(path: &str) -> bool {
         cell.dropped,
         &[],
     );
-    let derived = protoacc_absint::from_trace::sanitize_trace(&evs, cfg.instances, &[]);
+    let derived = protoacc_absint::from_trace::sanitize_trace(evs, cfg.instances, &[]);
     if !live.is_empty() || !derived.is_empty() {
         println!(
             "FAIL [trace sanitize]: live {} finding(s), trace-derived {} finding(s)",
@@ -395,7 +306,7 @@ fn trace_mode(path: &str) -> bool {
         ok = false;
     }
 
-    let json = protoacc_trace::chrome::export(&evs, &cell.expected);
+    let json = protoacc_trace::chrome::export(evs, &expected);
     if let Err(e) = std::fs::write(path, &json) {
         println!("FAIL [trace]: writing {path}: {e}");
         return false;
@@ -410,24 +321,9 @@ fn trace_mode(path: &str) -> bool {
     ok
 }
 
-fn config(instances: usize, queue_depth: usize, policy: DispatchPolicy) -> ServeConfig {
-    ServeConfig {
-        instances,
-        queue_depth,
-        policy,
-        ..ServeConfig::default()
-    }
-}
-
 /// Seed for fault-injection schedules (instance scripts, armed memory
 /// faults, wire corruption routing).
 const FAULT_SEED: u64 = 0xFA_17;
-/// Guest region for corrupted copies of the staged wire inputs.
-const CORRUPT_BASE: u64 = 0x3000_0000;
-/// Guest regions for the software fallback codec's private arena and
-/// serializer output.
-const FB_ARENA: (u64, u64) = (0x4000_0000, 1 << 24);
-const FB_OUT: u64 = 0x5000_0000;
 
 /// The fault classes the `--faults` sweep injects, one per plane rung:
 /// instance-plane crash/hang/slow scripts, memory-plane ECC and stall
@@ -477,43 +373,6 @@ fn to_requests_watchdogged(
     requests
 }
 
-/// Outcome of one fault-injected cluster run.
-struct FaultRunResult {
-    offered: u64,
-    completed: usize,
-    dropped: u64,
-    served: u64,
-    ok: u64,
-    fallback: u64,
-    rejected: u64,
-    failed: u64,
-    retries: u64,
-    quarantined: usize,
-    p99: u64,
-    gbits: f64,
-}
-
-impl FaultRunResult {
-    fn fingerprint(&self) -> String {
-        format!(
-            "offered={} completed={} dropped={} served={} ok={} fallback={} rejected={} \
-             failed={} retries={} quarantined={} p99={} gbits={:.6}",
-            self.offered,
-            self.completed,
-            self.dropped,
-            self.served,
-            self.ok,
-            self.fallback,
-            self.rejected,
-            self.failed,
-            self.retries,
-            self.quarantined,
-            self.p99,
-            self.gbits
-        )
-    }
-}
-
 /// One cell of the fault sweep: stages a fresh memory image, injects
 /// `class` at intensity `rate`, and replays `events` through an
 /// `instances`-wide cluster with the software CPU fallback wired in.
@@ -532,92 +391,73 @@ fn run_faulted(
     instances: usize,
     class: &str,
     rate: f64,
-) -> FaultRunResult {
-    let mut mem = Memory::new(MemConfig::default());
-    let staging = Staging::new(mix, &mut mem);
-    let envs = staging.envelopes(mix);
-    // Mix the class name into the seed so each cell draws an independent
-    // (but replayable) schedule.
-    let class_hash = class
-        .bytes()
-        .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(u64::from(b)));
-    let mut frng = StdRng::seed_from_u64(FAULT_SEED ^ class_hash);
-
-    // Wire plane: stage one corrupted copy per prototype (cycling through
-    // the wire fault classes) and route a seeded `rate` fraction of
-    // deserializations at them.
-    let mut corrupt_cursor = CORRUPT_BASE;
-    let copies: Vec<(u64, u64)> = mix
-        .prototypes
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let wire = reference::encode(&p.message, &mix.schema).unwrap();
-            let bad = corrupt(&wire, WIRE_FAULTS[i % WIRE_FAULTS.len()], &mut frng);
-            let addr = corrupt_cursor;
-            mem.data.write_bytes(addr, &bad);
-            corrupt_cursor += bad.len() as u64 + 64;
-            (addr, bad.len() as u64)
-        })
-        .collect();
-    let routing = (class == "flip").then_some((copies.as_slice(), rate, &mut frng));
-    let requests = to_requests_watchdogged(events, &staging, &envs, instances, routing);
-
-    // Memory plane: arm one-shot faults inside the staged wire inputs so
-    // the deserializer's streaming reads trip them.
-    let regions: Vec<(u64, u64)> = staging
-        .protos
-        .iter()
-        .map(|s| (s.input_addr, s.input_len))
-        .collect();
-    let armed = ((events.len() as f64 * rate).round() as usize).max(1);
-    match class {
-        "ecc" => arm_random_ecc(&mut mem.system, &regions, armed, &mut frng),
-        "stall" => arm_random_stalls(&mut mem.system, &regions, armed, 1 << 32, &mut frng),
-        _ => {}
-    }
-
-    // Instance plane: a seeded crash/hang/slow script over the offered
-    // window.
-    let horizon: Cycles = events.last().map_or(1, |e| e.arrival.max(1));
-    let plan = match class {
-        "crash" => InstanceFaultPlan::crash_only(rate),
-        "hang" => InstanceFaultPlan::hang_only(rate),
-        "slow" => InstanceFaultPlan::slow_only(rate),
-        _ => InstanceFaultPlan::nominal(),
+) -> ShardedCluster {
+    let capture = Capture {
+        fallback: true,
+        ..Capture::default()
     };
-    let faults: Vec<InstanceFault> = random_script(&plan, instances, horizon, &mut frng);
-
-    let mut fb = SoftwareFallback::new(
-        &mix.schema,
-        &staging.layouts,
-        &staging.adts,
-        FB_ARENA,
-        FB_OUT,
-    );
-    let mut cluster = ServeCluster::new(
+    one_cell(
+        mix,
         config(instances, 256, DispatchPolicy::Fifo),
-        ARENA_BASE,
-        ARENA_STRIDE,
-    );
-    cluster
-        .run_with(&mut mem, &requests, &faults, Some(&mut fb))
-        .expect("serve run succeeds");
-    let (ok, fallback, rejected, failed, _) = cluster.status_counts();
-    FaultRunResult {
-        offered: cluster.offered(),
-        completed: cluster.records().len(),
-        dropped: cluster.dropped(),
-        served: cluster.served(),
-        ok,
-        fallback,
-        rejected,
-        failed,
-        retries: cluster.retries(),
-        quarantined: cluster.quarantined_instances().len(),
-        p99: cluster.latency_percentile(99.0),
-        gbits: cluster.throughput_gbits(),
-    }
+        capture,
+        |staging, mem| {
+            let envs = staging.envelopes(mix);
+            // Mix the class name into the seed so each cell draws an independent
+            // (but replayable) schedule.
+            let class_hash = class
+                .bytes()
+                .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(u64::from(b)));
+            let mut frng = StdRng::seed_from_u64(FAULT_SEED ^ class_hash);
+
+            // Wire plane: stage one corrupted copy per prototype (cycling through
+            // the wire fault classes) and route a seeded `rate` fraction of
+            // deserializations at them.
+            let mut corrupt_cursor = CORRUPT_BASE;
+            let copies: Vec<(u64, u64)> = mix
+                .prototypes
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let wire = reference::encode(&p.message, &mix.schema).unwrap();
+                    let bad = corrupt(&wire, WIRE_FAULTS[i % WIRE_FAULTS.len()], &mut frng);
+                    let addr = corrupt_cursor;
+                    mem.data.write_bytes(addr, &bad);
+                    corrupt_cursor += bad.len() as u64 + 64;
+                    (addr, bad.len() as u64)
+                })
+                .collect();
+            let routing = (class == "flip").then_some((copies.as_slice(), rate, &mut frng));
+            let requests = to_requests_watchdogged(events, staging, &envs, instances, routing);
+
+            // Memory plane: arm one-shot faults inside the staged wire inputs so
+            // the deserializer's streaming reads trip them.
+            let regions: Vec<(u64, u64)> = staging
+                .protos
+                .iter()
+                .map(|s| (s.input_addr, s.input_len))
+                .collect();
+            let armed = ((events.len() as f64 * rate).round() as usize).max(1);
+            match class {
+                "ecc" => arm_random_ecc(&mut mem.system, &regions, armed, &mut frng),
+                "stall" => arm_random_stalls(&mut mem.system, &regions, armed, 1 << 32, &mut frng),
+                _ => {}
+            }
+
+            // Instance plane: a seeded crash/hang/slow script over the offered
+            // window.
+            let horizon: Cycles = events.last().map_or(1, |e| e.arrival.max(1));
+            let plan = match class {
+                "crash" => InstanceFaultPlan::crash_only(rate),
+                "hang" => InstanceFaultPlan::hang_only(rate),
+                "slow" => InstanceFaultPlan::slow_only(rate),
+                _ => InstanceFaultPlan::nominal(),
+            };
+            (
+                requests,
+                random_script(&plan, instances, horizon, &mut frng),
+            )
+        },
+    )
 }
 
 /// `--faults`: graceful-degradation sweep. Fault classes x kill-rates on a
@@ -626,11 +466,9 @@ fn run_faulted(
 /// latency, and goodput (completed wire bytes over the makespan — rejected
 /// and failed commands move zero bytes).
 fn faults_full() -> ExitCode {
-    let mut rng = StdRng::seed_from_u64(MIX_SEED);
-    let mix = TrafficMix::build(&mut rng, 8);
+    let mix = fleet_mix(8);
     let instances = 4;
-    let mut srng = StdRng::seed_from_u64(STREAM_SEED);
-    let events = mix.stream(&mut srng, 256, 2_000.0);
+    let events = stream(&mix, 256, 2_000.0);
     println!(
         "Fault sweep: {} requests, {instances} instances, watchdog = absint upper bound",
         events.len()
@@ -650,7 +488,7 @@ fn faults_full() -> ExitCode {
         "p99 cyc",
         "Gbits/s"
     );
-    let nominal = run_faulted(&mix, &events, instances, "none", 0.0);
+    let mut nominal_p99 = 0;
     let mut ok = true;
     for class in std::iter::once("none").chain(FAULT_CLASSES) {
         let rates: &[f64] = if class == "none" {
@@ -660,29 +498,33 @@ fn faults_full() -> ExitCode {
         };
         for &rate in rates {
             let res = run_faulted(&mix, &events, instances, class, rate);
-            if res.failed > 0 {
+            let (served_ok, fallback, rejected, failed, _) = res.status_counts();
+            let p99 = res.latency_percentile(99.0);
+            if class == "none" {
+                nominal_p99 = p99;
+            }
+            if failed > 0 {
                 ok = false;
             }
             println!(
                 "{class:<8} {rate:>6.2} {:>8.1}% {:>8} {:>6} {:>9} {:>9} {:>7} {:>8} {:>6} {:>12} {:>10.3}",
-                res.served as f64 / res.completed.max(1) as f64 * 100.0,
-                res.ok,
-                res.fallback,
-                res.rejected,
-                res.failed,
-                res.dropped,
-                res.retries,
-                res.quarantined,
-                res.p99,
-                res.gbits
+                res.served() as f64 / res.completed().max(1) as f64 * 100.0,
+                served_ok,
+                fallback,
+                rejected,
+                failed,
+                res.dropped(),
+                res.retries(),
+                res.outcomes()[0].quarantined.len(),
+                p99,
+                res.aggregate_gbits()
             );
         }
     }
     println!();
     println!(
-        "(nominal p99 = {} cycles; every row above must serve 100% of admitted load —\n\
-         a Failed command means the degradation ladder has a hole)",
-        nominal.p99
+        "(nominal p99 = {nominal_p99} cycles; every row above must serve 100% of admitted load —\n\
+         a Failed command means the degradation ladder has a hole)"
     );
     if ok {
         ExitCode::SUCCESS
@@ -696,28 +538,31 @@ fn faults_full() -> ExitCode {
 /// class at kill-rate 0.5 runs twice on a small stream; any Failed command,
 /// shed load, unrecovered hang, or replay divergence fails the process.
 fn faults_smoke() -> ExitCode {
-    let mut rng = StdRng::seed_from_u64(MIX_SEED);
-    let mix = TrafficMix::build(&mut rng, 8);
+    let mix = fleet_mix(8);
     let instances = 4;
     let mut failures = 0;
     for class in FAULT_CLASSES {
-        let mut srng = StdRng::seed_from_u64(STREAM_SEED);
-        let events = mix.stream(&mut srng, 48, 3_000.0);
+        let events = stream(&mix, 48, 3_000.0);
         let a = run_faulted(&mix, &events, instances, class, 0.5);
         let b = run_faulted(&mix, &events, instances, class, 0.5);
         let label = format!("faults class={class} rate=0.5");
-        if a.failed > 0 {
-            println!("FAIL [{label}]: {} command(s) failed outright", a.failed);
+        let (_, _, _, failed, _) = a.status_counts();
+        if failed > 0 {
+            println!("FAIL [{label}]: {failed} command(s) failed outright");
             failures += 1;
         }
-        if a.dropped > 0 {
-            println!("FAIL [{label}]: {} request(s) shed under faults", a.dropped);
+        if a.dropped() > 0 {
+            println!(
+                "FAIL [{label}]: {} request(s) shed under faults",
+                a.dropped()
+            );
             failures += 1;
         }
-        if a.served != a.completed as u64 {
+        if a.served() != a.completed() as u64 {
             println!(
                 "FAIL [{label}]: served {} of {} admitted requests",
-                a.served, a.completed
+                a.served(),
+                a.completed()
             );
             failures += 1;
         }
@@ -742,18 +587,16 @@ fn faults_smoke() -> ExitCode {
 /// Tiny CI grid: every config runs twice; invariant violations or report
 /// divergence fail the process.
 fn smoke() -> ExitCode {
-    let mut rng = StdRng::seed_from_u64(MIX_SEED);
-    let mix = TrafficMix::build(&mut rng, 8);
+    let mix = fleet_mix(8);
     let mut failures = 0;
     for &instances in &[1usize, 2] {
         for &policy in &[DispatchPolicy::Fifo, DispatchPolicy::RoundRobin] {
-            let mut srng = StdRng::seed_from_u64(STREAM_SEED);
-            let events = mix.stream(&mut srng, 48, 5_000.0);
+            let events = stream(&mix, 48, 5_000.0);
             let cfg = config(instances, 16, policy);
-            let a = run_stream(&mix, &events, cfg);
-            let b = run_stream(&mix, &events, cfg);
+            let a = clean(&mix, &events, cfg);
+            let b = clean(&mix, &events, cfg);
             let label = format!("n={instances} policy={}", policy.label());
-            if let Err(e) = &a.invariants {
+            if let Err(e) = a.check_invariants() {
                 println!("FAIL [{label}]: invariant violated: {e}");
                 failures += 1;
             }
@@ -765,7 +608,7 @@ fn smoke() -> ExitCode {
                 );
                 failures += 1;
             }
-            if a.completed as u64 + a.dropped != 48 {
+            if a.completed() as u64 + a.dropped() != 48 {
                 println!("FAIL [{label}]: accounting leak in report");
                 failures += 1;
             }
@@ -781,8 +624,7 @@ fn smoke() -> ExitCode {
 }
 
 fn full() -> ExitCode {
-    let mut rng = StdRng::seed_from_u64(MIX_SEED);
-    let mix = TrafficMix::build(&mut rng, 32);
+    let mix = fleet_mix(32);
     println!(
         "Serving model: fleet-mix traffic ({} prototypes, mean {:.0} wire bytes, {:.0}% deser)",
         mix.prototypes.len(),
@@ -791,16 +633,14 @@ fn full() -> ExitCode {
     );
 
     // Calibrate mean service time on an uncontended single instance.
-    let mut srng = StdRng::seed_from_u64(STREAM_SEED);
-    let calib_events = mix.stream(&mut srng, 128, 10_000_000.0);
-    let calib = run_stream(&mix, &calib_events, config(1, 64, DispatchPolicy::Fifo));
-    let service = calib.mean_service;
+    let calib = clean(
+        &mix,
+        &stream(&mix, 128, 10_000_000.0),
+        config(1, 64, DispatchPolicy::Fifo),
+    );
+    let calib = &calib.outcomes()[0];
+    let service = calib.service_cycles() as f64 / calib.records.len().max(1) as f64;
     println!("calibration: mean uncontended service = {service:.0} cycles\n");
-
-    let stream_of = |n_req: usize, gap: f64| {
-        let mut r = StdRng::seed_from_u64(STREAM_SEED);
-        mix.stream(&mut r, n_req, gap)
-    };
 
     // --- Throughput scaling vs instance count under saturating load. ---
     let saturating_gap = service / 16.0;
@@ -817,28 +657,29 @@ fn full() -> ExitCode {
         "efficiency"
     );
     let mut single = 0.0f64;
-    let mut scaling = Vec::new();
+    let mut eight = None;
     for n in [1usize, 2, 4, 8] {
-        let events = stream_of(512, saturating_gap);
-        let res = run_stream(&mix, &events, config(n, 64, DispatchPolicy::Fifo));
-        if let Err(e) = &res.invariants {
+        let events = stream(&mix, 512, saturating_gap);
+        let res = clean(&mix, &events, config(n, 64, DispatchPolicy::Fifo));
+        if let Err(e) = res.check_invariants() {
             println!("invariant violated at n={n}: {e}");
             return ExitCode::FAILURE;
         }
+        let gbits = res.aggregate_gbits();
         if n == 1 {
-            single = res.gbits;
+            single = gbits;
         }
         println!(
             "{n:<10} {:>10} {:>8} {:>12} {:>12} {:>12} {:>14.3} {:>10.0}%",
-            res.completed,
-            res.dropped,
-            res.p50,
-            res.p95,
-            res.p99,
-            res.gbits,
-            res.gbits / (single * n as f64) * 100.0
+            res.completed(),
+            res.dropped(),
+            res.latency_percentile(50.0),
+            res.latency_percentile(95.0),
+            res.latency_percentile(99.0),
+            gbits,
+            gbits / (single * n as f64) * 100.0
         );
-        scaling.push((n, res));
+        eight = Some(res);
     }
     println!();
 
@@ -849,17 +690,17 @@ fn full() -> ExitCode {
         "policy", "completed", "dropped", "p50 cyc", "p95 cyc", "p99 cyc", "Gbits/s"
     );
     for policy in [DispatchPolicy::Fifo, DispatchPolicy::RoundRobin] {
-        let events = stream_of(512, service / 8.0);
-        let res = run_stream(&mix, &events, config(4, 64, policy));
+        let events = stream(&mix, 512, service / 8.0);
+        let res = clean(&mix, &events, config(4, 64, policy));
         println!(
             "{:<14} {:>10} {:>8} {:>12} {:>12} {:>12} {:>14.3}",
             policy.label(),
-            res.completed,
-            res.dropped,
-            res.p50,
-            res.p95,
-            res.p99,
-            res.gbits
+            res.completed(),
+            res.dropped(),
+            res.latency_percentile(50.0),
+            res.latency_percentile(95.0),
+            res.latency_percentile(99.0),
+            res.aggregate_gbits()
         );
     }
     println!();
@@ -872,24 +713,39 @@ fn full() -> ExitCode {
     );
     for rho in [0.25f64, 0.5, 1.0, 2.0, 4.0] {
         let gap = service / (4.0 * rho);
-        let events = stream_of(512, gap);
-        let res = run_stream(&mix, &events, config(4, 64, DispatchPolicy::Fifo));
+        let res = clean(
+            &mix,
+            &stream(&mix, 512, gap),
+            config(4, 64, DispatchPolicy::Fifo),
+        );
         println!(
             "{rho:<8} {:>12.0} {:>10} {:>8} {:>12} {:>12} {:>12} {:>14.3}",
-            gap, res.completed, res.dropped, res.p50, res.p95, res.p99, res.gbits
+            gap,
+            res.completed(),
+            res.dropped(),
+            res.latency_percentile(50.0),
+            res.latency_percentile(95.0),
+            res.latency_percentile(99.0),
+            res.aggregate_gbits()
         );
     }
     println!();
 
     // --- Per-requester memory attribution from the saturated 8-way run. ---
-    let (_, eight) = &scaling[3];
+    let eight = eight.expect("the scaling sweep ends at 8 instances");
     println!("Per-instance memory traffic (8-way saturated run)");
     println!(
         "{:<10} {:>12} {:>14} {:>10} {:>10}",
         "instance", "accesses", "bytes", "llc hits", "dram frac"
     );
-    for (i, (accesses, bytes, llc_hits, dram)) in eight.per_instance.iter().enumerate() {
-        println!("{i:<10} {accesses:>12} {bytes:>14} {llc_hits:>10} {dram:>10.4}");
+    for (i, s) in eight.outcomes()[0].mem_stats.iter().enumerate() {
+        println!(
+            "{i:<10} {:>12} {:>14} {:>10} {:>10.4}",
+            s.accesses,
+            s.bytes,
+            s.llc_hits,
+            s.dram_fraction()
+        );
     }
     println!();
     println!(
@@ -914,58 +770,26 @@ const SHARD_CELLS: usize = 8;
 /// sequential model does.
 const SHARD_INSTANCES: usize = 2;
 
-/// One cell of the fixed decomposition: its index plus its independently
-/// seeded traffic stream.
-struct ShardCell {
-    shard: usize,
-    events: Vec<TrafficEvent>,
-}
-
-/// Builds the fixed decomposition: `SHARD_CELLS` streams drawn through the
-/// SplitMix64 seed split, each replayable from `(STREAM_SEED, shard)`
-/// alone.
-fn shard_cells(mix: &TrafficMix, per_shard: usize, gap: f64) -> Vec<ShardCell> {
-    mix.shard_streams(STREAM_SEED, SHARD_CELLS, per_shard, gap)
-        .into_iter()
-        .enumerate()
-        .map(|(shard, events)| ShardCell { shard, events })
-        .collect()
-}
-
-/// Runs one shard end-to-end on the calling thread: a private memory
-/// system holding the cell's `1/SHARD_CELLS` LLC slice, private staging,
-/// a private cluster, and (optionally) a private trace log. Everything is
-/// built inside this function so workers never share simulation state —
-/// the outcome is a pure function of `(mix, cell)`.
-fn run_shard_cell(mix: &TrafficMix, cell: &ShardCell, traced: bool) -> ShardOutcome {
-    let mut mem = Memory::new(MemConfig::default().llc_slice(SHARD_CELLS));
-    let requests = Staging::new(mix, &mut mem).requests(&cell.events);
-    let mut cluster = ServeCluster::new(
-        config(SHARD_INSTANCES, 32, DispatchPolicy::Fifo),
-        ARENA_BASE,
-        ARENA_STRIDE,
-    );
-    let log = traced.then(protoacc_trace::TraceLog::shared);
-    if let Some(log) = &log {
-        cluster.set_tracer(Some(log.clone()));
-    }
-    cluster
-        .run(&mut mem, &requests)
-        .expect("serve run succeeds");
-    cluster.set_tracer(None);
-    let events = log.map_or_else(Vec::new, |l| std::mem::take(&mut l.borrow_mut().events));
-    ShardOutcome::capture(cell.shard, &cluster, &mem, events)
-}
-
-/// Simulates the fixed decomposition on up to `workers` threads and merges
-/// deterministically in shard-index order.
+/// Simulates the fixed decomposition — one cell per stream of
+/// `mix.shard_streams`, each on a private `1/SHARD_CELLS` LLC slice — on up
+/// to `workers` threads, and merges deterministically in shard-index order.
 fn run_sharded(
     mix: &TrafficMix,
-    cells: &[ShardCell],
+    streams: &[Vec<TrafficEvent>],
     workers: usize,
-    traced: bool,
+    trace: bool,
 ) -> ShardedCluster {
-    ShardedCluster::run(cells, workers, |_, cell| run_shard_cell(mix, cell, traced))
+    let mem = MemConfig::default().llc_slice(SHARD_CELLS);
+    let cfg = config(SHARD_INSTANCES, 32, DispatchPolicy::Fifo);
+    let capture = Capture {
+        trace,
+        ..Capture::default()
+    };
+    ShardedCluster::run(streams, workers, |shard, events| {
+        run_cell(shard, mix, mem, cfg, capture, |staging, _| {
+            (staging.requests(events), Vec::new())
+        })
+    })
 }
 
 /// `--shards N`: the sequential-vs-sharded equivalence gate. Runs the
@@ -976,9 +800,8 @@ fn run_sharded(
 /// fingerprint is printed on its own line so CI can also diff it across
 /// separate invocations (`--shards 4` vs `--shards 1`).
 fn shard_smoke(workers: usize) -> bool {
-    let mut rng = StdRng::seed_from_u64(MIX_SEED);
-    let mix = TrafficMix::build(&mut rng, 8);
-    let cells = shard_cells(&mix, 48, 3_000.0);
+    let mix = fleet_mix(8);
+    let cells = mix.shard_streams(STREAM_SEED, SHARD_CELLS, 48, 3_000.0);
     let sequential = run_sharded(&mix, &cells, 1, true);
     let sharded = run_sharded(&mix, &cells, workers, true);
     let mut ok = true;
@@ -1024,10 +847,9 @@ fn shard_smoke(workers: usize) -> bool {
 /// speedup table as JSON. Fails if 4 workers are not at least as fast as
 /// 1 (speedup < 1.0x).
 fn bench_shards(path: &str, total_commands: usize) -> ExitCode {
-    let mut rng = StdRng::seed_from_u64(MIX_SEED);
-    let mix = TrafficMix::build(&mut rng, 16);
+    let mix = fleet_mix(16);
     let per_shard = (total_commands / SHARD_CELLS).max(1);
-    let cells = shard_cells(&mix, per_shard, 2_000.0);
+    let cells = mix.shard_streams(STREAM_SEED, SHARD_CELLS, per_shard, 2_000.0);
     println!(
         "Shard scaling: {} commands over {SHARD_CELLS} cells x {SHARD_INSTANCES} instances",
         per_shard * SHARD_CELLS
@@ -1123,22 +945,14 @@ fn bench_shards(path: &str, total_commands: usize) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke_flag = args.iter().any(|a| a == "--smoke");
-    let sanitize_flag = args.iter().any(|a| a == "--sanitize");
-    let faults_flag = args.iter().any(|a| a == "--faults");
-    let arg_of = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let trace_path = arg_of("--trace");
-    let shard_workers: Option<usize> =
-        arg_of("--shards").map(|s| s.parse().expect("--shards takes a worker count"));
-    let commands: usize =
-        arg_of("--commands").map_or(1_000_000, |s| s.parse().expect("--commands takes a count"));
-    if let Some(path) = arg_of("--bench-shards") {
+    let args = Args::parse(USAGE);
+    let smoke_flag = args.flag("--smoke");
+    let sanitize_flag = args.flag("--sanitize");
+    let faults_flag = args.flag("--faults");
+    let trace_path: Option<String> = args.value("--trace");
+    let shard_workers: Option<usize> = args.value("--shards");
+    let commands = args.value("--commands").unwrap_or(1_000_000);
+    if let Some(path) = args.value::<String>("--bench-shards") {
         return bench_shards(&path, commands);
     }
     if sanitize_flag && !sanitize_mode() {

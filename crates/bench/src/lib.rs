@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod lintrep;
 pub mod report;
 pub mod serving;

@@ -9,7 +9,11 @@
 //! |---------------------------------|-----------------|
 //! | ADTs (+ default instances)      | [`ADT_BASE`]    |
 //! | wire inputs, 64-byte gaps       | [`INPUT_BASE`]  |
+//! | corrupted copies of the inputs  | [`CORRUPT_BASE`]|
+//! | software fallback arena         | [`FB_ARENA`]    |
+//! | software fallback output        | [`FB_OUT`]      |
 //! | object graph + destination slot | [`OBJECT_BASE`] |
+//! | isolated destination objects    | [`DEST_BASE`]   |
 //! | per-instance accelerator arenas | [`ARENA_BASE`]  |
 //!
 //! Addresses depend only on the mix, so two stagings of the same mix into
@@ -17,20 +21,42 @@
 //! its ready-made `Deserialize` and `Serialize` ops; [`Staging::requests`]
 //! maps a traffic stream onto them. Envelopes and the RPC method table are
 //! derived only on request, since the absint pass is the expensive part.
+//!
+//! [`run_cell`] is the one way a study runs a serving cell: stage into a
+//! fresh memory, build the requests and fault script, run one cluster and
+//! capture it as a [`ShardOutcome`]. A single-cluster study is the
+//! one-cell decomposition, `ShardedCluster::run(&[()], 1, ..)`.
 
-use protoacc::{AccelConfig, Request, RequestOp};
+use protoacc::{
+    AccelConfig, InstanceFault, Request, RequestOp, ServeCluster, ServeConfig, ShardOutcome,
+};
 use protoacc_absint::Envelope;
+use protoacc_faults::SoftwareFallback;
 use protoacc_fleet::traffic::{TrafficEvent, TrafficMix};
 use protoacc_mem::{MemConfig, Memory};
 use protoacc_rpc::Method;
 use protoacc_runtime::{object, reference, write_adts, AdtTables, BumpArena, MessageLayouts};
+use protoacc_trace::TraceLog;
 
 /// Base of the ADT region.
 pub const ADT_BASE: u64 = 0x1_0000;
 /// Base of the wire-input region.
 pub const INPUT_BASE: u64 = 0x2000_0000;
+/// Base of the region for corrupted copies of the wire inputs.
+pub const CORRUPT_BASE: u64 = 0x3000_0000;
+/// `(base, len)` of the software fallback codec's private arena.
+pub const FB_ARENA: (u64, u64) = (0x4000_0000, 1 << 24);
+/// Where the software fallback codec writes serialization output.
+pub const FB_OUT: u64 = 0x5000_0000;
 /// Base of the object-graph region.
 pub const OBJECT_BASE: u64 = 0x8000_0000;
+/// Length of the object-graph region.
+const OBJECT_LEN: u64 = 1 << 30;
+/// Base of the arena for per-request destination objects, so that no two
+/// deserializations share one.
+pub const DEST_BASE: u64 = 0xC000_0000;
+/// Length of the destination-object arena.
+pub const DEST_LEN: u64 = 1 << 28;
 /// Base of the cluster's per-instance accelerator arenas.
 pub const ARENA_BASE: u64 = 0x1_0000_0000;
 /// Per-instance slice of the arena region (64 MiB).
@@ -80,7 +106,7 @@ impl Staging {
         let adts = write_adts(&mix.schema, &layouts, &mut mem.data, &mut setup)
             .expect("ADTs fit below the input region");
         let mut input_addr = INPUT_BASE;
-        let mut objects = BumpArena::new(OBJECT_BASE, 1 << 30);
+        let mut objects = BumpArena::new(OBJECT_BASE, OBJECT_LEN);
         let protos = mix
             .prototypes
             .iter()
@@ -187,9 +213,73 @@ impl Staging {
     }
 }
 
+/// What a cell records beyond the counters every [`ShardOutcome`] holds.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Capture {
+    /// Attach a trace log; its events land in [`ShardOutcome::events`].
+    pub trace: bool,
+    /// Capture per-command memory footprints for the aliasing sanitizer.
+    pub footprints: bool,
+    /// Wire in the software CPU codec as the last rung of the degradation
+    /// ladder, over [`FB_ARENA`] and [`FB_OUT`].
+    pub fallback: bool,
+}
+
+/// Runs one serving cell end to end on the calling thread: stages `mix`
+/// into a fresh memory built from `mem`, lets `build` turn the staging into
+/// the requests and the instance-fault script (it may also arm memory
+/// faults or stage more bytes), runs one `cfg`-wide cluster and captures it
+/// as shard `shard`. Everything is built here, so the outcome is a pure
+/// function of the arguments.
+///
+/// # Panics
+///
+/// If the mix does not fit the address plan or the cluster reports a
+/// driver-level failure.
+pub fn run_cell(
+    shard: usize,
+    mix: &TrafficMix,
+    mem: MemConfig,
+    cfg: ServeConfig,
+    capture: Capture,
+    build: impl FnOnce(&Staging, &mut Memory) -> (Vec<Request>, Vec<InstanceFault>),
+) -> ShardOutcome {
+    let mut mem = Memory::new(mem);
+    let staging = Staging::new(mix, &mut mem);
+    let (requests, faults) = build(&staging, &mut mem);
+    let mut fallback = capture.fallback.then(|| {
+        SoftwareFallback::new(
+            &mix.schema,
+            &staging.layouts,
+            &staging.adts,
+            FB_ARENA,
+            FB_OUT,
+        )
+    });
+    let mut cluster = ServeCluster::new(cfg, ARENA_BASE, ARENA_STRIDE);
+    cluster.set_trace_footprints(capture.footprints);
+    let log = capture.trace.then(TraceLog::shared);
+    if let Some(log) = &log {
+        cluster.set_tracer(Some(log.clone()));
+    }
+    cluster
+        .run_with(
+            &mut mem,
+            &requests,
+            &faults,
+            fallback.as_mut().map(|f| f as _),
+        )
+        .expect("serve run succeeds");
+    cluster.set_tracer(None);
+    let events = log.map_or_else(Vec::new, |l| std::mem::take(&mut l.borrow_mut().events));
+    ShardOutcome::capture(shard, &cluster, &mem, events)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use protoacc_faults::wire::corrupt;
+    use protoacc_faults::WIRE_FAULTS;
     use xrand::StdRng;
 
     fn mix() -> TrafficMix {
@@ -234,7 +324,24 @@ mod tests {
             assert!(s.input_addr >= input_floor);
             input_floor = s.input_addr + s.input_len + INPUT_GAP;
         }
-        assert!(input_floor <= OBJECT_BASE);
+        assert!(input_floor <= CORRUPT_BASE);
+        // One corrupted copy per prototype, under any wire fault, with the
+        // same gap, fits below the fallback's arena and output.
+        let mut rng = StdRng::seed_from_u64(0xFA_17);
+        let corrupt_len: u64 = mix
+            .prototypes
+            .iter()
+            .map(|p| {
+                let wire = reference::encode(&p.message, &mix.schema).unwrap();
+                WIRE_FAULTS
+                    .iter()
+                    .map(|&f| corrupt(&wire, f, &mut rng).len() as u64 + INPUT_GAP)
+                    .max()
+                    .unwrap()
+            })
+            .sum();
+        assert!(CORRUPT_BASE + corrupt_len <= FB_ARENA.0);
+        const { assert!(FB_ARENA.0 + FB_ARENA.1 <= FB_OUT && FB_OUT < OBJECT_BASE) };
         // Each prototype's graph starts at its root and ends where its
         // destination slot begins; the next prototype starts past the slot.
         let mut object_floor = OBJECT_BASE;
@@ -244,7 +351,8 @@ mod tests {
             assert!(dest_obj >= obj_ptr + s.object_size);
             object_floor = dest_obj + s.object_size;
         }
-        assert!(object_floor <= ARENA_BASE);
+        assert!(object_floor <= DEST_BASE);
+        const { assert!(OBJECT_BASE + OBJECT_LEN <= DEST_BASE && DEST_BASE + DEST_LEN <= ARENA_BASE) };
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::sync::Mutex;
 use protoacc_mem::{Cycles, Memory, RequesterStats};
 use protoacc_trace::TraceEvent;
 
-use crate::serve::{CommandRecord, ServeCluster};
+use crate::serve::{CommandFootprint, CommandRecord, ServeCluster};
 use crate::stats::AccelStats;
 
 /// Runs `run(i, &tasks[i])` for every task and returns the results in task
@@ -125,6 +125,9 @@ pub struct ShardOutcome {
     /// Trace events in shard-local id/timestamp space (empty when no
     /// tracer was attached).
     pub events: Vec<TraceEvent>,
+    /// Per-command memory footprints (empty unless the cluster captured
+    /// them, see `ServeCluster::set_trace_footprints`).
+    pub footprints: Vec<CommandFootprint>,
 }
 
 impl ShardOutcome {
@@ -157,6 +160,7 @@ impl ShardOutcome {
             quarantined: cluster.quarantined_instances(),
             invariants: cluster.check_invariants(),
             events,
+            footprints: cluster.footprints().to_vec(),
         }
     }
 
@@ -164,6 +168,12 @@ impl ShardOutcome {
     #[must_use]
     pub fn instances(&self) -> usize {
         self.instance_stats.len()
+    }
+
+    /// Total service cycles over this shard's completed records.
+    #[must_use]
+    pub fn service_cycles(&self) -> Cycles {
+        self.records.iter().map(|r| r.service).sum()
     }
 }
 
@@ -385,8 +395,9 @@ impl ShardedCluster {
     }
 
     /// Canonical textual form of everything the merge produces: per-shard
-    /// counters in shard order, then the merged stats block, percentile
-    /// set, and status counts. Two runs of the same decomposition must
+    /// counters, service cycles and per-instance memory attribution in
+    /// shard order, then the merged stats block, percentile set, and
+    /// status counts. Two runs of the same decomposition must
     /// produce identical fingerprints at *any* worker count — this is the
     /// string the sequential-vs-sharded equivalence gates compare.
     #[must_use]
@@ -397,7 +408,7 @@ impl ShardedCluster {
             let _ = write!(
                 out,
                 "shard{}[completed={} offered={} dropped={} shed={} retries={} served={} \
-                 bytes={} gbits={:.6} quarantined={:?}] ",
+                 bytes={} gbits={:.6} quarantined={:?} service={} mem={:?}] ",
                 o.shard,
                 o.records.len(),
                 o.offered,
@@ -408,6 +419,8 @@ impl ShardedCluster {
                 o.completed_wire_bytes,
                 o.gbits,
                 o.quarantined,
+                o.service_cycles(),
+                o.mem_stats,
             );
         }
         let stats = self.merged_stats();

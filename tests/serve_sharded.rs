@@ -18,22 +18,25 @@
 //! Each workload's stitched multi-shard trace log must also pass the
 //! accounting audit: per-instance span sums equal the merged `AccelStats`
 //! exactly, and no command span leaks across the shard boundaries.
+//!
+//! The single-cluster studies rest on one more property: a cluster run as
+//! a one-cell decomposition reports exactly what the cluster itself does,
+//! and the fingerprint sees every quantity those studies print.
 
 use protoacc_suite::accel::{
-    DispatchPolicy, ServeCluster, ServeConfig, ShardOutcome, ShardedCluster,
+    DispatchPolicy, InstanceFault, Request, ServeCluster, ServeConfig, ShardOutcome, ShardedCluster,
 };
-use protoacc_suite::bench::serving::{Staging, ARENA_BASE, ARENA_STRIDE};
+use protoacc_suite::bench::serving::{
+    self, Capture, Staging, ARENA_BASE, ARENA_STRIDE, FB_ARENA, FB_OUT,
+};
 use protoacc_suite::faults::{random_script, InstanceFaultPlan, SoftwareFallback};
 use protoacc_suite::fleet::traffic::{TrafficEvent, TrafficMix};
 use protoacc_suite::mem::{Cycles, MemConfig, Memory};
-use protoacc_suite::trace::TraceLog;
 use protoacc_suite::xrand::StdRng;
 
 const MIX_SEED: u64 = 0xF1EE7;
 const STREAM_SEED: u64 = 0x10AD;
 const FAULT_SEED: u64 = 0xFA_17;
-const FB_ARENA: (u64, u64) = (0x4000_0000, 1 << 24);
-const FB_OUT: u64 = 0x5000_0000;
 
 /// Cells in the fixed decomposition (independent of worker count).
 const CELLS: usize = 8;
@@ -71,71 +74,78 @@ impl Workload {
     }
 }
 
-/// Runs one cell end-to-end on the calling thread: private memory system
-/// (its LLC slice), private staging, private cluster, private trace log.
-/// A pure function of `(mix, shard, events, workload)` — the determinism
-/// oracle rests on that.
+/// The serve configuration every cell of `workload` runs under.
+fn config(workload: Workload) -> ServeConfig {
+    ServeConfig {
+        instances: INSTANCES,
+        queue_depth: workload.queue_depth(),
+        policy: DispatchPolicy::Fifo,
+        ..ServeConfig::default()
+    }
+}
+
+/// The requests and instance-fault script of cell `shard` of `workload`.
+fn cell_inputs(
+    staging: &Staging,
+    shard: usize,
+    events: &[TrafficEvent],
+    workload: Workload,
+) -> (Vec<Request>, Vec<InstanceFault>) {
+    let mut requests = staging.requests(events);
+    if workload == Workload::ShedHeavy {
+        // Each request carries an admission-cost estimate and an absolute
+        // deadline with little slack over it: once the overload backlog
+        // pushes an instance's free time a few thousand cycles past
+        // arrival, the estimate blows the deadline and admission control
+        // sheds pre-enqueue.
+        for r in &mut requests {
+            r.cost = Some(30_000);
+            r.deadline = Some(r.arrival + 35_000);
+        }
+    }
+    if workload != Workload::Faulted {
+        return (requests, Vec::new());
+    }
+    // Per-shard crash script, replayable from (FAULT_SEED, shard) alone.
+    let horizon: Cycles = events.last().map_or(1, |e| e.arrival.max(1));
+    let mut frng = StdRng::seed_from_u64(FAULT_SEED ^ shard as u64);
+    let plan = InstanceFaultPlan::crash_only(0.5);
+    (
+        requests,
+        random_script(&plan, INSTANCES, horizon, &mut frng),
+    )
+}
+
+/// What a cell of `workload` records: its trace log always, and for the
+/// faulted workload the software CPU codec backstopping quarantined
+/// instances.
+fn capture(workload: Workload) -> Capture {
+    Capture {
+        trace: true,
+        footprints: false,
+        fallback: workload == Workload::Faulted,
+    }
+}
+
+/// Runs one traced cell through the shared cell runner: private memory
+/// system (its LLC slice), private staging, private cluster, private trace
+/// log. A pure function of `(mix, shard, events, workload)` — the
+/// determinism oracle rests on that.
 fn run_cell(
     mix: &TrafficMix,
     shard: usize,
     events: &[TrafficEvent],
     workload: Workload,
 ) -> ShardOutcome {
-    let mut mem = Memory::new(MemConfig::default().llc_slice(CELLS));
-    let staging = Staging::new(mix, &mut mem);
-    let mut requests = staging.requests(events);
-    if workload == Workload::ShedHeavy {
-        // Each request carries an admission-cost estimate and an absolute
-        // deadline with little slack over it: once the overload backlog
-        // pushes an instance's free time a few thousand cycles past arrival,
-        // the estimate blows the deadline and admission control sheds
-        // pre-enqueue.
-        for r in &mut requests {
-            r.cost = Some(30_000);
-            r.deadline = Some(r.arrival + 35_000);
-        }
-    }
-    let mut cluster = ServeCluster::new(
-        ServeConfig {
-            instances: INSTANCES,
-            queue_depth: workload.queue_depth(),
-            policy: DispatchPolicy::Fifo,
-            ..ServeConfig::default()
-        },
-        ARENA_BASE,
-        ARENA_STRIDE,
-    );
-    let log = TraceLog::shared();
-    cluster.set_tracer(Some(log.clone()));
-    if workload == Workload::Faulted {
-        // Per-shard crash script, replayable from (FAULT_SEED, shard)
-        // alone; the software CPU codec backstops quarantined instances.
-        let horizon: Cycles = events.last().map_or(1, |e| e.arrival.max(1));
-        let mut frng = StdRng::seed_from_u64(FAULT_SEED ^ shard as u64);
-        let faults = random_script(
-            &InstanceFaultPlan::crash_only(0.5),
-            INSTANCES,
-            horizon,
-            &mut frng,
-        );
-        let mut fb = SoftwareFallback::new(
-            &mix.schema,
-            &staging.layouts,
-            &staging.adts,
-            FB_ARENA,
-            FB_OUT,
-        );
-        cluster
-            .run_with(&mut mem, &requests, &faults, Some(&mut fb))
-            .expect("faulted serve run succeeds");
-    } else {
-        cluster
-            .run(&mut mem, &requests)
-            .expect("serve run succeeds");
-    }
-    cluster.set_tracer(None);
-    let events = std::mem::take(&mut log.borrow_mut().events);
-    ShardOutcome::capture(shard, &cluster, &mem, events)
+    let mem = MemConfig::default().llc_slice(CELLS);
+    serving::run_cell(
+        shard,
+        mix,
+        mem,
+        config(workload),
+        capture(workload),
+        |staging, _| cell_inputs(staging, shard, events, workload),
+    )
 }
 
 /// Runs the fixed decomposition for `workload` on `workers` threads.
@@ -234,4 +244,118 @@ fn shed_heavy_workload_is_bit_identical_across_worker_counts() {
         run.dropped(),
         run.offered()
     );
+}
+
+/// Runs the inputs of cell `k` of `workload` directly on a `ServeCluster`
+/// and as a one-cell decomposition, and checks every merged accessor
+/// against the cluster's own.
+fn assert_one_cell_equals_cluster(workload: Workload, k: usize) -> ShardedCluster {
+    let mix = TrafficMix::build(&mut StdRng::seed_from_u64(MIX_SEED), 8);
+    let events = &mix.shard_streams(STREAM_SEED, CELLS, PER_SHARD, workload.gap())[k];
+    let cfg = config(workload);
+    let mem_cfg = MemConfig::default().llc_slice(CELLS);
+
+    let mut mem = Memory::new(mem_cfg);
+    let staging = Staging::new(&mix, &mut mem);
+    let (requests, faults) = cell_inputs(&staging, k, events, workload);
+    let mut fb = SoftwareFallback::new(
+        &mix.schema,
+        &staging.layouts,
+        &staging.adts,
+        FB_ARENA,
+        FB_OUT,
+    );
+    let fb = (workload == Workload::Faulted).then_some(&mut fb as _);
+    let mut cluster = ServeCluster::new(cfg, ARENA_BASE, ARENA_STRIDE);
+    cluster
+        .run_with(&mut mem, &requests, &faults, fb)
+        .expect("serve run succeeds");
+
+    let one = ShardedCluster::run(&[()], 1, |shard, ()| {
+        serving::run_cell(
+            shard,
+            &mix,
+            mem_cfg,
+            cfg,
+            capture(workload),
+            |staging, _| cell_inputs(staging, k, events, workload),
+        )
+    });
+
+    for p in [50.0, 95.0, 99.0, 99.9] {
+        assert_eq!(
+            one.latency_percentile(p),
+            cluster.latency_percentile(p),
+            "p{p}"
+        );
+    }
+    assert_eq!(
+        one.aggregate_gbits().to_bits(),
+        cluster.throughput_gbits().to_bits()
+    );
+    assert_eq!(one.status_counts(), cluster.status_counts());
+    assert_eq!(one.served(), cluster.served());
+    assert_eq!(one.retries(), cluster.retries());
+    assert_eq!(one.completed(), cluster.records().len());
+    assert_eq!(one.dropped(), cluster.dropped());
+    let expected = one.expected_stats();
+    assert_eq!(expected.len(), cfg.instances);
+    for (i, e) in expected.iter().enumerate() {
+        let s = cluster.instance_stats(i);
+        assert_eq!(
+            (
+                e.instance,
+                e.deser_ops,
+                e.deser_cycles,
+                e.ser_ops,
+                e.ser_cycles,
+                e.saturated
+            ),
+            (
+                i,
+                s.deser_ops,
+                s.deser_cycles,
+                s.ser_ops,
+                s.ser_cycles,
+                s.saturated
+            )
+        );
+        assert_eq!(
+            one.outcomes()[0].mem_stats[i],
+            cluster.instance_mem_stats(&mem, i)
+        );
+    }
+    one
+}
+
+#[test]
+fn a_one_cell_decomposition_reports_what_the_cluster_does() {
+    let mut bitten = 0;
+    for k in 0..CELLS {
+        assert_one_cell_equals_cluster(Workload::Clean, k);
+        let faulted = assert_one_cell_equals_cluster(Workload::Faulted, k);
+        let (_, fallback, _, _, _) = faulted.status_counts();
+        if faulted.retries() + fallback > 0 || !faulted.outcomes()[0].quarantined.is_empty() {
+            bitten += 1;
+        }
+    }
+    assert!(bitten > 0, "no crash script touched its cluster");
+}
+
+#[test]
+fn the_fingerprint_sees_memory_attribution_and_service() {
+    let one = assert_one_cell_equals_cluster(Workload::Clean, 0);
+    let base = one.outcomes()[0].clone();
+    let rerun = |edit: &dyn Fn(&mut ShardOutcome)| {
+        let mut out = base.clone();
+        edit(&mut out);
+        ShardedCluster::run(&[()], 1, |_, ()| out.clone()).fingerprint()
+    };
+    assert_eq!(rerun(&|_| {}), one.fingerprint());
+    assert_ne!(rerun(&|o| o.mem_stats[1].bytes += 1), one.fingerprint());
+    assert_ne!(
+        rerun(&|o| o.mem_stats[0].dram_accesses += 1),
+        one.fingerprint()
+    );
+    assert_ne!(rerun(&|o| o.records[7].service += 1), one.fingerprint());
 }
