@@ -6,6 +6,9 @@
 #   1. formatting           cargo fmt --check
 #   2. lints                cargo clippy --all-targets -- -D warnings
 #   3. tier-1 tests         cargo build --release && cargo test
+#   3b. figure generators   run_ae_full regenerates every paper table, figure,
+#                           ablation and extension study into artifacts/
+#                           (fails if any generator exits nonzero)
 #   4. full workspace tests cargo test --workspace
 #   5. schema lint gate     protoacc-lint --format json protos/
 #                           (fails on any deny-level diagnostic)
@@ -94,6 +97,11 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== tier-1: release build + root test suite =="
 cargo build --offline --release
 cargo test --offline -q
+
+echo "== figure generators (run_ae_full) =="
+# Builds every generator bin first so run_ae_full runs its siblings directly.
+cargo build --offline -q --release -p protoacc-bench --bins
+cargo run --offline -q --release -p protoacc-bench --bin run_ae_full
 
 echo "== full workspace tests =="
 cargo test --offline --workspace -q

@@ -7,7 +7,7 @@
 use hyperprotobench::{Generator, ServiceProfile};
 use protoacc::AccelConfig;
 use protoacc_bench::ubench::nonalloc_workloads;
-use protoacc_bench::{geomean, measure_accel_config, Direction, Workload};
+use protoacc_bench::{geomean, measure, Direction, Workload};
 
 fn main() {
     let mut workloads = vec![];
@@ -28,7 +28,7 @@ fn main() {
         };
         let gbits: Vec<f64> = workloads
             .iter()
-            .map(|w| measure_accel_config(&config, w, Direction::Deserialize).gbits)
+            .map(|w| measure(config, w, Direction::Deserialize).gbits)
             .collect();
         println!("{entries:<14} {:>16.3}", geomean(&gbits));
     }

@@ -6,7 +6,7 @@
 use hyperprotobench::{Generator, ServiceProfile};
 use protoacc::asic::serializer_estimate;
 use protoacc::AccelConfig;
-use protoacc_bench::{measure_accel_config, Direction, Workload};
+use protoacc_bench::{measure, Direction, Workload};
 
 fn main() {
     // analytics-rows: wide records, many handle-field-ops per message.
@@ -27,7 +27,7 @@ fn main() {
             field_serializers: fsus,
             ..AccelConfig::default()
         };
-        let m = measure_accel_config(&config, &workload, Direction::Serialize);
+        let m = measure(config, &workload, Direction::Serialize);
         let est = serializer_estimate(&config);
         println!(
             "{fsus:<8} {:>14.3} {:>12.3} {:>12.2}",

@@ -53,11 +53,11 @@ fn main() {
     // Section 4.2).
     use protoacc::AccelConfig;
     use protoacc_bench::ubench::nonalloc_workloads;
-    use protoacc_bench::{geomean, measure_accel_config, Direction};
+    use protoacc_bench::{geomean, measure, Direction};
     let workloads = nonalloc_workloads();
     let sparse: Vec<f64> = workloads
         .iter()
-        .map(|w| measure_accel_config(&AccelConfig::default(), w, Direction::Deserialize).gbits)
+        .map(|w| measure(AccelConfig::default(), w, Direction::Deserialize).gbits)
         .collect();
     let dense_config = AccelConfig {
         dense_hasbits: true,
@@ -65,7 +65,7 @@ fn main() {
     };
     let dense: Vec<f64> = workloads
         .iter()
-        .map(|w| measure_accel_config(&dense_config, w, Direction::Deserialize).gbits)
+        .map(|w| measure(dense_config, w, Direction::Deserialize).gbits)
         .collect();
     println!();
     println!(

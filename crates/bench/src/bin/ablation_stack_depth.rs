@@ -5,7 +5,7 @@
 //! deeply nested chains at several stack depths.
 
 use protoacc::AccelConfig;
-use protoacc_bench::{measure_accel_config, Direction, Workload};
+use protoacc_bench::{measure, Direction, Workload};
 use protoacc_runtime::{MessageValue, Value};
 use protoacc_schema::{FieldType, SchemaBuilder};
 
@@ -48,7 +48,7 @@ fn main() {
                 stack_depth: stack,
                 ..AccelConfig::default()
             };
-            let m = measure_accel_config(&config, &workload, Direction::Deserialize);
+            let m = measure(config, &workload, Direction::Deserialize);
             print!(" {:>9.3}", m.gbits);
         }
         println!();

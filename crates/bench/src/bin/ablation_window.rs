@@ -7,7 +7,7 @@
 use protoacc::asic::deserializer_estimate;
 use protoacc::AccelConfig;
 use protoacc_bench::ubench::alloc_workloads;
-use protoacc_bench::{geomean, measure_accel_config, Direction};
+use protoacc_bench::{geomean, measure, Direction};
 
 fn main() {
     let workloads = alloc_workloads();
@@ -23,7 +23,7 @@ fn main() {
         };
         let gbits: Vec<f64> = workloads
             .iter()
-            .map(|w| measure_accel_config(&config, w, Direction::Deserialize).gbits)
+            .map(|w| measure(config, w, Direction::Deserialize).gbits)
             .collect();
         let est = deserializer_estimate(&config);
         println!(

@@ -6,87 +6,8 @@
 //! core, the stronger the case for offload.
 
 use protoacc_bench::ubench::nonalloc_workloads;
-use protoacc_bench::{geomean, measure, Direction, SystemKind, Workload};
-use protoacc_cpu::{CostTable, SoftwareCodec};
-use protoacc_mem::Memory;
-use protoacc_runtime::{reference, BumpArena, MessageLayouts};
-
-fn rocket_gbits(workload: &Workload, direction: Direction) -> f64 {
-    let cost = CostTable::rocket();
-    let layouts = MessageLayouts::compute(&workload.schema);
-    let mut mem = Memory::new(cost.mem);
-    let codec = SoftwareCodec::new(&cost);
-    let mut arena = BumpArena::new(0x1_0000_0000, 1 << 28);
-    let mut cycles = 0u64;
-    let mut bytes = 0u64;
-    match direction {
-        Direction::Deserialize => {
-            let mut inputs = Vec::new();
-            let mut cursor = 0x2000_0000u64;
-            for m in &workload.messages {
-                let wire = reference::encode(m, &workload.schema).unwrap();
-                mem.data.write_bytes(cursor, &wire);
-                inputs.push((cursor, wire.len() as u64));
-                cursor += wire.len() as u64 + 16;
-            }
-            for _ in 0..8 {
-                for &(addr, len) in &inputs {
-                    let dest = arena
-                        .alloc(layouts.layout(workload.type_id).object_size(), 8)
-                        .unwrap();
-                    let run = codec
-                        .deserialize(
-                            &mut mem,
-                            &workload.schema,
-                            &layouts,
-                            workload.type_id,
-                            addr,
-                            len,
-                            dest,
-                            &mut arena,
-                        )
-                        .unwrap();
-                    cycles += run.cycles;
-                    bytes += len;
-                }
-                arena.reset();
-            }
-        }
-        Direction::Serialize => {
-            let objects: Vec<u64> = workload
-                .messages
-                .iter()
-                .map(|m| {
-                    protoacc_runtime::object::write_message(
-                        &mut mem.data,
-                        &workload.schema,
-                        &layouts,
-                        &mut arena,
-                        m,
-                    )
-                    .unwrap()
-                })
-                .collect();
-            for _ in 0..8 {
-                for &obj in &objects {
-                    let (run, len) = codec
-                        .serialize(
-                            &mut mem,
-                            &workload.schema,
-                            &layouts,
-                            workload.type_id,
-                            obj,
-                            0x2000_0000,
-                        )
-                        .unwrap();
-                    cycles += run.cycles;
-                    bytes += len;
-                }
-            }
-        }
-    }
-    bytes as f64 * 8.0 * cost.freq_ghz / cycles as f64
-}
+use protoacc_bench::{geomean, measure, Direction, SystemKind};
+use protoacc_cpu::CostTable;
 
 fn main() {
     let workloads = nonalloc_workloads();
@@ -110,7 +31,7 @@ fn main() {
             .collect();
         let rocket: Vec<f64> = workloads
             .iter()
-            .map(|w| rocket_gbits(w, direction))
+            .map(|w| measure(CostTable::rocket(), w, direction).gbits)
             .collect();
         let label = match direction {
             Direction::Deserialize => "deserialize",

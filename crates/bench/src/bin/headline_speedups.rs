@@ -1,8 +1,8 @@
 //! Regenerates the paper's headline speedups (§5.1.3 and §5.2): overall
 //! microbenchmark and HyperProtoBench geomeans vs both baselines.
 //!
-//! Runs the complete Figure 11 and Figure 12/13 sweeps; expect a few
-//! minutes of simulation.
+//! Runs the complete Figure 11 and Figure 12/13 sweeps: about 2.5 s as a
+//! release build on a 2-vCPU Xeon host.
 
 use hyperprotobench::generate_suite;
 use protoacc_bench::ubench::{alloc_workloads, nonalloc_workloads};

@@ -17,20 +17,11 @@
 use hyperprotobench::generate_suite;
 use protoacc::{AccelConfig, ProtoAccelerator};
 use protoacc_bench::cli::Args;
+use protoacc_bench::systems::map;
 use protoacc_mem::{MemConfig, Memory};
 use protoacc_runtime::{object, reference, write_adts, BumpArena, MessageLayouts};
 use protoacc_schema::{MessageId, Schema};
 use protoacc_trace::{audit, chrome, render_profile, ExpectedStats, TraceEvent, TraceLog};
-
-/// Guest-memory map used by the harness (mirrors the bench library's).
-mod map {
-    pub const INPUT: u64 = 0x2000_0000;
-    pub const OBJECTS: u64 = 0x8000_0000;
-    pub const OUTPUT: u64 = 0x4000_0000;
-    pub const ARENA: u64 = 0x1_0000_0000;
-    pub const PTRS: u64 = 0x6000_0000;
-    pub const ARENA_LEN: u64 = 1 << 30;
-}
 
 struct ProfiledService {
     label: String,

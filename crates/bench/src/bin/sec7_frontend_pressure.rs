@@ -12,56 +12,8 @@
 //! refill cost.
 
 use protoacc_bench::ubench::nonalloc_workloads;
-use protoacc_bench::{geomean, measure, Direction, SystemKind, Workload};
-use protoacc_cpu::{CostTable, SoftwareCodec};
-use protoacc_mem::Memory;
-use protoacc_runtime::{BumpArena, MessageLayouts};
-
-/// Measures the boom baseline with a given frontend-flush tax.
-fn boom_with_flush(workload: &Workload, flush: u64) -> f64 {
-    let cost = CostTable {
-        frontend_flush_cycles: flush,
-        ..CostTable::boom()
-    };
-    let layouts = MessageLayouts::compute(&workload.schema);
-    let mut mem = Memory::new(cost.mem);
-    let codec = SoftwareCodec::new(&cost);
-    let mut arena = BumpArena::new(0x1_0000_0000, 1 << 28);
-    // Stage inputs.
-    let mut inputs = Vec::new();
-    let mut cursor = 0x2000_0000u64;
-    for m in &workload.messages {
-        let wire = protoacc_runtime::reference::encode(m, &workload.schema).unwrap();
-        mem.data.write_bytes(cursor, &wire);
-        inputs.push((cursor, wire.len() as u64));
-        cursor += wire.len() as u64 + 16;
-    }
-    let mut cycles = 0u64;
-    let mut bytes = 0u64;
-    for _ in 0..8 {
-        for &(addr, len) in &inputs {
-            let dest = arena
-                .alloc(layouts.layout(workload.type_id).object_size(), 8)
-                .unwrap();
-            let run = codec
-                .deserialize(
-                    &mut mem,
-                    &workload.schema,
-                    &layouts,
-                    workload.type_id,
-                    addr,
-                    len,
-                    dest,
-                    &mut arena,
-                )
-                .unwrap();
-            cycles += run.cycles;
-            bytes += len;
-        }
-        arena.reset();
-    }
-    bytes as f64 * 8.0 * cost.freq_ghz / cycles as f64
-}
+use protoacc_bench::{geomean, measure, Direction, SystemKind};
+use protoacc_cpu::CostTable;
 
 fn main() {
     let workloads = nonalloc_workloads();
@@ -77,9 +29,13 @@ fn main() {
     let accel_geo = geomean(&accel);
     let mut base_speedup = 0.0;
     for flush in [0u64, 500, 1000, 2000, 4000] {
+        let cost = CostTable {
+            frontend_flush_cycles: flush,
+            ..CostTable::boom()
+        };
         let boom: Vec<f64> = workloads
             .iter()
-            .map(|w| boom_with_flush(w, flush))
+            .map(|w| measure(cost.clone(), w, Direction::Deserialize).gbits)
             .collect();
         let boom_geo = geomean(&boom);
         let speedup = accel_geo / boom_geo;

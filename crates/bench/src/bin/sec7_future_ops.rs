@@ -10,7 +10,7 @@ use hyperprotobench::{Generator, ServiceProfile};
 use protoacc::{AccelConfig, ProtoAccelerator};
 use protoacc_bench::geomean;
 use protoacc_cpu::{CostTable, SoftwareCodec};
-use protoacc_fleet::gwp::{FleetProfile, ProtoOp};
+use protoacc_fleet::gwp::FleetProfile;
 use protoacc_mem::{MemConfig, Memory};
 use protoacc_runtime::{object, write_adts, BumpArena, MessageLayouts};
 
@@ -60,7 +60,6 @@ fn main() {
         "extended fleet-savings extrapolation: {:.2}% of fleet cycles",
         savings * 100.0
     );
-    let _ = ProtoOp::Merge;
 }
 
 /// Cycles for one pass of the op over a generated population (software).

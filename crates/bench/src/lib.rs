@@ -26,5 +26,5 @@ pub mod systems;
 pub mod ubench;
 
 pub use lintrep::{format_lint_table, lint_workload, WorkloadLint};
-pub use report::{format_gbits_table, geomean, Speedups};
-pub use systems::{measure, measure_accel_config, Direction, Measurement, SystemKind, Workload};
+pub use report::{format_gbits_table, geomean};
+pub use systems::{measure, Direction, Machine, Measurement, SystemKind, Workload};

@@ -11,32 +11,9 @@ pub fn geomean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Accelerator speedups over the two baselines, aggregated over a benchmark
-/// group (the paper's headline metrics).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Speedups {
-    /// Geomean accelerated throughput / geomean riscv-boom throughput.
-    pub vs_boom: f64,
-    /// Geomean accelerated throughput / geomean Xeon throughput.
-    pub vs_xeon: f64,
-}
-
-impl Speedups {
-    /// Computes speedups from per-workload rows of `(boom, xeon, accel)`
-    /// throughputs, matching the paper's per-benchmark-then-geomean
-    /// aggregation.
-    pub fn from_rows(rows: &[(f64, f64, f64)]) -> Speedups {
-        let vs_boom: Vec<f64> = rows.iter().map(|&(b, _, a)| a / b).collect();
-        let vs_xeon: Vec<f64> = rows.iter().map(|&(_, x, a)| a / x).collect();
-        Speedups {
-            vs_boom: geomean(&vs_boom),
-            vs_xeon: geomean(&vs_xeon),
-        }
-    }
-}
-
 /// Formats a Figure 11/12/13-style table: one row per benchmark, one column
-/// per system, in Gbits/s, followed by a geomean row.
+/// per system, in Gbits/s, followed by a geomean row. Each row holds one
+/// measurement per system, in [`SystemKind::ALL`] order.
 pub fn format_gbits_table(rows: &[(String, Vec<Measurement>)]) -> String {
     let mut out = String::new();
     out.push_str(&format!("{:<22}", "Benchmark"));
@@ -47,12 +24,9 @@ pub fn format_gbits_table(rows: &[(String, Vec<Measurement>)]) -> String {
     let mut columns: Vec<Vec<f64>> = vec![Vec::new(); SystemKind::ALL.len()];
     for (name, measurements) in rows {
         out.push_str(&format!("{name:<22}"));
-        for (i, system) in SystemKind::ALL.iter().enumerate() {
-            let m = measurements
-                .iter()
-                .find(|m| m.system == *system)
-                .expect("every system measured");
-            columns[i].push(m.gbits);
+        assert_eq!(measurements.len(), SystemKind::ALL.len(), "{name}");
+        for (column, m) in columns.iter_mut().zip(measurements) {
+            column.push(m.gbits);
             out.push_str(&format!("{:>18.3}", m.gbits));
         }
         out.push('\n');
@@ -78,28 +52,13 @@ mod tests {
     }
 
     #[test]
-    fn speedups_from_rows() {
-        let rows = [(1.0, 2.0, 8.0), (2.0, 2.0, 8.0)];
-        let s = Speedups::from_rows(&rows);
-        // vs boom: geomean(8, 4) = sqrt(32); vs xeon: geomean(4,4) = 4.
-        assert!((s.vs_boom - 32f64.sqrt()).abs() < 1e-9);
-        assert!((s.vs_xeon - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn table_contains_all_systems_and_geomean() {
-        let rows = vec![(
-            "w1".to_owned(),
-            SystemKind::ALL
-                .iter()
-                .map(|&system| Measurement {
-                    system,
-                    cycles: 100,
-                    wire_bytes: 100,
-                    gbits: 5.0,
-                })
-                .collect(),
-        )];
+        let m = Measurement {
+            cycles: 100,
+            wire_bytes: 100,
+            gbits: 5.0,
+        };
+        let rows = vec![("w1".to_owned(), vec![m; SystemKind::ALL.len()])];
         let table = format_gbits_table(&rows);
         assert!(table.contains("riscv-boom-accel"));
         assert!(table.contains("geomean"));

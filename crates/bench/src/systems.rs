@@ -1,4 +1,5 @@
-//! The three evaluated systems and the measurement machinery.
+//! The three evaluated systems and the one measurement loop every
+//! simulated machine goes through.
 
 use protoacc::{AccelConfig, ProtoAccelerator};
 use protoacc_cpu::{CostTable, SoftwareCodec};
@@ -34,14 +35,47 @@ impl SystemKind {
             SystemKind::RiscvBoomAccel => "riscv-boom-accel",
         }
     }
+}
 
+/// What a measurement runs on: the software codec under a cost table, or
+/// the accelerator under a configuration (on the BOOM SoC's memory system).
+#[derive(Debug, Clone)]
+pub enum Machine {
+    /// The software codec, charged by this machine's cost table.
+    Software(Box<CostTable>),
+    /// The cycle-level accelerator model.
+    Accel(AccelConfig),
+}
+
+impl Machine {
     /// Clock frequency used to convert cycles to throughput.
-    pub fn freq_ghz(self) -> f64 {
+    pub fn freq_ghz(&self) -> f64 {
         match self {
-            SystemKind::RiscvBoom => CostTable::boom().freq_ghz,
-            SystemKind::Xeon => CostTable::xeon().freq_ghz,
-            SystemKind::RiscvBoomAccel => AccelConfig::default().freq_ghz,
+            Machine::Software(cost) => cost.freq_ghz,
+            Machine::Accel(config) => config.freq_ghz,
         }
+    }
+}
+
+impl From<SystemKind> for Machine {
+    fn from(system: SystemKind) -> Machine {
+        match system {
+            SystemKind::RiscvBoom => CostTable::boom().into(),
+            SystemKind::Xeon => CostTable::xeon().into(),
+            SystemKind::RiscvBoomAccel => AccelConfig::default().into(),
+        }
+    }
+}
+
+impl From<CostTable> for Machine {
+    fn from(cost: CostTable) -> Machine {
+        Machine::Software(Box::new(cost))
+    }
+}
+
+impl From<AccelConfig> for Machine {
+    fn from(config: AccelConfig) -> Machine {
+        Machine::Accel(config)
     }
 }
 
@@ -77,11 +111,9 @@ impl Workload {
     }
 }
 
-/// Result of measuring one (system, workload, direction) cell.
+/// Result of measuring one (machine, workload, direction) cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
-    /// The measured system.
-    pub system: SystemKind,
     /// Simulated cycles for all timed passes.
     pub cycles: u64,
     /// Wire bytes processed in the timed passes.
@@ -95,134 +127,102 @@ const TARGET_BYTES: u64 = 2 * 1024 * 1024;
 /// Upper bound on total operations, so tiny-message workloads stay fast.
 const MAX_OPS: usize = 3000;
 
-/// Measures one cell: runs `workload` on `system` in `direction`, one warm-up
-/// pass plus enough timed passes to process the target volume (the paper's
+/// Measures one cell: runs `workload` on `machine` (a [`SystemKind`], a
+/// [`CostTable`] or an [`AccelConfig`]) in `direction`, one warm-up pass
+/// plus enough timed passes to process the target volume (the paper's
 /// "timed batch of deserializations and serializations ... on a
 /// pre-populated set").
-pub fn measure(system: SystemKind, workload: &Workload, direction: Direction) -> Measurement {
-    let per_pass = workload.wire_bytes().max(1);
-    let mut passes = (TARGET_BYTES / per_pass).clamp(1, 64) as usize;
-    if workload.messages.len() * passes > MAX_OPS {
-        passes = (MAX_OPS / workload.messages.len().max(1)).max(1);
-    }
-    let (cycles, wire_bytes) = match system {
-        SystemKind::RiscvBoom => run_software(&CostTable::boom(), workload, direction, passes),
-        SystemKind::Xeon => run_software(&CostTable::xeon(), workload, direction, passes),
-        SystemKind::RiscvBoomAccel => {
-            run_accel(&AccelConfig::default(), workload, direction, passes)
-        }
-    };
-    Measurement {
-        system,
-        cycles,
-        wire_bytes,
-        gbits: if cycles == 0 {
-            0.0
-        } else {
-            wire_bytes as f64 * 8.0 * system.freq_ghz() / cycles as f64
-        },
-    }
-}
-
-/// Measures the accelerated system under a non-default configuration (for
-/// the ablation studies).
-pub fn measure_accel_config(
-    config: &AccelConfig,
+pub fn measure(
+    machine: impl Into<Machine>,
     workload: &Workload,
     direction: Direction,
 ) -> Measurement {
-    let per_pass = workload.wire_bytes().max(1);
-    let mut passes = (TARGET_BYTES / per_pass).clamp(1, 64) as usize;
+    let machine = machine.into();
+    let per_pass = workload.wire_bytes();
+    let mut passes = (TARGET_BYTES / per_pass.max(1)).clamp(1, 64) as usize;
     if workload.messages.len() * passes > MAX_OPS {
         passes = (MAX_OPS / workload.messages.len().max(1)).max(1);
     }
-    let (cycles, wire_bytes) = run_accel(config, workload, direction, passes);
+    let cycles = match &machine {
+        Machine::Software(cost) => run_software(cost, workload, direction, passes),
+        Machine::Accel(config) => run_accel(config, workload, direction, passes),
+    };
+    let wire_bytes = per_pass * passes as u64;
     Measurement {
-        system: SystemKind::RiscvBoomAccel,
         cycles,
         wire_bytes,
         gbits: if cycles == 0 {
             0.0
         } else {
-            wire_bytes as f64 * 8.0 * config.freq_ghz / cycles as f64
+            wire_bytes as f64 * 8.0 * machine.freq_ghz() / cycles as f64
         },
     }
 }
 
 /// Guest-memory map used by the harness.
-mod map {
+pub mod map {
+    /// Staged wire encodings (deserialization inputs).
     pub const INPUT: u64 = 0x2000_0000;
+    /// Materialized objects (serialization inputs, deserialization roots).
     pub const OBJECTS: u64 = 0x8000_0000;
+    /// Serialized output.
     pub const OUTPUT: u64 = 0x4000_0000;
+    /// Deserialization arena for sub-objects and payloads.
     pub const ARENA: u64 = 0x1_0000_0000;
+    /// The accelerator serializer's pointer region.
     pub const PTRS: u64 = 0x6000_0000;
+    /// Length of each arena region.
     pub const ARENA_LEN: u64 = 1 << 30;
 }
 
-fn run_software(
-    cost: &CostTable,
-    workload: &Workload,
-    direction: Direction,
-    passes: usize,
-) -> (u64, u64) {
+/// Runs `pass` once to warm caches and TLBs, then `passes` times, and
+/// returns the summed cycles of the timed passes.
+fn timed(passes: usize, mut pass: impl FnMut() -> u64) -> u64 {
+    pass();
+    (0..passes).map(|_| pass()).sum()
+}
+
+fn run_software(cost: &CostTable, workload: &Workload, direction: Direction, passes: usize) -> u64 {
     let layouts = MessageLayouts::compute(&workload.schema);
     let mut mem = Memory::new(cost.mem);
     let codec = SoftwareCodec::new(cost);
+    let (schema, type_id) = (&workload.schema, workload.type_id);
     match direction {
         Direction::Deserialize => {
             let inputs = stage_inputs(&mut mem, workload);
+            let object_size = layouts.layout(type_id).object_size();
             let mut arena = BumpArena::new(map::ARENA, map::ARENA_LEN);
-            let run_pass = |mem: &mut Memory, arena: &mut BumpArena| -> u64 {
+            timed(passes, || {
                 let mut cycles = 0;
-                for (addr, len, _) in &inputs {
+                for &(addr, len) in &inputs {
                     let dest = arena
-                        .alloc(layouts.layout(workload.type_id).object_size(), 8)
+                        .alloc(object_size, 8)
                         .expect("bench arena sized for workload");
                     let run = codec
                         .deserialize(
-                            mem,
-                            &workload.schema,
-                            &layouts,
-                            workload.type_id,
-                            *addr,
-                            *len,
-                            dest,
-                            arena,
+                            &mut mem, schema, &layouts, type_id, addr, len, dest, &mut arena,
                         )
                         .expect("workload deserializes");
                     cycles += run.cycles;
                 }
-                cycles
-            };
-            run_pass(&mut mem, &mut arena); // warm-up
-            arena.reset();
-            let mut cycles = 0;
-            for _ in 0..passes {
-                cycles += run_pass(&mut mem, &mut arena);
                 arena.reset();
-            }
-            (cycles, workload.wire_bytes() * passes as u64)
+                cycles
+            })
         }
         Direction::Serialize => {
             let objects = stage_objects(&mut mem, workload, &layouts);
-            let run_pass = |mem: &mut Memory| -> u64 {
+            timed(passes, || {
                 let mut cycles = 0;
                 let mut out = map::OUTPUT;
                 for &obj in &objects {
                     let (run, len) = codec
-                        .serialize(mem, &workload.schema, &layouts, workload.type_id, obj, out)
+                        .serialize(&mut mem, schema, &layouts, type_id, obj, out)
                         .expect("workload serializes");
                     cycles += run.cycles;
                     out += len + 64;
                 }
                 cycles
-            };
-            run_pass(&mut mem); // warm-up
-            let mut cycles = 0;
-            for _ in 0..passes {
-                cycles += run_pass(&mut mem);
-            }
-            (cycles, workload.wire_bytes() * passes as u64)
+            })
         }
     }
 }
@@ -232,7 +232,7 @@ fn run_accel(
     workload: &Workload,
     direction: Direction,
     passes: usize,
-) -> (u64, u64) {
+) -> u64 {
     let layouts = MessageLayouts::compute(&workload.schema);
     let mut mem = Memory::new(MemConfig::default());
     let mut setup_arena = BumpArena::new(0x1_0000, 1 << 24);
@@ -240,39 +240,33 @@ fn run_accel(
         .expect("ADTs fit the setup arena");
     let mut accel = ProtoAccelerator::new(*config);
     let layout = layouts.layout(workload.type_id);
-    let min_field = layout.min_field();
+    let adt = adts.addr(workload.type_id);
     match direction {
         Direction::Deserialize => {
             let inputs = stage_inputs(&mut mem, workload);
-            let mut dests = Vec::with_capacity(workload.messages.len());
             let mut dest_arena = BumpArena::new(map::OBJECTS, map::ARENA_LEN);
-            for _ in &workload.messages {
-                dests.push(
+            let dests: Vec<u64> = inputs
+                .iter()
+                .map(|_| {
                     dest_arena
                         .alloc(layout.object_size(), 8)
-                        .expect("dest fits"),
-                );
-            }
-            let run_pass = |mem: &mut Memory, accel: &mut ProtoAccelerator| -> u64 {
+                        .expect("dest fits")
+                })
+                .collect();
+            timed(passes, || {
                 accel.deser_assign_arena(map::ARENA, map::ARENA_LEN);
-                for ((addr, len, _), &dest) in inputs.iter().zip(&dests) {
-                    accel.deser_info(adts.addr(workload.type_id), dest);
+                for (&(addr, len), &dest) in inputs.iter().zip(&dests) {
+                    accel.deser_info(adt, dest);
                     accel
-                        .do_proto_deser(mem, *addr, *len, min_field)
+                        .do_proto_deser(&mut mem, addr, len, layout.min_field())
                         .expect("workload deserializes on the accelerator");
                 }
                 accel.block_for_deser_completion()
-            };
-            run_pass(&mut mem, &mut accel); // warm-up
-            let mut cycles = 0;
-            for _ in 0..passes {
-                cycles += run_pass(&mut mem, &mut accel);
-            }
-            (cycles, workload.wire_bytes() * passes as u64)
+            })
         }
         Direction::Serialize => {
             let objects = stage_objects(&mut mem, workload, &layouts);
-            let run_pass = |mem: &mut Memory, accel: &mut ProtoAccelerator| -> u64 {
+            timed(passes, || {
                 accel.ser_assign_arena(map::OUTPUT, map::ARENA_LEN, map::PTRS, 1 << 20);
                 for &obj in &objects {
                     accel.ser_info(
@@ -281,30 +275,24 @@ fn run_accel(
                         layout.max_field(),
                     );
                     accel
-                        .do_proto_ser(mem, adts.addr(workload.type_id), obj)
+                        .do_proto_ser(&mut mem, adt, obj)
                         .expect("workload serializes on the accelerator");
                 }
                 accel.block_for_ser_completion()
-            };
-            run_pass(&mut mem, &mut accel); // warm-up
-            let mut cycles = 0;
-            for _ in 0..passes {
-                cycles += run_pass(&mut mem, &mut accel);
-            }
-            (cycles, workload.wire_bytes() * passes as u64)
+            })
         }
     }
 }
 
 /// Writes every message's wire encoding into guest memory, returning
-/// `(addr, len, index)` per message.
-fn stage_inputs(mem: &mut Memory, workload: &Workload) -> Vec<(u64, u64, usize)> {
+/// `(addr, len)` per message.
+fn stage_inputs(mem: &mut Memory, workload: &Workload) -> Vec<(u64, u64)> {
     let mut out = Vec::with_capacity(workload.messages.len());
     let mut cursor = map::INPUT;
-    for (i, m) in workload.messages.iter().enumerate() {
+    for m in &workload.messages {
         let wire = reference::encode(m, &workload.schema).expect("workload encodes");
         mem.data.write_bytes(cursor, &wire);
-        out.push((cursor, wire.len() as u64, i));
+        out.push((cursor, wire.len() as u64));
         cursor += wire.len() as u64 + 16;
     }
     out
@@ -385,7 +373,7 @@ mod tests {
         assert_eq!(SystemKind::RiscvBoom.label(), "riscv-boom");
         assert_eq!(SystemKind::Xeon.label(), "Xeon");
         assert_eq!(SystemKind::RiscvBoomAccel.label(), "riscv-boom-accel");
-        assert_eq!(SystemKind::RiscvBoom.freq_ghz(), 2.0);
-        assert_eq!(SystemKind::Xeon.freq_ghz(), 2.7);
+        assert_eq!(Machine::from(SystemKind::RiscvBoom).freq_ghz(), 2.0);
+        assert_eq!(Machine::from(SystemKind::Xeon).freq_ghz(), 2.7);
     }
 }

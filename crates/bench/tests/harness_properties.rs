@@ -2,7 +2,8 @@
 //! paper's headline shape facts that must hold on every build.
 
 use protoacc_bench::ubench::{alloc_workloads, nonalloc_workloads};
-use protoacc_bench::{measure, Direction, SystemKind};
+use protoacc_bench::{geomean, measure, Direction, SystemKind, Workload};
+use protoacc_cpu::CostTable;
 
 /// The whole simulator is deterministic: measuring the same cell twice
 /// produces the identical simulated cycle count (the FireSim-like
@@ -92,4 +93,59 @@ fn submessage_benchmarks_are_slowest_per_byte() {
             flat.gbits
         );
     }
+}
+
+/// Deserialization geomean of `cost` over `workloads`, in Gbit/s.
+fn deser_geomean(cost: &CostTable, workloads: &[Workload]) -> f64 {
+    let gbits: Vec<f64> = workloads
+        .iter()
+        .map(|w| measure(cost.clone(), w, Direction::Deserialize).gbits)
+        .collect();
+    geomean(&gbits)
+}
+
+/// A system and its cost table are one machine: measuring through either
+/// runs the same loop and gives the same cycles.
+#[test]
+fn boom_cost_table_measures_like_the_boom_system() {
+    let workloads = nonalloc_workloads();
+    let w = &workloads[5]; // varint-5
+    for direction in [Direction::Deserialize, Direction::Serialize] {
+        assert_eq!(
+            measure(CostTable::boom(), w, direction),
+            measure(SystemKind::RiscvBoom, w, direction),
+            "{direction:?}"
+        );
+    }
+}
+
+/// Appendix A.7.1: the in-order Rocket core is a weaker host than BOOM on
+/// the Figure 11a set.
+#[test]
+fn rocket_deserializes_slower_than_boom_on_fig11a() {
+    let workloads = nonalloc_workloads();
+    let rocket = deser_geomean(&CostTable::rocket(), &workloads);
+    let boom = deser_geomean(&CostTable::boom(), &workloads);
+    assert!(rocket < boom, "rocket {rocket:.3} vs boom {boom:.3} Gbit/s");
+}
+
+/// Section 7: a per-call frontend refill tax strictly lowers BOOM's
+/// Figure 11a deserialization throughput as it grows.
+#[test]
+fn frontend_flush_lowers_boom_throughput() {
+    let workloads = nonalloc_workloads();
+    let gbits: Vec<f64> = [0, 500, 2000]
+        .into_iter()
+        .map(|flush| {
+            let cost = CostTable {
+                frontend_flush_cycles: flush,
+                ..CostTable::boom()
+            };
+            deser_geomean(&cost, &workloads)
+        })
+        .collect();
+    assert!(
+        gbits.windows(2).all(|pair| pair[1] < pair[0]),
+        "Gbit/s at flush 0/500/2000: {gbits:?}"
+    );
 }

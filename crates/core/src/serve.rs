@@ -304,9 +304,6 @@ pub struct ServeConfig {
     /// transient fault away from quarantine. `0` disables decay (the old
     /// sticky behavior).
     pub quarantine_decay: u32,
-    /// Cluster-wide per-attempt deadline, combined (min) with each request's
-    /// own watchdog ceiling. `None` disables it.
-    pub deadline: Option<Cycles>,
 }
 
 impl Default for ServeConfig {
@@ -320,7 +317,6 @@ impl Default for ServeConfig {
             retry_backoff: 64,
             quarantine_threshold: 3,
             quarantine_decay: 64,
-            deadline: None,
         }
     }
 }
@@ -965,7 +961,6 @@ impl ServeCluster {
         // is worthless, so it is cut off there).
         let ceiling = [
             req.watchdog,
-            self.config.deadline,
             req.deadline.map(|d| d.saturating_sub(dispatch)),
         ]
         .into_iter()

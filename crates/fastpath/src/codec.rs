@@ -15,7 +15,7 @@ use crate::reverse::ReverseWriter;
 use crate::swar;
 use protoacc_runtime::object::value_from_bits;
 use protoacc_runtime::reference::MAX_DECODE_DEPTH;
-use protoacc_runtime::{FieldPayload, MessageValue, RuntimeError, Value, REPEATED_HEADER_BYTES};
+use protoacc_runtime::{MessageValue, RuntimeError, Value, REPEATED_HEADER_BYTES};
 use protoacc_schema::{FieldType, MessageId, Schema};
 use protoacc_wire::{zigzag, FieldKey, WireError, WireType};
 
@@ -69,21 +69,6 @@ impl FastCodec {
             return Err(e);
         }
         Ok(obj)
-    }
-
-    /// Decodes and immediately converts to a [`MessageValue`] tree.
-    ///
-    /// # Errors
-    ///
-    /// Same classification as [`FastCodec::decode`].
-    pub fn decode_to_value(
-        &self,
-        type_id: MessageId,
-        input: &[u8],
-        arena: &mut DecodeArena,
-    ) -> Result<MessageValue, RuntimeError> {
-        let obj = self.decode(type_id, input, arena)?;
-        Ok(self.to_value(type_id, input, arena, obj))
     }
 
     /// Converts a decoded arena object back into a [`MessageValue`] tree.
@@ -154,110 +139,6 @@ impl FastCodec {
             }
             _ => value_from_bits(ft, arena.read_scalar(at, entry.elem_size as usize)),
         }
-    }
-
-    /// Serializes a [`MessageValue`] tree in one reverse-order pass.
-    ///
-    /// Byte-identical to `protoacc_runtime::reference::encode` (and hence to
-    /// `crates/cpu`'s serializer): fields ascending, sub-messages
-    /// depth-first. Prepending fields in *descending* order produces exactly
-    /// that layout without a ByteSize pass.
-    ///
-    /// # Errors
-    ///
-    /// `UnknownField` / `TypeMismatch` on value trees that do not fit the
-    /// schema, like the reference encoder.
-    pub fn encode_value(&self, message: &MessageValue) -> Result<Vec<u8>, RuntimeError> {
-        let mut w = ReverseWriter::new();
-        self.rencode_value(message, &mut w)?;
-        Ok(w.into_bytes())
-    }
-
-    fn rencode_value(
-        &self,
-        message: &MessageValue,
-        w: &mut ReverseWriter,
-    ) -> Result<(), RuntimeError> {
-        let descriptor = self.compiled.schema().message(message.type_id());
-        let pairs: Vec<(u32, &FieldPayload)> = message.iter().collect();
-        for &(number, payload) in pairs.iter().rev() {
-            let field = descriptor
-                .field_by_number(number)
-                .ok_or(RuntimeError::UnknownField {
-                    field_number: number,
-                })?;
-            let values: &[Value] = match payload {
-                FieldPayload::Single(v) => std::slice::from_ref(v),
-                FieldPayload::Repeated(vs) => vs,
-            };
-            if field.is_packed() {
-                let before = w.len();
-                for v in values.iter().rev() {
-                    prepend_packed_element(v, field.number(), w)?;
-                }
-                let body = (w.len() - before) as u64;
-                w.prepend_varint(body);
-                w.prepend_varint(
-                    FieldKey::new(number, WireType::LengthDelimited)
-                        .map_err(RuntimeError::from)?
-                        .encoded(),
-                );
-                continue;
-            }
-            for v in values.iter().rev() {
-                self.rencode_field_value(number, field.field_type(), v, w)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn rencode_field_value(
-        &self,
-        number: u32,
-        ft: FieldType,
-        value: &Value,
-        w: &mut ReverseWriter,
-    ) -> Result<(), RuntimeError> {
-        if !value.matches(ft) {
-            return Err(RuntimeError::TypeMismatch {
-                field_number: number,
-                expected: format!("{ft:?}"),
-            });
-        }
-        let key = FieldKey::new(number, ft.wire_type())
-            .map_err(RuntimeError::from)?
-            .encoded();
-        match value {
-            Value::Bool(v) => w.prepend_varint(u64::from(*v)),
-            Value::Int32(v) => w.prepend_varint(*v as i64 as u64),
-            Value::Int64(v) => w.prepend_varint(*v as u64),
-            Value::UInt32(v) => w.prepend_varint(u64::from(*v)),
-            Value::UInt64(v) => w.prepend_varint(*v),
-            Value::SInt32(v) => w.prepend_varint(u64::from(zigzag::encode32(*v))),
-            Value::SInt64(v) => w.prepend_varint(zigzag::encode64(*v)),
-            Value::Enum(v) => w.prepend_varint(*v as i64 as u64),
-            Value::Fixed32(v) => w.prepend_fixed32(*v),
-            Value::SFixed32(v) => w.prepend_fixed32(*v as u32),
-            Value::Float(v) => w.prepend_fixed32(v.to_bits()),
-            Value::Fixed64(v) => w.prepend_fixed64(*v),
-            Value::SFixed64(v) => w.prepend_fixed64(*v as u64),
-            Value::Double(v) => w.prepend_fixed64(v.to_bits()),
-            Value::Str(s) => {
-                w.prepend_slice(s.as_bytes());
-                w.prepend_varint(s.len() as u64);
-            }
-            Value::Bytes(b) => {
-                w.prepend_slice(b);
-                w.prepend_varint(b.len() as u64);
-            }
-            Value::Message(m) => {
-                let before = w.len();
-                self.rencode_value(m, w)?;
-                w.prepend_varint((w.len() - before) as u64);
-            }
-        }
-        w.prepend_varint(key);
-        Ok(())
     }
 
     /// Serializes a decoded arena object straight back to wire bytes, never
@@ -454,39 +335,6 @@ fn borrowed_value(ft: FieldType, input: &[u8], word: u64) -> Value {
         FieldType::String => Value::Str(String::from_utf8_lossy(payload).into_owned()),
         _ => Value::Bytes(payload.to_vec()),
     }
-}
-
-/// Packed element for the value-tree encoder; mirrors
-/// `reference::encode_packed_element` but reports out-of-line values as a
-/// typed error instead of panicking.
-fn prepend_packed_element(
-    value: &Value,
-    number: u32,
-    w: &mut ReverseWriter,
-) -> Result<(), RuntimeError> {
-    match value {
-        Value::Bool(v) => w.prepend_varint(u64::from(*v)),
-        Value::Int32(v) => w.prepend_varint(*v as i64 as u64),
-        Value::Int64(v) => w.prepend_varint(*v as u64),
-        Value::UInt32(v) => w.prepend_varint(u64::from(*v)),
-        Value::UInt64(v) => w.prepend_varint(*v),
-        Value::SInt32(v) => w.prepend_varint(u64::from(zigzag::encode32(*v))),
-        Value::SInt64(v) => w.prepend_varint(zigzag::encode64(*v)),
-        Value::Enum(v) => w.prepend_varint(*v as i64 as u64),
-        Value::Fixed32(v) => w.prepend_fixed32(*v),
-        Value::SFixed32(v) => w.prepend_fixed32(*v as u32),
-        Value::Float(v) => w.prepend_fixed32(v.to_bits()),
-        Value::Fixed64(v) => w.prepend_fixed64(*v),
-        Value::SFixed64(v) => w.prepend_fixed64(*v as u64),
-        Value::Double(v) => w.prepend_fixed64(v.to_bits()),
-        Value::Str(_) | Value::Bytes(_) | Value::Message(_) => {
-            return Err(RuntimeError::TypeMismatch {
-                field_number: number,
-                expected: "packable scalar".to_string(),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Normalizes a decoded varint payload into slot bits — the same transforms
@@ -941,16 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_is_byte_identical_to_reference() {
-        let (schema, root, inner) = test_schema();
-        let codec = FastCodec::new(&schema);
-        let m = sample(root, inner);
-        let fast = codec.encode_value(&m).unwrap();
-        let reference = reference::encode(&m, &schema).unwrap();
-        assert_eq!(fast, reference);
-    }
-
-    #[test]
     fn decode_round_trips_through_arena_and_back() {
         let (schema, root, inner) = test_schema();
         let codec = FastCodec::new(&schema);
@@ -1004,20 +842,34 @@ mod tests {
         for v in [i32::MIN, -1, 0, 1, i32::MAX] {
             let mut m = MessageValue::new(root);
             m.set_repeated(7, vec![Value::SInt32(v)]);
-            let wire = codec.encode_value(&m).unwrap();
-            assert_eq!(wire, reference::encode(&m, &schema).unwrap(), "sint32 {v}");
+            let wire = reference::encode(&m, &schema).unwrap();
             let mut arena = DecodeArena::new();
-            let back = codec.decode_to_value(root, &wire, &mut arena).unwrap();
-            assert!(m.bits_eq(&back), "sint32 {v}");
+            let obj = codec.decode(root, &wire, &mut arena).unwrap();
+            assert!(
+                m.bits_eq(&codec.to_value(root, &wire, &arena, obj)),
+                "sint32 {v}"
+            );
+            assert_eq!(
+                codec.encode_decoded(root, &wire, &arena, obj),
+                wire,
+                "sint32 {v}"
+            );
         }
         for v in [i64::MIN, -1, 0, i64::MAX] {
             let mut m = MessageValue::new(root);
             m.set_unchecked(2, Value::SInt64(v));
-            let wire = codec.encode_value(&m).unwrap();
-            assert_eq!(wire, reference::encode(&m, &schema).unwrap(), "sint64 {v}");
+            let wire = reference::encode(&m, &schema).unwrap();
             let mut arena = DecodeArena::new();
-            let back = codec.decode_to_value(root, &wire, &mut arena).unwrap();
-            assert!(m.bits_eq(&back), "sint64 {v}");
+            let obj = codec.decode(root, &wire, &mut arena).unwrap();
+            assert!(
+                m.bits_eq(&codec.to_value(root, &wire, &arena, obj)),
+                "sint64 {v}"
+            );
+            assert_eq!(
+                codec.encode_decoded(root, &wire, &arena, obj),
+                wire,
+                "sint64 {v}"
+            );
         }
     }
 
@@ -1033,10 +885,11 @@ mod tests {
         m1.set_unchecked(5, Value::Message(first));
         let mut m2 = MessageValue::new(root);
         m2.set_unchecked(5, Value::Message(second.clone()));
-        let mut wire = codec.encode_value(&m1).unwrap();
-        wire.extend_from_slice(&codec.encode_value(&m2).unwrap());
+        let mut wire = reference::encode(&m1, &schema).unwrap();
+        wire.extend_from_slice(&reference::encode(&m2, &schema).unwrap());
         let mut arena = DecodeArena::new();
-        let back = codec.decode_to_value(root, &wire, &mut arena).unwrap();
+        let obj = codec.decode(root, &wire, &mut arena).unwrap();
+        let back = codec.to_value(root, &wire, &arena, obj);
         let expected = {
             let mut m = MessageValue::new(root);
             m.set_unchecked(5, Value::Message(second));
@@ -1112,7 +965,8 @@ mod tests {
         wire.push(0x7f);
         wire.extend_from_slice(&[0x08, 0x05]);
         let mut arena = DecodeArena::new();
-        let back = codec.decode_to_value(root, &wire, &mut arena).unwrap();
+        let obj = codec.decode(root, &wire, &mut arena).unwrap();
+        let back = codec.to_value(root, &wire, &arena, obj);
         assert_eq!(back.get_single(1), Some(&Value::Int32(5)));
         // Unknown field with a group wire type is InvalidWireType.
         let mut wire = Vec::new();

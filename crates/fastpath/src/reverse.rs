@@ -72,11 +72,6 @@ impl ReverseWriter {
         }
     }
 
-    /// Creates an empty writer (grows on first prepend).
-    pub fn new() -> Self {
-        Self::with_capacity(256)
-    }
-
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len() - self.head
@@ -228,17 +223,6 @@ impl ReverseWriter {
             self.buf.truncate(len);
         }
         self.buf
-    }
-
-    /// Discards all written bytes, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.head = self.buf.len();
-    }
-}
-
-impl Default for ReverseWriter {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -484,15 +468,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn clear_retains_capacity() {
-        let mut w = ReverseWriter::with_capacity(16);
-        w.prepend_slice(b"abc");
-        w.clear();
-        assert!(w.is_empty());
-        w.prepend_slice(b"xy");
-        assert_eq!(w.as_slice(), b"xy");
     }
 }
