@@ -49,14 +49,16 @@
 #                           bench_codec --smoke (fails on any byte or verdict
 #                           divergence; emits target/BENCH_codec.json); then
 #                           the perfbench package's own tests, a 1-second
-#                           --trace 0 run of host-small, host-blob and
+#                           --trace 0 run of host-small, host-blob,
 #                           sim-rpc-2x (the one workload where RpcServer
-#                           drives FrameDecoder), and a 1-second --trace 1
-#                           run of host-small (the traced host path the
-#                           per-layer numbers come from); each run's
-#                           correctness gate (host byte identity, RPC
-#                           framing and accounting) exits nonzero on any
-#                           divergence
+#                           drives FrameDecoder) and sim-sharded (the one
+#                           workload on LLC-sliced memory, whose 2-worker
+#                           run must match its 1-worker run), and a
+#                           1-second --trace 1 run of host-small (the traced
+#                           host path the per-layer numbers come from); each
+#                           run's correctness gate (host byte identity, RPC
+#                           framing and accounting, sharded equivalence)
+#                           exits nonzero on any divergence
 #   9. envelope soundness   cross-validation that measured deser/ser cycles
 #                           stay inside the absint [lower, upper] envelopes
 #  10. trace round trip     serve_tail_latency --smoke --trace emits a
@@ -166,8 +168,10 @@ cargo run --offline -q --release -p protoacc-bench --bin bench_codec -- \
 # is the one workload where RpcServer drives FrameDecoder over connection
 # byte streams; it exits 1 on any frame or header error, a request dropped,
 # rejected or failed on clean traffic, or an accounting mismatch.
+# sim-sharded runs its cells on LLC-sliced memory over 2 workers and exits 1
+# unless that run matches the same cells run on 1 worker.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
-for workload in host-small host-blob sim-rpc-2x; do
+for workload in host-small host-blob sim-rpc-2x sim-sharded; do
     cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
 done

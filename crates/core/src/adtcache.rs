@@ -5,22 +5,20 @@
 //! fully-associative cache keeps the typeInfo state from blocking on the L2
 //! for every field.
 
-use protoacc_mem::{AccessKind, Cycles, MemSystem};
+use protoacc_mem::{AccessKind, Cycles, Lru, MemSystem};
 
 /// Fully-associative LRU cache over ADT line addresses.
 #[derive(Debug, Clone)]
 pub(crate) struct AdtCache {
-    capacity: usize,
-    /// Cached addresses, most-recently-used last.
-    entries: Vec<u64>,
+    /// Cached addresses.
+    entries: Lru,
     misses: u64,
 }
 
 impl AdtCache {
     pub(crate) fn new(capacity: usize) -> Self {
         AdtCache {
-            capacity: capacity.max(1),
-            entries: Vec::new(),
+            entries: Lru::new(capacity.max(1)),
             misses: 0,
         }
     }
@@ -29,15 +27,9 @@ impl AdtCache {
     /// memory access on miss. Returns `(cycles, hit)` so callers can trace
     /// hit/miss without re-deriving it from the cost.
     pub(crate) fn load(&mut self, system: &mut MemSystem, addr: u64, len: usize) -> (Cycles, bool) {
-        if let Some(pos) = self.entries.iter().position(|&a| a == addr) {
-            let a = self.entries.remove(pos);
-            self.entries.push(a);
+        if self.entries.access(addr) {
             return (1, true);
         }
-        if self.entries.len() == self.capacity {
-            self.entries.remove(0);
-        }
-        self.entries.push(addr);
         self.misses += 1;
         // The FSM blocks in the typeInfo state for this response.
         (1 + system.access(addr, len, AccessKind::Read), false)
@@ -78,6 +70,46 @@ mod tests {
         cache.load(&mut sys, 0x300, 16); // evict 0x200
         assert_eq!(cache.load(&mut sys, 0x100, 16), (1, true));
         assert!(cache.load(&mut sys, 0x200, 16).0 > 1);
+    }
+
+    #[test]
+    fn hits_misses_and_miss_count_follow_true_lru() {
+        let mut sys = MemSystem::new(MemConfig::default());
+        let mut reference = MemSystem::new(MemConfig::default());
+        let mut cache = AdtCache::new(3);
+        // (address, expected hit) with 3 entries: 0x40 is re-touched before
+        // each eviction, so the LRU victim is always another entry; clear()
+        // keeps the miss count.
+        let script = [
+            (0x40, false),
+            (0x80, false),
+            (0xc0, false),
+            (0x40, true),
+            (0x40, true),
+            (0x100, false), // evicts 0x80
+            (0x40, true),
+            (0x80, false), // evicts 0xc0
+            (0xc0, false), // evicts 0x100
+            (0x40, true),
+            (0x100, false), // evicts 0x80
+        ];
+        for (i, &(addr, hit)) in script.iter().enumerate() {
+            let expected = if hit {
+                1
+            } else {
+                1 + reference.access(addr, 32, AccessKind::Read)
+            };
+            assert_eq!(cache.load(&mut sys, addr, 32), (expected, hit), "load {i}");
+        }
+        assert_eq!(cache.misses(), 7);
+        cache.clear();
+        assert_eq!(cache.misses(), 7);
+        assert!(!cache.load(&mut sys, 0x40, 32).1);
+        assert_eq!(cache.misses(), 8);
+        // A zero capacity still caches one entry.
+        let mut tiny = AdtCache::new(0);
+        tiny.load(&mut sys, 0x40, 32);
+        assert_eq!(tiny.load(&mut sys, 0x40, 32), (1, true));
     }
 
     #[test]

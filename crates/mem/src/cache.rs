@@ -65,7 +65,12 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct CacheModel {
     config: CacheConfig,
-    /// Per set: tags in LRU order, most-recently-used last.
+    /// `sets - 1`: a line's set is its low bits.
+    set_mask: usize,
+    /// Per set: tags in LRU order, most-recently-used last. Sets start
+    /// unallocated and grow as lines fill them: reserving every set up
+    /// front would cost a 32 MiB LLC (32,768 sets of 16 ways) 4 MiB
+    /// whether or not a run touches its sets.
     sets: Vec<Vec<u64>>,
     stats: CacheStats,
 }
@@ -75,7 +80,8 @@ impl CacheModel {
     pub fn new(config: CacheConfig) -> Self {
         CacheModel {
             config,
-            sets: vec![Vec::with_capacity(config.ways); config.sets()],
+            set_mask: config.sets() - 1,
+            sets: vec![Vec::new(); config.sets()],
             stats: CacheStats::default(),
         }
     }
@@ -104,19 +110,20 @@ impl CacheModel {
     ///
     /// Returns `true` on hit.
     pub fn access_line(&mut self, line: u64) -> bool {
-        let set_index = (line as usize) & (self.config.sets() - 1);
-        let set = &mut self.sets[set_index];
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            // Move to MRU position.
-            let tag = set.remove(pos);
-            set.push(tag);
+        let set = &mut self.sets[line as usize & self.set_mask];
+        // Scan from the MRU end, where re-touched lines sit.
+        if let Some(pos) = set.iter().rposition(|&t| t == line) {
+            set[pos..].rotate_left(1);
             self.stats.hits += 1;
             true
         } else {
             if set.len() == self.config.ways {
-                set.remove(0); // evict LRU
+                // The LRU tag rotates to the MRU end and is overwritten.
+                set.rotate_left(1);
+                set[self.config.ways - 1] = line;
+            } else {
+                set.push(line);
             }
-            set.push(line);
             self.stats.misses += 1;
             false
         }

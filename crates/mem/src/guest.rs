@@ -1,6 +1,6 @@
 //! Sparse, paged guest memory.
 
-use std::collections::HashMap;
+use crate::hash::U64Map;
 
 /// Size of one backing page in bytes.
 pub const PAGE_SIZE: usize = 4096;
@@ -9,6 +9,10 @@ pub const PAGE_SIZE: usize = 4096;
 ///
 /// Unwritten memory reads back as zero, like freshly-mapped anonymous pages.
 /// This is pure storage — timing lives in [`crate::MemSystem`].
+///
+/// The address space ends at `u64::MAX` and does not wrap: the part of a
+/// range that would run past the top is clamped off, so writes there are
+/// dropped and reads there fill zero.
 ///
 /// ```rust
 /// use protoacc_mem::GuestMemory;
@@ -20,7 +24,7 @@ pub const PAGE_SIZE: usize = 4096;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct GuestMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: U64Map<Box<[u8; PAGE_SIZE]>>,
 }
 
 impl GuestMemory {
@@ -40,11 +44,15 @@ impl GuestMemory {
             .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
     }
 
-    /// Reads `buf.len()` bytes starting at `addr`.
+    /// Reads `buf.len()` bytes starting at `addr`; bytes past the top of
+    /// the address space read zero.
     pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
         let mut done = 0;
         while done < buf.len() {
-            let cur = addr + done as u64;
+            let Some(cur) = addr.checked_add(done as u64) else {
+                buf[done..].fill(0);
+                return;
+            };
             let page_number = cur / PAGE_SIZE as u64;
             let offset = (cur % PAGE_SIZE as u64) as usize;
             let chunk = (PAGE_SIZE - offset).min(buf.len() - done);
@@ -58,11 +66,14 @@ impl GuestMemory {
         }
     }
 
-    /// Writes all of `bytes` starting at `addr`.
+    /// Writes `bytes` starting at `addr`; bytes past the top of the
+    /// address space are dropped.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         let mut done = 0;
         while done < bytes.len() {
-            let cur = addr + done as u64;
+            let Some(cur) = addr.checked_add(done as u64) else {
+                return;
+            };
             let page_number = cur / PAGE_SIZE as u64;
             let offset = (cur % PAGE_SIZE as u64) as usize;
             let chunk = (PAGE_SIZE - offset).min(bytes.len() - done);
@@ -167,6 +178,19 @@ mod tests {
         mem.write_u64(addr, 0x0807_0605_0403_0201);
         assert_eq!(mem.read_u64(addr), 0x0807_0605_0403_0201);
         assert_eq!(mem.resident_pages(), 2);
+    }
+
+    #[test]
+    fn ranges_clamp_at_the_top_of_the_address_space() {
+        let mut mem = GuestMemory::new();
+        mem.write_bytes(u64::MAX - 1, &[1, 2, 3, 4]);
+        assert_eq!(mem.read_vec(u64::MAX - 1, 4), vec![1, 2, 0, 0]);
+        assert_eq!(mem.read_u8(u64::MAX), 2);
+        // Nothing wrapped around to address 0.
+        assert_eq!(mem.read_u16(0), 0);
+        assert_eq!(mem.resident_pages(), 1);
+        mem.write_u64(u64::MAX, u64::MAX);
+        assert_eq!(mem.read_u64(u64::MAX), 0xff);
     }
 
     #[test]

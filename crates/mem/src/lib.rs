@@ -11,6 +11,8 @@
 //! * [`CacheModel`] / [`MemSystem`] — an L1/L2/LLC hierarchy with true tag
 //!   arrays and LRU replacement, charging per-access cycle costs.
 //! * [`Tlb`] — accelerator-side TLB with a page-table-walk penalty.
+//! * [`Lru`] — exact true-LRU replacement state in O(1) per access, shared
+//!   by the TLB and the accelerator's ADT cache.
 //! * [`Memory`] — the bundle of storage plus timing that components thread
 //!   through their operations.
 //!
@@ -34,11 +36,14 @@
 
 pub mod cache;
 pub mod guest;
+mod hash;
+pub mod lru;
 pub mod system;
 pub mod tlb;
 
 pub use cache::{CacheConfig, CacheModel, CacheStats};
 pub use guest::{GuestMemory, PAGE_SIZE};
+pub use lru::Lru;
 pub use system::{
     AccessKind, AccessRecord, MemConfig, MemFault, MemStats, MemSystem, Memory, RequesterStats,
 };

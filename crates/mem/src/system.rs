@@ -146,9 +146,10 @@ pub struct AccessRecord {
 }
 
 impl AccessRecord {
-    /// Exclusive end of the touched range.
+    /// Exclusive end of the touched range, clamped at `u64::MAX` like
+    /// every range in the memory system.
     pub fn end(&self) -> u64 {
-        self.addr + self.len
+        self.addr.saturating_add(self.len)
     }
 }
 
@@ -442,24 +443,22 @@ impl MemSystem {
 
     /// Charges one access of `len` bytes at `addr` and returns its cycle
     /// cost. Accesses spanning multiple cache lines probe each line.
+    ///
+    /// Like every range in the memory system, `[addr, addr + len)` is
+    /// clamped at `u64::MAX`: an access running past the top of the
+    /// address space translates and probes only the pages and lines up to
+    /// the top, and never wraps to address 0. `len` still counts in full
+    /// toward bytes moved and bus occupancy.
     pub fn access(&mut self, addr: u64, len: usize, kind: AccessKind) -> Cycles {
         if len == 0 {
             return 0;
         }
         self.trace_access(addr, len, kind);
         let snap = self.snap_for_event();
-        let mut tlb_cost = self.tlb.translate(addr);
-        let line_bytes = self.config.l1.line_bytes as u64;
-        let first_line = addr / line_bytes;
-        let last_line = (addr + len as u64 - 1) / line_bytes;
-        // Page-boundary crossings need a second translation.
-        let first_page = addr / crate::PAGE_SIZE as u64;
-        let last_page = (addr + len as u64 - 1) / crate::PAGE_SIZE as u64;
-        for page in first_page + 1..=last_page {
-            tlb_cost += self.tlb.translate(page * crate::PAGE_SIZE as u64);
-        }
+        let last = last_byte(addr, len);
+        let tlb_cost = self.translate(addr, last);
         let mut cost = tlb_cost;
-        for line in first_line..=last_line {
+        for line in self.lines(addr, last) {
             cost += self.probe(line);
         }
         let cost = cost.saturating_add(self.check_faults(addr, len));
@@ -479,30 +478,23 @@ impl MemSystem {
     /// Charges a streaming transfer of `len` bytes starting at `addr`, as the
     /// memloader/memwriter units perform: line fetches overlap up to the
     /// configured outstanding-request limit, so cost is dominated by bus
-    /// bandwidth (16 B/cycle) plus one exposed leading latency.
+    /// bandwidth (16 B/cycle) plus one exposed leading latency. The range
+    /// clamps at `u64::MAX` as in [`MemSystem::access`].
     pub fn stream(&mut self, addr: u64, len: usize, kind: AccessKind) -> Cycles {
         if len == 0 {
             return 0;
         }
         self.trace_access(addr, len, kind);
         let snap = self.snap_for_event();
-        let line_bytes = self.config.l1.line_bytes as u64;
-        let first_line = addr / line_bytes;
-        let last_line = (addr + len as u64 - 1) / line_bytes;
+        let last = last_byte(addr, len);
+        let tlb_cost = self.translate(addr, last);
         let mut worst: Cycles = 0;
         let mut sum: Cycles = 0;
-        let mut tlb_cost = self.tlb.translate(addr);
-        let first_page = addr / crate::PAGE_SIZE as u64;
-        let last_page = (addr + len as u64 - 1) / crate::PAGE_SIZE as u64;
-        for page in first_page + 1..=last_page {
-            tlb_cost += self.tlb.translate(page * crate::PAGE_SIZE as u64);
-        }
-        for line in first_line..=last_line {
+        for line in self.lines(addr, last) {
             let c = self.probe(line);
             worst = worst.max(c);
             sum += c;
         }
-        let lines = last_line - first_line + 1;
         // With `max_outstanding` requests in flight, per-line latencies
         // overlap: charge the worst single latency once, plus the serialized
         // remainder divided by the overlap factor, plus bus occupancy. The
@@ -511,7 +503,6 @@ impl MemSystem {
         let hidden = sum.saturating_sub(worst) / overlap;
         let bus = len.div_ceil(BUS_WIDTH_BYTES) as u64 * self.sharers;
         let cost = (tlb_cost + worst + hidden + bus).saturating_add(self.check_faults(addr, len));
-        let _ = lines;
         self.note(len, cost);
         self.emit_mem_event(
             snap,
@@ -530,27 +521,18 @@ impl MemSystem {
     /// not block for the full hierarchy latency, so the charge is bus
     /// occupancy (16 B/cycle) plus the miss latency amortized over the
     /// outstanding-request window, plus any TLB walk (which does block).
+    /// The range clamps at `u64::MAX` as in [`MemSystem::access`].
     pub fn pipelined(&mut self, addr: u64, len: usize, kind: AccessKind) -> Cycles {
         if len == 0 {
             return 0;
         }
         self.trace_access(addr, len, kind);
         let snap = self.snap_for_event();
-        let tlb_cost = {
-            let mut t = self.tlb.translate(addr);
-            let first_page = addr / crate::PAGE_SIZE as u64;
-            let last_page = (addr + len as u64 - 1) / crate::PAGE_SIZE as u64;
-            for page in first_page + 1..=last_page {
-                t += self.tlb.translate(page * crate::PAGE_SIZE as u64);
-            }
-            t
-        };
+        let last = last_byte(addr, len);
+        let tlb_cost = self.translate(addr, last);
         let mut cost = tlb_cost;
-        let line_bytes = self.config.l1.line_bytes as u64;
-        let first_line = addr / line_bytes;
-        let last_line = (addr + len as u64 - 1) / line_bytes;
         let mut probe_sum = 0;
-        for line in first_line..=last_line {
+        for line in self.lines(addr, last) {
             probe_sum += self.probe(line);
         }
         let overlap = self.effective_overlap();
@@ -617,6 +599,23 @@ impl MemSystem {
             });
     }
 
+    /// Translates every page of the byte range `[addr, last]`: the page of
+    /// `addr` first, then one more translation per page boundary crossed.
+    fn translate(&mut self, addr: u64, last: u64) -> Cycles {
+        let page_bytes = crate::PAGE_SIZE as u64;
+        let mut cost = self.tlb.translate(addr);
+        for page in addr / page_bytes + 1..=last / page_bytes {
+            cost += self.tlb.translate(page * page_bytes);
+        }
+        cost
+    }
+
+    /// Line numbers covering the byte range `[addr, last]`.
+    fn lines(&self, addr: u64, last: u64) -> std::ops::RangeInclusive<u64> {
+        let line_bytes = self.config.l1.line_bytes as u64;
+        addr / line_bytes..=last / line_bytes
+    }
+
     fn probe(&mut self, line: u64) -> Cycles {
         let who = &mut self.requesters[self.requester];
         if self.l1.access_line(line) {
@@ -680,18 +679,22 @@ impl MemSystem {
 
     /// Pre-touches an address range so it is LLC-resident (used to model
     /// warmed-up benchmark state without charging cycles to the workload).
+    /// The range clamps at `u64::MAX` as in [`MemSystem::access`].
     pub fn warm(&mut self, addr: u64, len: usize) {
-        let line_bytes = self.config.l1.line_bytes as u64;
         if len == 0 {
             return;
         }
-        let first = addr / line_bytes;
-        let last = (addr + len as u64 - 1) / line_bytes;
-        for line in first..=last {
+        for line in self.lines(addr, last_byte(addr, len)) {
             self.llc.access_line(line);
         }
         self.llc.reset_stats();
     }
+}
+
+/// Last byte of the nonempty range of `len` bytes at `addr`, clamped at
+/// the top of the address space.
+fn last_byte(addr: u64, len: usize) -> u64 {
+    addr.saturating_add(len as u64 - 1)
 }
 
 /// Storage plus timing: the object every simulated component threads through
@@ -869,6 +872,29 @@ mod tests {
             "pipelined {pipelined_cost} vs blocking {blocking_cost}"
         );
         assert_eq!(pipelined.pipelined(0x9000, 0, AccessKind::Read), 0);
+    }
+
+    #[test]
+    fn ranges_clamp_at_the_top_of_the_address_space() {
+        let config = MemConfig::default();
+        let cold_line = config.tlb.walk_cycles + config.dram_latency;
+        let mut sys = MemSystem::new(config);
+        sys.set_tracing(true);
+        // Runs 4 bytes past u64::MAX: only the top page and line count.
+        assert_eq!(sys.access(u64::MAX - 3, 8, AccessKind::Read), cold_line);
+        assert_eq!(sys.stats().l1.misses, 1);
+        assert_eq!(sys.stats().bytes, 8);
+        // Nothing wrapped around to address 0: its line is still cold.
+        assert_eq!(sys.access(0, 8, AccessKind::Read), cold_line);
+        let hot = config.l1_latency;
+        assert_eq!(sys.access(u64::MAX, 8, AccessKind::Read), hot);
+        assert!(sys.stream(u64::MAX - 100, 4096, AccessKind::Write) >= 4096 / 16);
+        assert!(sys.pipelined(u64::MAX - 1, 64, AccessKind::Write) >= 64 / 16);
+        sys.warm(u64::MAX - 1, usize::MAX);
+        assert_eq!(sys.take_trace()[0].end(), u64::MAX);
+        let mut mem = Memory::new(config);
+        mem.write_bytes_timed(u64::MAX - 1, &[0xaa; 4]);
+        assert_eq!(mem.read_u64_timed(u64::MAX - 1).0, 0xaaaa);
     }
 
     #[test]

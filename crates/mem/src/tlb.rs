@@ -6,12 +6,12 @@
 //! small fully-associative set of page translations; misses charge a
 //! page-table-walk penalty.
 
-use crate::{Cycles, PAGE_SIZE};
+use crate::{Cycles, Lru, PAGE_SIZE};
 
 /// TLB geometry and walk cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
-    /// Number of page entries.
+    /// Number of page entries (0: every translation walks).
     pub entries: usize,
     /// Cycles charged for a page-table walk on miss (three radix levels
     /// hitting the L2 on a typical Sv39 walk).
@@ -32,8 +32,8 @@ impl Default for TlbConfig {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    /// Resident page numbers, most-recently-used last.
-    pages: Vec<u64>,
+    /// Resident page numbers.
+    pages: Lru,
     hits: u64,
     misses: u64,
 }
@@ -43,7 +43,7 @@ impl Tlb {
     pub fn new(config: TlbConfig) -> Self {
         Tlb {
             config,
-            pages: Vec::with_capacity(config.entries),
+            pages: Lru::new(config.entries),
             hits: 0,
             misses: 0,
         }
@@ -52,17 +52,10 @@ impl Tlb {
     /// Translates the page containing `addr`, returning the cycle cost
     /// (0 on hit, the walk penalty on miss).
     pub fn translate(&mut self, addr: u64) -> Cycles {
-        let page = addr / PAGE_SIZE as u64;
-        if let Some(pos) = self.pages.iter().position(|&p| p == page) {
-            let p = self.pages.remove(pos);
-            self.pages.push(p);
+        if self.pages.access(addr / PAGE_SIZE as u64) {
             self.hits += 1;
             0
         } else {
-            if self.pages.len() == self.config.entries {
-                self.pages.remove(0);
-            }
-            self.pages.push(page);
             self.misses += 1;
             self.config.walk_cycles
         }
