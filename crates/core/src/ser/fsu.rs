@@ -26,6 +26,14 @@ impl FsuPool {
         }
     }
 
+    /// Idles every unit and restarts the round robin at unit 0, as at
+    /// the start of an op.
+    pub fn reset(&mut self) {
+        self.busy.fill(0);
+        self.next = 0;
+        self.ops = 0;
+    }
+
     /// Dispatches one handle-field-op costing `cycles` to the next unit.
     /// Returns `(unit index, unit busy time before this op)` so observers can
     /// reconstruct the op's slot in that unit's busy timeline.
@@ -70,6 +78,21 @@ mod tests {
             pool.dispatch(10);
         }
         assert_eq!(pool.max_busy(), 80);
+    }
+
+    #[test]
+    fn reset_matches_a_fresh_pool() {
+        let mut pool = FsuPool::new(3);
+        for c in [4, 9, 2, 7] {
+            pool.dispatch(c);
+        }
+        pool.reset();
+        assert_eq!(pool.max_busy(), 0);
+        assert_eq!(pool.ops(), 0);
+        let mut fresh = FsuPool::new(3);
+        for c in [5, 1, 8, 3] {
+            assert_eq!(pool.dispatch(c), fresh.dispatch(c));
+        }
     }
 
     #[test]

@@ -334,52 +334,63 @@ struct InstanceRegions {
 /// between batches, as Section 4.3's software-managed arenas allow).
 const RECYCLE_FRACTION: u64 = 8;
 
+/// One instance's scripted faults.
+#[derive(Debug, Clone, Copy, Default)]
+struct InstanceScript {
+    crash_at: Option<Cycles>,
+    hang_at: Option<Cycles>,
+    slow: Option<(Cycles, Cycles, u64)>,
+}
+
 /// Per-instance view of an [`InstanceFault`] script, compiled once per run.
+/// An empty script (the common case, compiled once per RPC frame) holds no
+/// table at all; every instance then reads as fault-free.
 struct FaultScript {
-    crash_at: Vec<Option<Cycles>>,
-    hang_at: Vec<Option<Cycles>>,
-    slow: Vec<Option<(Cycles, Cycles, u64)>>,
+    per_instance: Vec<InstanceScript>,
 }
 
 impl FaultScript {
     fn compile(faults: &[InstanceFault], instances: usize) -> Self {
-        let mut s = FaultScript {
-            crash_at: vec![None; instances],
-            hang_at: vec![None; instances],
-            slow: vec![None; instances],
-        };
+        let mut per_instance = Vec::new();
         for f in faults {
             assert!(
                 f.instance < instances,
                 "fault targets instance {} of a {instances}-instance cluster",
                 f.instance
             );
+            if per_instance.is_empty() {
+                per_instance = vec![InstanceScript::default(); instances];
+            }
+            let s = &mut per_instance[f.instance];
             match f.kind {
                 InstanceFaultKind::Crash => {
-                    let e = &mut s.crash_at[f.instance];
-                    *e = Some(e.map_or(f.at, |p| p.min(f.at)));
+                    s.crash_at = Some(s.crash_at.map_or(f.at, |p| p.min(f.at)));
                 }
                 InstanceFaultKind::Hang => {
-                    let e = &mut s.hang_at[f.instance];
-                    *e = Some(e.map_or(f.at, |p| p.min(f.at)));
+                    s.hang_at = Some(s.hang_at.map_or(f.at, |p| p.min(f.at)));
                 }
                 InstanceFaultKind::Slow { factor, until } => {
-                    s.slow[f.instance] = Some((f.at, until, factor.max(1)));
+                    s.slow = Some((f.at, until, factor.max(1)));
                 }
             }
         }
-        s
+        FaultScript { per_instance }
+    }
+
+    /// The faults scripted for `instance` (none if the script is empty).
+    fn of(&self, instance: usize) -> InstanceScript {
+        self.per_instance.get(instance).copied().unwrap_or_default()
     }
 
     /// Whether the instance is scripted down (crashed or hung) at `now`.
     fn down(&self, instance: usize, now: Cycles) -> bool {
-        self.crash_at[instance].is_some_and(|c| c <= now)
-            || self.hang_at[instance].is_some_and(|h| h <= now)
+        let s = self.of(instance);
+        s.crash_at.is_some_and(|c| c <= now) || s.hang_at.is_some_and(|h| h <= now)
     }
 
     /// Unit cycles after any active slow-down window.
     fn slowed(&self, instance: usize, dispatch: Cycles, unit_cycles: Cycles) -> Cycles {
-        match self.slow[instance] {
+        match self.of(instance).slow {
             Some((at, until, factor)) if dispatch >= at && dispatch < until => {
                 unit_cycles.saturating_mul(factor)
             }
@@ -389,12 +400,14 @@ impl FaultScript {
 
     /// Whether a hang strikes before the attempt would complete.
     fn hangs(&self, instance: usize, dispatch: Cycles, service: Cycles) -> bool {
-        self.hang_at[instance].is_some_and(|h| h < dispatch.saturating_add(service))
+        self.of(instance)
+            .hang_at
+            .is_some_and(|h| h < dispatch.saturating_add(service))
     }
 
     /// Truncated service time if a crash strikes before completion.
     fn crash_cut(&self, instance: usize, dispatch: Cycles, service: Cycles) -> Option<Cycles> {
-        match self.crash_at[instance] {
+        match self.of(instance).crash_at {
             Some(c) if c < dispatch.saturating_add(service) => {
                 Some(c.saturating_sub(dispatch).max(1))
             }

@@ -69,16 +69,34 @@ impl GuestMemory {
     /// Writes `bytes` starting at `addr`; bytes past the top of the
     /// address space are dropped.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
+        self.write_chunks(addr, bytes.len(), |done, dst| {
+            dst.copy_from_slice(&bytes[done..done + dst.len()]);
+        });
+    }
+
+    /// Writes `len` zero bytes starting at `addr`, like `write_bytes` of a
+    /// zeroed buffer (the pages it covers become resident) without
+    /// building one.
+    pub fn write_zeros(&mut self, addr: u64, len: usize) {
+        self.write_chunks(addr, len, |_, dst| dst.fill(0));
+    }
+
+    /// Walks the `len`-byte range at `addr` one page at a time, handing
+    /// `fill` each chunk's offset into the range and its bytes; the part
+    /// past the top of the address space is dropped.
+    fn write_chunks(&mut self, addr: u64, len: usize, mut fill: impl FnMut(usize, &mut [u8])) {
         let mut done = 0;
-        while done < bytes.len() {
+        while done < len {
             let Some(cur) = addr.checked_add(done as u64) else {
                 return;
             };
             let page_number = cur / PAGE_SIZE as u64;
             let offset = (cur % PAGE_SIZE as u64) as usize;
-            let chunk = (PAGE_SIZE - offset).min(bytes.len() - done);
-            self.page_mut(page_number)[offset..offset + chunk]
-                .copy_from_slice(&bytes[done..done + chunk]);
+            let chunk = (PAGE_SIZE - offset).min(len - done);
+            fill(
+                done,
+                &mut self.page_mut(page_number)[offset..offset + chunk],
+            );
             done += chunk;
         }
     }
@@ -90,52 +108,72 @@ impl GuestMemory {
         buf
     }
 
+    /// Reads `N` bytes at `addr`: one page lookup and a fixed-width copy
+    /// when they sit in one page, `read_bytes` when they straddle two or
+    /// run past the top of the address space.
+    #[inline]
+    fn read_array<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let offset = (addr % PAGE_SIZE as u64) as usize;
+        let mut out = [0u8; N];
+        if offset + N <= PAGE_SIZE {
+            if let Some(page) = self.pages.get(&(addr / PAGE_SIZE as u64)) {
+                out.copy_from_slice(&page[offset..offset + N]);
+            }
+        } else {
+            self.read_bytes(addr, &mut out);
+        }
+        out
+    }
+
+    /// Writes `N` bytes at `addr`, the write-side twin of `read_array`.
+    #[inline]
+    fn write_array<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+        let offset = (addr % PAGE_SIZE as u64) as usize;
+        if offset + N <= PAGE_SIZE {
+            self.page_mut(addr / PAGE_SIZE as u64)[offset..offset + N].copy_from_slice(&bytes);
+        } else {
+            self.write_bytes(addr, &bytes);
+        }
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        let mut b = [0u8; 1];
-        self.read_bytes(addr, &mut b);
-        b[0]
+        self.read_array::<1>(addr)[0]
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        self.write_bytes(addr, &[value]);
+        self.write_array(addr, [value]);
     }
 
     /// Reads a little-endian u16.
     pub fn read_u16(&self, addr: u64) -> u16 {
-        let mut b = [0u8; 2];
-        self.read_bytes(addr, &mut b);
-        u16::from_le_bytes(b)
+        u16::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian u16.
     pub fn write_u16(&mut self, addr: u64, value: u16) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_array(addr, value.to_le_bytes());
     }
 
     /// Reads a little-endian u32.
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        u32::from_le_bytes(b)
+        u32::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian u32.
     pub fn write_u32(&mut self, addr: u64, value: u32) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_array(addr, value.to_le_bytes());
     }
 
     /// Reads a little-endian u64.
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian u64.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_array(addr, value.to_le_bytes());
     }
 }
 

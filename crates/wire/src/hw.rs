@@ -60,6 +60,16 @@ impl CombVarintDecoder {
     /// Returns `None` if no terminator lies within the available bytes — the
     /// FSM then either waits for more data or raises truncation.
     pub fn decode_avail(avail: &[u8]) -> Option<DecodedVarint> {
+        // A 1-byte varint (every key of a field numbered below 16, most
+        // small values) needs no padded window.
+        if let Some(&first) = avail.first() {
+            if first < 0x80 {
+                return Some(DecodedVarint {
+                    value: u64::from(first),
+                    len: 1,
+                });
+            }
+        }
         let mut window = [0x80u8; MAX_VARINT_LEN];
         let n = avail.len().min(MAX_VARINT_LEN);
         window[..n].copy_from_slice(&avail[..n]);

@@ -209,3 +209,34 @@ fn seeded_random_sweep_agrees() {
         assert_three_way(&buf);
     }
 }
+
+/// `decode_avail` as it was before its 1-byte shortcut: pad the available
+/// bytes into a full window of continuation bytes and decode that.
+fn padded_window_decode(avail: &[u8]) -> Option<(u64, usize)> {
+    let mut window = [0x80u8; MAX_VARINT_LEN];
+    let n = avail.len().min(MAX_VARINT_LEN);
+    window[..n].copy_from_slice(&avail[..n]);
+    let out = CombVarintDecoder::decode(&window)?;
+    (out.len <= n).then_some((out.value, out.len))
+}
+
+/// Every first byte, under every window length 0..=10 and three tails
+/// (all continuation, all terminators, mixed): the 1-byte shortcut and the
+/// padded-window path must agree with the padded-window reference.
+#[test]
+fn decode_avail_matches_the_padded_window_on_every_first_byte() {
+    for first in 0..=u8::MAX {
+        for tail in [0xffu8, 0x00, 0x81] {
+            let mut buf = [tail; MAX_VARINT_LEN + 2];
+            buf[0] = first;
+            for len in 0..=MAX_VARINT_LEN + 2 {
+                let avail = &buf[..len];
+                assert_eq!(
+                    CombVarintDecoder::decode_avail(avail).map(|o| (o.value, o.len)),
+                    padded_window_decode(avail),
+                    "{avail:02x?}"
+                );
+            }
+        }
+    }
+}
