@@ -6,11 +6,12 @@
 #   1. formatting           cargo fmt --check
 #   2. lints                cargo clippy --all-targets -- -D warnings
 #   3. tier-1 tests         cargo build --release && cargo test
-#   3b. figure generators   run_ae_full regenerates every paper table, figure,
-#                           ablation and extension study into an emptied
-#                           artifacts/ (fails if any generator exits
-#                           nonzero), then fails if git status shows a file
-#                           there changed, new or no longer written
+#   3b. paper studies       run_ae_full runs every paper table, figure,
+#                           ablation and extension study in process and
+#                           writes each into an emptied artifacts/ (fails
+#                           if any study panics), then fails if git status
+#                           shows a file there changed, new or no longer
+#                           written
 #   4. full workspace tests cargo test --workspace
 #   5. schema lint gate     protoacc-lint --format json protos/
 #                           (fails on any deny-level diagnostic)
@@ -102,13 +103,11 @@ echo "== tier-1: release build + root test suite =="
 cargo build --offline --release
 cargo test --offline -q
 
-echo "== figure generators (run_ae_full) =="
-# Builds every generator bin first so run_ae_full runs its siblings directly.
-cargo build --offline -q --release -p protoacc-bench --bins
+echo "== paper studies (run_ae_full) =="
 # The committed artifacts are goldens: a change that moves a figure must
 # re-commit the file and say why in EXPERIMENTS.md. Regenerating into an
-# emptied directory makes a golden that no generator writes any more show
-# as deleted, and a new generator's output as untracked.
+# emptied directory makes a golden that no study writes any more show as
+# deleted, and a new study's output as untracked.
 if ! git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
     echo "ci.sh: comparing artifacts/ with its goldens needs a git checkout" >&2
     exit 1

@@ -1,6 +1,7 @@
 //! Wall-clock benches, one group per paper table/figure, timing the
 //! simulation kernels that regenerate each result (host wall time of the
-//! simulator — the figure binaries report the *simulated* cycles).
+//! simulator — the studies `run_ae_full` runs report the *simulated*
+//! cycles).
 //!
 //! Uses a tiny self-contained timing harness (`harness = false`) instead of
 //! an external benchmark framework so `cargo bench` works with no network
@@ -96,13 +97,9 @@ fn bench_fig11() {
 }
 
 fn bench_fig12_fig13() {
-    let bench_set = Generator::new(ServiceProfile::bench(0), 1).generate(8);
-    let workload = Workload {
-        name: bench_set.profile.label(),
-        schema: bench_set.schema,
-        type_id: bench_set.type_id,
-        messages: bench_set.messages,
-    };
+    let workload: Workload = Generator::new(ServiceProfile::bench(0), 1)
+        .generate(8)
+        .into();
     bench("fig12_fig13/bench0_accel_deser", || {
         black_box(measure(
             SystemKind::RiscvBoomAccel,

@@ -201,9 +201,7 @@ fn build_workloads(count: usize, seed: u64) -> Vec<Workload> {
         .into_iter()
         .map(|bench| Workload {
             name: bench.profile.name.to_string(),
-            schema: bench.schema,
-            type_id: bench.type_id,
-            messages: bench.messages,
+            ..bench.into()
         })
         .collect();
     let chain = ["consensus", "gossip", "state_sync", "transaction"];

@@ -9,22 +9,22 @@
 //! * `riscv-boom-accel` — the cycle-level accelerator model on the BOOM SoC's
 //!   memory system.
 //!
-//! Per-figure generator binaries live in `src/bin/` (`fig2_cycles_by_op`,
-//! `fig3_msg_sizes`, …, `fig11_microbench`, `fig12_hyperbench`,
-//! `sec5_3_asic`, `headline_speedups`, and the `ablation_*` studies); each
-//! prints the same rows/series the paper reports. Criterion benches under
-//! `benches/` time the simulation kernels themselves.
+//! Every study is a function in [`studies`], listed in
+//! [`studies::STUDIES`]; the `run_ae_full` binary runs them all and writes
+//! each report to `artifacts/<name>.txt`. `benches/figures.rs` times the
+//! simulation kernels themselves with its own wall-clock harness.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod lintrep;
-pub mod report;
 pub mod serving;
+pub mod studies;
 pub mod systems;
 pub mod ubench;
 
 pub use lintrep::{format_lint_table, lint_workload, WorkloadLint};
-pub use report::{format_gbits_table, geomean};
-pub use systems::{measure, Direction, Machine, Measurement, SystemKind, Workload};
+pub use systems::{
+    geomean, geomean_gbits, measure, Direction, Machine, Measurement, SystemKind, Workload,
+};

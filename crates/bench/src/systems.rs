@@ -1,6 +1,7 @@
 //! The three evaluated systems and the one measurement loop every
 //! simulated machine goes through.
 
+use hyperprotobench::GeneratedBench;
 use protoacc::{AccelConfig, ProtoAccelerator};
 use protoacc_cpu::{CostTable, SoftwareCodec};
 use protoacc_mem::{MemConfig, Memory};
@@ -101,6 +102,18 @@ pub struct Workload {
     pub messages: Vec<MessageValue>,
 }
 
+impl From<GeneratedBench> for Workload {
+    /// The benchmark's population, named by its label (`bench0`..`bench5`).
+    fn from(bench: GeneratedBench) -> Workload {
+        Workload {
+            name: bench.profile.label(),
+            schema: bench.schema,
+            type_id: bench.type_id,
+            messages: bench.messages,
+        }
+    }
+}
+
 impl Workload {
     /// Total wire bytes one pass over the messages moves.
     pub fn wire_bytes(&self) -> u64 {
@@ -157,6 +170,30 @@ pub fn measure(
             wire_bytes as f64 * 8.0 * machine.freq_ghz() / cycles as f64
         },
     }
+}
+
+/// Geometric mean of a set of positive values; 0 if empty.
+pub fn geomean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let log_sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
+    (log_sum / values.len() as f64).exp()
+}
+
+/// Geometric mean of [`measure`]'s Gbit/s for `machine` over every
+/// workload in `direction`.
+pub fn geomean_gbits(
+    machine: impl Into<Machine>,
+    workloads: &[Workload],
+    direction: Direction,
+) -> f64 {
+    let machine = machine.into();
+    let gbits: Vec<f64> = workloads
+        .iter()
+        .map(|w| measure(machine.clone(), w, direction).gbits)
+        .collect();
+    geomean(&gbits)
 }
 
 /// Guest-memory map used by the harness.
@@ -366,6 +403,14 @@ mod tests {
                 "{direction:?}: accel {accel:.2} / xeon {xeon:.2} / boom {boom:.2}"
             );
         }
+    }
+
+    #[test]
+    fn geomean_basics() {
+        assert_eq!(geomean(&[]), 0.0);
+        assert!((geomean(&[4.0]) - 4.0).abs() < 1e-12);
+        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
+        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
     }
 
     #[test]

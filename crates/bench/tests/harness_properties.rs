@@ -1,8 +1,9 @@
 //! Properties of the measurement harness itself: determinism, and the
 //! paper's headline shape facts that must hold on every build.
 
+use protoacc_bench::studies::evaluation::speedup_table;
 use protoacc_bench::ubench::{alloc_workloads, nonalloc_workloads};
-use protoacc_bench::{geomean, measure, Direction, SystemKind, Workload};
+use protoacc_bench::{geomean_gbits, measure, Direction, SystemKind, Workload};
 use protoacc_cpu::CostTable;
 
 /// The whole simulator is deterministic: measuring the same cell twice
@@ -95,15 +96,6 @@ fn submessage_benchmarks_are_slowest_per_byte() {
     }
 }
 
-/// Deserialization geomean of `cost` over `workloads`, in Gbit/s.
-fn deser_geomean(cost: &CostTable, workloads: &[Workload]) -> f64 {
-    let gbits: Vec<f64> = workloads
-        .iter()
-        .map(|w| measure(cost.clone(), w, Direction::Deserialize).gbits)
-        .collect();
-    geomean(&gbits)
-}
-
 /// A system and its cost table are one machine: measuring through either
 /// runs the same loop and gives the same cycles.
 #[test]
@@ -124,8 +116,8 @@ fn boom_cost_table_measures_like_the_boom_system() {
 #[test]
 fn rocket_deserializes_slower_than_boom_on_fig11a() {
     let workloads = nonalloc_workloads();
-    let rocket = deser_geomean(&CostTable::rocket(), &workloads);
-    let boom = deser_geomean(&CostTable::boom(), &workloads);
+    let rocket = geomean_gbits(CostTable::rocket(), &workloads, Direction::Deserialize);
+    let boom = geomean_gbits(CostTable::boom(), &workloads, Direction::Deserialize);
     assert!(rocket < boom, "rocket {rocket:.3} vs boom {boom:.3} Gbit/s");
 }
 
@@ -141,11 +133,32 @@ fn frontend_flush_lowers_boom_throughput() {
                 frontend_flush_cycles: flush,
                 ..CostTable::boom()
             };
-            deser_geomean(&cost, &workloads)
+            geomean_gbits(cost, &workloads, Direction::Deserialize)
         })
         .collect();
     assert!(
         gbits.windows(2).all(|pair| pair[1] < pair[0]),
         "Gbit/s at flush 0/500/2000: {gbits:?}"
     );
+}
+
+/// Figure 11's part orderings vs riscv-boom (§5.1.3, EXPERIMENTS.md):
+/// deserializing allocating field types gains more than non-allocating
+/// ones (11a < 11c), and serializing inline field types more than
+/// non-inline ones (11d < 11b). Measured through the panel function
+/// `fig11_microbench` prints.
+#[test]
+fn fig11_part_speedups_keep_the_recorded_order() {
+    let vs_boom = |workloads: &[Workload], direction| {
+        speedup_table(&mut String::new(), "", workloads, direction)
+            .expect("formatting into a String")
+            .0
+    };
+    let (nonalloc, alloc) = (nonalloc_workloads(), alloc_workloads());
+    let a = vs_boom(&nonalloc, Direction::Deserialize);
+    let b = vs_boom(&nonalloc, Direction::Serialize);
+    let c = vs_boom(&alloc, Direction::Deserialize);
+    let d = vs_boom(&alloc, Direction::Serialize);
+    assert!(a < c, "11a {a:.2}x should trail 11c {c:.2}x");
+    assert!(d < b, "11d {d:.2}x should trail 11b {b:.2}x");
 }

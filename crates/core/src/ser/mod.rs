@@ -250,6 +250,7 @@ impl SerUnit {
                     let header = read_timed_u64(mem, slot, frontend);
                     let data = read_timed_u64(mem, header, frontend);
                     let count = read_timed_u64(mem, header + 8, frontend);
+                    check_count(writer, count)?;
                     for i in (0..count).rev() {
                         let elem_ptr = read_timed_u64(mem, data + i * 8, frontend);
                         let before = writer.cursor();
@@ -318,6 +319,7 @@ impl SerUnit {
                     let header = slot_read(mem, slot, &mut cost);
                     let data = slot_read(mem, header, &mut cost);
                     let count = slot_read(mem, header + 8, &mut cost);
+                    check_count(writer, count)?;
                     for i in (0..count).rev() {
                         let str_obj = slot_read(mem, data + i * 8, &mut cost);
                         cost += self.emit_string(mem, writer, str_obj, number, stats)?;
@@ -333,6 +335,7 @@ impl SerUnit {
                     let header = slot_read(mem, slot, &mut cost);
                     let data = slot_read(mem, header, &mut cost);
                     let count = slot_read(mem, header + 8, &mut cost);
+                    check_count(writer, count)?;
                     cost += mem
                         .system
                         .access(data, (count * size) as usize, AccessKind::Read);
@@ -461,6 +464,17 @@ impl SerUnit {
         writer.prepend(mem, encoded.as_slice())?;
         Ok(())
     }
+}
+
+/// A repeated field's element count comes from guest memory, and every
+/// element emits at least one byte: a count that cannot fit below the
+/// output cursor is an overflow before it sizes a load or indexes an
+/// element.
+fn check_count(writer: &ReverseWriter, count: u64) -> Result<(), AccelError> {
+    if count > writer.remaining() {
+        return Err(AccelError::OutputOverflow);
+    }
+    Ok(())
 }
 
 fn read_timed_u64(mem: &mut Memory, addr: u64, cycles: &mut Cycles) -> u64 {
@@ -604,6 +618,72 @@ mod tests {
         // words, not the declared terabyte.
         assert!(mem.system.stats().bytes < 1 << 10);
         assert_eq!(writer.remaining(), 1 << 16);
+    }
+
+    /// Serializes a message whose repeated field `number` holds one element
+    /// in memory but whose header claims 2^61 of them, as a stray write
+    /// would leave it.
+    fn serialize_with_corrupted_count(number: u32) -> Result<(), AccelError> {
+        let mut b = SchemaBuilder::new();
+        let sub = b.define("Sub", |m| {
+            m.optional("v", FieldType::UInt64, 1);
+        });
+        let id = b.define("R", |m| {
+            m.packed("p", FieldType::UInt64, 1)
+                .repeated("rs", FieldType::String, 2)
+                .repeated("rm", FieldType::Message(sub), 3);
+        });
+        let schema = b.build().unwrap();
+        let layouts = MessageLayouts::compute(&schema);
+        let mut mem = Memory::new(MemConfig::default());
+        let mut arena = BumpArena::new(0x1_0000, 1 << 22);
+        let adts = write_adts(&schema, &layouts, &mut mem.data, &mut arena).unwrap();
+        let element = match number {
+            1 => Value::UInt64(7),
+            2 => Value::Str("x".into()),
+            _ => Value::Message(MessageValue::new(sub)),
+        };
+        let mut m = MessageValue::new(id);
+        m.set_repeated(number, vec![element]);
+        let obj = object::write_message(&mut mem.data, &schema, &layouts, &mut arena, &m).unwrap();
+        let slot = layouts.layout(id).slot(number).expect("field has a slot");
+        let header = mem.data.read_u64(obj + slot.offset);
+        mem.data.write_u64(header + 8, 1 << 61);
+        let mut unit = SerUnit::new(AccelConfig::default());
+        let mut writer = ReverseWriter::new(0x40_0000, 1 << 16, 16);
+        let mut stats = AccelStats::default();
+        let result = unit
+            .run(&mut mem, &mut writer, adts.addr(id), obj, &mut stats)
+            .map(drop);
+        // Neither charged nor written: the loads before the check are a
+        // few words, not 2^61 elements.
+        assert!(mem.system.stats().bytes < 1 << 10);
+        assert_eq!(writer.remaining(), 1 << 16);
+        result
+    }
+
+    #[test]
+    fn corrupted_packed_count_overflows_before_touching_memory() {
+        assert!(matches!(
+            serialize_with_corrupted_count(1),
+            Err(AccelError::OutputOverflow)
+        ));
+    }
+
+    #[test]
+    fn corrupted_repeated_string_count_overflows_before_indexing() {
+        assert!(matches!(
+            serialize_with_corrupted_count(2),
+            Err(AccelError::OutputOverflow)
+        ));
+    }
+
+    #[test]
+    fn corrupted_repeated_message_count_overflows_before_indexing() {
+        assert!(matches!(
+            serialize_with_corrupted_count(3),
+            Err(AccelError::OutputOverflow)
+        ));
     }
 
     #[test]

@@ -48,9 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Compare the three systems on the same workload, both directions.
     let workload = Workload {
         name: "storage-rows".into(),
-        schema: bench.schema,
-        type_id: bench.type_id,
-        messages: bench.messages,
+        ..bench.into()
     };
     println!(
         "{:<20} {:>16} {:>16}",
