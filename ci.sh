@@ -7,12 +7,18 @@
 #   2. lints                cargo clippy --all-targets -- -D warnings
 #   3. tier-1 tests         cargo build --release && cargo test
 #   3b. paper studies       run_ae_full runs every paper table, figure,
-#                           ablation and extension study in process and
-#                           writes each into an emptied artifacts/ (fails
-#                           if any study panics), then fails if git status
-#                           shows a file there changed, new or no longer
-#                           written
-#   4. full workspace tests cargo test --workspace
+#                           ablation, extension and serving study in
+#                           process and writes each into an emptied
+#                           artifacts/ (fails if any study panics: the
+#                           serving scaling sweep on a queue-invariant
+#                           violation, the fault sweep on a command that
+#                           fails outright, a shed request or an admitted
+#                           request left unserved), then fails if git
+#                           status shows a file there changed, new or no
+#                           longer written
+#   4. full workspace tests cargo test --workspace (includes the serving
+#                           model's replay determinism and accounting,
+#                           crates/bench/tests/serve_determinism.rs)
 #   5. schema lint gate     protoacc-lint --format json protos/
 #                           (fails on any deny-level diagnostic)
 #   5b. descriptor ingestion protoacc-lint --descriptor-set protos/chain
@@ -30,24 +36,10 @@
 #                           then bench_verify runs the seeded table/ADT
 #                           mutation campaign (>=99% detection, clean
 #                           schemas silent; emits target/BENCH_verify.json)
-#   6. serve smoke+sanitize serve_tail_latency --smoke --sanitize
-#                           (fails on queue-invariant violations,
-#                           nondeterministic multi-instance replay, or any
-#                           PA007/PA008/PA009 sanitizer finding: envelope
-#                           violations, lifecycle reordering, arena aliasing),
-#                           then the full study with no flags (fails on a
-#                           queue-invariant violation in the scaling sweep)
-#   7. fault smoke          serve_tail_latency --smoke --faults
-#                           (every fault class — instance crash/hang/slow,
-#                           memory ECC/stall, wire corruption — must serve
-#                           100% of admitted load, deterministically, with
-#                           watchdogs derived from the absint envelopes),
-#                           then the full --faults sweep (fails on any
-#                           command that ends Failed)
-#   8. corruption diff      10k seeded corrupted inputs: accelerator and
+#   6. corruption diff      10k seeded corrupted inputs: accelerator and
 #                           CPU reference must agree on every accept/reject
 #                           verdict and error class
-#   8b. fast-path gate      varint boundary sweep (scalar/SWAR/hw three-way),
+#   6b. fast-path gate      varint boundary sweep (scalar/SWAR/hw three-way),
 #                           fastpath-vs-CPU differential suite, and
 #                           bench_codec --smoke (fails on any byte or verdict
 #                           divergence; emits target/BENCH_codec.json); then
@@ -62,15 +54,20 @@
 #                           run's correctness gate (host byte identity, RPC
 #                           framing and accounting, sharded equivalence)
 #                           exits nonzero on any divergence
-#   9. envelope soundness   cross-validation that measured deser/ser cycles
-#                           stay inside the absint [lower, upper] envelopes
-#  10. trace round trip     serve_tail_latency --smoke --trace emits a
-#                           Chrome-trace JSON (tracing proven to be a pure
-#                           observer, accounting audit exact, trace-derived
-#                           sanitizer inputs match the live cluster), then
-#                           profile_report --reparse re-parses the file and
-#                           re-runs the accounting audit offline
-#  11. rpc serving gate    serve_rpc --smoke sweeps offered load through 2x
+#   7. envelope soundness   cross-validation that measured deser/ser cycles
+#                           stay inside the absint [lower, upper] envelopes,
+#                           and the serve sanitizer (PA007/PA008/PA009:
+#                           envelope violations, lifecycle reordering, arena
+#                           aliasing) over the serving fleet mix at 1/2/4
+#                           instances
+#   8. trace round trip     serve_tail_latency --trace emits a Chrome-trace
+#                           JSON, then profile_report --reparse re-parses
+#                           the file and re-runs the accounting audit
+#                           offline; tests/trace_accounting.rs checks that
+#                           the same run's tracing is a pure observer, its
+#                           audit is exact and its trace-derived sanitizer
+#                           inputs match the live cluster
+#   9. rpc serving gate     serve_rpc --smoke sweeps offered load through 2x
 #                           saturation under open- and closed-loop traffic
 #                           (fails on an accounting leak — every offered
 #                           request must land in exactly one of ok/fallback/
@@ -79,17 +76,15 @@
 #                           of peak, or an inert admission controller; emits
 #                           target/BENCH_rpc.json), plus the frame-corruption
 #                           corpus and the loop-discipline equivalence test
-#  12. sharded engine gate  serve_tail_latency --smoke --shards 4 must print
-#                           a fingerprint byte-identical to --shards 1 (the
-#                           sequential reference); each invocation also
-#                           self-checks 1-vs-N workers and audits the
-#                           stitched multi-shard trace log. Then the
-#                           equivalence suite (tests/serve_sharded.rs:
+#  10. sharded engine gate  the equivalence suite (tests/serve_sharded.rs:
 #                           clean / faulted / shed-heavy workloads at
-#                           workers 1/2/4/8) and a short --bench-shards
-#                           scaling run emitting target/BENCH_shard.json
-#                           (fails if the sharded engine regresses below
-#                           1.0x at the hardware's parallel width)
+#                           workers 1/2/4/8 must equal the sequential
+#                           1-worker run bit for bit, and each stitched
+#                           multi-shard trace must pass the accounting
+#                           audit) and a short --bench-shards scaling run
+#                           emitting target/BENCH_shard.json (fails if the
+#                           sharded engine regresses below 1.0x at the
+#                           hardware's parallel width)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -158,14 +153,6 @@ cargo run --offline -q --release -p protoacc-bench --bin bench_verify -- \
     --smoke --out target/BENCH_verify.json
 cargo test --offline -q --test verify_mutation
 
-echo "== serving-model smoke + sanitizer (invariants, determinism, PA007-PA009) =="
-cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- --smoke --sanitize
-cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency
-
-echo "== graceful-degradation smoke (fault classes x serve cluster) =="
-cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- --smoke --faults
-cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- --faults
-
 echo "== corruption differential (accel vs CPU verdict parity) =="
 cargo test --offline -q --test corruption_differential --test fault_matrix
 
@@ -200,7 +187,7 @@ cargo test --offline -q --test envelope_soundness --test serve_sanitizer
 
 echo "== trace round trip (emit, re-parse, accounting audit) =="
 cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- \
-    --smoke --trace target/ci_trace.json
+    --trace target/ci_trace.json
 cargo run --offline -q --release -p protoacc-bench --bin profile_report -- \
     --reparse target/ci_trace.json
 cargo test --offline -q --test trace_accounting
@@ -211,24 +198,6 @@ cargo run --offline -q --release -p protoacc-bench --bin serve_rpc -- \
 cargo test --offline -q --test rpc_frames --test rpc_loop_equivalence
 
 echo "== sharded engine gate (parallel == sequential, bit-for-bit) =="
-# Two separate invocations at different worker counts must print the same
-# merged fingerprint; each one also self-checks its N-worker run against
-# its own 1-worker reference and audits the stitched multi-shard trace.
-cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- \
-    --smoke --shards 4 | tee target/shard_gate_4.txt
-cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- \
-    --shards 1 | tee target/shard_gate_1.txt
-# The diff below passes when neither file holds the line, so first require
-# exactly one fingerprint line in each.
-for n in 4 1; do
-    lines=$(grep -c '^sharded fingerprint:' "target/shard_gate_$n.txt" || true)
-    if [ "$lines" != 1 ]; then
-        echo "shard gate: target/shard_gate_$n.txt holds $lines fingerprint line(s), want 1" >&2
-        exit 1
-    fi
-done
-diff <(grep '^sharded fingerprint:' target/shard_gate_4.txt) \
-     <(grep '^sharded fingerprint:' target/shard_gate_1.txt)
 cargo test --offline -q --release --test serve_sharded
 # Short scaling run (the repo-root BENCH_shard.json records the full
 # 10^6-command sweep); fails on nondeterminism across worker counts or a

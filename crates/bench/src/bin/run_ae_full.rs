@@ -3,7 +3,7 @@
 //! writing each report to `artifacts/<name>.txt` and printing a checklist.
 //!
 //! Usage: `cargo run --release -p protoacc-bench --bin run_ae_full`
-//! (about 4.5 s of study time as a release build on a 2-vCPU Xeon host).
+//! (about 5.5 s of study time as a release build on a 2-vCPU Xeon host).
 
 use std::path::Path;
 use std::time::Instant;

@@ -25,10 +25,14 @@
 //! [`run_cell`] is the one way a study runs a serving cell: stage into a
 //! fresh memory, build the requests and fault script, run one cluster and
 //! capture it as a [`ShardOutcome`]. A single-cluster study is the
-//! one-cell decomposition, `ShardedCluster::run(&[()], 1, ..)`.
+//! one-cell decomposition, [`one_cell`]; [`isolated`] is the one-cell run
+//! the sanitizer and the tracer check, with its own destination object per
+//! deserialization. The serving studies replay [`fleet_mix`] traffic from
+//! [`stream`].
 
 use protoacc::{
-    AccelConfig, InstanceFault, Request, RequestOp, ServeCluster, ServeConfig, ShardOutcome,
+    AccelConfig, DispatchPolicy, InstanceFault, Request, RequestOp, ServeCluster, ServeConfig,
+    ShardOutcome, ShardedCluster,
 };
 use protoacc_absint::Envelope;
 use protoacc_faults::SoftwareFallback;
@@ -37,6 +41,7 @@ use protoacc_mem::{MemConfig, Memory};
 use protoacc_rpc::Method;
 use protoacc_runtime::{object, reference, write_adts, AdtTables, BumpArena, MessageLayouts};
 use protoacc_trace::TraceLog;
+use xrand::StdRng;
 
 /// Base of the ADT region.
 pub const ADT_BASE: u64 = 0x1_0000;
@@ -56,13 +61,42 @@ const OBJECT_LEN: u64 = 1 << 30;
 /// deserializations share one.
 pub const DEST_BASE: u64 = 0xC000_0000;
 /// Length of the destination-object arena.
-pub const DEST_LEN: u64 = 1 << 28;
+const DEST_LEN: u64 = 1 << 28;
 /// Base of the cluster's per-instance accelerator arenas.
 pub const ARENA_BASE: u64 = 0x1_0000_0000;
 /// Per-instance slice of the arena region (64 MiB).
 pub const ARENA_STRIDE: u64 = 1 << 26;
 /// Gap left after each staged wire input.
 const INPUT_GAP: u64 = 64;
+
+/// Seed the serving studies synthesize their prototype population from.
+pub const MIX_SEED: u64 = 0xF1EE7;
+/// Seed of the serving studies' arrival process.
+pub const STREAM_SEED: u64 = 0x10AD;
+
+/// The fleet mix of `prototypes` prototypes, drawn from [`MIX_SEED`].
+#[must_use]
+pub fn fleet_mix(prototypes: usize) -> TrafficMix {
+    TrafficMix::build(&mut StdRng::seed_from_u64(MIX_SEED), prototypes)
+}
+
+/// `n` arrivals at mean gap `gap`, drawn from [`STREAM_SEED`].
+#[must_use]
+pub fn stream(mix: &TrafficMix, n: usize, gap: f64) -> Vec<TrafficEvent> {
+    mix.stream(&mut StdRng::seed_from_u64(STREAM_SEED), n, gap)
+}
+
+/// A cluster of `instances` behind a `queue_depth`-deep queue dispatching
+/// by `policy`, everything else at its default.
+#[must_use]
+pub fn config(instances: usize, queue_depth: usize, policy: DispatchPolicy) -> ServeConfig {
+    ServeConfig {
+        instances,
+        queue_depth,
+        policy,
+        ..ServeConfig::default()
+    }
+}
 
 /// One staged prototype: where its wire input lives and the two commands
 /// that serve it.
@@ -275,6 +309,55 @@ pub fn run_cell(
     ShardOutcome::capture(shard, &cluster, &mem, events)
 }
 
+/// Runs one cluster over the default memory as the one-cell decomposition
+/// (see [`run_cell`] for `build`).
+pub fn one_cell(
+    mix: &TrafficMix,
+    cfg: ServeConfig,
+    capture: Capture,
+    build: impl Fn(&Staging, &mut Memory) -> (Vec<Request>, Vec<InstanceFault>) + Sync,
+) -> ShardedCluster {
+    ShardedCluster::run(&[()], 1, |shard, ()| {
+        run_cell(shard, mix, MemConfig::default(), cfg, capture, &build)
+    })
+}
+
+/// Runs `events` fault-free as one cell with footprint capture on,
+/// optionally traced, giving every deserialization its own destination
+/// object in the [`DEST_BASE`] arena. The shared staging reuses one slot
+/// per prototype, which is a genuine arena-aliasing hazard (PA009) the
+/// moment two instances deserialize the same prototype concurrently:
+/// harmless for timing studies, but exactly what a sanitized run must not
+/// do.
+///
+/// # Panics
+///
+/// If the destination objects outgrow their arena.
+#[must_use]
+pub fn isolated(
+    mix: &TrafficMix,
+    events: &[TrafficEvent],
+    cfg: ServeConfig,
+    trace: bool,
+) -> ShardedCluster {
+    let capture = Capture {
+        trace,
+        footprints: true,
+        fallback: false,
+    };
+    one_cell(mix, cfg, capture, |staging, _| {
+        let mut dests = BumpArena::new(DEST_BASE, DEST_LEN);
+        let mut requests = staging.requests(events);
+        for (r, e) in requests.iter_mut().zip(events) {
+            if let RequestOp::Deserialize { dest_obj, .. } = &mut r.op {
+                let size = staging.protos[e.prototype].object_size;
+                *dest_obj = dests.alloc(size, 8).expect("dest arena");
+            }
+        }
+        (requests, Vec::new())
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,7 +366,7 @@ mod tests {
     use xrand::StdRng;
 
     fn mix() -> TrafficMix {
-        TrafficMix::build(&mut StdRng::seed_from_u64(0xF1EE7), 8)
+        fleet_mix(8)
     }
 
     fn staged(mix: &TrafficMix) -> (Staging, Memory) {
@@ -414,7 +497,7 @@ mod tests {
         let mix = mix();
         let (a, _) = staged(&mix);
         let (b, _) = staged(&mix);
-        let events = mix.stream(&mut StdRng::seed_from_u64(0x10AD), 64, 2_000.0);
+        let events = stream(&mix, 64, 2_000.0);
         assert_eq!(
             format!("{:?}", a.requests(&events)),
             format!("{:?}", b.requests(&events))

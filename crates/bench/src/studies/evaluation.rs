@@ -6,7 +6,7 @@ use std::fmt::{self, Write};
 use hyperprotobench::generate_suite;
 use protoacc::asic::{deserializer_estimate, serializer_estimate};
 use protoacc::AccelConfig;
-use protoacc_fleet::gwp::ServiceCycles;
+use protoacc_fleet::gwp::{FleetProfile, ServiceCycles};
 
 use crate::ubench::{alloc_workloads, nonalloc_workloads};
 use crate::{geomean, measure, Direction, SystemKind, Workload};
@@ -117,10 +117,11 @@ pub fn fig11_microbench(out: &mut String) -> fmt::Result {
     )
 }
 
-/// Figures 12 and 13: HyperProtoBench deserialization and serialization
-/// (bench0..bench5 + geomean) on the three systems, then the overall
-/// speedups and §5.2's fleet-savings extrapolation.
-pub fn fig12_hyperbench(out: &mut String) -> fmt::Result {
+/// Figures 12 and 13's tables: HyperProtoBench deserialization and
+/// serialization (bench0..bench5 + geomean) on the three systems. Returns
+/// the overall speedup, the geomean over both directions, vs riscv-boom
+/// and vs Xeon.
+pub fn hyperbench_speedups(out: &mut String) -> Result<(f64, f64), fmt::Error> {
     let workloads: Vec<Workload> = generate_suite(48, 0xB0B)
         .into_iter()
         .map(|bench| Workload {
@@ -140,20 +141,32 @@ pub fn fig12_hyperbench(out: &mut String) -> fmt::Result {
         &workloads,
         Direction::Serialize,
     )?;
-    let boom = geomean(&[deser_boom, ser_boom]);
-    let xeon = geomean(&[deser_xeon, ser_xeon]);
+    Ok((
+        geomean(&[deser_boom, ser_boom]),
+        geomean(&[deser_xeon, ser_xeon]),
+    ))
+}
+
+/// §5.2's fleet-savings extrapolation: the share of fleet cycles saved by
+/// running the fleet's C++ (de)serialization cycles `speedup` times faster.
+#[must_use]
+pub fn fleet_savings(speedup: f64) -> f64 {
+    FleetProfile::google_2021().acceleration_opportunity() * (1.0 - 1.0 / speedup)
+}
+
+/// Figures 12 and 13 (see [`hyperbench_speedups`]), then the overall
+/// speedups and §5.2's fleet-savings extrapolation.
+pub fn fig12_hyperbench(out: &mut String) -> fmt::Result {
+    let (boom, xeon) = hyperbench_speedups(out)?;
     writeln!(
         out,
         "HyperProtoBench overall: {boom:.2}x vs riscv-boom (paper: 6.2x), \
          {xeon:.2}x vs Xeon (paper: 3.8x)"
     )?;
-    // §5.2's fleet-savings extrapolation: accelerating 3.45% of fleet
-    // cycles by the measured factor.
-    let saved = 0.0345 * (1.0 - 1.0 / boom);
     writeln!(
         out,
         "extrapolated fleet-cycle savings: {:.2}% (paper: >2.5%)",
-        saved * 100.0
+        fleet_savings(boom) * 100.0
     )?;
     // Service-weighted view: each benchmark represents a service with a
     // known share of fleet (de)serialization cycles (§5.2 selection).

@@ -1,5 +1,5 @@
-//! Every table, figure, ablation and extension study, as a function that
-//! appends its report to a `String`.
+//! Every table, figure, ablation, extension and serving study, as a
+//! function that appends its report to a `String`.
 //!
 //! [`STUDIES`] lists them in the order `run_ae_full` (the paper's
 //! Appendix A `run-ae-full.sh`) runs them; each name is also the stem of
@@ -12,6 +12,7 @@ pub mod evaluation;
 pub mod extensions;
 pub mod fleet;
 pub mod sec7;
+pub mod serve;
 
 /// A study: appends its report to the string.
 pub type Study = fn(&mut String) -> fmt::Result;
@@ -41,4 +42,6 @@ pub const STUDIES: &[(&str, Study)] = &[
     ("related_optimus_prime", extensions::related_optimus_prime),
     ("config_inorder_core", extensions::config_inorder_core),
     ("export_hyperbench", extensions::export_hyperbench),
+    ("serve_tail_latency", serve::serve_tail_latency),
+    ("serve_faults", serve::serve_faults),
 ];

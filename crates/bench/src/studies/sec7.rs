@@ -12,6 +12,7 @@ use protoacc_runtime::{
     object, reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value,
 };
 
+use super::evaluation::{fleet_savings, hyperbench_speedups};
 use crate::ubench::nonalloc_workloads;
 use crate::{geomean, geomean_gbits, Direction, SystemKind};
 
@@ -62,7 +63,9 @@ pub fn sec7_future_ops(out: &mut String) -> fmt::Result {
     let extra = profile.protobuf_fraction_of_fleet
         * profile.cpp_fraction_of_protobuf
         * profile.merge_copy_clear_share();
-    let savings = base * (1.0 - 1.0 / 7.0) + extra * (1.0 - 1.0 / overall);
+    // Ser+deser run at the measured HyperProtoBench speedup (Figs 12-13).
+    let (hyperbench, _) = hyperbench_speedups(&mut String::new())?;
+    let savings = fleet_savings(hyperbench) + extra * (1.0 - 1.0 / overall);
     writeln!(
         out,
         "addressable fleet cycles grow from {:.2}% (ser+deser) to {:.2}% with merge/copy/clear \

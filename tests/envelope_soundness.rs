@@ -10,7 +10,7 @@
 
 use protoacc_suite::absint::Envelope;
 use protoacc_suite::accel::{AccelConfig, ProtoAccelerator};
-use protoacc_suite::fleet::traffic::TrafficMix;
+use protoacc_suite::bench::serving::fleet_mix;
 use protoacc_suite::hyperbench::{Generator, ServiceProfile};
 use protoacc_suite::lint::static_bound;
 use protoacc_suite::mem::{MemConfig, Memory};
@@ -214,12 +214,11 @@ fn randomized_hyperbench_messages_stay_inside_envelopes() {
 }
 
 /// The serve workload's own prototype population: every fleet-traffic
-/// prototype — the exact messages `serve_tail_latency --sanitize` replays —
-/// is bracketed in both directions.
+/// prototype of the serving studies' mix seed is bracketed in both
+/// directions.
 #[test]
 fn traffic_mix_prototypes_stay_inside_envelopes() {
-    let mut rng = StdRng::seed_from_u64(0xF1EE7);
-    let mix = TrafficMix::build(&mut rng, 12);
+    let mix = fleet_mix(12);
     for (i, p) in mix.prototypes.iter().enumerate() {
         check_envelopes(
             &mix.schema,

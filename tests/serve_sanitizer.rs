@@ -8,12 +8,16 @@
 //!   deserializations trips PA009 (arena aliasing);
 //! * tampered command records trip PA008 (lifecycle ordering);
 //! * artificially tightened envelopes trip PA007 — proving the envelope
-//!   check actually compares against the measured service times.
+//!   check actually compares against the measured service times;
+//! * the serving studies' fleet mix, run concurrently on 1, 2 and 4
+//!   instances with isolated destination objects, stays inside its
+//!   envelopes and produces no findings.
 
 use protoacc_suite::absint::{self, Envelope, FindingKind, ServiceBounds};
 use protoacc_suite::accel::{
     AccelConfig, CommandRecord, DispatchPolicy, Request, RequestOp, ServeCluster, ServeConfig,
 };
+use protoacc_suite::bench::serving::{config, fleet_mix, isolated, stream, Staging};
 use protoacc_suite::lint::{findings_to_diagnostics, DiagCode, LintConfig, Severity};
 use protoacc_suite::mem::{MemConfig, Memory};
 use protoacc_suite::runtime::{
@@ -316,4 +320,59 @@ fn tightened_envelopes_trip_pa007() {
         .collect();
     let findings = absint::check_envelopes(cluster.records(), &too_high);
     assert_eq!(findings.len(), cluster.records().len());
+}
+
+#[test]
+fn fleet_mix_runs_clean_at_every_width() {
+    let mix = fleet_mix(8);
+    let envelopes = Staging::new(&mix, &mut Memory::new(MemConfig::default())).envelopes(&mix);
+    let events = stream(&mix, 96, 2_000.0);
+    for instances in [1usize, 2, 4] {
+        let run = isolated(
+            &mix,
+            &events,
+            config(instances, 32, DispatchPolicy::Fifo),
+            false,
+        );
+        let cell = &run.outcomes()[0];
+        assert_eq!(cell.records.len(), events.len(), "n={instances}");
+        if instances > 1 {
+            assert!(
+                cell.records.iter().any(|r| r.sharers > 1),
+                "n={instances}: no two commands overlapped"
+            );
+        }
+        let bounds: Vec<ServiceBounds> = cell
+            .records
+            .iter()
+            .map(|r| {
+                let (deser_env, ser_env) = &envelopes[events[r.seq].prototype];
+                let env = if r.deser { deser_env } else { ser_env };
+                let b = env.service_bounds(r.wire_bytes, r.sharers);
+                ServiceBounds {
+                    seq: r.seq,
+                    lower: b.lower,
+                    upper: b.upper,
+                }
+            })
+            .collect();
+        let findings = absint::sanitize(
+            &cell.records,
+            &cell.footprints,
+            instances,
+            events.len() as u64,
+            cell.dropped,
+            &bounds,
+        );
+        let diagnostics = findings_to_diagnostics(&findings, &LintConfig::default());
+        assert!(
+            diagnostics.is_empty(),
+            "n={instances}: {}",
+            diagnostics
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
+    }
 }

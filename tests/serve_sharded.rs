@@ -27,15 +27,13 @@ use protoacc_suite::accel::{
     DispatchPolicy, InstanceFault, Request, ServeCluster, ServeConfig, ShardOutcome, ShardedCluster,
 };
 use protoacc_suite::bench::serving::{
-    self, Capture, Staging, ARENA_BASE, ARENA_STRIDE, FB_ARENA, FB_OUT,
+    self, fleet_mix, Capture, Staging, ARENA_BASE, ARENA_STRIDE, FB_ARENA, FB_OUT, STREAM_SEED,
 };
 use protoacc_suite::faults::{random_script, InstanceFaultPlan, SoftwareFallback};
 use protoacc_suite::fleet::traffic::{TrafficEvent, TrafficMix};
 use protoacc_suite::mem::{Cycles, MemConfig, Memory};
 use protoacc_suite::xrand::StdRng;
 
-const MIX_SEED: u64 = 0xF1EE7;
-const STREAM_SEED: u64 = 0x10AD;
 const FAULT_SEED: u64 = 0xFA_17;
 
 /// Cells in the fixed decomposition (independent of worker count).
@@ -161,8 +159,7 @@ fn run_sharded(mix: &TrafficMix, workload: Workload, workers: usize) -> ShardedC
 /// 1-worker sequential reference; per-shard invariants hold; the stitched
 /// multi-shard trace log passes the accounting audit.
 fn assert_equivalent(workload: Workload) -> ShardedCluster {
-    let mut rng = StdRng::seed_from_u64(MIX_SEED);
-    let mix = TrafficMix::build(&mut rng, 8);
+    let mix = fleet_mix(8);
     let reference = run_sharded(&mix, workload, 1);
     reference
         .check_invariants()
@@ -250,7 +247,7 @@ fn shed_heavy_workload_is_bit_identical_across_worker_counts() {
 /// and as a one-cell decomposition, and checks every merged accessor
 /// against the cluster's own.
 fn assert_one_cell_equals_cluster(workload: Workload, k: usize) -> ShardedCluster {
-    let mix = TrafficMix::build(&mut StdRng::seed_from_u64(MIX_SEED), 8);
+    let mix = fleet_mix(8);
     let events = &mix.shard_streams(STREAM_SEED, CELLS, PER_SHARD, workload.gap())[k];
     let cfg = config(workload);
     let mem_cfg = MemConfig::default().llc_slice(CELLS);

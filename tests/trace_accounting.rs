@@ -5,11 +5,18 @@
 //! *exactly*, not approximately — on a clean run and on a run with a
 //! mid-stream instance crash (every command span reaches a terminal event;
 //! a fault must not leak spans).
+//!
+//! The fleet-mix run `serve_tail_latency --trace` exports is checked
+//! against the whole trace contract: tracing is a pure observer, the audit
+//! passes, and the records, footprints and sanitizer verdicts rebuilt from
+//! the trace alone equal the live cluster's.
 
+use protoacc_suite::absint::{from_trace, sanitize};
 use protoacc_suite::accel::{
     CommandStatus, DispatchPolicy, InstanceFault, InstanceFaultKind, Request, RequestOp,
     ServeCluster, ServeConfig,
 };
+use protoacc_suite::bench::serving::{config, fleet_mix, isolated, stream};
 use protoacc_suite::hyperbench::{Generator, ServiceProfile};
 use protoacc_suite::mem::{Cycles, MemConfig, Memory};
 use protoacc_suite::runtime::{object, reference, write_adts, BumpArena, MessageLayouts};
@@ -229,4 +236,66 @@ fn mid_stream_instance_crash_closes_every_span_and_keeps_the_accounting_exact() 
             .any(|e| matches!(e, TraceEvent::CmdRetry { .. })),
         "no retry event traced for a mid-stream crash"
     );
+}
+
+#[test]
+fn traced_fleet_run_is_a_pure_observer_and_rebuilds_from_its_trace() {
+    let mix = fleet_mix(8);
+    let cfg = config(2, 16, DispatchPolicy::Fifo);
+    let events = stream(&mix, 48, 5_000.0);
+    let base = isolated(&mix, &events, cfg, false);
+    let run = isolated(&mix, &events, cfg, true);
+    assert_eq!(
+        base.fingerprint(),
+        run.fingerprint(),
+        "tracing perturbed the run"
+    );
+    let cell = &run.outcomes()[0];
+    let evs = &cell.events;
+    let report = audit(evs, &run.expected_stats());
+    assert!(report.ok(), "audit problems: {:?}", report.problems);
+    assert_eq!(report.per_instance.len(), cfg.instances);
+
+    // Trace-derived records reproduce the live cluster's, down to the
+    // status discriminant (the typed fault detail does not survive export).
+    let (trecords, toffered, tdropped) = from_trace::records_from_trace(evs);
+    assert_eq!((toffered, tdropped), (cell.offered, cell.dropped));
+    assert_eq!(trecords.len(), cell.records.len());
+    for (t, l) in trecords.iter().zip(&cell.records) {
+        assert_eq!(
+            (t.seq, t.enqueue, t.dispatch, t.complete, t.service, t.instance),
+            (l.seq, l.enqueue, l.dispatch, l.complete, l.service, l.instance),
+            "record {} diverged",
+            l.seq
+        );
+        assert_eq!(
+            (t.wire_bytes, t.deser, t.sharers, t.attempts),
+            (l.wire_bytes, l.deser, l.sharers, l.attempts),
+            "record {} diverged",
+            l.seq
+        );
+        assert_eq!(
+            std::mem::discriminant(&t.status),
+            std::mem::discriminant(&l.status),
+            "record {} diverged",
+            l.seq
+        );
+    }
+    assert_eq!(
+        from_trace::footprints_from_trace(evs, cfg.instances),
+        cell.footprints
+    );
+
+    // The live and trace-derived sanitizer paths are both clean.
+    let live = sanitize(
+        &cell.records,
+        &cell.footprints,
+        cfg.instances,
+        cell.offered,
+        cell.dropped,
+        &[],
+    );
+    assert!(live.is_empty(), "live sanitizer: {live:?}");
+    let derived = from_trace::sanitize_trace(evs, cfg.instances, &[]);
+    assert!(derived.is_empty(), "trace-derived sanitizer: {derived:?}");
 }
