@@ -65,8 +65,10 @@
 #                           the file and re-runs the accounting audit
 #                           offline; tests/trace_accounting.rs checks that
 #                           the same run's tracing is a pure observer, its
-#                           audit is exact and its trace-derived sanitizer
-#                           inputs match the live cluster
+#                           audit is exact, its records rebuild from the
+#                           trace, its mem_access events (the sanitizer's
+#                           only footprint source) fold to every instance's
+#                           live memory counters, and it sanitizes clean
 #   9. rpc serving gate     serve_rpc --smoke sweeps offered load through 2x
 #                           saturation under open- and closed-loop traffic
 #                           (fails on an accounting leak — every offered

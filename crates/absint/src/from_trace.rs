@@ -1,23 +1,23 @@
 //! Reconstructing sanitizer inputs from a structured trace stream.
 //!
-//! The sanitizer normally consumes [`CommandRecord`]s and
-//! [`CommandFootprint`]s handed over directly by the serving model. With the
-//! `protoacc-trace` layer attached, the same facts flow through the event
-//! stream: `cmd_complete` events carry the full record image, and
-//! `mem_access` events carry every byte range each requester touched. This
-//! module rebuilds both inputs from events alone, so PA007–PA009 can run
-//! off a trace file with no access to the cluster that produced it.
+//! The sanitizer consumes [`CommandRecord`]s and [`CommandFootprint`]s.
+//! Records come straight from the serving model or from the trace, whose
+//! `cmd_complete` events carry the full record image; footprints come only
+//! from the trace, whose `mem_access` events carry every byte range each
+//! requester touched. This module rebuilds both inputs from events alone,
+//! so PA007–PA009 can run off a trace file with no access to the cluster
+//! that produced it.
 //!
 //! Reconstruction is exact for everything the sanitizer checks, with one
 //! deliberate loss: the trace records *that* a command was rejected or
 //! failed, not the typed [`DecodeFault`] detail, so rebuilt statuses carry a
 //! representative fault. Compare statuses by discriminant, not by value.
 
-use protoacc::serve::{CommandFootprint, CommandStatus};
+use protoacc::serve::CommandStatus;
 use protoacc::{CommandRecord, DecodeFault};
 use protoacc_trace::{CmdOutcome, TraceEvent};
 
-use crate::{sanitize, Finding, ServiceBounds};
+use crate::{sanitize, CommandFootprint, Finding, ServiceBounds};
 
 /// Rebuilds the per-command records plus the `(offered, dropped)` totals
 /// from a trace stream.
@@ -79,13 +79,13 @@ pub fn records_from_trace(events: &[TraceEvent]) -> (Vec<CommandRecord>, u64, u6
 
 /// Rebuilds per-command memory footprints from a trace stream.
 ///
-/// Attribution follows the event stream's execution order, mirroring the
-/// serving model's own capture rules: a `cmd_dispatch` binds its instance's
-/// subsequent `mem_access` events to that command (a retry dispatch resets
-/// the command's footprint, matching the model's keep-the-last-attempt
-/// rule), and a `cmd_fallback` binds the software path's requester id
-/// (`instances`) to the command, replacing the accelerator-attempt footprint
-/// once CPU traffic actually flows.
+/// Attribution follows the event stream's execution order: a
+/// `cmd_dispatch` binds its instance's subsequent `mem_access` events to
+/// that command (a retry dispatch resets the command's footprint, so only
+/// the last attempt counts), and a `cmd_fallback` binds the software path's
+/// requester id (`instances`) to the command, replacing the
+/// accelerator-attempt footprint once CPU traffic actually flows. A range
+/// running past the top of the address space ends at `u64::MAX`.
 #[must_use]
 pub fn footprints_from_trace(events: &[TraceEvent], instances: usize) -> Vec<CommandFootprint> {
     use std::collections::HashMap;
@@ -125,7 +125,9 @@ pub fn footprints_from_trace(events: &[TraceEvent], instances: usize) -> Vec<Com
                     acc.insert(seq, (Vec::new(), Vec::new()));
                 }
                 let entry = acc.entry(seq).or_default();
-                let range = (addr, addr + len);
+                // Clamped at the top of the address space, as the memory
+                // system clamps the access itself.
+                let range = (addr, addr.saturating_add(len));
                 if write {
                     entry.1.push(range);
                 } else {
@@ -295,6 +297,114 @@ mod tests {
         let fps = footprints_from_trace(&events, 2);
         assert_eq!(fps.len(), 1);
         assert_eq!(fps[0].reads, vec![(0x9000, 0x9008)]);
+    }
+
+    #[test]
+    fn ranges_end_at_the_top_of_the_address_space() {
+        use protoacc_mem::{AccessKind, MemConfig, MemSystem};
+        let mut sys = MemSystem::new(MemConfig::default());
+        let log = protoacc_trace::TraceLog::shared();
+        sys.set_event_tracer(Some(log.clone()));
+        // Runs 4 bytes past u64::MAX; the memory system clamps it there.
+        sys.access(u64::MAX - 3, 8, AccessKind::Read);
+        let mut events = vec![TraceEvent::CmdDispatch {
+            seq: 0,
+            at: 0,
+            instance: 0,
+            attempt: 1,
+        }];
+        events.append(&mut log.borrow_mut().events);
+        events.push(complete(0, 0, CmdOutcome::Ok));
+        let fps = footprints_from_trace(&events, 1);
+        assert_eq!(fps[0].reads, vec![(u64::MAX - 3, u64::MAX)]);
+    }
+
+    #[test]
+    fn a_traced_cluster_run_gives_each_command_its_ranges() {
+        use protoacc::{Request, RequestOp, ServeCluster, ServeConfig};
+        use protoacc_mem::{MemConfig, Memory};
+        use protoacc_runtime::{
+            object, reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value,
+        };
+
+        let schema = protoacc_schema::parse_proto(
+            "message Req { optional uint64 id = 1; optional string body = 2; }",
+        )
+        .unwrap();
+        let id = schema.id_by_name("Req").unwrap();
+        let layouts = MessageLayouts::compute(&schema);
+        let layout = layouts.layout(id);
+        let mut mem = Memory::new(MemConfig::default());
+        let mut setup = BumpArena::new(0x1000, 1 << 20);
+        let adts = write_adts(&schema, &layouts, &mut mem.data, &mut setup).unwrap();
+        let mut msg = MessageValue::new(id);
+        msg.set(1, Value::UInt64(42)).unwrap();
+        msg.set(2, Value::Str("serve me".into())).unwrap();
+        let wire = reference::encode(&msg, &schema).unwrap();
+        let input_addr = 0x20_0000;
+        let input_end = input_addr + wire.len() as u64;
+        mem.data.write_bytes(input_addr, &wire);
+        let mut objects = BumpArena::new(0x30_0000, 1 << 20);
+        let obj_ptr =
+            object::write_message(&mut mem.data, &schema, &layouts, &mut objects, &msg).unwrap();
+        let dest_obj = objects.alloc(layout.object_size(), 8).unwrap();
+        let requests: Vec<Request> = (0..8u64)
+            .map(|i| Request {
+                arrival: i * 50,
+                watchdog: None,
+                deadline: None,
+                cost: None,
+                op: if i % 2 == 0 {
+                    RequestOp::Deserialize {
+                        adt_ptr: adts.addr(id),
+                        input_addr,
+                        input_len: wire.len() as u64,
+                        dest_obj,
+                        min_field: layout.min_field(),
+                    }
+                } else {
+                    RequestOp::Serialize {
+                        adt_ptr: adts.addr(id),
+                        obj_ptr,
+                        hasbits_offset: layout.hasbits_offset(),
+                        min_field: layout.min_field(),
+                        max_field: layout.max_field(),
+                    }
+                },
+            })
+            .collect();
+        let mut cluster = ServeCluster::new(
+            ServeConfig {
+                instances: 2,
+                ..ServeConfig::default()
+            },
+            0x1_0000_0000,
+            1 << 24,
+        );
+        let log = protoacc_trace::TraceLog::shared();
+        cluster.set_tracer(Some(log.clone()));
+        cluster.run(&mut mem, &requests).unwrap();
+
+        let fps = footprints_from_trace(&log.borrow().events, 2);
+        assert_eq!(fps.len(), cluster.records().len());
+        for (fp, r) in fps.iter().zip(cluster.records()) {
+            assert_eq!(fp.seq, r.seq);
+            assert!(!fp.reads.is_empty(), "cmd {} read nothing", r.seq);
+            assert!(!fp.writes.is_empty(), "cmd {} wrote nothing", r.seq);
+            for &(lo, hi) in fp.reads.iter().chain(&fp.writes) {
+                assert!(lo < hi, "empty range");
+            }
+            // Every deser command reads its whole wire input.
+            if r.deser {
+                assert!(
+                    fp.reads
+                        .iter()
+                        .any(|&(lo, hi)| lo <= input_addr && hi >= input_end),
+                    "cmd {} missing wire read",
+                    r.seq
+                );
+            }
+        }
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub mod from_trace;
 
 use std::collections::HashMap;
 
-use protoacc::serve::CommandFootprint;
 use protoacc::{AccelConfig, CommandRecord};
 use protoacc_mem::{Cycles, MemConfig, BUS_WIDTH_BYTES, PAGE_SIZE};
 use protoacc_runtime::{AdtLayout, MessageLayouts};
@@ -786,6 +785,20 @@ pub struct ServiceBounds {
     pub lower: Cycles,
     /// Inclusive service-cycle maximum.
     pub upper: Cycles,
+}
+
+/// Coalesced byte ranges one serving-model command touched while it ran,
+/// split by access kind, matched to its [`CommandRecord`] by sequence
+/// number. Built from a trace's `mem_access` events by
+/// [`from_trace::footprints_from_trace`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CommandFootprint {
+    /// Sequence number of the command ([`CommandRecord::seq`]).
+    pub seq: usize,
+    /// Half-open `[base, end)` ranges read, sorted and merged.
+    pub reads: Vec<(u64, u64)>,
+    /// Half-open `[base, end)` ranges written, sorted and merged.
+    pub writes: Vec<(u64, u64)>,
 }
 
 /// Checks happens-before on the command lifecycle: per-command ordering

@@ -4,7 +4,8 @@
 //! (`--smoke`) and a flag followed by one value (`--count 8`). A value flag
 //! that is last, is followed by another flag, or does not parse as its type
 //! is a usage error: the binary prints one usage line and exits 2 instead
-//! of falling back to its default.
+//! of falling back to its default. So is any `--flag` the usage line does
+//! not name: the usage line is the one list of a binary's flags.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -17,13 +18,33 @@ pub struct Args {
 }
 
 impl Args {
-    /// The process's own arguments.
+    /// The process's own arguments. A `--flag` that `usage` does not name
+    /// exits through [`fail`](Self::fail).
     #[must_use]
     pub fn parse(usage: &'static str) -> Self {
-        Args {
+        let args = Args {
             argv: std::env::args().skip(1).collect(),
             usage,
+        };
+        if let Some(flag) = args.unknown_flag() {
+            args.fail(&format!("unknown flag {flag}"));
         }
+        args
+    }
+
+    /// The first `--flag` in argv that is not a `--`-prefixed token of the
+    /// usage line.
+    fn unknown_flag(&self) -> Option<&str> {
+        let known: Vec<&str> = self
+            .usage
+            .split_whitespace()
+            .map(|t| t.trim_matches(|c| matches!(c, '[' | ']' | '(' | ')' | '|')))
+            .filter(|t| t.starts_with("--"))
+            .collect();
+        self.argv
+            .iter()
+            .map(String::as_str)
+            .find(|a| a.starts_with("--") && !known.contains(a))
     }
 
     /// Whether the bare flag `name` is present.
@@ -76,10 +97,38 @@ mod tests {
     use super::*;
 
     fn args(argv: &[&str]) -> Args {
+        with_usage(argv, "t")
+    }
+
+    fn with_usage(argv: &[&str], usage: &'static str) -> Args {
         Args {
             argv: argv.iter().map(|a| (*a).to_owned()).collect(),
-            usage: "t",
+            usage,
         }
+    }
+
+    #[test]
+    fn only_flags_the_usage_line_names_are_accepted() {
+        const USAGE: &str =
+            "t (--trace OUT.json | --bench-shards OUT.json [--commands N]) [--smoke]";
+        for ok in [
+            &["--trace", "x.json"][..],
+            &["--bench-shards", "b.json", "--commands", "8", "--smoke"],
+            &[],
+        ] {
+            assert_eq!(with_usage(ok, USAGE).unknown_flag(), None, "{ok:?}");
+        }
+        let a = with_usage(&["--smoke", "--trace", "x.json", "--shards", "4"], USAGE);
+        assert_eq!(a.unknown_flag(), Some("--shards"));
+        // Prefixes, `=` forms and the usage's own words are not flags.
+        for bad in ["--trac", "--trace=x.json", "--OUT.json", "--t"] {
+            assert_eq!(with_usage(&[bad], USAGE).unknown_flag(), Some(bad));
+        }
+        // Values are not checked: only `--`-prefixed arguments are flags.
+        assert_eq!(
+            with_usage(&["--commands", "-1", "N"], USAGE).unknown_flag(),
+            None
+        );
     }
 
     #[test]

@@ -252,8 +252,6 @@ impl Staging {
 pub struct Capture {
     /// Attach a trace log; its events land in [`ShardOutcome::events`].
     pub trace: bool,
-    /// Capture per-command memory footprints for the aliasing sanitizer.
-    pub footprints: bool,
     /// Wire in the software CPU codec as the last rung of the degradation
     /// ladder, over [`FB_ARENA`] and [`FB_OUT`].
     pub fallback: bool,
@@ -291,7 +289,6 @@ pub fn run_cell(
         )
     });
     let mut cluster = ServeCluster::new(cfg, ARENA_BASE, ARENA_STRIDE);
-    cluster.set_trace_footprints(capture.footprints);
     let log = capture.trace.then(TraceLog::shared);
     if let Some(log) = &log {
         cluster.set_tracer(Some(log.clone()));
@@ -322,13 +319,14 @@ pub fn one_cell(
     })
 }
 
-/// Runs `events` fault-free as one cell with footprint capture on,
-/// optionally traced, giving every deserialization its own destination
-/// object in the [`DEST_BASE`] arena. The shared staging reuses one slot
-/// per prototype, which is a genuine arena-aliasing hazard (PA009) the
-/// moment two instances deserialize the same prototype concurrently:
-/// harmless for timing studies, but exactly what a sanitized run must not
-/// do.
+/// Runs `events` fault-free as one cell, giving every deserialization its
+/// own destination object in the [`DEST_BASE`] arena. The shared staging
+/// reuses one slot per prototype, which is a genuine arena-aliasing hazard
+/// (PA009) the moment two instances deserialize the same prototype
+/// concurrently: harmless for timing studies, but exactly what a sanitized
+/// run must not do. With `trace` on, the cell's events carry the memory
+/// accesses the aliasing sanitizer builds its footprints from; off, the run
+/// is the baseline a traced run must match.
 ///
 /// # Panics
 ///
@@ -342,8 +340,7 @@ pub fn isolated(
 ) -> ShardedCluster {
     let capture = Capture {
         trace,
-        footprints: true,
-        fallback: false,
+        ..Capture::default()
     };
     one_cell(mix, cfg, capture, |staging, _| {
         let mut dests = BumpArena::new(DEST_BASE, DEST_LEN);

@@ -95,8 +95,8 @@ pub use config::AccelConfig;
 pub use error::{AccelError, DecodeFault, FaultCategory};
 pub use rocc::ProtoAccelerator;
 pub use serve::{
-    CommandFootprint, CommandRecord, CommandStatus, DispatchPolicy, FallbackCodec, InstanceFault,
-    InstanceFaultKind, Request, RequestOp, ServeCluster, ServeConfig, FALLBACK_INSTANCE,
+    CommandRecord, CommandStatus, DispatchPolicy, FallbackCodec, InstanceFault, InstanceFaultKind,
+    Request, RequestOp, ServeCluster, ServeConfig, FALLBACK_INSTANCE,
 };
 pub use shard::{run_indexed, ShardOutcome, ShardedCluster};
 pub use stats::AccelStats;

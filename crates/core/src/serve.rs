@@ -23,7 +23,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use protoacc_mem::{AccessKind, AccessRecord, Cycles, Memory, RequesterStats};
+use protoacc_mem::{Cycles, Memory, RequesterStats};
 
 use crate::{AccelConfig, AccelError, AccelStats, DecodeFault, ProtoAccelerator};
 
@@ -236,47 +236,6 @@ impl CommandRecord {
     }
 }
 
-/// Coalesced byte ranges one command touched while it ran, split by access
-/// kind. Collected when [`ServeCluster::set_trace_footprints`] is on and
-/// consumed by the `protoacc-absint` aliasing sanitizer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommandFootprint {
-    /// Sequence number of the command ([`CommandRecord::seq`]).
-    pub seq: usize,
-    /// Half-open `[base, end)` ranges read, sorted and merged.
-    pub reads: Vec<(u64, u64)>,
-    /// Half-open `[base, end)` ranges written, sorted and merged.
-    pub writes: Vec<(u64, u64)>,
-}
-
-impl CommandFootprint {
-    /// Builds a footprint from a raw access trace by sorting each kind's
-    /// ranges and merging overlapping or adjacent ones.
-    pub fn from_trace(seq: usize, trace: &[AccessRecord]) -> Self {
-        let collect = |kind: AccessKind| {
-            let mut ranges: Vec<(u64, u64)> = trace
-                .iter()
-                .filter(|a| a.kind == kind)
-                .map(|a| (a.addr, a.end()))
-                .collect();
-            ranges.sort_unstable();
-            let mut merged: Vec<(u64, u64)> = Vec::new();
-            for (lo, hi) in ranges {
-                match merged.last_mut() {
-                    Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
-                    _ => merged.push((lo, hi)),
-                }
-            }
-            merged
-        };
-        CommandFootprint {
-            seq,
-            reads: collect(AccessKind::Read),
-            writes: collect(AccessKind::Write),
-        }
-    }
-}
-
 /// Configuration of a serving cluster.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
@@ -434,12 +393,6 @@ pub struct ServeCluster {
     records: Vec<CommandRecord>,
     offered: u64,
     dropped: u64,
-    trace_footprints: bool,
-    footprints: Vec<CommandFootprint>,
-    /// Footprint captured by the most recent attempt; promoted to
-    /// `footprints` once its command resolves (retries overwrite it, so
-    /// records and footprints stay 1:1).
-    last_footprint: Option<CommandFootprint>,
     /// Retryable faults absorbed per instance (quarantine counter).
     fault_counts: Vec<u32>,
     /// Consecutive successful completions per instance since its last
@@ -485,9 +438,6 @@ impl ServeCluster {
             records: Vec::new(),
             offered: 0,
             dropped: 0,
-            trace_footprints: false,
-            footprints: Vec::new(),
-            last_footprint: None,
             fault_counts: vec![0; config.instances],
             ok_streaks: vec![0; config.instances],
             shed: 0,
@@ -517,19 +467,6 @@ impl ServeCluster {
         if let Some(t) = &self.tracer {
             t.borrow_mut().record(event);
         }
-    }
-
-    /// Enables per-command memory-footprint capture (off by default): while
-    /// on, [`ServeCluster::run`] records the coalesced byte ranges each
-    /// command reads and writes, for the aliasing sanitizer.
-    pub fn set_trace_footprints(&mut self, on: bool) {
-        self.trace_footprints = on;
-    }
-
-    /// Footprints captured so far, one per completed command, matched to
-    /// [`ServeCluster::records`] by sequence number.
-    pub fn footprints(&self) -> &[CommandFootprint] {
-        &self.footprints
     }
 
     /// The configuration this cluster was built with.
@@ -661,7 +598,7 @@ impl ServeCluster {
                             attempt: attempts,
                         });
                     }
-                    let a = self.attempt(mem, req, seq, instance, dispatch, &script);
+                    let a = self.attempt(mem, req, instance, dispatch, &script);
                     self.busy_until[instance] = dispatch + a.service;
                     let done = |status: CommandStatus, wire_bytes: u64| CommandRecord {
                         seq,
@@ -722,14 +659,6 @@ impl ServeCluster {
                     }
                 }
             };
-            if self.trace_footprints {
-                let fp = self.last_footprint.take().unwrap_or(CommandFootprint {
-                    seq,
-                    reads: Vec::new(),
-                    writes: Vec::new(),
-                });
-                self.footprints.push(fp);
-            }
             if self.tracer.is_some() {
                 self.emit(protoacc_trace::TraceEvent::CmdComplete {
                     seq: record.seq,
@@ -870,7 +799,6 @@ impl ServeCluster {
         &mut self,
         mem: &mut Memory,
         req: &Request,
-        seq: usize,
         instance: usize,
         dispatch: Cycles,
         script: &FaultScript,
@@ -892,12 +820,6 @@ impl ServeCluster {
             mem.system.set_trace_origin(dispatch);
         }
         self.recycle_if_low(instance);
-        if self.trace_footprints {
-            // Drop any stale trace so the capture covers only this
-            // command's unit run.
-            mem.system.set_tracing(true);
-            let _ = mem.system.take_trace();
-        }
         let accel = &mut self.accels[instance];
         let raw = match req.op {
             RequestOp::Deserialize {
@@ -940,11 +862,6 @@ impl ServeCluster {
             Some(f) => Err(AccelError::Mem(f)),
             None => raw,
         };
-        if self.trace_footprints {
-            let trace = mem.system.take_trace();
-            mem.system.set_tracing(false);
-            self.last_footprint = Some(CommandFootprint::from_trace(seq, &trace));
-        }
         let (mut service, mut verdict) = match raw {
             Ok((unit_cycles, wire_bytes)) => (
                 self.config.accel.rocc_dispatch_cycles
@@ -1034,21 +951,12 @@ impl ServeCluster {
         if self.tracer.is_some() {
             mem.system.set_trace_origin(dispatch);
         }
-        if self.trace_footprints {
-            mem.system.set_tracing(true);
-            let _ = mem.system.take_trace();
-        }
         let (cycles, result) = fb.execute(mem, &req.op);
         // The software path can trip injected memory faults too.
         let result = match mem.system.take_fault() {
             Some(f) => Err(AccelError::Mem(f)),
             None => result,
         };
-        if self.trace_footprints {
-            let trace = mem.system.take_trace();
-            mem.system.set_tracing(false);
-            self.last_footprint = Some(CommandFootprint::from_trace(seq, &trace));
-        }
         let service = cycles.max(1);
         self.cpu_busy_until = dispatch + service;
         let status = match result {
@@ -1476,50 +1384,6 @@ mod tests {
         let freq = cluster.config().accel.freq_ghz;
         let expect = cluster.completed_wire_bytes() as f64 * 8.0 * freq / (last - first) as f64;
         assert!((cluster.throughput_gbits() - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn footprints_capture_per_command_ranges_when_enabled() {
-        let mut f = fixture();
-        let reqs = mixed_requests(&f, 8, 50);
-        let mut cluster = ServeCluster::new(
-            ServeConfig {
-                instances: 2,
-                ..ServeConfig::default()
-            },
-            0x1_0000_0000,
-            1 << 24,
-        );
-        cluster.set_trace_footprints(true);
-        cluster.run(&mut f.mem, &reqs).unwrap();
-        assert!(!f.mem.system.tracing(), "tracing disabled after the run");
-        assert_eq!(cluster.footprints().len(), cluster.records().len());
-        for (fp, r) in cluster.footprints().iter().zip(cluster.records()) {
-            assert_eq!(fp.seq, r.seq);
-            assert!(!fp.reads.is_empty(), "cmd {} read nothing", r.seq);
-            assert!(!fp.writes.is_empty(), "cmd {} wrote nothing", r.seq);
-            for w in &fp.reads {
-                assert!(w.0 < w.1, "empty range");
-            }
-            // Every deser command reads the wire input region.
-            if r.deser {
-                let end = f.input_addr + f.input_len;
-                assert!(
-                    fp.reads
-                        .iter()
-                        .any(|&(lo, hi)| lo <= f.input_addr && hi >= end),
-                    "cmd {} missing wire read",
-                    r.seq
-                );
-            }
-        }
-
-        // Off by default: no footprints accumulate.
-        let mut f2 = fixture();
-        let reqs2 = mixed_requests(&f2, 2, 50);
-        let mut quiet = ServeCluster::new(ServeConfig::default(), 0x1_0000_0000, 1 << 24);
-        quiet.run(&mut f2.mem, &reqs2).unwrap();
-        assert!(quiet.footprints().is_empty());
     }
 
     /// Fixed-cost software codec stub for fallback-path unit tests.

@@ -36,7 +36,7 @@ use std::sync::Mutex;
 use protoacc_mem::{Cycles, Memory, RequesterStats};
 use protoacc_trace::TraceEvent;
 
-use crate::serve::{CommandFootprint, CommandRecord, ServeCluster};
+use crate::serve::{CommandRecord, ServeCluster};
 use crate::stats::AccelStats;
 
 /// Runs `run(i, &tasks[i])` for every task and returns the results in task
@@ -125,9 +125,6 @@ pub struct ShardOutcome {
     /// Trace events in shard-local id/timestamp space (empty when no
     /// tracer was attached).
     pub events: Vec<TraceEvent>,
-    /// Per-command memory footprints (empty unless the cluster captured
-    /// them, see `ServeCluster::set_trace_footprints`).
-    pub footprints: Vec<CommandFootprint>,
 }
 
 impl ShardOutcome {
@@ -160,7 +157,6 @@ impl ShardOutcome {
             quarantined: cluster.quarantined_instances(),
             invariants: cluster.check_invariants(),
             events,
-            footprints: cluster.footprints().to_vec(),
         }
     }
 

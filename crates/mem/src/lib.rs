@@ -44,9 +44,7 @@ pub mod tlb;
 pub use cache::{CacheConfig, CacheModel, CacheStats};
 pub use guest::{GuestMemory, PAGE_SIZE};
 pub use lru::Lru;
-pub use system::{
-    AccessKind, AccessRecord, MemConfig, MemFault, MemStats, MemSystem, Memory, RequesterStats,
-};
+pub use system::{AccessKind, MemConfig, MemFault, MemStats, MemSystem, Memory, RequesterStats};
 pub use tlb::{Tlb, TlbConfig};
 
 /// Simulated clock cycles.

@@ -129,30 +129,6 @@ impl RequesterStats {
     }
 }
 
-/// One access captured while tracing is enabled: who touched which byte
-/// range, and whether it was a load or a store. The sanitizer layer
-/// (`protoacc-absint`) consumes these to build per-command memory
-/// footprints; recording is off by default so the hot path stays a branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessRecord {
-    /// Requester current when the access was issued.
-    pub requester: usize,
-    /// First byte touched.
-    pub addr: u64,
-    /// Bytes touched (never 0; zero-length accesses are not recorded).
-    pub len: u64,
-    /// Load or store.
-    pub kind: AccessKind,
-}
-
-impl AccessRecord {
-    /// Exclusive end of the touched range, clamped at `u64::MAX` like
-    /// every range in the memory system.
-    pub fn end(&self) -> u64 {
-        self.addr.saturating_add(self.len)
-    }
-}
-
 /// A hardware fault raised by the simulated memory system.
 ///
 /// Faults are injected (armed) by a test harness or the fault-injection
@@ -247,8 +223,6 @@ pub struct MemSystem {
     /// `max(max_outstanding / sharers, 1)`, kept up to date by
     /// [`MemSystem::set_sharers`].
     overlap: u64,
-    tracing: bool,
-    trace: Vec<AccessRecord>,
     armed: Vec<ArmedFault>,
     fault: Option<MemFault>,
     /// Structured event sink (`protoacc-trace`); `None` (the default) is
@@ -295,8 +269,6 @@ impl MemSystem {
             sharers: 1,
             line_shift: line_bytes.trailing_zeros(),
             overlap: overlap(config.max_outstanding, 1),
-            tracing: false,
-            trace: Vec::new(),
             armed: Vec::new(),
             fault: None,
             event_tracer: None,
@@ -304,11 +276,13 @@ impl MemSystem {
         }
     }
 
-    /// Attaches (or detaches, with `None`) a structured event tracer.
-    /// While attached, every non-empty `access`/`stream`/`pipelined` call
-    /// emits a [`protoacc_trace::TraceEvent::MemAccess`] with its cache-
-    /// level breakdown. Purely observational: cycle accounting is
-    /// identical with and without a tracer.
+    /// Attaches (or detaches, with `None`) a structured event tracer, the
+    /// one observer of individual accesses. While attached, every
+    /// non-empty `access`/`stream`/`pipelined` call emits a
+    /// [`protoacc_trace::TraceEvent::MemAccess`] with its cache-level
+    /// breakdown (the aliasing sanitizer builds its footprints from these).
+    /// Purely observational: cycle accounting is identical with and
+    /// without a tracer.
     pub fn set_event_tracer(&mut self, tracer: Option<protoacc_trace::SharedTracer>) {
         self.event_tracer = tracer;
     }
@@ -397,35 +371,6 @@ impl MemSystem {
         extra_cycles
     }
 
-    /// Turns access tracing on or off. While on, every non-empty
-    /// `access`/`stream`/`pipelined` call appends an [`AccessRecord`];
-    /// turning it off leaves any already-captured records in place.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    /// Whether access tracing is currently enabled.
-    pub fn tracing(&self) -> bool {
-        self.tracing
-    }
-
-    /// Drains and returns the captured access records.
-    pub fn take_trace(&mut self) -> Vec<AccessRecord> {
-        std::mem::take(&mut self.trace)
-    }
-
-    /// Appends one trace record if tracing is on.
-    fn trace_access(&mut self, addr: u64, len: usize, kind: AccessKind) {
-        if self.tracing {
-            self.trace.push(AccessRecord {
-                requester: self.requester,
-                addr,
-                len: len as u64,
-                kind,
-            });
-        }
-    }
-
     /// The configuration this system was built with.
     pub fn config(&self) -> &MemConfig {
         &self.config
@@ -475,7 +420,6 @@ impl MemSystem {
         if len == 0 {
             return 0;
         }
-        self.trace_access(addr, len, kind);
         let snap = self.snap_for_event();
         let last = last_byte(addr, len);
         let tlb_cost = self.translate(addr, last);
@@ -506,7 +450,6 @@ impl MemSystem {
         if len == 0 {
             return 0;
         }
-        self.trace_access(addr, len, kind);
         let snap = self.snap_for_event();
         let last = last_byte(addr, len);
         let tlb_cost = self.translate(addr, last);
@@ -547,7 +490,6 @@ impl MemSystem {
         if len == 0 {
             return 0;
         }
-        self.trace_access(addr, len, kind);
         let snap = self.snap_for_event();
         let last = last_byte(addr, len);
         let tlb_cost = self.translate(addr, last);
@@ -709,7 +651,6 @@ impl MemSystem {
         for r in &mut self.requesters {
             *r = RequesterStats::default();
         }
-        self.trace.clear();
         self.armed.clear();
         self.fault = None;
         self.trace_origin = (0, 0);
@@ -923,7 +864,8 @@ mod tests {
         let config = MemConfig::default();
         let cold_line = config.tlb.walk_cycles + config.dram_latency;
         let mut sys = MemSystem::new(config);
-        sys.set_tracing(true);
+        let log = protoacc_trace::TraceLog::shared();
+        sys.set_event_tracer(Some(log.clone()));
         // Runs 4 bytes past u64::MAX: only the top page and line count.
         assert_eq!(sys.access(u64::MAX - 3, 8, AccessKind::Read), cold_line);
         assert_eq!(sys.stats().l1.misses, 1);
@@ -935,7 +877,11 @@ mod tests {
         assert!(sys.stream(u64::MAX - 100, 4096, AccessKind::Write) >= 4096 / 16);
         assert!(sys.pipelined(u64::MAX - 1, 64, AccessKind::Write) >= 64 / 16);
         sys.warm(u64::MAX - 1, usize::MAX);
-        assert_eq!(sys.take_trace()[0].end(), u64::MAX);
+        // The event carries the access as issued; consumers clamp its end.
+        assert!(matches!(
+            log.borrow().events[0],
+            protoacc_trace::TraceEvent::MemAccess { addr, len: 8, .. } if addr == u64::MAX - 3
+        ));
         let mut mem = Memory::new(config);
         mem.write_bytes_timed(u64::MAX - 1, &[0xaa; 4]);
         assert_eq!(mem.read_u64_timed(u64::MAX - 1).0, 0xaaaa);
@@ -976,46 +922,49 @@ mod tests {
 
     #[test]
     fn tracing_captures_nonempty_accesses_with_attribution() {
+        use protoacc_trace::{MemAccessMode, TraceEvent, TraceLog};
         let mut sys = MemSystem::new(MemConfig::default());
-        sys.access(0x1000, 8, AccessKind::Read);
-        assert!(sys.take_trace().is_empty(), "off by default");
-        sys.set_tracing(true);
-        assert!(sys.tracing());
-        sys.access(0x2000, 16, AccessKind::Write);
-        sys.access(0x3000, 0, AccessKind::Read); // zero-length: not recorded
+        let log = TraceLog::shared();
+        sys.set_event_tracer(Some(log.clone()));
+        let mut costs = vec![sys.access(0x2000, 16, AccessKind::Write)];
+        // Zero-length accesses emit nothing.
+        sys.access(0x3000, 0, AccessKind::Read);
+        sys.stream(0x3000, 0, AccessKind::Read);
+        sys.pipelined(0x3000, 0, AccessKind::Write);
         sys.set_requester(3);
-        sys.stream(0x4000, 100, AccessKind::Read);
-        sys.pipelined(0x5000, 4, AccessKind::Write);
-        let trace = sys.take_trace();
+        costs.push(sys.stream(0x4000, 100, AccessKind::Read));
+        costs.push(sys.pipelined(0x5000, 4, AccessKind::Write));
+        let seen: Vec<_> = log
+            .borrow()
+            .events
+            .iter()
+            .map(|e| match *e {
+                TraceEvent::MemAccess {
+                    requester,
+                    addr,
+                    len,
+                    write,
+                    mode,
+                    cycles,
+                    ..
+                } => ((requester, addr, len, write, mode), cycles),
+                ref other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        let (accesses, cycles): (Vec<_>, Vec<_>) = seen.into_iter().unzip();
         assert_eq!(
-            trace,
+            accesses,
             vec![
-                AccessRecord {
-                    requester: 0,
-                    addr: 0x2000,
-                    len: 16,
-                    kind: AccessKind::Write
-                },
-                AccessRecord {
-                    requester: 3,
-                    addr: 0x4000,
-                    len: 100,
-                    kind: AccessKind::Read
-                },
-                AccessRecord {
-                    requester: 3,
-                    addr: 0x5000,
-                    len: 4,
-                    kind: AccessKind::Write
-                },
+                (0, 0x2000, 16, true, MemAccessMode::Blocking),
+                (3, 0x4000, 100, false, MemAccessMode::Stream),
+                (3, 0x5000, 4, true, MemAccessMode::Pipelined),
             ]
         );
-        assert_eq!(trace[1].end(), 0x4000 + 100);
-        // take_trace drains; reset clears any residue.
-        assert!(sys.take_trace().is_empty());
+        assert_eq!(cycles, costs, "each event carries its access's charge");
+        // Detached, the system emits nothing more.
+        sys.set_event_tracer(None);
         sys.access(0x6000, 8, AccessKind::Read);
-        sys.reset();
-        assert!(sys.take_trace().is_empty());
+        assert_eq!(log.borrow().events.len(), 3);
     }
 
     #[test]

@@ -79,7 +79,8 @@ impl AuditReport {
 /// In builds with debug assertions, a saturated stats image trips an
 /// assertion — saturation means the counters silently clamped and any
 /// downstream report is untrustworthy; release builds surface it as an
-/// audit problem instead.
+/// audit problem instead. A traced cycle sum that overflows `u64` (only a
+/// crafted trace has one) clamps and is reported as a problem too.
 #[must_use]
 pub fn audit(events: &[TraceEvent], expected: &[ExpectedStats]) -> AuditReport {
     let mut report = AuditReport::default();
@@ -105,16 +106,22 @@ pub fn audit(events: &[TraceEvent], expected: &[ExpectedStats]) -> AuditReport {
                     instance, cycles, ..
                 } if *instance == exp.instance => {
                     traced.deser_ops += 1;
-                    traced.deser_cycles += cycles;
+                    add_cycles(&mut traced.deser_cycles, *cycles, &mut traced.saturated);
                 }
                 TraceEvent::SerOp {
                     instance, cycles, ..
                 } if *instance == exp.instance => {
                     traced.ser_ops += 1;
-                    traced.ser_cycles += cycles;
+                    add_cycles(&mut traced.ser_cycles, *cycles, &mut traced.saturated);
                 }
                 _ => {}
             }
+        }
+        if traced.saturated {
+            report.problems.push(format!(
+                "instance {}: traced op cycles overflow u64 — sums clamped, trace untrustworthy",
+                exp.instance
+            ));
         }
         let ia = InstanceAudit {
             instance: exp.instance,
@@ -293,6 +300,15 @@ pub fn render_profile(label: &str, events: &[TraceEvent], expected: &[ExpectedSt
     out
 }
 
+/// Adds `cycles` to `sum`, clamping at `u64::MAX` and setting `saturated`
+/// on a clamp: a crafted trace must not wrap its way to a passing audit.
+fn add_cycles(sum: &mut u64, cycles: u64, saturated: &mut bool) {
+    *sum = sum.checked_add(cycles).unwrap_or_else(|| {
+        *saturated = true;
+        u64::MAX
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,6 +403,29 @@ mod tests {
         let rep = audit(&events, &[]);
         assert_eq!(rep.leaked, vec![0]);
         assert!(!rep.ok());
+    }
+
+    #[test]
+    fn audit_flags_a_crafted_trace_whose_cycles_overflow() {
+        let events = vec![op(0, u64::MAX, true), op(0, u64::MAX, true)];
+        let exported = crate::chrome::export(&events, &[]);
+        let parsed = crate::chrome::parse(&exported).unwrap();
+        // Neither the clamped sum nor the wrapped one passes.
+        for deser_cycles in [u64::MAX, u64::MAX - 1] {
+            let expected = vec![ExpectedStats {
+                instance: 0,
+                deser_ops: 2,
+                deser_cycles,
+                ..ExpectedStats::default()
+            }];
+            let rep = audit(&parsed.events, &expected);
+            assert!(!rep.ok());
+            assert!(
+                rep.problems.iter().any(|p| p.contains("overflow")),
+                "{:?}",
+                rep.problems
+            );
+        }
     }
 
     #[cfg(debug_assertions)]

@@ -1,6 +1,7 @@
-//! End-to-end tests of the serve-model race/hazard sanitizer: an
-//! instrumented [`ServeCluster`] run replayed through
-//! [`protoacc_suite::absint::sanitize`] and the lint severity machinery.
+//! End-to-end tests of the serve-model race/hazard sanitizer: a traced
+//! [`ServeCluster`] run, its memory footprints rebuilt from the trace,
+//! replayed through [`protoacc_suite::absint::sanitize`] and the lint
+//! severity machinery.
 //!
 //! * a clean concurrent run (per-request destination objects) produces no
 //!   findings;
@@ -13,7 +14,8 @@
 //!   instances with isolated destination objects, stays inside its
 //!   envelopes and produces no findings.
 
-use protoacc_suite::absint::{self, Envelope, FindingKind, ServiceBounds};
+use protoacc_suite::absint::from_trace::footprints_from_trace;
+use protoacc_suite::absint::{self, CommandFootprint, Envelope, FindingKind, ServiceBounds};
 use protoacc_suite::accel::{
     AccelConfig, CommandRecord, DispatchPolicy, Request, RequestOp, ServeCluster, ServeConfig,
 };
@@ -24,6 +26,7 @@ use protoacc_suite::runtime::{
     object, reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value,
 };
 use protoacc_suite::schema::{parse_proto, MessageId, Schema};
+use protoacc_suite::trace::TraceLog;
 
 const ARENA_BASE: u64 = 0x1_0000_0000;
 const ARENA_STRIDE: u64 = 1 << 24;
@@ -120,8 +123,13 @@ impl Fixture {
         }
     }
 
-    /// Runs `requests` on an instrumented cluster and returns it.
-    fn run(&mut self, instances: usize, requests: &[Request]) -> ServeCluster {
+    /// Runs `requests` on a traced cluster and returns it with the
+    /// per-command footprints rebuilt from its trace.
+    fn run(
+        &mut self,
+        instances: usize,
+        requests: &[Request],
+    ) -> (ServeCluster, Vec<CommandFootprint>) {
         let mut cluster = ServeCluster::new(
             ServeConfig {
                 instances,
@@ -132,9 +140,12 @@ impl Fixture {
             ARENA_BASE,
             ARENA_STRIDE,
         );
-        cluster.set_trace_footprints(true);
+        let log = TraceLog::shared();
+        cluster.set_tracer(Some(log.clone()));
         cluster.run(&mut self.mem, requests).unwrap();
-        cluster
+        cluster.set_tracer(None);
+        let footprints = footprints_from_trace(&log.borrow().events, instances);
+        (cluster, footprints)
     }
 
     /// Static per-record service bounds from the absint envelopes.
@@ -173,7 +184,7 @@ fn clean_concurrent_run_produces_no_findings() {
             }
         })
         .collect();
-    let cluster = f.run(2, &requests);
+    let (cluster, footprints) = f.run(2, &requests);
     assert!(
         cluster.records().iter().any(|r| r.sharers > 1),
         "fixture must actually exercise concurrency"
@@ -181,7 +192,7 @@ fn clean_concurrent_run_produces_no_findings() {
     let bounds = f.bounds(cluster.records());
     let findings = absint::sanitize(
         cluster.records(),
-        cluster.footprints(),
+        &footprints,
         2,
         requests.len() as u64,
         cluster.dropped(),
@@ -200,11 +211,11 @@ fn shared_destination_across_instances_trips_pa009() {
         f.deser_request(0, false, shared),
         f.deser_request(0, false, shared),
     ];
-    let cluster = f.run(2, &requests);
+    let (cluster, footprints) = f.run(2, &requests);
     let bounds = f.bounds(cluster.records());
     let findings = absint::sanitize(
         cluster.records(),
-        cluster.footprints(),
+        &footprints,
         2,
         requests.len() as u64,
         cluster.dropped(),
@@ -226,11 +237,11 @@ fn shared_destination_across_instances_trips_pa009() {
 
     // Serializing the shared object concurrently only *reads* it: no hazard.
     let requests = vec![f.ser_request(0), f.ser_request(0)];
-    let cluster = f.run(2, &requests);
+    let (cluster, footprints) = f.run(2, &requests);
     let bounds = f.bounds(cluster.records());
     let findings = absint::sanitize(
         cluster.records(),
-        cluster.footprints(),
+        &footprints,
         2,
         2,
         cluster.dropped(),
@@ -246,7 +257,7 @@ fn shared_destination_across_instances_trips_pa009() {
 fn tampered_records_trip_pa008() {
     let mut f = fixture();
     let requests: Vec<Request> = (0..6).map(|_| f.deser_request(0, true, 0)).collect();
-    let cluster = f.run(2, &requests);
+    let (cluster, _) = f.run(2, &requests);
     let mut records = cluster.records().to_vec();
 
     // Rewind one dispatch before its enqueue: a causality violation no
@@ -287,7 +298,7 @@ fn tampered_records_trip_pa008() {
 fn tightened_envelopes_trip_pa007() {
     let mut f = fixture();
     let requests: Vec<Request> = (0..4).map(|_| f.deser_request(0, true, 0)).collect();
-    let cluster = f.run(1, &requests);
+    let (cluster, _) = f.run(1, &requests);
     let honest = f.bounds(cluster.records());
     assert!(
         absint::check_envelopes(cluster.records(), &honest).is_empty(),
@@ -332,7 +343,7 @@ fn fleet_mix_runs_clean_at_every_width() {
             &mix,
             &events,
             config(instances, 32, DispatchPolicy::Fifo),
-            false,
+            true,
         );
         let cell = &run.outcomes()[0];
         assert_eq!(cell.records.len(), events.len(), "n={instances}");
@@ -358,7 +369,7 @@ fn fleet_mix_runs_clean_at_every_width() {
             .collect();
         let findings = absint::sanitize(
             &cell.records,
-            &cell.footprints,
+            &footprints_from_trace(&cell.events, instances),
             instances,
             events.len() as u64,
             cell.dropped,

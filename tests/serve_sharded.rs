@@ -120,7 +120,6 @@ fn cell_inputs(
 fn capture(workload: Workload) -> Capture {
     Capture {
         trace: true,
-        footprints: false,
         fallback: workload == Workload::Faulted,
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! The fleet-mix run `serve_tail_latency --trace` exports is checked
 //! against the whole trace contract: tracing is a pure observer, the audit
-//! passes, and the records, footprints and sanitizer verdicts rebuilt from
-//! the trace alone equal the live cluster's.
+//! passes, the records rebuilt from the trace alone equal the live
+//! cluster's, the `mem_access` events fold to each instance's live memory
+//! counters, and the sanitizer is clean on the trace's footprints.
 
 use protoacc_suite::absint::{from_trace, sanitize};
 use protoacc_suite::accel::{
@@ -18,7 +19,7 @@ use protoacc_suite::accel::{
 };
 use protoacc_suite::bench::serving::{config, fleet_mix, isolated, stream};
 use protoacc_suite::hyperbench::{Generator, ServiceProfile};
-use protoacc_suite::mem::{Cycles, MemConfig, Memory};
+use protoacc_suite::mem::{Cycles, MemConfig, Memory, RequesterStats};
 use protoacc_suite::runtime::{object, reference, write_adts, BumpArena, MessageLayouts};
 use protoacc_suite::trace::{audit, ExpectedStats, TraceEvent, TraceLog};
 
@@ -281,15 +282,44 @@ fn traced_fleet_run_is_a_pure_observer_and_rebuilds_from_its_trace() {
             l.seq
         );
     }
-    assert_eq!(
-        from_trace::footprints_from_trace(evs, cfg.instances),
-        cell.footprints
-    );
 
-    // The live and trace-derived sanitizer paths are both clean.
+    // Every memory access rides the event stream: folding each instance's
+    // `mem_access` events reproduces its live requester counters exactly.
+    for (instance, live) in cell.mem_stats.iter().enumerate() {
+        let mut folded = RequesterStats::default();
+        for e in evs {
+            if let TraceEvent::MemAccess {
+                requester,
+                len,
+                cycles,
+                l1_hits,
+                l2_hits,
+                llc_hits,
+                dram_accesses,
+                ..
+            } = *e
+            {
+                if requester == instance {
+                    folded.accesses += 1;
+                    folded.bytes += len;
+                    folded.cycles += cycles;
+                    folded.l1_hits += l1_hits;
+                    folded.l2_hits += l2_hits;
+                    folded.llc_hits += llc_hits;
+                    folded.dram_accesses += dram_accesses;
+                }
+            }
+        }
+        assert!(live.accesses > 0, "instance {instance} issued no traffic");
+        assert_eq!(folded, *live, "instance {instance} memory accounting");
+    }
+
+    // The sanitizer is clean on the live records and on the records
+    // rebuilt from the trace, both with the trace's footprints.
+    let footprints = from_trace::footprints_from_trace(evs, cfg.instances);
     let live = sanitize(
         &cell.records,
-        &cell.footprints,
+        &footprints,
         cfg.instances,
         cell.offered,
         cell.dropped,
