@@ -16,6 +16,9 @@
 #                           request left unserved), then fails if git
 #                           status shows a file there changed, new or no
 #                           longer written
+#   3c. root examples       runs every examples/*.rs once in release; each
+#                           asserts what it prints (lint_corpus: simulated
+#                           cycles inside the static envelope, no spill)
 #   4. full workspace tests cargo test --workspace (includes the serving
 #                           model's replay determinism and accounting,
 #                           crates/bench/tests/serve_determinism.rs)
@@ -118,6 +121,11 @@ if [ -n "$artifact_changes" ]; then
     git --no-pager diff --stat -- artifacts/ >&2
     exit 1
 fi
+
+echo "== root examples (each runs once; its asserts gate) =="
+for example in examples/*.rs; do
+    cargo run --offline -q --release --example "$(basename "$example" .rs)" > /dev/null
+done
 
 echo "== full workspace tests =="
 cargo test --offline --workspace -q

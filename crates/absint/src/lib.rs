@@ -10,10 +10,10 @@
 //! `[lower, upper]` as a function of wire length — without running the
 //! simulator.
 //!
-//! * The **lower** bound sharpens `protoacc-lint`'s floor: on top of the
-//!   stream-bandwidth and max-record-size floors it charges the mandatory
-//!   per-record FSM states (key parse, typeInfo lookup, hasbits write, value
-//!   commit) plus the root ADT load and frame close.
+//! * The **lower** bound is the workspace's one static cycle floor: on top
+//!   of the stream-bandwidth and max-record-size floors it charges the
+//!   mandatory per-record FSM states (key parse, typeInfo lookup, hasbits
+//!   write, value commit) plus the root ADT load and frame close.
 //! * The **upper** bound is a sound static ceiling: every ADT-cache access
 //!   misses, every cache probe goes to DRAM, every TLB translation walks,
 //!   every varint is maximally wide, every stack push/pop spills, and every

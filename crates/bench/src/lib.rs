@@ -18,13 +18,11 @@
 #![forbid(unsafe_code)]
 
 pub mod cli;
-pub mod lintrep;
 pub mod serving;
 pub mod studies;
 pub mod systems;
 pub mod ubench;
 
-pub use lintrep::{format_lint_table, lint_workload, WorkloadLint};
 pub use systems::{
     geomean, geomean_gbits, measure, Direction, Machine, Measurement, SystemKind, Workload,
 };

@@ -5,8 +5,10 @@
 //! the accelerator of *A Hardware Accelerator for Protocol Buffers*
 //! (MICRO 2021) will behave on messages of each type — **without running the
 //! simulator**. Every prediction is phrased as a structured [`Diagnostic`]
-//! with a stable `PAxxx` code, and every message type gets a provable
-//! [`StaticBound`]: a cycles lower bound the behavioral model can never beat.
+//! with a stable `PAxxx` code, and every message type gets a two-sided
+//! cycle envelope from [`protoacc_absint::Envelope`], the workspace's one
+//! static cost model: the behavioral model never runs below its floor or
+//! above its ceiling.
 //!
 //! # Diagnostic codes
 //!
@@ -416,52 +418,6 @@ impl LintConfig {
     }
 }
 
-/// A provable lower bound on accelerator deserialization cycles for one
-/// message type, derived purely from the schema.
-///
-/// The behavioral model charges `rocc_dispatch_cycles` up front and then
-/// `max(fsm, stream)` where `stream >= ceil(L / window_bytes)` for an
-/// `L`-byte input (the memloader consumes at most one window per cycle).
-/// When every field reachable from the root is a bounded scalar — no
-/// strings, bytes, sub-messages, or packed bodies — each wire record takes
-/// at most `max_record_bytes` bytes and at least two FSM cycles (key decode
-/// plus value decode), giving a second floor of
-/// `2 * ceil(L / max_record_bytes)` cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticBound {
-    /// RoCC dispatch cycles charged before any byte is processed.
-    pub dispatch_cycles: Cycles,
-    /// Memloader consumer window width in bytes.
-    pub window_bytes: usize,
-    /// Largest possible wire record (key + value) of any reachable field,
-    /// or `None` when a reachable field is length-delimited (string,
-    /// bytes, sub-message, or packed) and thus unbounded.
-    pub max_record_bytes: Option<usize>,
-}
-
-impl StaticBound {
-    /// Minimum cycles the accelerator spends deserializing `wire_len`
-    /// bytes of any valid message of this type.
-    pub fn lower_bound(&self, wire_len: u64) -> Cycles {
-        let stream = wire_len.div_ceil(self.window_bytes as u64);
-        let fsm = match self.max_record_bytes {
-            Some(b) => 2 * wire_len.div_ceil(b as u64),
-            None => 0,
-        };
-        self.dispatch_cycles + stream.max(fsm)
-    }
-
-    /// Asymptotic cycles-per-byte floor (the bound without the constant
-    /// dispatch term, per byte, as the input grows).
-    pub fn cycles_per_byte_floor(&self) -> f64 {
-        let stream = 1.0 / self.window_bytes as f64;
-        match self.max_record_bytes {
-            Some(b) => stream.max(2.0 / b as f64),
-            None => stream,
-        }
-    }
-}
-
 /// How deeply instances of a type can nest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Nesting {
@@ -491,7 +447,11 @@ pub enum Nesting {
 ///   (`protoacc-verify`, enabled by `--verify`) and the per-type
 ///   `table_kind` ("dense"/"sparse" dispatch table shape) and
 ///   `table_bytes` (worst span-proportional table footprint) fields.
-pub const SCHEMA_VERSION: u32 = 5;
+/// * 6 — drops the per-type `dispatch_cycles`, `window_bytes`,
+///   `max_record_bytes` and `cycles_per_byte_floor` keys: lint's own
+///   per-record floor is gone, and `deser_envelope`'s lower end is the
+///   one static floor.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Wire length (bytes) at which the per-type report envelopes are
 /// evaluated. Envelopes are a function of length; 256 bytes is the paper's
@@ -511,8 +471,6 @@ pub struct TypeSummary {
     pub adt_working_set: u64,
     /// Hasbits usage density of the type's own layout.
     pub static_density: f64,
-    /// Cycles lower bound for deserializing this type.
-    pub bound: StaticBound,
     /// Two-sided deserialization cycle envelope at
     /// [`ENVELOPE_REFERENCE_BYTES`] of wire input, single-tenant.
     pub deser_envelope: Interval,
@@ -603,7 +561,7 @@ impl LintReport {
             out.push('\n');
         }
         out.push_str(&format!(
-            "type                      nesting  adt-lines  density  cycles/B floor  \
+            "type                      nesting  adt-lines  density  \
              deser@{ENVELOPE_REFERENCE_BYTES}B           ser@{ENVELOPE_REFERENCE_BYTES}B\n"
         ));
         for t in &self.types {
@@ -612,12 +570,11 @@ impl LintReport {
                 Nesting::Unbounded => "unbounded".to_string(),
             };
             out.push_str(&format!(
-                "{:<25} {:>7} {:>10} {:>8.3} {:>15.4}  {:>18} {:>18}\n",
+                "{:<25} {:>7} {:>10} {:>8.3}  {:>18} {:>18}\n",
                 t.type_name,
                 nesting,
                 t.adt_working_set,
                 t.static_density,
-                t.bound.cycles_per_byte_floor(),
                 format!("[{}, {}]", t.deser_envelope.lower, t.deser_envelope.upper),
                 format!("[{}, {}]", t.ser_envelope.lower, t.ser_envelope.upper),
             ));
@@ -656,13 +613,6 @@ impl LintReport {
                 ("nesting", nesting.into()),
                 ("adt_working_set", t.adt_working_set.into()),
                 ("static_density", Json::fixed(t.static_density, 6)),
-                ("dispatch_cycles", t.bound.dispatch_cycles.into()),
-                ("window_bytes", t.bound.window_bytes.into()),
-                ("max_record_bytes", t.bound.max_record_bytes.into()),
-                (
-                    "cycles_per_byte_floor",
-                    Json::fixed(t.bound.cycles_per_byte_floor(), 6),
-                ),
                 ("deser_envelope", envelope(&t.deser_envelope)),
                 ("ser_envelope", envelope(&t.ser_envelope)),
                 ("watchdog_ceiling", t.watchdog_ceiling.into()),
@@ -699,43 +649,6 @@ pub fn nesting_of(schema: &Schema, root: MessageId, config: &AccelConfig) -> Nes
     match schema.nesting_depth(root, depth_probe_limit(config)) {
         Some(d) => Nesting::Finite(d),
         None => Nesting::Unbounded,
-    }
-}
-
-/// Computes the [`StaticBound`] for messages rooted at `root`.
-pub fn static_bound(schema: &Schema, root: MessageId, config: &AccelConfig) -> StaticBound {
-    let mut max_record: Option<usize> = Some(0);
-    for (_, _, f) in schema.walk_fields(root) {
-        let value_bytes = if f.is_packed() {
-            None
-        } else {
-            match f.field_type() {
-                FieldType::Double | FieldType::Fixed64 | FieldType::SFixed64 => Some(8),
-                FieldType::Float | FieldType::Fixed32 | FieldType::SFixed32 => Some(4),
-                FieldType::String | FieldType::Bytes | FieldType::Message(_) => None,
-                // Every varint-encoded type can legally occupy the full
-                // 10-byte wire varint.
-                _ => Some(MAX_VARINT_LEN),
-            }
-        };
-        match value_bytes {
-            None => {
-                max_record = None;
-                break;
-            }
-            Some(v) => {
-                let key = FieldKey::new(f.number(), f.field_type().wire_type())
-                    .map_or(MAX_VARINT_LEN, FieldKey::encoded_len);
-                max_record = max_record.map(|m| m.max(key + v));
-            }
-        }
-    }
-    StaticBound {
-        dispatch_cycles: config.rocc_dispatch_cycles,
-        window_bytes: config.window_bytes,
-        // A schema with no fields at all bounds every record at 0 bytes,
-        // which would divide by zero; such messages carry no records.
-        max_record_bytes: max_record.filter(|m| *m > 0),
     }
 }
 
@@ -816,7 +729,6 @@ pub fn lint_schema(schema: &Schema, config: &LintConfig) -> LintReport {
         let layout = layouts.layout(id);
         let nesting = nesting_of(schema, id, &config.accel);
         let working_set = layouts.adt_working_set(schema, id);
-        let bound = static_bound(schema, id, &config.accel);
         let deser_env = Envelope::deser(schema, &layouts, id, &config.accel, &config.mem);
         let deser_envelope = deser_env.bounds(ENVELOPE_REFERENCE_BYTES, 1);
         let ser_envelope = Envelope::ser(schema, &layouts, id, &config.accel, &config.mem)
@@ -1088,7 +1000,6 @@ pub fn lint_schema(schema: &Schema, config: &LintConfig) -> LintReport {
             nesting,
             adt_working_set: working_set,
             static_density: layout.static_density(),
-            bound,
             deser_envelope,
             ser_envelope,
             watchdog_ceiling,
@@ -1296,24 +1207,6 @@ mod tests {
         assert_eq!(r.max_severity(), Some(Severity::Deny));
     }
 
-    #[test]
-    fn bound_is_finite_only_for_bounded_scalars() {
-        let schema =
-            parse_proto("message A { optional uint64 x = 1; optional fixed64 y = 2; }").unwrap();
-        let config = AccelConfig::default();
-        let b = static_bound(&schema, schema.id_by_name("A").unwrap(), &config);
-        // Key 1 byte for both fields; varint value up to 10 bytes.
-        assert_eq!(b.max_record_bytes, Some(11));
-        // 22 bytes = at least two records = at least 4 FSM cycles.
-        assert_eq!(b.lower_bound(22), config.rocc_dispatch_cycles + 4);
-
-        let schema = parse_proto("message B { optional string s = 1; }").unwrap();
-        let b = static_bound(&schema, schema.id_by_name("B").unwrap(), &config);
-        assert_eq!(b.max_record_bytes, None);
-        // Falls back to the streaming floor.
-        assert_eq!(b.lower_bound(32), config.rocc_dispatch_cycles + 2);
-    }
-
     /// Parses `r.render_json()` back with the shared parser.
     fn parsed_json(r: &LintReport) -> Json {
         json::parse(&r.render_json()).expect("render_json writes valid JSON")
@@ -1363,13 +1256,15 @@ mod tests {
         assert!(t.deser_envelope.lower <= t.deser_envelope.upper);
         assert!(t.ser_envelope.lower <= t.ser_envelope.upper);
         assert!(t.ser_envelope.upper > 0);
-        // The abstract interpretation never reports a weaker floor than the
-        // original per-record StaticBound at the same length.
+        // The reported floor is never weaker than the dispatch plus the
+        // memloader streaming one window per cycle.
+        let accel = AccelConfig::default();
+        let stream = accel.rocc_dispatch_cycles
+            + ENVELOPE_REFERENCE_BYTES.div_ceil(accel.window_bytes as u64);
         assert!(
-            t.deser_envelope.lower >= t.bound.lower_bound(ENVELOPE_REFERENCE_BYTES),
-            "absint lower {} < StaticBound lower {}",
-            t.deser_envelope.lower,
-            t.bound.lower_bound(ENVELOPE_REFERENCE_BYTES)
+            t.deser_envelope.lower >= stream,
+            "envelope lower {} < streaming floor {stream}",
+            t.deser_envelope.lower
         );
     }
 

@@ -1,11 +1,13 @@
-//! Lints the checked-in `.proto` corpus and cross-checks one prediction
+//! Lints the checked-in `.proto` corpus and cross-checks two predictions
 //! against the simulator: a lint-clean (no PA001) instance takes zero
-//! stack-spill cycles.
+//! stack-spill cycles, and its simulated cycles sit inside the static
+//! deserialization envelope.
 //!
 //! Run with `cargo run --example lint_corpus`.
 
+use protoacc_suite::absint::Envelope;
 use protoacc_suite::accel::{AccelConfig, ProtoAccelerator};
-use protoacc_suite::lint::{lint_schema, predicts_spill, static_bound, DiagCode, LintConfig};
+use protoacc_suite::lint::{lint_schema, predicts_spill, DiagCode, LintConfig};
 use protoacc_suite::mem::{MemConfig, Memory};
 use protoacc_suite::runtime::{
     reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value,
@@ -23,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", combined.render_human());
 
     // The analyzer predicts behavior; the simulator confirms it. Build an
-    // AddressBook instance, check the spill prediction and the cycle floor.
+    // AddressBook instance, check the spill prediction and the envelope.
     let path = format!("{}/protos/addressbook.proto", env!("CARGO_MANIFEST_DIR"));
     let schema = parse_proto(&std::fs::read_to_string(&path)?)?;
     let book_id = schema.id_by_name("AddressBook").unwrap();
@@ -36,7 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let accel_config = AccelConfig::default();
     let layouts = MessageLayouts::compute(&schema);
-    let mut mem = Memory::new(MemConfig::default());
+    let mem_config = MemConfig::default();
+    let mut mem = Memory::new(mem_config);
     let mut arena = BumpArena::new(0x1_0000, 1 << 24);
     let adts = write_adts(&schema, &layouts, &mut mem.data, &mut arena)?;
     let wire = reference::encode(&book, &schema)?;
@@ -50,19 +53,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let report = lint_schema(&schema, &config);
     let pa001 = report.with_code(DiagCode::StackSpill).count();
-    let bound = static_bound(&schema, book_id, &accel_config);
-    let floor = bound.lower_bound(wire.len() as u64);
+    let envelope = Envelope::deser(&schema, &layouts, book_id, &accel_config, &mem_config)
+        .bounds(wire.len() as u64, 1);
     println!(
         "AddressBook: PA001 diagnostics = {pa001}, predicted spill = {}",
         { predicts_spill(&book, &accel_config) }
     );
     println!(
-        "simulated {} cycles over a floor of {floor} ({} wire bytes); spills = {}",
+        "simulated {} cycles inside the envelope [{}, {}] ({} wire bytes); spills = {}",
         run.cycles,
+        envelope.lower,
+        envelope.upper,
         wire.len(),
         accel.stats().stack_spills
     );
-    assert!(run.cycles >= floor);
+    assert!(envelope.contains(run.cycles));
     assert_eq!(accel.stats().stack_spills, 0);
     Ok(())
 }

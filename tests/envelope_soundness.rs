@@ -1,18 +1,22 @@
-//! Soundness of the two-sided cycle envelopes of `protoacc-absint`: for
-//! every fixture schema, randomized hyperbench service, and fleet-traffic
-//! prototype, the simulator's measured deserialization AND serialization
-//! cycles must sit inside the statically derived `[lower, upper]` envelope.
+//! Soundness of the two-sided cycle envelopes of `protoacc-absint`, the
+//! workspace's one static cycle model: for every fixture schema, randomized
+//! hyperbench service, fleet-traffic prototype and Fig 11 microbenchmark,
+//! the simulator's measured deserialization AND serialization cycles must
+//! sit inside the statically derived `[lower, upper]` envelope. Warm
+//! microbenchmark runs, whose caches and TLBs are hot, must still pay the
+//! floor on every operation.
 //!
-//! Also covers the satellite edge matrix — nesting at/past the metadata
-//! stack depth (spill cycles must stay under the ceiling) and the maximum
-//! field number 536,870,911 — and proves the abstract interpretation never
-//! reports a weaker floor than lint's original per-record [`static_bound`].
+//! Also covers the edge matrix — nesting at/past the metadata stack depth
+//! (spill cycles must stay under the ceiling) and the maximum field number
+//! 536,870,911 — and checks that the floor is never weaker than the RoCC
+//! dispatch plus the memloader streaming one window per cycle.
 
 use protoacc_suite::absint::Envelope;
 use protoacc_suite::accel::{AccelConfig, ProtoAccelerator};
 use protoacc_suite::bench::serving::fleet_mix;
+use protoacc_suite::bench::ubench::{alloc_workloads, nonalloc_workloads};
+use protoacc_suite::bench::{systems, Workload};
 use protoacc_suite::hyperbench::{Generator, ServiceProfile};
-use protoacc_suite::lint::static_bound;
 use protoacc_suite::mem::{MemConfig, Memory};
 use protoacc_suite::runtime::{
     object, reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value,
@@ -229,6 +233,57 @@ fn traffic_mix_prototypes_stay_inside_envelopes() {
     }
 }
 
+/// Every Fig 11 microbenchmark workload (13 non-allocating, 20
+/// allocating). Each repeats one message, so one message covers its cold
+/// op in both directions.
+fn microbenchmarks() -> Vec<Workload> {
+    let workloads: Vec<Workload> = nonalloc_workloads()
+        .into_iter()
+        .chain(alloc_workloads())
+        .collect();
+    assert_eq!(workloads.len(), 33);
+    workloads
+}
+
+#[test]
+fn microbenchmark_messages_stay_inside_both_envelopes() {
+    for w in microbenchmarks() {
+        check_envelopes(&w.schema, &w.messages[0], &AccelConfig::default(), &w.name);
+    }
+}
+
+/// The harness's warm runs (one warm-up pass, then the timed passes over
+/// the whole workload volume) still pay the floor on every operation.
+#[test]
+fn warm_microbenchmark_runs_pay_the_floor_per_operation() {
+    let accel = AccelConfig::default();
+    let mem_cfg = MemConfig::default();
+    for w in microbenchmarks() {
+        let layouts = MessageLayouts::compute(&w.schema);
+        let msg_len = w.wire_bytes() / w.messages.len() as u64;
+        for (direction, env) in [
+            (
+                systems::Direction::Deserialize,
+                Envelope::deser(&w.schema, &layouts, w.type_id, &accel, &mem_cfg),
+            ),
+            (
+                systems::Direction::Serialize,
+                Envelope::ser(&w.schema, &layouts, w.type_id, &accel, &mem_cfg),
+            ),
+        ] {
+            let m = systems::measure(accel, &w, direction);
+            let ops = m.wire_bytes / msg_len;
+            let floor = ops * env.lower_bound(msg_len);
+            assert!(
+                m.cycles >= floor,
+                "{} {direction:?}: {} cycles for {ops} ops of {msg_len} B beat the floor {floor}",
+                w.name,
+                m.cycles
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Edge matrix.
 // ---------------------------------------------------------------------------
@@ -426,11 +481,11 @@ fn envelope_tightness_report() {
 }
 
 // ---------------------------------------------------------------------------
-// The abstract interpretation sharpens (never weakens) lint's floor.
+// The floor is never weaker than dispatch plus streaming.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn absint_floor_dominates_lint_floor_at_every_length() {
+fn absint_floor_dominates_the_streaming_floor_at_every_length() {
     let accel = AccelConfig::default();
     let mem_cfg = MemConfig::default();
     for file in ["addressbook.proto", "telemetry.proto", "storage_row.proto"] {
@@ -438,14 +493,13 @@ fn absint_floor_dominates_lint_floor_at_every_length() {
         let layouts = MessageLayouts::compute(&schema);
         for (id, msg) in schema.iter() {
             let env = Envelope::deser(&schema, &layouts, id, &accel, &mem_cfg);
-            let bound = static_bound(&schema, id, &accel);
             for len in [0u64, 1, 15, 16, 17, 255, 256, 4096, 1 << 20] {
+                let stream = accel.rocc_dispatch_cycles + len.div_ceil(accel.window_bytes as u64);
                 assert!(
-                    env.lower_bound(len) >= bound.lower_bound(len),
-                    "{file}/{}: absint floor {} < lint floor {} at {len} bytes",
+                    env.lower_bound(len) >= stream,
+                    "{file}/{}: absint floor {} < streaming floor {stream} at {len} bytes",
                     msg.name(),
-                    env.lower_bound(len),
-                    bound.lower_bound(len)
+                    env.lower_bound(len)
                 );
             }
         }

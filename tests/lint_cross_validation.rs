@@ -1,7 +1,8 @@
 //! Cross-validates `protoacc-lint`'s static predictions against the
 //! behavioral model:
 //!
-//! * simulated deserialization cycles never beat [`StaticBound::lower_bound`];
+//! * simulated deserialization cycles stay inside the static envelope
+//!   [`Envelope::bounds`] that the diagnostics read;
 //! * the instance-level spill predicate agrees exactly with the simulator's
 //!   `stack_spills` counter (zero false positives, zero false negatives);
 //! * lint-clean schemas take zero spill cycles.
@@ -11,10 +12,9 @@
 //! and packed repeated scalars — each asserting the lint verdict AND
 //! simulator agreement.
 
+use protoacc_suite::absint::Envelope;
 use protoacc_suite::accel::{AccelConfig, ProtoAccelerator};
-use protoacc_suite::lint::{
-    lint_schema, predicts_spill, static_bound, DiagCode, LintConfig, Severity,
-};
+use protoacc_suite::lint::{lint_schema, predicts_spill, DiagCode, LintConfig, Severity};
 use protoacc_suite::mem::{MemConfig, Memory};
 use protoacc_suite::runtime::{
     object, reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value,
@@ -73,13 +73,14 @@ fn run_deser(schema: &Schema, message: &MessageValue, config: AccelConfig) -> Si
 /// analyzer makes about this (schema, instance, config) triple.
 fn check_predictions(schema: &Schema, message: &MessageValue, config: AccelConfig, label: &str) {
     let run = run_deser(schema, message, config);
-    let bound = static_bound(schema, message.type_id(), &config);
-    let floor = bound.lower_bound(run.wire_len);
+    let b = deser_envelope(schema, message.type_id(), config).bounds(run.wire_len, 1);
     assert!(
-        run.cycles >= floor,
-        "{label}: simulated {} cycles beat the static lower bound {floor} \
-         ({} wire bytes, bound {bound:?})",
+        b.contains(run.cycles),
+        "{label}: simulated {} cycles outside the static envelope [{}, {}] \
+         ({} wire bytes)",
         run.cycles,
+        b.lower,
+        b.upper,
         run.wire_len
     );
     let predicted = predicts_spill(message, &config);
@@ -92,6 +93,11 @@ fn check_predictions(schema: &Schema, message: &MessageValue, config: AccelConfi
         message.depth(),
         config.stack_depth
     );
+}
+
+fn deser_envelope(schema: &Schema, id: MessageId, config: AccelConfig) -> Envelope {
+    let layouts = MessageLayouts::compute(schema);
+    Envelope::deser(schema, &layouts, id, &config, &MemConfig::default())
 }
 
 fn load(name: &str) -> Schema {
@@ -312,8 +318,9 @@ fn empty_message_costs_only_the_dispatch_floor() {
     let report = lint_schema(&schema, &LintConfig::default());
     assert!(report.is_clean(), "{:?}", report.diagnostics);
 
-    let bound = static_bound(&schema, id, &config);
-    assert_eq!(bound.lower_bound(0), config.rocc_dispatch_cycles);
+    // Zero wire bytes: the dispatch plus the root ADT load and close.
+    let floor = deser_envelope(&schema, id, config).lower_bound(0);
+    assert_eq!(floor, config.rocc_dispatch_cycles + 2);
 
     let message = MessageValue::new(id);
     let run = run_deser(&schema, &message, config);
@@ -355,9 +362,9 @@ fn packed_repeated_scalars_lint_window_starve_and_respect_bound() {
     check_predictions(&schema, &message, config, "packed scalars");
 }
 
-/// Scalar-only schemas activate the FSM term of the bound (two cycles per
-/// record): verify the simulator still clears it on dense small records,
-/// where the bound is tightest.
+/// Scalar-only schemas activate the FSM term of the floor (four cycles per
+/// record of at most 11 bytes): verify the simulator still clears it on
+/// dense small records, where the floor is tightest.
 #[test]
 fn scalar_only_schema_respects_the_fsm_floor() {
     let config = AccelConfig::default();
@@ -367,8 +374,11 @@ fn scalar_only_schema_respects_the_fsm_floor() {
     )
     .unwrap();
     let id = schema.id_by_name("Flat").unwrap();
-    let bound = static_bound(&schema, id, &config);
-    assert!(bound.max_record_bytes.is_some(), "all fields bounded");
+    let floor = deser_envelope(&schema, id, config).lower_bound(1100);
+    assert!(
+        floor >= config.rocc_dispatch_cycles + 2 + 4 * 100,
+        "all fields bounded: floor {floor}"
+    );
 
     let mut message = MessageValue::new(id);
     message.set_unchecked(1, Value::UInt32(1));
