@@ -13,14 +13,18 @@
 #                           serving scaling sweep on a queue-invariant
 #                           violation, the fault sweep on a command that
 #                           fails outright, a shed request or an admitted
-#                           request left unserved), then fails if git
-#                           status shows a file there changed, new or no
-#                           longer written
+#                           request left unserved, the RPC overload sweep
+#                           on an accounting leak, a queue-overflow drop,
+#                           goodput at 2x below 80% of peak or an open
+#                           loop that sheds nothing at 2x), then fails if
+#                           git status shows a file there changed, new or
+#                           no longer written
 #   3c. root examples       runs every examples/*.rs once in release; each
 #                           asserts what it prints (lint_corpus: simulated
 #                           cycles inside the static envelope, no spill)
 #   4. full workspace tests cargo test --workspace (includes the serving
-#                           model's replay determinism and accounting,
+#                           model's replay determinism and accounting and
+#                           the RPC sweep's replay,
 #                           crates/bench/tests/serve_determinism.rs)
 #   5. schema lint gate     protoacc-lint --format json protos/
 #                           (fails on any deny-level diagnostic)
@@ -72,15 +76,9 @@
 #                           trace, its mem_access events (the sanitizer's
 #                           only footprint source) fold to every instance's
 #                           live memory counters, and it sanitizes clean
-#   9. rpc serving gate     serve_rpc --smoke sweeps offered load through 2x
-#                           saturation under open- and closed-loop traffic
-#                           (fails on an accounting leak — every offered
-#                           request must land in exactly one of ok/fallback/
-#                           rejected/failed/shed —, a queue-overflow drop,
-#                           nondeterministic replay, goodput at 2x below 80%
-#                           of peak, or an inert admission controller; emits
-#                           target/BENCH_rpc.json), plus the frame-corruption
-#                           corpus and the loop-discipline equivalence test
+#   9. rpc framing gate     the frame-corruption corpus and the
+#                           loop-discipline equivalence test (the overload
+#                           sweep itself is the serve_rpc study of step 3b)
 #  10. sharded engine gate  the equivalence suite (tests/serve_sharded.rs:
 #                           clean / faulted / shed-heavy workloads at
 #                           workers 1/2/4/8 must equal the sequential
@@ -202,9 +200,7 @@ cargo run --offline -q --release -p protoacc-bench --bin profile_report -- \
     --reparse target/ci_trace.json
 cargo test --offline -q --test trace_accounting
 
-echo "== rpc serving gate (framing, admission shedding, loop disciplines) =="
-cargo run --offline -q --release -p protoacc-bench --bin serve_rpc -- \
-    --smoke --shards 2 --out target/BENCH_rpc.json
+echo "== rpc framing gate (frame corruption, loop disciplines) =="
 cargo test --offline -q --test rpc_frames --test rpc_loop_equivalence
 
 echo "== sharded engine gate (parallel == sequential, bit-for-bit) =="

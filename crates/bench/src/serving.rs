@@ -29,6 +29,11 @@
 //! the sanitizer and the tracer check, with its own destination object per
 //! deserialization. The serving studies replay [`fleet_mix`] traffic from
 //! [`stream`].
+//!
+//! The framed RPC layer has one driver too: [`server`] is the RPC server in
+//! front of the cluster, [`request_frame`] one request on the wire, and
+//! [`open_loop`] and [`closed_loop`] the two traffic disciplines that feed
+//! it. [`calibrate`] measures the mean service time they scale load by.
 
 use protoacc::{
     AccelConfig, DispatchPolicy, InstanceFault, Request, RequestOp, ServeCluster, ServeConfig,
@@ -36,9 +41,9 @@ use protoacc::{
 };
 use protoacc_absint::Envelope;
 use protoacc_faults::SoftwareFallback;
-use protoacc_fleet::traffic::{TrafficEvent, TrafficMix};
+use protoacc_fleet::traffic::{ClosedLoop, TrafficEvent, TrafficMix};
 use protoacc_mem::{MemConfig, Memory};
-use protoacc_rpc::Method;
+use protoacc_rpc::{encode_frame, IncomingFrame, Method, RpcConfig, RpcHeader, RpcServer};
 use protoacc_runtime::{object, reference, write_adts, AdtTables, BumpArena, MessageLayouts};
 use protoacc_trace::TraceLog;
 use xrand::StdRng;
@@ -353,6 +358,140 @@ pub fn isolated(
         }
         (requests, Vec::new())
     })
+}
+
+/// Accelerator instances behind the RPC [`server`].
+pub const RPC_INSTANCES: usize = 4;
+/// Connections an [`open_loop`] schedule spreads across.
+const RPC_CONNS: usize = 8;
+/// Per-connection credit window. Wider than the default so the transport's
+/// flow control does not itself cap the backlog: under overload, admission
+/// shedding, not window deferral, is the active mechanism.
+const RPC_WINDOW: usize = 16;
+
+/// The RPC server over `methods`: [`RPC_INSTANCES`] instances behind a
+/// 256-deep FIFO queue, credit window `RPC_WINDOW`.
+#[must_use]
+pub fn server(methods: Vec<Method>) -> RpcServer {
+    RpcServer::new(
+        config(RPC_INSTANCES, 256, DispatchPolicy::Fifo),
+        RpcConfig {
+            window: RPC_WINDOW,
+            ..RpcConfig::default()
+        },
+        methods,
+        ARENA_BASE,
+        ARENA_STRIDE,
+    )
+}
+
+/// Encodes one request frame for `method`. With a `slack`, the request
+/// carries a deadline budget of `slack` times the direction's admission
+/// cost; without one, admission control never sheds it.
+///
+/// # Panics
+///
+/// If the header outgrows the frame ceiling.
+#[must_use]
+pub fn request_frame(
+    methods: &[Method],
+    method: usize,
+    deser: bool,
+    slack: Option<u64>,
+) -> Vec<u8> {
+    let m = methods[method];
+    let cost = if deser { m.deser_cost } else { m.ser_cost };
+    let header = RpcHeader {
+        method: method as u32,
+        deser,
+        deadline: slack.map(|s| cost.saturating_mul(s)),
+    };
+    encode_frame(false, &header.to_payload()).expect("request header fits the frame ceiling")
+}
+
+/// `mix` staged into a fresh memory, with its RPC method table.
+fn staged_methods(mix: &TrafficMix) -> (Memory, Vec<Method>) {
+    let mut mem = Memory::new(MemConfig::default());
+    let methods = Staging::new(mix, &mut mem).methods(mix);
+    (mem, methods)
+}
+
+/// Serves the open-loop schedule of `n` requests from [`stream`] at mean
+/// gap `gap`, spread round-robin across `RPC_CONNS` connections: offered
+/// load does not depend on what the server does. `slack` is as for
+/// [`request_frame`].
+///
+/// # Panics
+///
+/// If the server reports a driver-level failure.
+#[must_use]
+pub fn open_loop(mix: &TrafficMix, n: usize, gap: f64, slack: Option<u64>) -> RpcServer {
+    let (mut mem, methods) = staged_methods(mix);
+    let frames: Vec<IncomingFrame> = stream(mix, n, gap)
+        .iter()
+        .enumerate()
+        .map(|(i, e)| IncomingFrame {
+            conn: i % RPC_CONNS,
+            arrival: e.arrival,
+            bytes: request_frame(&methods, e.prototype, e.deser, slack),
+        })
+        .collect();
+    let mut srv = server(methods);
+    srv.serve(&mut mem, &frames).expect("rpc serve succeeds");
+    srv
+}
+
+/// Serves `total` requests from `users` closed-loop clients, one
+/// connection each. Each waits for its response plus an exponential think
+/// time of mean `think` before issuing again, so arrivals throttle
+/// themselves as latency rises. `slack` is as for [`request_frame`].
+///
+/// # Panics
+///
+/// If the server reports a driver-level failure.
+#[must_use]
+pub fn closed_loop(
+    mix: &TrafficMix,
+    users: usize,
+    total: usize,
+    think: f64,
+    slack: Option<u64>,
+) -> RpcServer {
+    let (mut mem, methods) = staged_methods(mix);
+    let mut srv = server(methods.clone());
+    let mut clients = ClosedLoop::new(users, think);
+    let mut rng = StdRng::seed_from_u64(STREAM_SEED);
+    for _ in 0..total {
+        let (user, at) = clients.next_issue().expect("some user is always ready");
+        let (prototype, deser) = mix.sample(&mut rng);
+        let frame = IncomingFrame {
+            conn: user,
+            arrival: at,
+            bytes: request_frame(&methods, prototype, deser, slack),
+        };
+        let before = srv.cluster().records().len();
+        srv.serve(&mut mem, std::slice::from_ref(&frame))
+            .expect("rpc serve succeeds");
+        // The user's response lands at its command's completion time (its
+        // issue instant if the request evaporated at the frame plane).
+        let completion = srv
+            .cluster()
+            .records()
+            .get(before)
+            .map_or(at, |r| r.complete)
+            .max(at);
+        clients.complete(user, completion, &mut rng);
+    }
+    srv
+}
+
+/// Mean uncontended service time of `mix` on the RPC server, in cycles,
+/// from a sparse deadline-free open-loop stream of 64 requests.
+#[must_use]
+pub fn calibrate(mix: &TrafficMix) -> f64 {
+    let srv = open_loop(mix, 64, 10_000_000.0, None);
+    let records = srv.cluster().records();
+    records.iter().map(|r| r.service).sum::<u64>() as f64 / records.len().max(1) as f64
 }
 
 #[cfg(test)]

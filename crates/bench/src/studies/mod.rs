@@ -44,4 +44,5 @@ pub const STUDIES: &[(&str, Study)] = &[
     ("export_hyperbench", extensions::export_hyperbench),
     ("serve_tail_latency", serve::serve_tail_latency),
     ("serve_faults", serve::serve_faults),
+    ("serve_rpc", serve::serve_rpc),
 ];

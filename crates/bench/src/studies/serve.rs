@@ -1,14 +1,16 @@
 //! The serving studies: tail latency and throughput scaling of N
-//! accelerator instances behind one RoCC command queue, and the
-//! degradation ladder under injected faults.
+//! accelerator instances behind one RoCC command queue, the degradation
+//! ladder under injected faults, and overload of the framed RPC layer.
 //!
-//! Both replay a fleet-distribution message mix ([`fleet_mix`]) against a
+//! All replay a fleet-distribution message mix ([`fleet_mix`]) against a
 //! `ServeCluster`: N instances sharing one simulated LLC/DRAM, fed by a
-//! bounded command queue with FIFO or round-robin dispatch. Each cluster
-//! runs as the one-cell decomposition ([`one_cell`]).
+//! bounded command queue with FIFO or round-robin dispatch. The first two
+//! run each cluster as the one-cell decomposition ([`one_cell`]); the RPC
+//! study drives it through the RPC server ([`open_loop`], [`closed_loop`]).
 
 use std::fmt::{self, Write};
 
+use protoacc::serve::{CommandRecord, CommandStatus};
 use protoacc::{DispatchPolicy, InstanceFault, Request, RequestOp, ServeConfig, ShardedCluster};
 use protoacc_absint::Envelope;
 use protoacc_faults::memory::{arm_random_ecc, arm_random_stalls};
@@ -17,10 +19,14 @@ use protoacc_faults::WIRE_FAULTS;
 use protoacc_faults::{random_script, InstanceFaultPlan};
 use protoacc_fleet::traffic::{TrafficEvent, TrafficMix};
 use protoacc_mem::{Cycles, Memory};
+use protoacc_rpc::RpcServer;
 use protoacc_runtime::reference;
 use xrand::{Rng, StdRng};
 
-use crate::serving::{config, fleet_mix, one_cell, stream, Capture, Staging, CORRUPT_BASE};
+use crate::serving::{
+    calibrate, closed_loop, config, fleet_mix, one_cell, open_loop, stream, Capture, Staging,
+    CORRUPT_BASE, RPC_INSTANCES,
+};
 
 /// Runs `events` through one fault-free cluster with nothing captured.
 fn clean(mix: &TrafficMix, events: &[TrafficEvent], cfg: ServeConfig) -> ShardedCluster {
@@ -429,4 +435,210 @@ pub fn serve_faults(out: &mut String) -> fmt::Result {
         "(nominal p99 = {nominal_p99} cycles; every row above must serve 100% of admitted load —\n\
          a Failed command means the degradation ladder has a hole)"
     )
+}
+
+/// Client deadline budget of the RPC sweep, as a multiple of the method's
+/// admission cost: generous enough that nominal queueing fits, tight
+/// enough that an unbounded overload backlog blows it.
+const DEADLINE_SLACK: u64 = 4;
+/// Offered-load grid of the RPC sweep, as a fraction of cluster saturation.
+const RHOS: [f64; 3] = [0.5, 1.0, 2.0];
+/// Requests offered per RPC sweep cell.
+const RPC_REQUESTS: usize = 512;
+/// Goodput at 2x overload must stay within this fraction of the
+/// discipline's peak: the load-shedding acceptance floor.
+const GOODPUT_FLOOR: f64 = 0.8;
+
+/// What one cell of the RPC sweep reports.
+#[derive(Debug, PartialEq)]
+pub struct RpcCell {
+    /// `"open"` or `"closed"` loop.
+    pub discipline: &'static str,
+    /// Offered load as a fraction of cluster saturation.
+    pub rho: f64,
+    /// Requests offered.
+    pub offered: u64,
+    /// Requests served by an accelerator.
+    pub ok: u64,
+    /// Requests served by the software fallback.
+    pub fallback: u64,
+    /// Requests the accelerator rejected.
+    pub rejected: u64,
+    /// Requests that failed outright.
+    pub failed: u64,
+    /// Requests admission control shed before enqueue.
+    pub shed: u64,
+    /// Requests dropped on a full queue.
+    pub dropped: u64,
+    /// Frames the server decoded.
+    pub frames: u64,
+    /// Frames that failed to decode.
+    pub frame_errors: u64,
+    /// Requests deferred by a closed credit window.
+    pub deferred: u64,
+    /// Goodput in Gbit/s.
+    pub goodput: f64,
+    /// Median latency of served requests, in cycles.
+    pub p50: Cycles,
+    /// 99th-percentile latency of served requests, in cycles.
+    pub p99: Cycles,
+}
+
+/// Latency percentile over *served* commands only (ok + fallback). Shed
+/// records complete in one cycle by construction and would drag the
+/// distribution toward zero exactly when shedding matters most.
+fn served_percentile(records: &[CommandRecord], p: f64) -> Cycles {
+    let mut latencies: Vec<Cycles> = records
+        .iter()
+        .filter(|r| matches!(r.status, CommandStatus::Ok | CommandStatus::Fallback))
+        .map(CommandRecord::latency)
+        .collect();
+    if latencies.is_empty() {
+        return 0;
+    }
+    latencies.sort_unstable();
+    latencies[protoacc_trace::nearest_rank(p, latencies.len())]
+}
+
+fn rpc_cell(discipline: &'static str, rho: f64, srv: &RpcServer) -> RpcCell {
+    let cluster = srv.cluster();
+    let (ok, fallback, rejected, failed, shed) = cluster.status_counts();
+    let stats = srv.stats();
+    RpcCell {
+        discipline,
+        rho,
+        offered: cluster.offered(),
+        ok,
+        fallback,
+        rejected,
+        failed,
+        shed,
+        dropped: cluster.dropped(),
+        frames: stats.frames,
+        frame_errors: stats.frame_errors,
+        deferred: stats.deferred,
+        goodput: cluster.throughput_gbits(),
+        p50: served_percentile(cluster.records(), 50.0),
+        p99: served_percentile(cluster.records(), 99.0),
+    }
+}
+
+/// The RPC overload sweep: the mean uncontended service time, then one
+/// open-loop and one closed-loop cell per offered load in `RHOS`, every
+/// request carrying a `DEADLINE_SLACK` deadline.
+#[must_use]
+pub fn rpc_sweep() -> (f64, Vec<RpcCell>) {
+    let mix = fleet_mix(8);
+    let service = calibrate(&mix);
+    let slack = Some(DEADLINE_SLACK);
+    let cells = RHOS
+        .iter()
+        .flat_map(|&rho| {
+            let gap = service / (RPC_INSTANCES as f64 * rho);
+            let users = ((rho * RPC_INSTANCES as f64 * 2.0).round() as usize).max(1);
+            let open = open_loop(&mix, RPC_REQUESTS, gap, slack);
+            let closed = closed_loop(&mix, users, RPC_REQUESTS, service, slack);
+            [
+                rpc_cell("open", rho, &open),
+                rpc_cell("closed", rho, &closed),
+            ]
+        })
+        .collect();
+    (service, cells)
+}
+
+/// Overload of the framed RPC layer: the fleet mix of 8 prototypes as an
+/// RPC method table (admission costs from the absint envelopes) served by
+/// [`RPC_INSTANCES`] instances, with offered load swept through and past
+/// saturation under both loop disciplines. The open loop's Poisson
+/// arrivals ignore what the server does, so past saturation only
+/// admission control holds the backlog; the closed loop's users wait for
+/// each response, so it throttles itself. Reports goodput and the
+/// served / shed / rejected / failed breakdown with served-only p50/p99.
+///
+/// # Panics
+///
+/// If a cell leaks accounting (every offered request lands in exactly one
+/// of ok / fallback / rejected / failed / shed / dropped), drops a request
+/// on a full queue, or finishes 2x overload with goodput under
+/// `GOODPUT_FLOOR` of its discipline's peak, or if the open loop sheds
+/// nothing at 2x (the admission controller is inert).
+pub fn serve_rpc(out: &mut String) -> fmt::Result {
+    let (service, cells) = rpc_sweep();
+    for c in &cells {
+        let cell = format!("{} rho={}", c.discipline, c.rho);
+        assert_eq!(
+            c.ok + c.fallback + c.rejected + c.failed + c.shed + c.dropped,
+            c.offered,
+            "{cell}: accounting leak"
+        );
+        assert_eq!(
+            c.dropped, 0,
+            "{cell}: admission control must shed, not overflow"
+        );
+    }
+    for discipline in ["open", "closed"] {
+        let peak = cells
+            .iter()
+            .filter(|c| c.discipline == discipline)
+            .map(|c| c.goodput)
+            .fold(0.0f64, f64::max);
+        let at_2x = cells
+            .iter()
+            .find(|c| c.discipline == discipline && c.rho == 2.0)
+            .expect("2x cell exists");
+        assert!(
+            at_2x.goodput >= GOODPUT_FLOOR * peak,
+            "{discipline} rho=2: goodput {} below {GOODPUT_FLOOR} x peak {peak}",
+            at_2x.goodput
+        );
+        if discipline == "open" {
+            assert!(at_2x.shed > 0, "open rho=2: 2x overload shed nothing");
+        }
+    }
+
+    writeln!(
+        out,
+        "RPC overload sweep: {RPC_INSTANCES} instances, deadline = {DEADLINE_SLACK} x admission cost, \
+         {RPC_REQUESTS} requests per cell"
+    )?;
+    writeln!(
+        out,
+        "calibration: mean uncontended service = {service:.0} cycles\n"
+    )?;
+    writeln!(
+        out,
+        "{:<10} {:>6} {:>8} {:>7} {:>4} {:>9} {:>7} {:>6} {:>9} {:>12} {:>12} {:>12}",
+        "loop",
+        "rho",
+        "offered",
+        "ok",
+        "fb",
+        "rejected",
+        "failed",
+        "shed",
+        "deferred",
+        "goodput",
+        "p50 cyc",
+        "p99 cyc"
+    )?;
+    for c in &cells {
+        writeln!(
+            out,
+            "{:<10} {:>6.2} {:>8} {:>7} {:>4} {:>9} {:>7} {:>6} {:>9} {:>12.4} {:>12} {:>12}",
+            c.discipline,
+            c.rho,
+            c.offered,
+            c.ok,
+            c.fallback,
+            c.rejected,
+            c.failed,
+            c.shed,
+            c.deferred,
+            c.goodput,
+            c.p50,
+            c.p99
+        )?;
+    }
+    Ok(())
 }

@@ -2,10 +2,12 @@
 //! staging → multi-instance cluster pipeline, run through
 //! `serving::run_cell`, must give the same `ShardedCluster::fingerprint`
 //! when replayed with the same seeds, at every cluster width and dispatch
-//! policy, and its queue accounting must balance.
+//! policy, and its queue accounting must balance. The RPC overload
+//! study's sweep must replay cell for cell.
 
 use protoacc::{DispatchPolicy, ShardedCluster};
 use protoacc_bench::serving::{config, fleet_mix, one_cell, stream, Capture};
+use protoacc_bench::studies::serve::rpc_sweep;
 
 /// Requests offered per run.
 const OFFERED: u64 = 64;
@@ -59,4 +61,11 @@ fn single_and_multi_instance_complete_the_same_offered_work() {
         "the stream never overloads one instance"
     );
     assert!(wide.completed() >= narrow.completed());
+}
+
+#[test]
+fn rpc_sweep_replays_identically() {
+    // Every cell of the RPC overload study, calibration included, compared
+    // by value against a second run.
+    assert_eq!(rpc_sweep(), rpc_sweep(), "rpc sweep replay diverged");
 }

@@ -11,80 +11,19 @@
 //! 536,870,911 — and checks that the floor is never weaker than the RoCC
 //! dispatch plus the memloader streaming one window per cycle.
 
+mod common;
+
+use common::{chain_instance, chain_schema, load, measure};
 use protoacc_suite::absint::Envelope;
-use protoacc_suite::accel::{AccelConfig, ProtoAccelerator};
+use protoacc_suite::accel::AccelConfig;
 use protoacc_suite::bench::serving::fleet_mix;
 use protoacc_suite::bench::ubench::{alloc_workloads, nonalloc_workloads};
 use protoacc_suite::bench::{systems, Workload};
 use protoacc_suite::hyperbench::{Generator, ServiceProfile};
-use protoacc_suite::mem::{MemConfig, Memory};
-use protoacc_suite::runtime::{
-    object, reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value,
-};
-use protoacc_suite::schema::{parse_proto, MessageId, Schema};
+use protoacc_suite::mem::MemConfig;
+use protoacc_suite::runtime::{MessageLayouts, MessageValue, Value};
+use protoacc_suite::schema::{parse_proto, Schema};
 use protoacc_suite::xrand::StdRng;
-
-/// Measured cycles of one message driven through both units.
-struct Measured {
-    wire_len: u64,
-    deser_cycles: u64,
-    ser_cycles: u64,
-}
-
-/// Runs `message` through the deserializer (from reference-encoded bytes)
-/// and the serializer (from a runtime-written object graph), asserting both
-/// are functionally exact, and returns the cycle counts the envelopes must
-/// bracket.
-fn measure(schema: &Schema, message: &MessageValue, config: &AccelConfig) -> Measured {
-    let type_id = message.type_id();
-    let layouts = MessageLayouts::compute(schema);
-    let mut mem = Memory::new(MemConfig::default());
-    // Sparse guest memory: descriptor tables are sized by field-number
-    // span, and the max-field-number case needs gigabytes of address space.
-    let mut arena = BumpArena::new(0x1_0000, 16 << 30);
-    let adts = write_adts(schema, &layouts, &mut mem.data, &mut arena).unwrap();
-    let layout = layouts.layout(type_id);
-
-    let wire = reference::encode(message, schema).unwrap();
-    mem.data.write_bytes(0x10_0000_0000, &wire);
-
-    let mut accel = ProtoAccelerator::new(*config);
-    accel.deser_assign_arena(0x20_0000_0000, 1 << 24);
-    let dest = arena.alloc(layout.object_size(), 8).unwrap();
-    accel.deser_info(adts.addr(type_id), dest);
-    let deser = accel
-        .do_proto_deser(
-            &mut mem,
-            0x10_0000_0000,
-            wire.len() as u64,
-            layout.min_field(),
-        )
-        .unwrap();
-    let back = object::read_message(&mem.data, schema, &layouts, type_id, dest).unwrap();
-    assert!(back.bits_eq(message), "deser round trip");
-
-    let obj = object::write_message(&mut mem.data, schema, &layouts, &mut arena, message).unwrap();
-    accel.ser_assign_arena(0x30_0000_0000, 1 << 24, 0x31_0000_0000, 1 << 16);
-    accel.ser_info(
-        layout.hasbits_offset(),
-        layout.min_field(),
-        layout.max_field(),
-    );
-    let ser = accel
-        .do_proto_ser(&mut mem, adts.addr(type_id), obj)
-        .unwrap();
-    assert_eq!(
-        mem.data.read_vec(ser.out_addr, ser.out_len as usize),
-        wire,
-        "ser output is byte-identical to the reference codec"
-    );
-
-    Measured {
-        wire_len: wire.len() as u64,
-        deser_cycles: deser.cycles,
-        ser_cycles: ser.cycles,
-    }
-}
 
 /// Full envelope check for one (schema, instance, config) triple.
 fn check_envelopes(schema: &Schema, message: &MessageValue, config: &AccelConfig, label: &str) {
@@ -94,7 +33,8 @@ fn check_envelopes(schema: &Schema, message: &MessageValue, config: &AccelConfig
     let deser_env = Envelope::deser(schema, &layouts, id, config, &mem_cfg);
     let ser_env = Envelope::ser(schema, &layouts, id, config, &mem_cfg);
 
-    let m = measure(schema, message, config);
+    let m = measure(schema, message, config, true);
+    let ser_cycles = m.ser_cycles.expect("the serializer ran");
     let db = deser_env.bounds(m.wire_len, 1);
     assert!(
         db.contains(m.deser_cycles),
@@ -106,19 +46,12 @@ fn check_envelopes(schema: &Schema, message: &MessageValue, config: &AccelConfig
     );
     let sb = ser_env.bounds(m.wire_len, 1);
     assert!(
-        sb.contains(m.ser_cycles),
-        "{label}: ser {} cycles outside [{}, {}] at {} wire bytes",
-        m.ser_cycles,
+        sb.contains(ser_cycles),
+        "{label}: ser {ser_cycles} cycles outside [{}, {}] at {} wire bytes",
         sb.lower,
         sb.upper,
         m.wire_len
     );
-}
-
-fn load(name: &str) -> Schema {
-    let path = format!("{}/protos/{name}", env!("CARGO_MANIFEST_DIR"));
-    let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    parse_proto(&source).unwrap_or_else(|e| panic!("{name} must parse: {e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -288,36 +221,6 @@ fn warm_microbenchmark_runs_pay_the_floor_per_operation() {
 // Edge matrix.
 // ---------------------------------------------------------------------------
 
-/// A linear chain of `n` message types, as in the lint cross-validation.
-fn chain_schema(n: usize) -> Schema {
-    let mut src = String::new();
-    for i in 0..n {
-        if i + 1 < n {
-            src.push_str(&format!(
-                "message M{i} {{ optional M{} next = 1; }}\n",
-                i + 1
-            ));
-        } else {
-            src.push_str(&format!("message M{i} {{ optional uint32 leaf = 1; }}\n"));
-        }
-    }
-    parse_proto(&src).unwrap()
-}
-
-fn chain_instance(schema: &Schema, depth: usize) -> MessageValue {
-    let id = |i: usize| -> MessageId { schema.id_by_name(&format!("M{i}")).unwrap() };
-    let mut inner = MessageValue::new(id(depth - 1));
-    if depth == schema.len() {
-        inner.set_unchecked(1, Value::UInt32(7));
-    }
-    for i in (0..depth - 1).rev() {
-        let mut outer = MessageValue::new(id(i));
-        outer.set_unchecked(1, Value::Message(inner));
-        inner = outer;
-    }
-    inner
-}
-
 /// Nesting at the stack depth (no spill), and one past it (every push
 /// spills): the spill cycles must stay under the static ceiling, and the
 /// floor must hold on the tiny spilling input too.
@@ -350,34 +253,15 @@ fn max_field_number_stays_inside_deser_envelope() {
     message.set_unchecked(1, Value::UInt64(1));
     message.set_unchecked(536_870_911, Value::UInt64(u64::MAX));
 
-    let layouts = MessageLayouts::compute(&schema);
-    let mut mem = Memory::new(MemConfig::default());
-    let mut arena = BumpArena::new(0x1_0000, 16 << 30);
-    let adts = write_adts(&schema, &layouts, &mut mem.data, &mut arena).unwrap();
-    let layout = layouts.layout(id);
-    let wire = reference::encode(&message, &schema).unwrap();
-    mem.data.write_bytes(0x10_0000_0000, &wire);
-    let mut accel = ProtoAccelerator::new(config);
-    accel.deser_assign_arena(0x20_0000_0000, 1 << 24);
-    let dest = arena.alloc(layout.object_size(), 8).unwrap();
-    accel.deser_info(adts.addr(id), dest);
-    let run = accel
-        .do_proto_deser(
-            &mut mem,
-            0x10_0000_0000,
-            wire.len() as u64,
-            layout.min_field(),
-        )
-        .unwrap();
-    let back = object::read_message(&mem.data, &schema, &layouts, id, dest).unwrap();
-    assert!(back.bits_eq(&message), "deser round trip");
+    let run = measure(&schema, &message, &config, false);
 
+    let layouts = MessageLayouts::compute(&schema);
     let env = Envelope::deser(&schema, &layouts, id, &config, &mem_cfg);
-    let b = env.bounds(wire.len() as u64, 1);
+    let b = env.bounds(run.wire_len, 1);
     assert!(
-        b.contains(run.cycles),
+        b.contains(run.deser_cycles),
         "max field number: deser {} cycles outside [{}, {}]",
-        run.cycles,
+        run.deser_cycles,
         b.lower,
         b.upper
     );
@@ -462,7 +346,7 @@ fn envelope_tightness_report() {
         let id = message.type_id();
         let denv = Envelope::deser(schema, &layouts, id, &accel, &mem_cfg);
         let senv = Envelope::ser(schema, &layouts, id, &accel, &mem_cfg);
-        let m = measure(schema, message, &accel);
+        let m = measure(schema, message, &accel, true);
         let db = denv.bounds(m.wire_len, 1);
         let sb = senv.bounds(m.wire_len, 1);
         println!(
@@ -474,7 +358,7 @@ fn envelope_tightness_report() {
             db.ratio(),
             sb.lower,
             sb.upper,
-            m.ser_cycles,
+            m.ser_cycles.expect("the serializer ran"),
             sb.ratio()
         );
     }

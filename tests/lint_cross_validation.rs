@@ -12,73 +12,26 @@
 //! and packed repeated scalars — each asserting the lint verdict AND
 //! simulator agreement.
 
+mod common;
+
+use common::{chain_instance, chain_schema, load, measure};
 use protoacc_suite::absint::Envelope;
-use protoacc_suite::accel::{AccelConfig, ProtoAccelerator};
+use protoacc_suite::accel::AccelConfig;
 use protoacc_suite::lint::{lint_schema, predicts_spill, DiagCode, LintConfig, Severity};
-use protoacc_suite::mem::{MemConfig, Memory};
-use protoacc_suite::runtime::{
-    object, reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value,
-};
+use protoacc_suite::mem::MemConfig;
+use protoacc_suite::runtime::{MessageLayouts, MessageValue, Value};
 use protoacc_suite::schema::{parse_proto, MessageId, Schema};
-
-/// Outcome of one simulated deserialization.
-struct SimRun {
-    cycles: u64,
-    stack_spills: u64,
-    wire_len: u64,
-}
-
-/// Encodes `message` with the reference codec and drives it through the
-/// accelerator's deserializer, returning the observables the lint
-/// predictions speak about. Panics if the round trip is not bit-exact, so
-/// every cross-validation run is also a correctness run.
-fn run_deser(schema: &Schema, message: &MessageValue, config: AccelConfig) -> SimRun {
-    let type_id = message.type_id();
-    let layouts = MessageLayouts::compute(schema);
-    let mut mem = Memory::new(MemConfig::default());
-    // Guest memory is sparse, so the arena can span a huge address range:
-    // descriptor tables are sized by field-number *span*, and the
-    // max-field-number edge case needs ~8.6 GB of ADT address space.
-    let mut arena = BumpArena::new(0x1_0000, 16 << 30);
-    let adts = write_adts(schema, &layouts, &mut mem.data, &mut arena).unwrap();
-
-    let wire = reference::encode(message, schema).unwrap();
-    mem.data.write_bytes(0x10_0000_0000, &wire);
-
-    let mut accel = ProtoAccelerator::new(config);
-    accel.deser_assign_arena(0x20_0000_0000, 1 << 24);
-    let layout = layouts.layout(type_id);
-    let dest = arena.alloc(layout.object_size(), 8).unwrap();
-    accel.deser_info(adts.addr(type_id), dest);
-    let run = accel
-        .do_proto_deser(
-            &mut mem,
-            0x10_0000_0000,
-            wire.len() as u64,
-            layout.min_field(),
-        )
-        .unwrap();
-
-    let back = object::read_message(&mem.data, schema, &layouts, type_id, dest).unwrap();
-    assert!(back.bits_eq(message), "deser round trip");
-
-    SimRun {
-        cycles: run.cycles,
-        stack_spills: accel.stats().stack_spills,
-        wire_len: wire.len() as u64,
-    }
-}
 
 /// One cross-validation step: simulate, then check every static claim the
 /// analyzer makes about this (schema, instance, config) triple.
 fn check_predictions(schema: &Schema, message: &MessageValue, config: AccelConfig, label: &str) {
-    let run = run_deser(schema, message, config);
+    let run = measure(schema, message, &config, false);
     let b = deser_envelope(schema, message.type_id(), config).bounds(run.wire_len, 1);
     assert!(
-        b.contains(run.cycles),
+        b.contains(run.deser_cycles),
         "{label}: simulated {} cycles outside the static envelope [{}, {}] \
          ({} wire bytes)",
-        run.cycles,
+        run.deser_cycles,
         b.lower,
         b.upper,
         run.wire_len
@@ -98,45 +51,6 @@ fn check_predictions(schema: &Schema, message: &MessageValue, config: AccelConfi
 fn deser_envelope(schema: &Schema, id: MessageId, config: AccelConfig) -> Envelope {
     let layouts = MessageLayouts::compute(schema);
     Envelope::deser(schema, &layouts, id, &config, &MemConfig::default())
-}
-
-fn load(name: &str) -> Schema {
-    let path = format!("{}/protos/{name}", env!("CARGO_MANIFEST_DIR"));
-    let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    parse_proto(&source).unwrap_or_else(|e| panic!("{name} must parse: {e}"))
-}
-
-/// A linear chain of `n` message types `M0 -> M1 -> ... -> M{n-1}`, each
-/// optionally holding the next, the last holding a scalar leaf.
-fn chain_schema(n: usize) -> Schema {
-    let mut src = String::new();
-    for i in 0..n {
-        if i + 1 < n {
-            src.push_str(&format!(
-                "message M{i} {{ optional M{} next = 1; }}\n",
-                i + 1
-            ));
-        } else {
-            src.push_str(&format!("message M{i} {{ optional uint32 leaf = 1; }}\n"));
-        }
-    }
-    parse_proto(&src).unwrap()
-}
-
-/// An instance of `M0` from [`chain_schema`] nested exactly `depth` levels
-/// (root counts as level 1); the innermost message is left empty.
-fn chain_instance(schema: &Schema, depth: usize) -> MessageValue {
-    let id = |i: usize| -> MessageId { schema.id_by_name(&format!("M{i}")).unwrap() };
-    let mut inner = MessageValue::new(id(depth - 1));
-    if depth == schema.len() {
-        inner.set_unchecked(1, Value::UInt32(7));
-    }
-    for i in (0..depth - 1).rev() {
-        let mut outer = MessageValue::new(id(i));
-        outer.set_unchecked(1, Value::Message(inner));
-        inner = outer;
-    }
-    inner
 }
 
 // ---------------------------------------------------------------------------
@@ -174,7 +88,7 @@ fn lint_clean_types_take_zero_spill_cycles() {
         let clean_of_pa001 = !report
             .with_code(DiagCode::StackSpill)
             .any(|d| d.message_type == root_name);
-        let run = run_deser(&schema, &message, config);
+        let run = measure(&schema, &message, &config, false);
         if clean_of_pa001 {
             assert_eq!(run.stack_spills, 0, "{file}: lint-clean type spilled");
         }
@@ -275,9 +189,9 @@ fn nesting_at_and_past_stack_depth_agrees_with_simulator() {
         check_predictions(&schema, &message, config, &format!("chain depth {depth}"));
     }
     // Spot-check the boundary explicitly.
-    let at = run_deser(&schema, &chain_instance(&schema, 4), config);
+    let at = measure(&schema, &chain_instance(&schema, 4), &config, false);
     assert_eq!(at.stack_spills, 0, "at stack_depth: no spill");
-    let past = run_deser(&schema, &chain_instance(&schema, 5), config);
+    let past = measure(&schema, &chain_instance(&schema, 5), &config, false);
     assert!(past.stack_spills > 0, "past stack_depth: spills");
 }
 
@@ -323,7 +237,7 @@ fn empty_message_costs_only_the_dispatch_floor() {
     assert_eq!(floor, config.rocc_dispatch_cycles + 2);
 
     let message = MessageValue::new(id);
-    let run = run_deser(&schema, &message, config);
+    let run = measure(&schema, &message, &config, false);
     assert_eq!(run.wire_len, 0);
     check_predictions(&schema, &message, config, "empty message");
 }
