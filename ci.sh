@@ -5,7 +5,26 @@
 # Steps:
 #   1. formatting           cargo fmt --check
 #   2. lints                cargo clippy --all-targets -- -D warnings
-#   3. tier-1 tests         cargo build --release && cargo test
+#   3. tier-1 tests         cargo build --release && cargo test: the root
+#                           package's unit and doc tests and every
+#                           tests/*.rs suite, each run once here and only
+#                           here. Among them: descriptor ingestion and
+#                           decoder robustness (truncation at every offset,
+#                           seeded wire faults, descriptor depth bomb), the
+#                           table/ADT mutation campaign (verify_mutation),
+#                           accel-vs-CPU verdict parity on 10k corrupted
+#                           inputs (corruption_differential, fault_matrix),
+#                           the varint boundary sweep and fastpath-vs-CPU
+#                           differential, envelope soundness and the serve
+#                           sanitizer (PA007/PA008/PA009 over the fleet mix
+#                           at 1/2/4 instances), trace accounting (tracing
+#                           is a pure observer, the audit is exact, records
+#                           rebuild from the trace, mem_access events fold
+#                           to every instance's live memory counters), the
+#                           RPC frame-corruption corpus and loop-discipline
+#                           equivalence, and the sharded engine's
+#                           equivalence suite (workers 1/2/4/8 equal the
+#                           sequential run bit for bit)
 #   3b. paper studies       run_ae_full runs every paper table, figure,
 #                           ablation, extension and serving study in
 #                           process and writes each into an emptied
@@ -14,27 +33,25 @@
 #                           violation, the fault sweep on a command that
 #                           fails outright, a shed request or an admitted
 #                           request left unserved, the RPC overload sweep
-#                           on an accounting leak, a queue-overflow drop,
-#                           goodput at 2x below 80% of peak or an open
-#                           loop that sheds nothing at 2x), then fails if
-#                           git status shows a file there changed, new or
-#                           no longer written
+#                           on an accounting leak, any drop, goodput at 2x
+#                           below 80% of peak or an open loop that sheds
+#                           nothing at 2x), then fails if git status shows
+#                           a file there changed, new or no longer written
 #   3c. root examples       runs every examples/*.rs once in release; each
 #                           asserts what it prints (lint_corpus: simulated
 #                           cycles inside the static envelope, no spill)
-#   4. full workspace tests cargo test --workspace (includes the serving
-#                           model's replay determinism and accounting and
-#                           the RPC sweep's replay,
-#                           crates/bench/tests/serve_determinism.rs)
+#   4. crate tests          cargo test --workspace --exclude protoacc-suite:
+#                           every member crate's own tests (includes the
+#                           serving model's replay determinism and
+#                           accounting and the RPC sweep's replay,
+#                           crates/bench/tests/serve_determinism.rs); the
+#                           root package ran in step 3
 #   5. schema lint gate     protoacc-lint --format json protos/
 #                           (fails on any deny-level diagnostic)
 #   5b. descriptor ingestion protoacc-lint --descriptor-set protos/chain
 #                           (binary FileDescriptorSet fixtures decoded by the
 #                           in-tree fdset decoder; emits target/BENCH_lint.json
-#                           with per-input wall time and finding counts), plus
-#                           the text-vs-binary differential gate and the
-#                           decoder robustness suite (truncation at every
-#                           offset, seeded wire faults, descriptor depth bomb)
+#                           with per-input wall time and finding counts)
 #   5c. translation validation protoacc-lint --verify --fail-on deny
 #                           (PA016-PA020: the verifier re-proves slot-overlap
 #                           freedom, dispatch totality, entry consistency,
@@ -43,12 +60,7 @@
 #                           then bench_verify runs the seeded table/ADT
 #                           mutation campaign (>=99% detection, clean
 #                           schemas silent; emits target/BENCH_verify.json)
-#   6. corruption diff      10k seeded corrupted inputs: accelerator and
-#                           CPU reference must agree on every accept/reject
-#                           verdict and error class
-#   6b. fast-path gate      varint boundary sweep (scalar/SWAR/hw three-way),
-#                           fastpath-vs-CPU differential suite, and
-#                           bench_codec --smoke (fails on any byte or verdict
+#   6. fast-path gate       bench_codec --smoke (fails on any byte or verdict
 #                           divergence; emits target/BENCH_codec.json); then
 #                           the perfbench package's own tests, a 1-second
 #                           --trace 0 run of host-small, host-blob,
@@ -61,33 +73,14 @@
 #                           run's correctness gate (host byte identity, RPC
 #                           framing and accounting, sharded equivalence)
 #                           exits nonzero on any divergence
-#   7. envelope soundness   cross-validation that measured deser/ser cycles
-#                           stay inside the absint [lower, upper] envelopes,
-#                           and the serve sanitizer (PA007/PA008/PA009:
-#                           envelope violations, lifecycle reordering, arena
-#                           aliasing) over the serving fleet mix at 1/2/4
-#                           instances
-#   8. trace round trip     serve_tail_latency --trace emits a Chrome-trace
+#   7. trace round trip     serve_tail_latency --trace emits a Chrome-trace
 #                           JSON, then profile_report --reparse re-parses
 #                           the file and re-runs the accounting audit
-#                           offline; tests/trace_accounting.rs checks that
-#                           the same run's tracing is a pure observer, its
-#                           audit is exact, its records rebuild from the
-#                           trace, its mem_access events (the sanitizer's
-#                           only footprint source) fold to every instance's
-#                           live memory counters, and it sanitizes clean
-#   9. rpc framing gate     the frame-corruption corpus and the
-#                           loop-discipline equivalence test (the overload
-#                           sweep itself is the serve_rpc study of step 3b)
-#  10. sharded engine gate  the equivalence suite (tests/serve_sharded.rs:
-#                           clean / faulted / shed-heavy workloads at
-#                           workers 1/2/4/8 must equal the sequential
-#                           1-worker run bit for bit, and each stitched
-#                           multi-shard trace must pass the accounting
-#                           audit) and a short --bench-shards scaling run
-#                           emitting target/BENCH_shard.json (fails if the
-#                           sharded engine regresses below 1.0x at the
-#                           hardware's parallel width)
+#                           offline
+#   8. sharded scaling run  a short --bench-shards run emitting
+#                           target/BENCH_shard.json (fails if the sharded
+#                           engine regresses below 1.0x at the hardware's
+#                           parallel width)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -125,8 +118,8 @@ for example in examples/*.rs; do
     cargo run --offline -q --release --example "$(basename "$example" .rs)" > /dev/null
 done
 
-echo "== full workspace tests =="
-cargo test --offline --workspace -q
+echo "== member crate tests (the root package ran in tier-1) =="
+cargo test --offline --workspace --exclude protoacc-suite -q
 
 echo "== protoacc-lint gate over protos/ =="
 # Deny-level diagnostics exit 1 and fail CI; the JSON report is printed for
@@ -134,17 +127,13 @@ echo "== protoacc-lint gate over protos/ =="
 cargo run --offline -q -p protoacc-lint --bin protoacc-lint -- \
     --format json --fail-on deny protos/
 
-echo "== descriptor-set ingestion gate (binary fixtures, bench, differential) =="
+echo "== descriptor-set ingestion gate (binary fixtures, bench) =="
 # The same gate over the binary descriptor-set corpus: schemas arrive through
 # the runtime fdset decoder instead of the .proto parser. BENCH_lint.json
 # records lint+absint wall time and finding counts per input.
 cargo run --offline -q -p protoacc-lint --bin protoacc-lint -- \
     --format json --fail-on deny \
     --descriptor-set protos/chain --bench-out target/BENCH_lint.json
-# Text and binary front-ends must produce byte-identical reports, the corpus
-# must trip each of PA011-PA015, and the decoder must be total under
-# truncation, seeded wire faults, and descriptor-shaped depth bombs.
-cargo test --offline -q --test descriptor_ingestion --test descriptor_robustness
 
 echo "== translation validation (PA016-PA020 verifier + mutation campaign) =="
 # The verifier treats MessageLayouts / CompiledSchema / the hardware ADT
@@ -159,17 +148,8 @@ cargo run --offline -q -p protoacc-lint --bin protoacc-lint -- \
 # the per-mutation detection tallies.
 cargo run --offline -q --release -p protoacc-bench --bin bench_verify -- \
     --smoke --out target/BENCH_verify.json
-cargo test --offline -q --test verify_mutation
 
-echo "== corruption differential (accel vs CPU verdict parity) =="
-cargo test --offline -q --test corruption_differential --test fault_matrix
-
-echo "== fast-path codec gate (varint boundary, differential, smoke bench) =="
-# Three-way varint end-of-buffer agreement (scalar / SWAR / hardware model),
-# then the fastpath-vs-CPU differential: byte-identical encodes, identical
-# verdicts under truncation and seeded mutation, over hyperbench and both
-# protos/ ingestion paths.
-cargo test --offline -q --test varint_boundary --test fastpath_differential
+echo "== fast-path codec gate (smoke bench, perfbench) =="
 # Smoke bench doubles as a divergence gate: exits nonzero on any verdict or
 # byte divergence and emits target/BENCH_codec.json next to BENCH_lint.json.
 cargo run --offline -q --release -p protoacc-bench --bin bench_codec -- \
@@ -190,21 +170,13 @@ done
 cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
     --workload host-small --seed 1 --seconds 1 --trace 1 > /dev/null
 
-echo "== envelope soundness cross-validation =="
-cargo test --offline -q --test envelope_soundness --test serve_sanitizer
-
 echo "== trace round trip (emit, re-parse, accounting audit) =="
 cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- \
     --trace target/ci_trace.json
 cargo run --offline -q --release -p protoacc-bench --bin profile_report -- \
     --reparse target/ci_trace.json
-cargo test --offline -q --test trace_accounting
 
-echo "== rpc framing gate (frame corruption, loop disciplines) =="
-cargo test --offline -q --test rpc_frames --test rpc_loop_equivalence
-
-echo "== sharded engine gate (parallel == sequential, bit-for-bit) =="
-cargo test --offline -q --release --test serve_sharded
+echo "== sharded engine scaling run =="
 # Short scaling run (the repo-root BENCH_shard.json records the full
 # 10^6-command sweep); fails on nondeterminism across worker counts or a
 # speedup regression below 1.0x at the hardware's parallel width.

@@ -746,9 +746,6 @@ pub enum FindingKind {
     /// PA009: two concurrently in-flight commands touched overlapping
     /// arena byte ranges, at least one writing.
     Aliasing,
-    /// PA010: a command's measured service time exceeded the configured
-    /// watchdog cycle budget — the serve layer would have killed it.
-    Watchdog,
 }
 
 impl FindingKind {
@@ -759,7 +756,6 @@ impl FindingKind {
             FindingKind::Envelope => "PA007",
             FindingKind::Lifecycle => "PA008",
             FindingKind::Aliasing => "PA009",
-            FindingKind::Watchdog => "PA010",
         }
     }
 }
@@ -960,27 +956,6 @@ pub fn check_envelopes(records: &[CommandRecord], bounds: &[ServiceBounds]) -> V
         }
     }
     findings
-}
-
-/// Checks every command's measured service cycles against a watchdog cycle
-/// budget. A clean serve run never trips this: the serve layer clamps any
-/// attempt at its watchdog ceiling, so a record over `budget` means the
-/// configured ceiling and the budget disagree (or the watchdog was left
-/// disabled on a workload that needed it).
-#[must_use]
-pub fn check_watchdog(records: &[CommandRecord], budget: Cycles) -> Vec<Finding> {
-    records
-        .iter()
-        .filter(|r| r.service > budget)
-        .map(|r| Finding {
-            kind: FindingKind::Watchdog,
-            seq: Some(r.seq),
-            detail: format!(
-                "command {} measured {} service cycles, over the {budget}-cycle watchdog budget",
-                r.seq, r.service
-            ),
-        })
-        .collect()
 }
 
 /// Runs all three sanitizer checks and concatenates their findings.

@@ -73,12 +73,11 @@ struct Spread {
 impl Spread {
     fn of(mut gbps: Vec<f64>) -> Spread {
         gbps.sort_by(f64::total_cmp);
-        let rank =
-            |p: f64| gbps[((p * gbps.len() as f64).ceil() as usize).clamp(1, gbps.len()) - 1];
+        let rank = |p: f64| gbps[protoacc_trace::nearest_rank(p, gbps.len())];
         Spread {
-            median: rank(0.5),
+            median: rank(50.0),
             min: gbps[0],
-            p90: rank(0.9),
+            p90: rank(90.0),
         }
     }
 }

@@ -74,10 +74,6 @@ impl AccelConfig {
     /// Hardware limit: entries in the accelerator's ADT cache. Working sets
     /// of descriptor-table lines beyond this thrash to the L2.
     pub const ADT_CACHE_ENTRIES: usize = 128;
-    /// Widest single-cycle varint the combinational decoder handles, in
-    /// bytes (`protoacc_wire::MAX_VARINT_LEN`): the full 10-byte proto2
-    /// varint decodes in one cycle.
-    pub const VARINT_DECODE_BYTES: usize = protoacc_wire::MAX_VARINT_LEN;
     /// Widest field key that still encodes in two wire bytes (field numbers
     /// above this take 3-5 key bytes and inflate per-field decode work).
     pub const TWO_BYTE_KEY_MAX_FIELD: u32 = 2047;

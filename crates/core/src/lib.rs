@@ -78,7 +78,6 @@
 
 pub mod asic;
 pub mod deser;
-pub mod isa;
 pub mod ops;
 pub mod priorwork;
 pub mod rocc;

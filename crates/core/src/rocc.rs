@@ -62,8 +62,6 @@ pub struct ProtoAccelerator {
     ptr_count: u64,
     staged_deser: Option<DeserInfo>,
     staged_ser: Option<SerInfo>,
-    staged_ser_out: Option<(u64, u64)>,
-    staged_ser_ptr: Option<(u64, u64)>,
     pending_deser_cycles: Cycles,
     pending_ser_cycles: Cycles,
     pending_ops_cycles: Cycles,
@@ -86,8 +84,6 @@ impl ProtoAccelerator {
             ptr_count: 0,
             staged_deser: None,
             staged_ser: None,
-            staged_ser_out: None,
-            staged_ser_ptr: None,
             pending_deser_cycles: 0,
             pending_ser_cycles: 0,
             pending_ops_cycles: 0,
@@ -175,31 +171,6 @@ impl ProtoAccelerator {
     /// next deserialization.
     pub fn deser_info(&mut self, adt_ptr: u64, dest_obj: u64) {
         self.staged_deser = Some(DeserInfo { adt_ptr, dest_obj });
-    }
-
-    /// The currently staged destination object, if any (the ISA path reuses
-    /// `deser_info`'s staging slot for merge/copy destinations).
-    pub(crate) fn staged_dest(&self) -> Option<u64> {
-        self.staged_deser.map(|i| i.dest_obj)
-    }
-
-    /// ISA half of `ser_assign_arena`: stages the output region; the writer
-    /// is created once both halves arrive.
-    pub(crate) fn stage_ser_out(&mut self, base: u64, len: u64) {
-        self.staged_ser_out = Some((base, len));
-        self.try_build_ser_writer();
-    }
-
-    /// ISA half of `ser_assign_arena`: stages the pointer-buffer region.
-    pub(crate) fn stage_ser_ptr(&mut self, base: u64, len: u64) {
-        self.staged_ser_ptr = Some((base, len));
-        self.try_build_ser_writer();
-    }
-
-    fn try_build_ser_writer(&mut self) {
-        if let (Some((ob, ol)), Some((pb, pl))) = (self.staged_ser_out, self.staged_ser_ptr) {
-            self.ser_assign_arena(ob, ol, pb, pl);
-        }
     }
 
     /// `do_proto_deser`: kicks off a deserialization of `input_len` bytes at

@@ -252,17 +252,9 @@ pub struct ServeConfig {
     /// command degrades to the fallback path. Deterministic rejections are
     /// never retried — the verdict would not change.
     pub max_retries: u32,
-    /// Base backoff between retry attempts, doubled per attempt.
-    pub retry_backoff: Cycles,
     /// Retryable faults an instance may absorb before it is quarantined and
     /// receives no further dispatches.
     pub quarantine_threshold: u32,
-    /// Consecutive successful completions on an instance that forgive one
-    /// absorbed retryable fault (the counter decays by one and the streak
-    /// restarts). Keeps a long-lived instance from sitting permanently one
-    /// transient fault away from quarantine. `0` disables decay (the old
-    /// sticky behavior).
-    pub quarantine_decay: u32,
 }
 
 impl Default for ServeConfig {
@@ -273,12 +265,19 @@ impl Default for ServeConfig {
             policy: DispatchPolicy::Fifo,
             accel: AccelConfig::default(),
             max_retries: 2,
-            retry_backoff: 64,
             quarantine_threshold: 3,
-            quarantine_decay: 64,
         }
     }
 }
+
+/// Base backoff between retry attempts, doubled per attempt.
+const RETRY_BACKOFF: Cycles = 64;
+
+/// Consecutive successful completions on an instance that forgive one
+/// absorbed retryable fault (the counter decays by one and the streak
+/// restarts). Keeps a long-lived instance from sitting permanently one
+/// transient fault away from quarantine.
+const QUARANTINE_DECAY: u32 = 64;
 
 /// Guest-memory regions handed to one instance.
 #[derive(Debug, Clone, Copy)]
@@ -649,10 +648,8 @@ impl ServeCluster {
                                     attempt: attempts,
                                 });
                             }
-                            let backoff = self
-                                .config
-                                .retry_backoff
-                                .saturating_mul(1 << u64::from(attempts - 1).min(16));
+                            let backoff =
+                                RETRY_BACKOFF.saturating_mul(1 << u64::from(attempts - 1).min(16));
                             now = (dispatch + a.service).saturating_add(backoff);
                             exclude = Some(instance);
                         }
@@ -737,16 +734,15 @@ impl ServeCluster {
     }
 
     /// Credits one successful completion toward `instance`'s quarantine
-    /// decay: after [`ServeConfig::quarantine_decay`] consecutive clean
-    /// completions, one absorbed retryable fault is forgiven.
+    /// decay: after [`QUARANTINE_DECAY`] consecutive clean completions, one
+    /// absorbed retryable fault is forgiven.
     fn note_success(&mut self, instance: usize) {
-        let decay = self.config.quarantine_decay;
-        if decay == 0 || self.fault_counts[instance] == 0 {
+        if self.fault_counts[instance] == 0 {
             self.ok_streaks[instance] = 0;
             return;
         }
         self.ok_streaks[instance] += 1;
-        if self.ok_streaks[instance] >= decay {
+        if self.ok_streaks[instance] >= QUARANTINE_DECAY {
             self.fault_counts[instance] -= 1;
             self.ok_streaks[instance] = 0;
         }
@@ -1515,7 +1511,7 @@ mod tests {
         // the command fails — bounded, rather than hanging the simulation.
         assert_eq!(r.status, CommandStatus::Failed(DecodeFault::WatchdogKill));
         assert!(
-            r.dispatch <= ceiling + cluster.config().retry_backoff,
+            r.dispatch <= ceiling + RETRY_BACKOFF,
             "watchdog must bound the occupied time"
         );
         assert!(cluster.makespan() < HUNG_COMMAND_CYCLES);
@@ -1725,19 +1721,19 @@ mod tests {
     #[test]
     fn quarantine_counter_decays_after_a_run_of_successes() {
         // One instance, threshold 2: two absorbed faults would quarantine
-        // it. With decay enabled, a run of clean completions between the
-        // faults forgives the first one, so the instance stays in rotation;
-        // with decay disabled (the old sticky behavior) the second fault
-        // quarantines it and — with no fallback — later commands fail.
-        let run = |decay: u32| {
+        // it. A run of QUARANTINE_DECAY clean completions between the faults
+        // forgives the first one, so the instance stays in rotation; a
+        // shorter run leaves the counter where it was, the second fault
+        // quarantines the instance and — with no fallback — later commands
+        // fail.
+        let run = |between: usize| {
             let mut f = fixture();
             let cfg = ServeConfig {
                 quarantine_threshold: 2,
-                quarantine_decay: decay,
                 ..ServeConfig::default()
             };
             let mut cluster = ServeCluster::new(cfg, 0x1_0000_0000, 1 << 24);
-            let first = deser_requests(&f, 8, 100_000);
+            let first = deser_requests(&f, between, 100_000);
             let second = deser_requests(&f, 4, 100_000);
             f.mem.system.arm_ecc(f.input_addr);
             cluster.run(&mut f.mem, &first).unwrap();
@@ -1750,14 +1746,18 @@ mod tests {
                 cluster.offered(),
             )
         };
-        let (quarantined, (ok, _, _, failed, _), offered) = run(4);
+        let (quarantined, (ok, _, _, failed, _), offered) = run(QUARANTINE_DECAY as usize + 1);
         assert_eq!(quarantined, Vec::<usize>::new(), "decay forgave the fault");
         assert_eq!(failed, 0);
         assert_eq!(ok, offered, "every command served on the accelerator");
 
-        let (sticky_quarantined, (_, _, _, sticky_failed, _), _) = run(0);
-        assert_eq!(sticky_quarantined, vec![0], "sticky counter quarantines");
-        assert!(sticky_failed > 0, "no instance and no fallback => failures");
+        let (short_quarantined, (_, _, _, short_failed, _), _) = run(8);
+        assert_eq!(
+            short_quarantined,
+            vec![0],
+            "too short a run forgives nothing"
+        );
+        assert!(short_failed > 0, "no instance and no fallback => failures");
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl AccelStats {
         self.saturated = self.saturated || other.saturated || clamped;
     }
 
-    /// Total cycles across both directions, saturating.
-    pub fn total_cycles(&self) -> Cycles {
-        self.deser_cycles.saturating_add(self.ser_cycles)
-    }
-
     /// Asserts (in builds with debug assertions) that no counter has been
     /// clamped. Report renderers call this before printing totals so a
     /// saturated long-run sweep fails loudly in tests instead of shipping
@@ -121,7 +116,6 @@ mod tests {
         assert_eq!(a.deser_cycles, 15);
         assert_eq!(a.fields, 5);
         assert_eq!(a.varints, 7);
-        assert_eq!(a.total_cycles(), 15);
         assert!(!a.saturated, "clean merges must not raise the flag");
         a.debug_assert_unsaturated();
     }
@@ -138,7 +132,6 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(a.deser_cycles, Cycles::MAX);
-        assert_eq!(a.total_cycles(), Cycles::MAX);
         assert!(a.saturated, "overflow must be detected, not silent");
     }
 

@@ -63,14 +63,6 @@ impl SoftwareFallback {
         }
     }
 
-    /// Replaces the cost table (e.g. [`CostTable::xeon`] for a server-class
-    /// fallback host).
-    #[must_use]
-    pub fn with_cost(mut self, cost: CostTable) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Guest region serialization output is written to.
     pub fn out_addr(&self) -> u64 {
         self.out_addr

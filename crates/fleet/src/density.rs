@@ -1,6 +1,6 @@
 //! Field-number usage density analysis (§3.7, Figure 7).
 
-use protoacc_schema::density::{density_bucket, CROSSOVER_DENSITY, DENSITY_BUCKETS};
+use protoacc_schema::density::{density_bucket, favors_sparse_hasbits, DENSITY_BUCKETS};
 
 use crate::protobufz::MessageSample;
 
@@ -31,7 +31,7 @@ pub fn fraction_favoring_protoacc(samples: &[MessageSample]) -> f64 {
     }
     let favoring = samples
         .iter()
-        .filter(|s| s.density() > CROSSOVER_DENSITY)
+        .filter(|s| favors_sparse_hasbits(s.density()))
         .count();
     favoring as f64 / samples.len() as f64
 }

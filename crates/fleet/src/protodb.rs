@@ -1,18 +1,5 @@
 //! `protodb`-style static registry facts (§3.1.3, §3.3).
 
-use xrand::Rng;
-
-use crate::Discrete;
-
-/// Protobuf language version a message type is defined against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProtoVersion {
-    /// The proto2 language (the accelerator's target).
-    Proto2,
-    /// The proto3 language.
-    Proto3,
-}
-
 /// Static registry summary.
 #[derive(Debug, Clone, Copy)]
 pub struct Registry {
@@ -33,21 +20,6 @@ impl Registry {
             proto2_bytes_fraction: 0.96,
             packed_fraction: 0.55,
             mean_populated_fraction: 0.52,
-        }
-    }
-
-    /// §3.3's conclusion: proto2 is the right target iff the overwhelming
-    /// majority of bytes are proto2.
-    pub fn proto2_is_the_right_target(&self) -> bool {
-        self.proto2_bytes_fraction > 0.9
-    }
-
-    /// Samples the proto version of one observed byte.
-    pub fn sample_version<R: Rng + ?Sized>(&self, rng: &mut R) -> ProtoVersion {
-        let dist = Discrete::new(&[self.proto2_bytes_fraction, 1.0 - self.proto2_bytes_fraction]);
-        match dist.sample(rng) {
-            0 => ProtoVersion::Proto2,
-            _ => ProtoVersion::Proto3,
         }
     }
 }
@@ -116,12 +88,10 @@ pub fn analyze_schema(schema: &protoacc_schema::Schema) -> SchemaStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xrand::StdRng;
 
     #[test]
     fn proto2_dominates() {
         let r = Registry::google_2021();
-        assert!(r.proto2_is_the_right_target());
         assert!((r.proto2_bytes_fraction - 0.96).abs() < 1e-9);
     }
 
@@ -155,16 +125,5 @@ mod tests {
         let stats = analyze_schema(&schema);
         assert_eq!(stats.message_types, 0);
         assert_eq!(stats.mean_static_density, 0.0);
-    }
-
-    #[test]
-    fn version_sampling_matches_fraction() {
-        let r = Registry::google_2021();
-        let mut rng = StdRng::seed_from_u64(3);
-        let proto2 = (0..50_000)
-            .filter(|_| r.sample_version(&mut rng) == ProtoVersion::Proto2)
-            .count();
-        let fraction = proto2 as f64 / 50_000.0;
-        assert!((fraction - 0.96).abs() < 0.01, "fraction {fraction}");
     }
 }

@@ -1027,7 +1027,6 @@ pub fn findings_to_diagnostics(findings: &[Finding], config: &LintConfig) -> Vec
                 FindingKind::Envelope => DiagCode::EnvelopeViolation,
                 FindingKind::Lifecycle => DiagCode::LifecycleOrder,
                 FindingKind::Aliasing => DiagCode::ArenaAliasing,
-                FindingKind::Watchdog => DiagCode::WatchdogBudget,
             };
             let severity = config.severity(code);
             if severity == Severity::Allow {

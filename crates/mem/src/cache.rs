@@ -48,18 +48,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Fraction of accesses that hit, or 0 when no accesses happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// One level of set-associative cache: tag array only (data lives in
 /// [`crate::GuestMemory`]), true LRU within each set.
 #[derive(Debug, Clone)]
@@ -99,11 +87,6 @@ impl CacheModel {
     /// Resets counters (not contents).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-    }
-
-    /// Line-aligns a byte address.
-    pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.config.line_bytes as u64
     }
 
     /// Probes the line containing `addr`, updating LRU and filling on miss.
@@ -146,6 +129,11 @@ mod tests {
         CacheModel::new(CacheConfig::new(512, 2, 64))
     }
 
+    /// The line number of a byte address in [`tiny`]'s 64 B lines.
+    fn line_at(addr: u64) -> u64 {
+        addr / 64
+    }
+
     #[test]
     fn geometry_is_computed() {
         let c = CacheConfig::new(32 * 1024, 8, 64);
@@ -161,9 +149,9 @@ mod tests {
     #[test]
     fn first_access_misses_second_hits() {
         let mut c = tiny();
-        assert!(!c.access_line(c.line_of(0x1000)));
-        assert!(c.access_line(c.line_of(0x1000)));
-        assert!(c.access_line(c.line_of(0x1001))); // same line
+        assert!(!c.access_line(line_at(0x1000)));
+        assert!(c.access_line(line_at(0x1000)));
+        assert!(c.access_line(line_at(0x1001))); // same line
         assert_eq!(c.stats(), CacheStats { hits: 2, misses: 1 });
     }
 
@@ -171,9 +159,9 @@ mod tests {
     fn lru_evicts_oldest_within_set() {
         let mut c = tiny();
         // Three lines mapping to the same set (stride = sets * line = 256B).
-        let a = c.line_of(0x0000);
-        let b = c.line_of(0x0100);
-        let d = c.line_of(0x0200);
+        let a = line_at(0x0000);
+        let b = line_at(0x0100);
+        let d = line_at(0x0200);
         c.access_line(a);
         c.access_line(b);
         c.access_line(a); // a becomes MRU
@@ -188,16 +176,5 @@ mod tests {
         c.access_line(1);
         c.flush();
         assert!(!c.access_line(1));
-    }
-
-    #[test]
-    fn hit_rate_reporting() {
-        let mut c = tiny();
-        assert_eq!(c.stats().hit_rate(), 0.0);
-        c.access_line(5);
-        c.access_line(5);
-        c.access_line(5);
-        c.access_line(5);
-        assert_eq!(c.stats().hit_rate(), 0.75);
     }
 }

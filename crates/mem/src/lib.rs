@@ -22,12 +22,12 @@
 //! # Example
 //!
 //! ```rust
-//! use protoacc_mem::{Memory, MemConfig};
+//! use protoacc_mem::{AccessKind, MemConfig, Memory};
 //!
 //! let mut mem = Memory::new(MemConfig::default());
-//! mem.write_u64(0x1000, 42);
-//! let (value, cycles) = mem.read_u64_timed(0x1000);
-//! assert_eq!(value, 42);
+//! mem.data.write_u64(0x1000, 42);
+//! let cycles = mem.system.access(0x1000, 8, AccessKind::Read);
+//! assert_eq!(mem.data.read_u64(0x1000), 42);
 //! assert!(cycles > 0);
 //! ```
 

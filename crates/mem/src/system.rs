@@ -287,11 +287,6 @@ impl MemSystem {
         self.event_tracer = tracer;
     }
 
-    /// Whether a structured event tracer is attached.
-    pub fn event_tracing(&self) -> bool {
-        self.event_tracer.is_some()
-    }
-
     /// Pins the event timeline: subsequent events are stamped
     /// `at + (cycles_since_this_call)`. The serve layer calls this with
     /// each attempt's dispatch time so memory events line up with the
@@ -700,54 +695,6 @@ impl Memory {
             system: MemSystem::new(config),
         }
     }
-
-    /// Untimed write (used by test/benchmark setup, not charged to anyone).
-    pub fn write_u64(&mut self, addr: u64, value: u64) {
-        self.data.write_u64(addr, value);
-    }
-
-    /// Untimed read.
-    pub fn read_u64(&self, addr: u64) -> u64 {
-        self.data.read_u64(addr)
-    }
-
-    /// Timed u64 read: returns the value and its cycle cost.
-    pub fn read_u64_timed(&mut self, addr: u64) -> (u64, Cycles) {
-        let cycles = self.system.access(addr, 8, AccessKind::Read);
-        (self.data.read_u64(addr), cycles)
-    }
-
-    /// Timed u64 write.
-    pub fn write_u64_timed(&mut self, addr: u64, value: u64) -> Cycles {
-        self.data.write_u64(addr, value);
-        self.system.access(addr, 8, AccessKind::Write)
-    }
-
-    /// Timed byte-block read into `buf`.
-    pub fn read_bytes_timed(&mut self, addr: u64, buf: &mut [u8]) -> Cycles {
-        let cycles = self.system.access(addr, buf.len(), AccessKind::Read);
-        self.data.read_bytes(addr, buf);
-        cycles
-    }
-
-    /// Timed byte-block write.
-    pub fn write_bytes_timed(&mut self, addr: u64, bytes: &[u8]) -> Cycles {
-        self.data.write_bytes(addr, bytes);
-        self.system.access(addr, bytes.len(), AccessKind::Write)
-    }
-
-    /// Timed streaming read (memloader-style).
-    pub fn stream_read(&mut self, addr: u64, buf: &mut [u8]) -> Cycles {
-        let cycles = self.system.stream(addr, buf.len(), AccessKind::Read);
-        self.data.read_bytes(addr, buf);
-        cycles
-    }
-
-    /// Timed streaming write (memwriter-style).
-    pub fn stream_write(&mut self, addr: u64, bytes: &[u8]) -> Cycles {
-        self.data.write_bytes(addr, bytes);
-        self.system.stream(addr, bytes.len(), AccessKind::Write)
-    }
 }
 
 #[cfg(test)]
@@ -830,14 +777,17 @@ mod tests {
     #[test]
     fn memory_bundle_round_trips_data_with_timing() {
         let mut mem = Memory::new(MemConfig::default());
-        let c1 = mem.write_u64_timed(0x40, 99);
-        let (v, c2) = mem.read_u64_timed(0x40);
-        assert_eq!(v, 99);
+        mem.data.write_u64(0x40, 99);
+        let c1 = mem.system.access(0x40, 8, AccessKind::Write);
+        let c2 = mem.system.access(0x40, 8, AccessKind::Read);
+        assert_eq!(mem.data.read_u64(0x40), 99);
         assert!(c1 > 0 && c2 > 0);
         let payload = vec![7u8; 300];
-        mem.write_bytes_timed(0x1000, &payload);
+        mem.data.write_bytes(0x1000, &payload);
+        mem.system.access(0x1000, payload.len(), AccessKind::Write);
         let mut buf = vec![0u8; 300];
-        mem.stream_read(0x1000, &mut buf);
+        mem.system.stream(0x1000, buf.len(), AccessKind::Read);
+        mem.data.read_bytes(0x1000, &mut buf);
         assert_eq!(buf, payload);
     }
 
@@ -883,8 +833,10 @@ mod tests {
             protoacc_trace::TraceEvent::MemAccess { addr, len: 8, .. } if addr == u64::MAX - 3
         ));
         let mut mem = Memory::new(config);
-        mem.write_bytes_timed(u64::MAX - 1, &[0xaa; 4]);
-        assert_eq!(mem.read_u64_timed(u64::MAX - 1).0, 0xaaaa);
+        mem.data.write_bytes(u64::MAX - 1, &[0xaa; 4]);
+        mem.system.access(u64::MAX - 1, 4, AccessKind::Write);
+        mem.system.access(u64::MAX - 1, 8, AccessKind::Read);
+        assert_eq!(mem.data.read_u64(u64::MAX - 1), 0xaaaa);
     }
 
     #[test]

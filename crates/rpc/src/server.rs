@@ -30,7 +30,7 @@
 //! stats.
 
 use protoacc::serve::{Request, RequestOp, ServeCluster, ServeConfig};
-use protoacc::AccelError;
+use protoacc::{AccelError, DispatchPolicy};
 use protoacc_absint::Envelope;
 use protoacc_mem::{Cycles, Memory};
 use protoacc_trace::{SharedTracer, TraceEvent};
@@ -166,6 +166,13 @@ impl RpcServer {
     /// Creates a server over a fresh cluster. `arena_base`/`arena_stride`
     /// are the per-instance guest arena parameters, exactly as for
     /// [`ServeCluster::new`].
+    ///
+    /// # Panics
+    ///
+    /// On a zero-credit window, or on [`DispatchPolicy::RoundRobin`]: the
+    /// server runs every request as its own one-request cluster run, whose
+    /// sequence number is always 0, so round-robin would bind every
+    /// request to instance 0.
     #[must_use]
     pub fn new(
         serve: ServeConfig,
@@ -175,6 +182,11 @@ impl RpcServer {
         arena_stride: u64,
     ) -> Self {
         assert!(rpc.window > 0, "a zero-credit window admits nothing");
+        assert!(
+            serve.policy != DispatchPolicy::RoundRobin,
+            "RpcServer runs each request as its own one-request cluster run, so round-robin \
+             would bind every request to instance 0; use DispatchPolicy::Fifo"
+        );
         RpcServer {
             cluster: ServeCluster::new(serve, arena_base, arena_stride),
             methods,
@@ -333,8 +345,11 @@ impl RpcServer {
         let before = self.cluster.records().len();
         self.cluster.run(mem, std::slice::from_ref(&request))?;
         self.stats.admitted += 1;
-        // The request's credit stays consumed until its completion time: a
-        // queue-overflow drop (no record) frees it immediately.
+        // The request's credit stays consumed until its completion time.
+        // Each request is its own one-request cluster run, so the cluster's
+        // queue starts empty every time and its `queue_depth` never drops
+        // anything: the credit window (connections x window) is the only
+        // bound on the backlog.
         let completion = self
             .cluster
             .records()
@@ -370,7 +385,6 @@ mod tests {
     use super::*;
     use crate::frame::encode_frame;
     use protoacc::serve::CommandStatus;
-    use protoacc::DispatchPolicy;
     use protoacc_absint::Envelope;
     use protoacc_mem::{MemConfig, Memory};
     use protoacc_runtime::{object, reference, write_adts, BumpArena, MessageLayouts};
@@ -463,6 +477,23 @@ mod tests {
             deadline,
         };
         encode_frame(false, &header.to_payload()).expect("request header fits the frame ceiling")
+    }
+
+    #[test]
+    #[should_panic(expected = "round-robin would bind every request to instance 0")]
+    fn round_robin_is_rejected() {
+        let f = fixture();
+        let _ = RpcServer::new(
+            ServeConfig {
+                instances: 2,
+                policy: DispatchPolicy::RoundRobin,
+                ..ServeConfig::default()
+            },
+            RpcConfig::default(),
+            f.methods,
+            0x1_0000_0000,
+            1 << 24,
+        );
     }
 
     #[test]

@@ -360,14 +360,6 @@ impl AdtTables {
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
-
-    /// Finds which message type an ADT base address belongs to.
-    pub fn type_of(&self, adt_addr: u64) -> Option<MessageId> {
-        self.addrs
-            .iter()
-            .position(|&a| a == adt_addr)
-            .map(MessageId::new)
-    }
 }
 
 /// Generates and writes the ADTs for every message type in `schema` into
@@ -516,7 +508,6 @@ mod tests {
         let sub = adt.read_entry(&mem, 5).unwrap();
         assert_eq!(sub.type_code, TypeCode::Message);
         assert_eq!(sub.sub_adt, tables.addr(inner));
-        assert_eq!(tables.type_of(sub.sub_adt), Some(inner));
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Presence tracking: sparse and dense hasbits.
+//! Presence tracking: sparse hasbits.
 //!
 //! Upstream protoc packs hasbits densely (one bit per *declared* field, in
 //! declaration order). The paper modifies this to a sparse representation the
 //! accelerator can index directly by `field_number - min_field` (Section
 //! 4.2), trading extra bits of storage for the removal of a mapping-table
-//! read per field. Section 3.7 quantifies the trade-off; both layouts are
-//! implemented here so the ablation bench can reproduce it.
+//! read per field. Section 3.7 quantifies the trade-off, which
+//! [`interface_cost`] models.
 
 use protoacc_mem::GuestMemory;
-use protoacc_schema::MessageDescriptor;
 
 use crate::MessageLayout;
 
@@ -62,40 +61,6 @@ pub fn present_fields(mem: &GuestMemory, layout: &MessageLayout, object_addr: u6
         }
     }
     present
-}
-
-/// The dense hasbits mapping upstream protoc uses: field → bit by
-/// declaration (ascending-number) order. Provided for the Section 3.7
-/// ablation; the accelerator itself never uses this.
-#[derive(Debug, Clone)]
-pub struct DenseHasbits {
-    /// Field numbers in dense bit order.
-    numbers: Vec<u32>,
-}
-
-impl DenseHasbits {
-    /// Builds the dense mapping for a message type.
-    pub fn new(descriptor: &MessageDescriptor) -> Self {
-        DenseHasbits {
-            numbers: descriptor
-                .fields()
-                .iter()
-                .map(protoacc_schema::FieldDescriptor::number)
-                .collect(),
-        }
-    }
-
-    /// Bytes of presence state per object under the dense packing.
-    pub fn bytes(&self) -> usize {
-        self.numbers.len().div_ceil(8)
-    }
-
-    /// Dense bit index of a field number, or `None` if undefined. A real
-    /// accelerator consuming this packing would need a mapping-table read
-    /// (an extra 32-bit load per field, Section 4.2) to compute it.
-    pub fn bit_of(&self, field_number: u32) -> Option<usize> {
-        self.numbers.iter().position(|&n| n == field_number)
-    }
 }
 
 /// Programming-interface cost model of Section 3.7: bits of table state
@@ -169,17 +134,6 @@ mod tests {
         write_sparse(&mut mem, layout, obj, 17, true);
         write_sparse(&mut mem, layout, obj, 2, true);
         assert_eq!(present_fields(&mem, layout, obj), vec![2, 17]);
-    }
-
-    #[test]
-    fn dense_mapping_matches_declaration_order() {
-        let (schema, _, id) = setup();
-        let dense = DenseHasbits::new(schema.message(id));
-        assert_eq!(dense.bit_of(2), Some(0));
-        assert_eq!(dense.bit_of(5), Some(1));
-        assert_eq!(dense.bit_of(17), Some(2));
-        assert_eq!(dense.bit_of(3), None);
-        assert_eq!(dense.bytes(), 1);
     }
 
     #[test]

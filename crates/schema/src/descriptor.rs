@@ -195,11 +195,6 @@ impl MessageDescriptor {
             _ => 0,
         }
     }
-
-    /// Whether any field is a sub-message.
-    pub fn has_submessages(&self) -> bool {
-        self.fields.iter().any(|f| f.field_type().is_message())
-    }
 }
 
 /// A set of message types closed under sub-message references.

@@ -210,13 +210,6 @@ impl FieldType {
         matches!(self, FieldType::Message(_))
     }
 
-    /// Whether this type is stored "inline" in the C++ message object
-    /// (Section 5.1.2's distinction): scalars are inline; strings, bytes,
-    /// sub-messages, and anything repeated live behind pointers.
-    pub fn is_inline_scalar(self) -> bool {
-        self.scalar_kind().is_some()
-    }
-
     /// The keyword used in `.proto` source for this type, or `None` for
     /// message types (which use their type name).
     pub fn keyword(self) -> Option<&'static str> {

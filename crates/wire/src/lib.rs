@@ -53,10 +53,6 @@ pub const MAX_VARINT_LEN: usize = 10;
 /// Largest field number the proto2 language permits (2^29 - 1).
 pub const MAX_FIELD_NUMBER: u32 = (1 << 29) - 1;
 
-/// Smallest valid field number. Field number zero is reserved; the paper's
-/// serializer frontend uses it as an end-of-message sentinel (Section 4.5.3).
-pub const MIN_FIELD_NUMBER: u32 = 1;
-
 /// First field number of the range the protobuf language reserves for the
 /// implementation (19000–19999). Schemas must not define fields here.
 pub const FIRST_RESERVED_FIELD_NUMBER: u32 = 19_000;

@@ -98,20 +98,6 @@ pub fn decode(input: &[u8]) -> Result<(u64, usize), WireError> {
     }
 }
 
-/// Counts how many CPU loop iterations a byte-at-a-time software decoder
-/// executes for the varint at the front of `input`.
-///
-/// The instrumented CPU models charge per-iteration costs; for a well-formed
-/// varint this equals its encoded length.
-#[inline]
-pub fn software_iterations(input: &[u8]) -> usize {
-    input
-        .iter()
-        .take(MAX_VARINT_LEN)
-        .position(|b| b & 0x80 == 0)
-        .map_or(input.len().min(MAX_VARINT_LEN), |p| p + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,13 +205,5 @@ mod tests {
     fn decode_ignores_trailing_bytes() {
         let buf = [0x05, 0xde, 0xad];
         assert_eq!(decode(&buf).unwrap(), (5, 1));
-    }
-
-    #[test]
-    fn software_iterations_counts_bytes() {
-        let mut buf = Vec::new();
-        encode(1u64 << 40, &mut buf);
-        assert_eq!(software_iterations(&buf), buf.len());
-        assert_eq!(software_iterations(&[0x80, 0x80]), 2);
     }
 }

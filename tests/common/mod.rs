@@ -1,19 +1,39 @@
-//! Helpers shared by the tests that drive single messages through the
-//! accelerator and hold the cycles against the static envelopes: fixture
-//! loading, the nesting-chain schema, and the one-message driver.
+//! Helpers shared by the root test suites: fixture loading, the
+//! nesting-chain schema, and the one-message driver that holds simulated
+//! cycles against the static envelopes.
+
+// Each suite compiles this module on its own and uses a subset of it.
+#![allow(dead_code)]
 
 use protoacc_suite::accel::{AccelConfig, ProtoAccelerator};
 use protoacc_suite::mem::{MemConfig, Memory};
 use protoacc_suite::runtime::{
     object, reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value,
 };
-use protoacc_suite::schema::{parse_proto, MessageId, Schema};
+use protoacc_suite::schema::{parse_descriptor_set, parse_proto, MessageId, Schema};
 
 /// Parses `protos/<name>`.
 pub fn load(name: &str) -> Schema {
     let path = format!("{}/protos/{name}", env!("CARGO_MANIFEST_DIR"));
     let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     parse_proto(&source).unwrap_or_else(|e| panic!("{name} must parse: {e}"))
+}
+
+/// Decodes the binary descriptor set `protos/chain/<stem>.binpb`.
+pub fn load_binpb(stem: &str) -> Schema {
+    let path = format!("{}/protos/chain/{stem}.binpb", env!("CARGO_MANIFEST_DIR"));
+    let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    parse_descriptor_set(&bytes).unwrap_or_else(|e| panic!("{stem}.binpb must parse: {e}"))
+}
+
+/// The corpus convention: the last top-level message is the aggregate root.
+pub fn root_of(schema: &Schema) -> MessageId {
+    schema
+        .iter()
+        .filter(|(_, m)| !m.name().contains('.'))
+        .map(|(id, _)| id)
+        .last()
+        .expect("schema has at least one message")
 }
 
 /// A linear chain of `n` message types `M0 -> M1 -> ... -> M{n-1}`, each
@@ -50,7 +70,6 @@ pub fn chain_instance(schema: &Schema, depth: usize) -> MessageValue {
 }
 
 /// What one message costs the simulated accelerator.
-#[allow(dead_code)] // each test reads only the fields it checks
 pub struct Measured {
     pub wire_len: u64,
     pub deser_cycles: u64,

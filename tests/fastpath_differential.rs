@@ -9,36 +9,17 @@
 //! the reference encoder; decodes must produce value-identical trees on
 //! accepts and the same `DecodeFault` class as `crates/cpu` on rejects.
 
+mod common;
+
+use common::{load, load_binpb, root_of};
 use protoacc_suite::accel::DecodeFault;
 use protoacc_suite::fastpath::{swar, DecodeArena, FastCodec, TableKind};
 use protoacc_suite::faults::{depth_bomb, mutate, DiffReport, FastpathHarness, Verdict};
 use protoacc_suite::hyperbench::{generate_suite, populate::populate_messages, ServiceProfile};
 use protoacc_suite::runtime::{reference, FieldPayload, MessageValue, Value};
-use protoacc_suite::schema::{parse_descriptor_set, parse_proto, MessageId, Schema};
+use protoacc_suite::schema::{parse_proto, MessageId, Schema};
 use protoacc_suite::wire::varint;
 use protoacc_suite::xrand::StdRng;
-
-fn load_proto(name: &str) -> Schema {
-    let path = format!("{}/protos/{name}", env!("CARGO_MANIFEST_DIR"));
-    let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    parse_proto(&source).unwrap_or_else(|e| panic!("{name} must parse: {e}"))
-}
-
-fn load_binpb(stem: &str) -> Schema {
-    let path = format!("{}/protos/chain/{stem}.binpb", env!("CARGO_MANIFEST_DIR"));
-    let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    parse_descriptor_set(&bytes).unwrap_or_else(|e| panic!("{stem}.binpb must parse: {e}"))
-}
-
-/// The corpus convention: the last top-level message is the aggregate root.
-fn root_of(schema: &Schema) -> MessageId {
-    schema
-        .iter()
-        .filter(|(_, m)| !m.name().contains('.'))
-        .map(|(id, _)| id)
-        .last()
-        .expect("schema has at least one message")
-}
 
 /// Byte-identity + value-identity + verdict checks for one (schema, message).
 #[track_caller]
@@ -115,7 +96,7 @@ fn hyperbench_truncation_verdicts_match_the_cpu_oracle() {
 #[test]
 fn proto_text_corpus_round_trips_and_truncates_cleanly() {
     for (file, message) in corpus_messages() {
-        let schema = load_proto(file);
+        let schema = load(file);
         let type_id = message.type_id();
         check_message(file, &schema, type_id, &message);
         let wire = reference::encode(&message, &schema).unwrap();
@@ -188,7 +169,7 @@ fn mutation_sweep_verdicts_match_the_cpu_oracle() {
 /// bounded work, no stack exhaustion.
 #[test]
 fn depth_bomb_is_rejected_with_depth_exceeded_on_both_sides() {
-    let schema = load_proto("storage_row.proto");
+    let schema = load("storage_row.proto");
     let row_id = schema.id_by_name("Row").unwrap();
     let mut h = FastpathHarness::new(&schema, row_id);
     let (fast, cpu) = h.verdicts(&depth_bomb(15, 300));
@@ -305,7 +286,7 @@ fn facade_exports_the_swar_decoder() {
 fn corpus_messages() -> Vec<(&'static str, MessageValue)> {
     let mut out = Vec::new();
 
-    let schema = load_proto("addressbook.proto");
+    let schema = load("addressbook.proto");
     let phone_id = schema.id_by_name("Person.PhoneNumber").unwrap();
     let person_id = schema.id_by_name("Person").unwrap();
     let book_id = schema.id_by_name("AddressBook").unwrap();
@@ -320,7 +301,7 @@ fn corpus_messages() -> Vec<(&'static str, MessageValue)> {
     book.set_repeated(1, vec![Value::Message(person)]);
     out.push(("addressbook.proto", book));
 
-    let schema = load_proto("telemetry.proto");
+    let schema = load("telemetry.proto");
     let point_id = schema.id_by_name("Point").unwrap();
     let series_id = schema.id_by_name("TimeSeries").unwrap();
     let batch_id = schema.id_by_name("ScrapeBatch").unwrap();
@@ -345,7 +326,7 @@ fn corpus_messages() -> Vec<(&'static str, MessageValue)> {
     batch.set_unchecked(4, Value::Bytes(vec![0xde, 0xad, 0xbe, 0xef]));
     out.push(("telemetry.proto", batch));
 
-    let schema = load_proto("storage_row.proto");
+    let schema = load("storage_row.proto");
     let cell_id = schema.id_by_name("Cell").unwrap();
     let family_id = schema.id_by_name("ColumnFamily").unwrap();
     let row_id = schema.id_by_name("Row").unwrap();

@@ -2,19 +2,16 @@
 //! statistics, and drives populated messages through the full accelerator
 //! path for each schema.
 
+mod common;
+
+use common::load;
 use protoacc_suite::accel::{AccelConfig, ProtoAccelerator};
 use protoacc_suite::fleet::protodb::analyze_schema;
 use protoacc_suite::mem::{MemConfig, Memory};
 use protoacc_suite::runtime::{
     object, reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value,
 };
-use protoacc_suite::schema::{parse_proto, Schema};
-
-fn load(name: &str) -> Schema {
-    let path = format!("{}/protos/{name}", env!("CARGO_MANIFEST_DIR"));
-    let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    parse_proto(&source).unwrap_or_else(|e| panic!("{name} must parse: {e}"))
-}
+use protoacc_suite::schema::Schema;
 
 #[test]
 fn addressbook_parses_with_nested_types_and_enums() {

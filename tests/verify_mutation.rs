@@ -15,27 +15,18 @@
 //! `cargo run -p protoacc-bench --bin bench_verify` runs the same campaign
 //! at larger trial counts and emits `target/BENCH_verify.json` for CI.
 
+mod common;
+
+use common::{load, load_binpb};
 use protoacc_suite::fastpath::CompiledSchema;
 use protoacc_suite::faults::{mutate_adt, mutate_compiled, ADT_MUTATIONS, TABLE_MUTATIONS};
 use protoacc_suite::hyperbench::generate_suite;
 use protoacc_suite::runtime::MessageLayouts;
-use protoacc_suite::schema::{parse_descriptor_set, parse_proto, Schema};
+use protoacc_suite::schema::Schema;
 use protoacc_suite::verify::{
     build_adt_image, check_adt_image, verify_schema, verify_software, VerifyConfig,
 };
 use protoacc_suite::xrand::StdRng;
-
-fn load_proto(name: &str) -> Schema {
-    let path = format!("{}/protos/{name}.proto", env!("CARGO_MANIFEST_DIR"));
-    let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    parse_proto(&source).unwrap_or_else(|e| panic!("{name} must parse: {e}"))
-}
-
-fn load_binpb(stem: &str) -> Schema {
-    let path = format!("{}/protos/chain/{stem}.binpb", env!("CARGO_MANIFEST_DIR"));
-    let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    parse_descriptor_set(&bytes).unwrap_or_else(|e| panic!("{stem}.binpb must parse: {e}"))
-}
 
 fn corpus() -> Vec<(String, Schema)> {
     let mut out: Vec<(String, Schema)> = generate_suite(1, 0x7AB1E)
@@ -43,7 +34,7 @@ fn corpus() -> Vec<(String, Schema)> {
         .map(|b| (b.profile.name.to_string(), b.schema))
         .collect();
     for stem in ["addressbook", "storage_row", "telemetry"] {
-        out.push((stem.to_string(), load_proto(stem)));
+        out.push((stem.to_string(), load(&format!("{stem}.proto"))));
     }
     for stem in ["consensus", "gossip", "state_sync", "transaction"] {
         out.push((format!("chain/{stem}"), load_binpb(stem)));
