@@ -68,8 +68,10 @@
 #                           drives FrameDecoder) and sim-sharded (the one
 #                           workload on LLC-sliced memory, whose 2-worker
 #                           run must match its 1-worker run), and a
-#                           1-second --trace 1 run of host-small (the traced
-#                           host path the per-layer numbers come from); each
+#                           1-second --trace 1 run of host-small and of
+#                           host-blob (the traced host paths the per-layer
+#                           numbers come from, host-blob's through the
+#                           encoder's deferred long payloads); each
 #                           run's correctness gate (host byte identity, RPC
 #                           framing and accounting, sharded equivalence)
 #                           exits nonzero on any divergence
@@ -167,8 +169,10 @@ for workload in host-small host-blob sim-rpc-2x sim-sharded; do
     cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
 done
-cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
-    --workload host-small --seed 1 --seconds 1 --trace 1 > /dev/null
+for workload in host-small host-blob; do
+    cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 > /dev/null
+done
 
 echo "== trace round trip (emit, re-parse, accounting audit) =="
 cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- \

@@ -20,7 +20,10 @@
 //! `(length << 32) | input_offset`, borrowing the payload from the input
 //! buffer (which must outlive the arena's contents). Repeated fields store
 //! a 24-byte `{data_offset, count, capacity}` header, matching the
-//! `REPEATED_HEADER_BYTES` shape the rest of the suite uses.
+//! `REPEATED_HEADER_BYTES` shape the rest of the suite uses. The arena
+//! also counts the bytes of the borrowed payloads long enough for the
+//! encoder to defer ([`DecodeArena::long_payload_bytes`]), so re-encoding
+//! can size its buffer without them.
 //!
 //! The arena also owns the decoder's scratch ([`Scratch`]): the repeated-
 //! field element buffers, each holding its field's elements already at
@@ -45,9 +48,14 @@ pub const DEFAULT_LIMIT: usize = 1 << 30;
 pub struct DecodeArena {
     /// Initialized bytes up to the high-water mark of every decode so far.
     buf: Vec<u8>,
-    /// End of the live objects; the next allocation starts here.
-    len: usize,
-    limit: usize,
+    /// End of the live objects; the next allocation starts here. Offsets
+    /// are 32-bit, so this and `limit` are too.
+    len: u32,
+    limit: u32,
+    /// Bytes of the string and bytes payloads of at least
+    /// [`DEFER_MIN`](crate::reverse::DEFER_MIN) that the last decode
+    /// borrowed.
+    pub(crate) long_payload: usize,
     pub(crate) scratch: Scratch,
 }
 
@@ -106,12 +114,14 @@ impl DecodeArena {
         Self::with_limit(DEFAULT_LIMIT)
     }
 
-    /// Creates an arena that refuses to grow beyond `limit` bytes.
+    /// Creates an arena that refuses to grow beyond `limit` bytes, or
+    /// beyond `u32::MAX`: offsets are 32-bit.
     pub fn with_limit(limit: usize) -> Self {
         DecodeArena {
             buf: Vec::new(),
             len: 0,
-            limit,
+            limit: u32::try_from(limit).unwrap_or(u32::MAX),
+            long_payload: 0,
             scratch: Scratch::default(),
         }
     }
@@ -120,11 +130,20 @@ impl DecodeArena {
     /// scratch). Nothing is zeroed.
     pub fn reset(&mut self) {
         self.len = 0;
+        self.long_payload = 0;
     }
 
     /// Object bytes currently allocated (decoder scratch not included).
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
+    }
+
+    /// Bytes of the string and bytes payloads of at least
+    /// [`DEFER_MIN`](crate::reverse::DEFER_MIN) that the last decode
+    /// borrowed from its input, every arrival counted. Re-encoding sizes
+    /// its buffer from this count; it never changes the encoded bytes.
+    pub fn long_payload_bytes(&self) -> usize {
+        self.long_payload
     }
 
     /// Whether the arena holds no objects.
@@ -145,18 +164,19 @@ impl DecodeArena {
     pub fn alloc(&mut self, size: usize) -> Result<u32, RuntimeError> {
         let off = self.len;
         let padded = size.div_ceil(8) * 8;
-        let new_len = off + padded;
-        if new_len > self.limit {
+        let new_len = off as usize + padded;
+        if new_len > self.limit as usize {
             return Err(RuntimeError::Arena(ArenaError::Exhausted {
                 requested: padded as u64,
-                remaining: (self.limit - off) as u64,
+                remaining: u64::from(self.limit - off),
             }));
         }
         if new_len > self.buf.len() {
             self.buf.resize(new_len, 0);
         }
-        self.len = new_len;
-        Ok(off as u32)
+        // At most `limit`, so it fits.
+        self.len = new_len as u32;
+        Ok(off)
     }
 
     /// Allocates one `cm` object with its hasbits cleared. Its other bytes

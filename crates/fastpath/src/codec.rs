@@ -11,7 +11,7 @@
 
 use crate::arena::{pack_str, unpack_str, DecodeArena};
 use crate::dispatch::{CompiledSchema, FieldEntry, Op};
-use crate::reverse::ReverseWriter;
+use crate::reverse::{ReverseWriter, DEFER_MIN};
 use crate::swar;
 use protoacc_runtime::object::value_from_bits;
 use protoacc_runtime::reference::MAX_DECODE_DEPTH;
@@ -153,9 +153,12 @@ impl FastCodec {
         arena: &DecodeArena,
         obj: u32,
     ) -> Vec<u8> {
-        // Canonical input re-encodes to exactly its own length, so the
-        // output fills this buffer and `into_bytes` moves nothing.
-        let mut w = ReverseWriter::with_capacity(input.len());
+        // Canonical input re-encodes to exactly its own length, and the
+        // payloads the writer defers stay out of its buffer, so the rest
+        // fills this buffer exactly. Without a deferred payload
+        // `into_bytes` then moves nothing.
+        let capacity = input.len().saturating_sub(arena.long_payload_bytes());
+        let mut w = ReverseWriter::with_capacity(capacity);
         self.rencode_obj(type_id, input, arena, obj, &mut w);
         w.into_bytes()
     }
@@ -163,13 +166,13 @@ impl FastCodec {
     /// Prepends one object's present fields, found by a hasbits scan, last
     /// field first. Each repeated field goes out with its op match hoisted
     /// out of the element loop.
-    fn rencode_obj(
+    fn rencode_obj<'a>(
         &self,
         type_id: MessageId,
-        input: &[u8],
+        input: &'a [u8],
         arena: &DecodeArena,
         obj: u32,
-        w: &mut ReverseWriter,
+        w: &mut ReverseWriter<'a>,
     ) {
         let cm = self.compiled.message(type_id);
         for entry in cm.present_rev(arena.bytes(obj, cm.object_size as usize)) {
@@ -213,13 +216,13 @@ impl FastCodec {
 
     /// One sub-message body behind its length prefix (no key); `word` is
     /// the slot or element word holding the sub-object's offset.
-    fn rencode_sub(
+    fn rencode_sub<'a>(
         &self,
         entry: &FieldEntry,
-        input: &[u8],
+        input: &'a [u8],
         arena: &DecodeArena,
         word: u64,
-        w: &mut ReverseWriter,
+        w: &mut ReverseWriter<'a>,
     ) {
         let sub = entry.sub.expect("Msg op has a sub type");
         let before = w.len();
@@ -318,7 +321,7 @@ fn prepend_fixed<const N: usize>(elems: &[u8], key: Option<u64>, w: &mut Reverse
 
 /// Unpacked string or bytes elements, each an (offset, len) word into
 /// `input`, last first: payload, length, key.
-fn prepend_strings(elems: &[u8], key: u64, input: &[u8], w: &mut ReverseWriter) {
+fn prepend_strings<'a>(elems: &[u8], key: u64, input: &'a [u8], w: &mut ReverseWriter<'a>) {
     for word in elems.chunks_exact(8).rev() {
         let (off, len) = unpack_str(le::<8>(word));
         w.prepend_tail(input, off + len, len);
@@ -388,6 +391,9 @@ impl FastCodec {
         // key, and a hit skips key validation and the table lookup. Unknown
         // keys are never cached.
         let mut last: Option<(u64, &FieldEntry, WireType)> = None;
+        // Bytes of the payloads the encoder will defer, added to the
+        // arena's count when the frame closes.
+        let mut long = 0;
         let mut pos = start;
         while pos < end {
             let key_start = pos;
@@ -461,19 +467,32 @@ impl FastCodec {
                 // An unpacked run: this element and every one that follows
                 // behind the same raw key bytes, in one loop for the op.
                 let acc = arena.scratch.accum(base, &mut hint, number);
+                let elems = &mut arena.scratch.accums[acc].elems;
+                let first = elems.len();
+                let run_start = pos;
                 pos = decode_run(
                     entry.op,
                     &full[..end],
                     pos,
                     Some(&full[key_start..pos]),
-                    &mut arena.scratch.accums[acc].elems,
+                    elems,
                 )?;
+                // Only a run that spans DEFER_MIN bytes can hold a payload
+                // that long, so only such a run pays for a pass over its
+                // words.
+                if pos - run_start >= DEFER_MIN && entry.op == Op::Bytes {
+                    long += elems[first..]
+                        .chunks_exact(8)
+                        .map(|word| long_len(unpack_str(le::<8>(word)).1))
+                        .sum::<usize>();
+                }
                 continue;
             }
             match entry.op {
                 Op::Bytes => {
                     let (payload_off, len) = length_prefix(full, pos, end)?;
                     pos = payload_off + len;
+                    long += long_len(len);
                     arena.write_u64(obj + entry.slot_offset, pack_str(payload_off, len));
                     arena.set_bit(
                         obj + cm.hasbits_offset + entry.hasbit_byte,
@@ -540,6 +559,7 @@ impl FastCodec {
             );
         }
         arena.scratch.accums.truncate(base);
+        arena.long_payload += long;
         Ok(())
     }
 }
@@ -649,6 +669,13 @@ fn varint_element(clamped: &[u8], pos: usize, op: Op) -> Result<(u64, usize), Ru
 fn bytes_element(clamped: &[u8], pos: usize) -> Result<(u64, usize), RuntimeError> {
     let (payload_off, len) = length_prefix(clamped, pos, clamped.len())?;
     Ok((pack_str(payload_off, len), payload_off + len - pos))
+}
+
+/// `len` if the encoder defers a payload that long, else 0, without a
+/// branch: a long payload is rare and would mispredict.
+#[inline(always)]
+fn long_len(len: usize) -> usize {
+    len & 0usize.wrapping_sub(usize::from(len >= DEFER_MIN))
 }
 
 /// Decodes a run of one repeated scalar, string or bytes field into

@@ -16,6 +16,14 @@
 //! when the data fills it exactly, and otherwise slides the data to the
 //! front of the same buffer, so finishing a message allocates nothing.
 //!
+//! A safe `Vec<u8>` must be initialized before it is written, so the buffer
+//! is zero-filled first. A payload of [`DEFER_MIN`] bytes or more skips it:
+//! [`ReverseWriter::prepend_tail`] records where the payload sits in the
+//! source and how many buffered bytes follow it, and copies nothing.
+//! Finishing such a writer builds the output front to back in memory that
+//! is never zeroed, alternating buffered runs and deferred payloads, so
+//! each long payload is copied once, straight from the source.
+//!
 //! Writing backwards also makes *headroom stores* safe: a fixed-width store
 //! that ends at `head` writes its leading bytes into free headroom, never
 //! into data already written. A multi-byte varint is built in a register
@@ -32,6 +40,14 @@ const VARINT_STORE: usize = 16;
 /// fixed-width copy, and that copy's width. In the ml-features suite 96%
 /// of strings are at most 64 bytes long (77% at most 32).
 const WILD_COPY: usize = 64;
+
+/// Shortest payload [`ReverseWriter::prepend_tail`] defers instead of
+/// copying into the buffer. A deferral saves zero-filling the payload's
+/// bytes and costs one segment record, plus, once per message, a fresh
+/// output allocation and a second copy of the buffered bytes; at 8 KiB
+/// only the storage-rows and search-indexing suites' blobs qualify (see
+/// EXPERIMENTS "Encode-side fill and frame copy" for the sizing).
+pub const DEFER_MIN: usize = 8 * 1024;
 
 /// Continuation bit of every byte lane of a 16-byte image.
 const CONT_MASK: u128 = 0x8080_8080_8080_8080_8080_8080_8080_8080;
@@ -56,30 +72,53 @@ fn flat_varint(value: u64) -> (u128, usize) {
     (lanes | (CONT_MASK & ((1u128 << (8 * (n - 1))) - 1)), n)
 }
 
-/// A buffer that is written back-to-front.
-#[derive(Debug, Clone)]
-pub struct ReverseWriter {
-    buf: Vec<u8>,
-    head: usize,
+/// A long payload left out of the buffer: the source bytes, and how many
+/// buffered bytes follow them in the output.
+#[derive(Debug, Clone, Copy)]
+struct Deferred<'a> {
+    payload: &'a [u8],
+    behind: usize,
 }
 
-impl ReverseWriter {
-    /// Creates a writer with `capacity` bytes of initial headroom.
+/// A buffer that is written back-to-front. Deferred payloads borrow from
+/// the source they were prepended from for `'a`.
+#[derive(Debug, Clone)]
+pub struct ReverseWriter<'a> {
+    buf: Vec<u8>,
+    head: usize,
+    /// Deferred payloads in prepend order, so back to front.
+    deferred: Vec<Deferred<'a>>,
+    /// Total length of `deferred`.
+    deferred_len: usize,
+}
+
+impl<'a> ReverseWriter<'a> {
+    /// Creates a writer with `capacity` bytes of initial headroom. Sizing
+    /// it at the output's length less its deferred payloads means it never
+    /// grows; the capacity changes only where the bytes are built, never
+    /// which bytes come out.
     pub fn with_capacity(capacity: usize) -> Self {
         ReverseWriter {
             buf: vec![0u8; capacity],
             head: capacity,
+            deferred: Vec::new(),
+            deferred_len: 0,
         }
     }
 
-    /// Bytes written so far.
+    /// Bytes written so far, deferred payloads included.
     pub fn len(&self) -> usize {
-        self.buf.len() - self.head
+        self.buffered() + self.deferred_len
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.head == self.buf.len()
+        self.len() == 0
+    }
+
+    /// Bytes written into the buffer itself.
+    fn buffered(&self) -> usize {
+        self.buf.len() - self.head
     }
 
     /// Ensures at least `need` bytes of headroom in front of `head`.
@@ -99,7 +138,7 @@ impl ReverseWriter {
     #[cold]
     #[inline(never)]
     fn grow(&mut self, need: usize) {
-        let data_len = self.len();
+        let data_len = self.buffered();
         let new_cap = (self.buf.len() * 2).max(data_len + need).max(64);
         let mut grown = vec![0u8; new_cap];
         let new_head = new_cap - data_len;
@@ -121,10 +160,11 @@ impl ReverseWriter {
     /// A payload of at most 64 bytes goes out as one fixed 64-byte copy of
     /// `src[end - 64..end]` ending at `head`, when there are 64 bytes of
     /// headroom and `src` has 64 bytes before `end`; the copy's leading
-    /// bytes land in free headroom. Anything else is an exact copy, kept
-    /// out of line.
+    /// bytes land in free headroom. A payload of [`DEFER_MIN`] bytes or
+    /// more is deferred, not copied. Anything else is an exact copy. Both
+    /// are kept out of line.
     #[inline(always)]
-    pub fn prepend_tail(&mut self, src: &[u8], end: usize, len: usize) {
+    pub fn prepend_tail(&mut self, src: &'a [u8], end: usize, len: usize) {
         let head = self.head;
         if len <= WILD_COPY && end >= WILD_COPY && head >= WILD_COPY {
             let tail: &[u8; WILD_COPY] = src[end - WILD_COPY..end]
@@ -141,8 +181,16 @@ impl ReverseWriter {
     /// copy, or for a long payload.
     #[cold]
     #[inline(never)]
-    fn prepend_tail_exact(&mut self, payload: &[u8]) {
-        self.prepend_slice(payload);
+    fn prepend_tail_exact(&mut self, payload: &'a [u8]) {
+        if payload.len() >= DEFER_MIN {
+            self.deferred.push(Deferred {
+                payload,
+                behind: self.buffered(),
+            });
+            self.deferred_len += payload.len();
+        } else {
+            self.prepend_slice(payload);
+        }
     }
 
     /// Reserves `n` bytes in front of the written data and returns them for
@@ -207,22 +255,47 @@ impl ReverseWriter {
         self.prepend_slice(&value.to_le_bytes());
     }
 
-    /// The bytes written so far, front to back.
-    pub fn as_slice(&self) -> &[u8] {
+    /// The bytes written so far, front to back, when none was deferred.
+    #[cfg(test)]
+    fn as_slice(&self) -> &[u8] {
+        assert!(self.deferred.is_empty(), "deferred bytes are not buffered");
         &self.buf[self.head..]
     }
 
-    /// Consumes the writer, returning the written bytes in its own buffer.
-    /// A buffer the data fills exactly (`head == 0`) is returned untouched;
-    /// otherwise the data moves to the front and the headroom is truncated
-    /// away.
+    /// Consumes the writer, returning the written bytes. Without deferred
+    /// payloads they come back in the writer's own buffer: untouched when
+    /// the data fills it exactly (`head == 0`), otherwise moved to the
+    /// front with the headroom truncated away. With deferred payloads the
+    /// output is assembled in a fresh allocation.
+    #[inline]
     pub fn into_bytes(mut self) -> Vec<u8> {
+        if !self.deferred.is_empty() {
+            return self.assemble();
+        }
         if self.head > 0 {
             let len = self.len();
             self.buf.copy_within(self.head.., 0);
             self.buf.truncate(len);
         }
         self.buf
+    }
+
+    /// The output front to back: the last payload deferred is the first
+    /// in the output, and each ends where its `behind` buffered bytes
+    /// begin.
+    #[inline(never)]
+    fn assemble(&self) -> Vec<u8> {
+        let end = self.buf.len();
+        let mut out = Vec::with_capacity(self.len());
+        let mut from = self.head;
+        for seg in self.deferred.iter().rev() {
+            let to = end - seg.behind;
+            out.extend_from_slice(&self.buf[from..to]);
+            out.extend_from_slice(seg.payload);
+            from = to;
+        }
+        out.extend_from_slice(&self.buf[from..]);
+        out
     }
 }
 
@@ -380,7 +453,7 @@ mod tests {
 
     /// A writer holding only a sentinel suffix, with exactly `headroom`
     /// bytes free in front of it.
-    fn behind_sentinel(headroom: usize) -> ReverseWriter {
+    fn behind_sentinel<'a>(headroom: usize) -> ReverseWriter<'a> {
         let mut w = ReverseWriter::with_capacity(headroom + 48);
         w.prepend_slice(&[0xa5; 48]);
         assert_eq!(w.head, headroom);
@@ -467,6 +540,151 @@ mod tests {
                     "end {end}, len {len}, {headroom} B headroom"
                 );
             }
+        }
+    }
+
+    /// A source of `n` distinct-looking bytes.
+    fn source(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 31 + i / 251) as u8).collect()
+    }
+
+    /// `prepend_tail` below, at and above [`DEFER_MIN`], with headroom
+    /// none, at the wild copy and for the whole payload: only a payload of
+    /// at least `DEFER_MIN` bytes stays out of the buffer, and `len`
+    /// counts it either way.
+    #[test]
+    fn payloads_defer_from_the_threshold_up() {
+        let src = source(DEFER_MIN + 100);
+        for len in [DEFER_MIN - 1, DEFER_MIN, DEFER_MIN + 1] {
+            let end = src.len() - 7;
+            for headroom in [0, WILD_COPY, len + 100] {
+                let mut w = behind_sentinel(headroom);
+                w.prepend_tail(&src, end, len);
+                let deferred = len >= DEFER_MIN;
+                assert_eq!(w.deferred.len(), usize::from(deferred), "len {len}");
+                assert_eq!(w.buffered(), if deferred { 48 } else { len + 48 });
+                assert_eq!(w.len(), len + 48, "len {len}: len() counts every byte");
+                let mut expected = src[end - len..end].to_vec();
+                expected.extend_from_slice(&[0xa5; 48]);
+                assert_eq!(w.into_bytes(), expected, "len {len}, {headroom} B headroom");
+            }
+        }
+    }
+
+    /// Deferred payloads with nothing buffered between them come out in
+    /// prepend order reversed, as the buffered bytes do.
+    #[test]
+    fn adjacent_deferred_segments_keep_their_order() {
+        let src = source(4 * DEFER_MIN + 10);
+        let cut = |i: usize| (i * DEFER_MIN + i, DEFER_MIN + i);
+        let mut w = behind_sentinel(4);
+        let mut expected = vec![0xa5u8; 48];
+        for i in 0..4 {
+            let (start, len) = cut(i);
+            w.prepend_tail(&src, start + len, len);
+            expected.splice(0..0, src[start..start + len].iter().copied());
+            if i == 1 {
+                w.prepend_byte(0x7e);
+                expected.insert(0, 0x7e);
+            }
+        }
+        assert_eq!(w.deferred.len(), 4);
+        assert_eq!(w.len(), expected.len());
+        assert_eq!(w.into_bytes(), expected);
+    }
+
+    /// A deferred payload as the last bytes of the output (nothing buffered
+    /// behind it), as the first (nothing buffered in front of it), and as
+    /// the whole output.
+    #[test]
+    fn deferred_payload_at_either_end_of_the_output() {
+        let src = source(2 * DEFER_MIN);
+        let payload = &src[3..3 + DEFER_MIN];
+        let mut w = ReverseWriter::with_capacity(8);
+        w.prepend_tail(&src, 3 + DEFER_MIN, DEFER_MIN);
+        w.prepend_varint(DEFER_MIN as u64);
+        w.prepend_byte(0x0a);
+        let mut expected = vec![0x0a, 0x80, 0x40];
+        expected.extend_from_slice(payload);
+        assert_eq!(w.into_bytes(), expected, "deferred payload last");
+
+        let mut w = ReverseWriter::with_capacity(8);
+        w.prepend_slice(b"tail");
+        w.prepend_tail(&src, 3 + DEFER_MIN, DEFER_MIN);
+        let mut expected = payload.to_vec();
+        expected.extend_from_slice(b"tail");
+        assert_eq!(w.into_bytes(), expected, "deferred payload first");
+
+        let mut w = ReverseWriter::with_capacity(0);
+        w.prepend_tail(&src, 3 + DEFER_MIN, DEFER_MIN);
+        assert!(!w.is_empty());
+        assert_eq!(w.into_bytes(), payload, "deferred payload alone");
+    }
+
+    /// Nested length-delimited frames around a seeded mix of short and
+    /// long payloads, each frame's length prefix taken from `len`, as the
+    /// encoder does. Returns the writer and a forward model of its bytes.
+    fn nested_frames(capacity: usize, src: &[u8]) -> (ReverseWriter<'_>, Vec<u8>) {
+        let mut w = ReverseWriter::with_capacity(capacity);
+        let mut model = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for frame in 0..6 {
+            let (w_before, model_before) = (w.len(), model.len());
+            for _ in 0..5 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                let pick = (state >> 33) as usize;
+                let len = match pick % 4 {
+                    0 => pick / 4 % WILD_COPY,
+                    1 => DEFER_MIN - 1 + pick / 4 % 3,
+                    2 => DEFER_MIN + pick / 4 % (2 * DEFER_MIN),
+                    _ => WILD_COPY + pick / 4 % 500,
+                };
+                let end = len + pick / 16 % (src.len() - len + 1);
+                w.prepend_tail(src, end, len);
+                w.prepend_varint(len as u64);
+                model.splice(0..0, src[end - len..end].iter().copied());
+                let mut prefix = Vec::new();
+                varint::encode(len as u64, &mut prefix);
+                model.splice(0..0, prefix);
+            }
+            // Every other frame closes as a sub-message: its length prefix
+            // counts the deferred payloads inside it.
+            if frame % 2 == 1 {
+                w.prepend_varint((w.len() - w_before) as u64);
+                let mut prefix = Vec::new();
+                varint::encode((model.len() - model_before) as u64, &mut prefix);
+                model.splice(0..0, prefix);
+            }
+        }
+        (w, model)
+    }
+
+    /// The capacity is only a hint: zero, too small, exact and too large
+    /// all give the same bytes, and the exact buffered size never grows.
+    #[test]
+    fn size_hint_never_changes_the_bytes() {
+        let src = source(4 * DEFER_MIN);
+        let (exact, model) = nested_frames(0, &src);
+        assert!(!exact.deferred.is_empty(), "the mix defers some payloads");
+        let buffered = exact.buffered();
+        assert_eq!(exact.len(), model.len());
+        assert_eq!(exact.into_bytes(), model, "capacity 0");
+        for capacity in [
+            1,
+            buffered / 2,
+            buffered,
+            buffered + 1,
+            model.len(),
+            2 * model.len(),
+        ] {
+            let (w, _) = nested_frames(capacity, &src);
+            if capacity == buffered {
+                assert_eq!(w.buf.len(), capacity, "an exact hint must not grow");
+                assert_eq!(w.head, 0);
+            }
+            assert_eq!(w.into_bytes(), model, "capacity {capacity}");
         }
     }
 }

@@ -13,6 +13,7 @@ mod common;
 
 use common::{load, load_binpb, root_of};
 use protoacc_suite::accel::DecodeFault;
+use protoacc_suite::fastpath::reverse::DEFER_MIN;
 use protoacc_suite::fastpath::{swar, DecodeArena, FastCodec, TableKind};
 use protoacc_suite::faults::{depth_bomb, mutate, DiffReport, FastpathHarness, Verdict};
 use protoacc_suite::hyperbench::{generate_suite, populate::populate_messages, ServiceProfile};
@@ -920,6 +921,100 @@ fn multi_word_hasbits_encode_byte_identically() {
             type_id,
             &m,
         );
+    }
+}
+
+/// An ASCII payload of `len` bytes whose content depends on `seed`.
+fn long_text(len: usize, seed: usize) -> String {
+    (0..len)
+        .map(|i| char::from(b'a' + ((i * 7 + seed) % 26) as u8))
+        .collect()
+}
+
+/// Payloads below, at and above `DEFER_MIN` (the encoder's deferral
+/// threshold) at depth 0, 1 and 2, and repeated long strings, some
+/// adjacent: every message decodes value-identically and re-encodes
+/// byte-identically to `reference::encode`, and the decoder counts exactly
+/// the payloads the encoder defers.
+#[test]
+fn long_payloads_encode_byte_identically_at_every_depth() {
+    let schema = parse_proto(
+        "message Leaf { optional bytes blob = 1; repeated string notes = 2; optional uint32 n = 3; }
+         message Mid { optional Leaf leaf = 1; repeated Leaf leaves = 2; optional bytes blob = 3;
+                       optional string tag = 4; }
+         message Top { optional bytes blob = 1; optional Mid mid = 2; repeated string notes = 3;
+                       optional string name = 4; repeated Mid mids = 5; }",
+    )
+    .unwrap();
+    let id = |name: &str| schema.id_by_name(name).unwrap();
+    let (top, mid, leaf) = (id("Top"), id("Mid"), id("Leaf"));
+    let blob = |len: usize, seed: usize| Value::Bytes(long_text(len, seed).into_bytes());
+    let notes = |lens: &[usize]| -> Vec<Value> {
+        lens.iter()
+            .enumerate()
+            .map(|(i, &len)| Value::Str(long_text(len, i)))
+            .collect()
+    };
+    let long = |lens: &[usize]| lens.iter().filter(|&&len| len >= DEFER_MIN).sum::<usize>();
+    let (below, at, above) = (DEFER_MIN - 1, DEFER_MIN, DEFER_MIN + 1);
+    let leaf_of = |blob_len: usize, note_lens: &[usize]| {
+        let mut m = MessageValue::new(leaf);
+        m.set_unchecked(1, blob(blob_len, 1));
+        if !note_lens.is_empty() {
+            m.set_repeated(2, notes(note_lens));
+        }
+        m.set_unchecked(3, Value::UInt32(5));
+        m
+    };
+    let mid_of = |blob_len: usize, leaf: Option<MessageValue>| {
+        let mut m = MessageValue::new(mid);
+        m.set_unchecked(3, blob(blob_len, 2));
+        m.set_unchecked(4, Value::Str("tag".into()));
+        if let Some(leaf) = leaf {
+            m.set_unchecked(1, Value::Message(leaf));
+        }
+        m
+    };
+    let mut cases: Vec<(String, MessageValue, usize)> = Vec::new();
+    for len in [below, at, above, 3 * DEFER_MIN] {
+        let mut depth0 = MessageValue::new(top);
+        depth0.set_unchecked(1, blob(len, 0));
+        depth0.set_unchecked(4, Value::Str("name".into()));
+        cases.push((format!("depth 0, {len} B"), depth0, long(&[len])));
+        let mut depth1 = MessageValue::new(top);
+        depth1.set_unchecked(2, Value::Message(mid_of(len, None)));
+        cases.push((format!("depth 1, {len} B"), depth1, long(&[len])));
+        let mut depth2 = MessageValue::new(top);
+        let leaf = leaf_of(len, &[]);
+        depth2.set_unchecked(2, Value::Message(mid_of(3, Some(leaf))));
+        cases.push((format!("depth 2, {len} B"), depth2, long(&[len])));
+    }
+    let runs = [at, 12, above, 2 * DEFER_MIN, below, 0, at];
+    let mut repeated = MessageValue::new(top);
+    repeated.set_repeated(3, notes(&runs));
+    cases.push(("repeated long strings".into(), repeated, long(&runs)));
+    let mut everywhere = MessageValue::new(top);
+    everywhere.set_unchecked(1, blob(above, 3));
+    everywhere.set_repeated(3, notes(&runs));
+    let deep = leaf_of(at, &[above, above, 40]);
+    everywhere.set_unchecked(2, Value::Message(mid_of(2 * DEFER_MIN, Some(deep))));
+    everywhere.set_repeated(
+        5,
+        vec![
+            Value::Message(mid_of(below, Some(leaf_of(above, &[at])))),
+            Value::Message(mid_of(at, None)),
+        ],
+    );
+    let expected = long(&[above, 2 * DEFER_MIN, at, above, above, above, at, at]) + long(&runs);
+    cases.push(("long payloads at every depth".into(), everywhere, expected));
+    for (label, message, long_bytes) in &cases {
+        check_message(label, &schema, top, message);
+        let wire = reference::encode(message, &schema).unwrap();
+        let mut arena = DecodeArena::new();
+        FastCodec::new(&schema)
+            .decode(top, &wire, &mut arena)
+            .unwrap();
+        assert_eq!(arena.long_payload_bytes(), *long_bytes, "{label}");
     }
 }
 
