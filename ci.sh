@@ -61,7 +61,9 @@
 #                           mutation campaign (>=99% detection, clean
 #                           schemas silent; emits target/BENCH_verify.json)
 #   6. fast-path gate       bench_codec --smoke (fails on any byte or verdict
-#                           divergence; emits target/BENCH_codec.json); then
+#                           divergence, including the re-encode of every
+#                           truncated or mutated input both decoders
+#                           accept; emits target/BENCH_codec.json); then
 #                           the perfbench package's own tests, a 1-second
 #                           --trace 0 run of host-small, host-blob,
 #                           sim-rpc-2x (the one workload where RpcServer
@@ -71,7 +73,7 @@
 #                           1-second --trace 1 run of host-small and of
 #                           host-blob (the traced host paths the per-layer
 #                           numbers come from, host-blob's through the
-#                           encoder's deferred long payloads); each
+#                           encoder's long payloads); each
 #                           run's correctness gate (host byte identity, RPC
 #                           framing and accounting, sharded equivalence)
 #                           exits nonzero on any divergence
@@ -153,7 +155,8 @@ cargo run --offline -q --release -p protoacc-bench --bin bench_verify -- \
 
 echo "== fast-path codec gate (smoke bench, perfbench) =="
 # Smoke bench doubles as a divergence gate: exits nonzero on any verdict or
-# byte divergence and emits target/BENCH_codec.json next to BENCH_lint.json.
+# byte divergence (re-encodes of accepted faulty inputs included) and emits
+# target/BENCH_codec.json next to BENCH_lint.json.
 cargo run --offline -q --release -p protoacc-bench --bin bench_codec -- \
     --smoke --out target/BENCH_codec.json
 # The benchmark's host correctness gate: every request of its fixed

@@ -18,8 +18,12 @@
 //! `--smoke` shrinks populations and timing windows for CI, but always runs
 //! the full correctness gate: byte-identical encodes vs the reference
 //! encoder, value-identical round trips, and verdict-identical decodes vs
-//! `crates/cpu` over clean, truncated, and seeded-mutated inputs. Any
-//! divergence is reported in the JSON and fails the process.
+//! `crates/cpu` over clean, truncated, and seeded-mutated inputs. Every
+//! truncated or mutated input that both the fast path and the reference
+//! decoder accept must also re-encode to the reference encoding of the
+//! reference decoder's value; such inputs may be non-canonical, which is
+//! where the encoder rewrites a length prefix. Any divergence is reported
+//! in the JSON and fails the process.
 
 use std::time::Instant;
 
@@ -88,6 +92,11 @@ struct Gate {
     report: DiffReport,
     encode_divergences: usize,
     roundtrip_divergences: usize,
+    /// Truncated or mutated inputs both decoders accepted, re-encoded.
+    reencode_trials: usize,
+    /// Those whose reference encoding differs from the input.
+    reencode_noncanonical: usize,
+    reencode_divergences: usize,
 }
 
 fn main() {
@@ -150,10 +159,14 @@ fn main() {
          reference {g_ref_de:.3}/{g_ref_se:.3} (deser speedup vs cpu: {deser_speedup:.1}x)"
     );
     println!(
-        "differential: {} ({} encode, {} round-trip divergences)",
+        "differential: {} ({} encode, {} round-trip divergences); \
+         {} re-encodes of accepted faulty inputs ({} non-canonical), {} divergences",
         gate.report.summary(),
         gate.encode_divergences,
-        gate.roundtrip_divergences
+        gate.roundtrip_divergences,
+        gate.reencode_trials,
+        gate.reencode_noncanonical,
+        gate.reencode_divergences
     );
 
     let json = render_json(
@@ -179,10 +192,12 @@ fn main() {
     }
     println!("wrote {out_path}");
 
-    let divergent =
-        !gate.report.is_clean() || gate.encode_divergences > 0 || gate.roundtrip_divergences > 0;
+    let divergent = !gate.report.is_clean()
+        || gate.encode_divergences > 0
+        || gate.roundtrip_divergences > 0
+        || gate.reencode_divergences > 0;
     if divergent {
-        eprintln!("bench_codec: DIVERGENCE between fastpath and cpu codec — failing");
+        eprintln!("bench_codec: DIVERGENCE between fastpath and its oracles — failing");
         std::process::exit(1);
     }
     if !smoke && deser_speedup < 2.0 {
@@ -247,11 +262,11 @@ fn differential_gate(w: &Workload, mutations: usize, seed: u64, gate: &mut Gate)
     let mut h = FastpathHarness::new(&w.schema, w.type_id);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF_5EED);
     let mut arena = DecodeArena::new();
+    let codec = h.codec().clone();
     for m in &w.messages {
         let wire = reference::encode(m, &w.schema).expect("workload encodes");
         // Decode round trip to a value-identical tree; the arena re-encode
         // must be byte-identical to the reference encoder.
-        let codec = h.codec().clone();
         match codec.decode(w.type_id, &wire, &mut arena) {
             Ok(obj) => {
                 let back = codec.to_value(w.type_id, &wire, &arena, obj);
@@ -264,16 +279,46 @@ fn differential_gate(w: &Workload, mutations: usize, seed: u64, gate: &mut Gate)
             }
             Err(_) => gate.roundtrip_divergences += 1,
         }
-        // Verdict agreement: clean, truncated at sampled offsets, mutated.
+        // Verdict agreement: clean, truncated at sampled offsets, mutated;
+        // each faulty input both sides accept is re-encoded too.
         h.observe("clean", &wire, &mut gate.report);
         let stride = (wire.len() / 32).max(1);
         for cut in (0..wire.len()).step_by(stride) {
             h.observe("truncate", &wire[..cut], &mut gate.report);
+            reencode_gate(w, &codec, &mut arena, &wire[..cut], gate);
         }
         for _ in 0..mutations {
             let (fault, mutated) = mutate(&wire, &mut rng);
             h.observe(fault.label(), &mutated, &mut gate.report);
+            reencode_gate(w, &codec, &mut arena, &mutated, gate);
         }
+    }
+}
+
+/// When both the fast path and the reference decoder accept `bytes`, the
+/// fast path's re-encode must equal the reference encoding of the
+/// reference decoder's value.
+fn reencode_gate(
+    w: &Workload,
+    codec: &FastCodec,
+    arena: &mut DecodeArena,
+    bytes: &[u8],
+    gate: &mut Gate,
+) {
+    let Ok(obj) = codec.decode(w.type_id, bytes, arena) else {
+        return;
+    };
+    let Ok(value) = reference::decode(bytes, w.type_id, &w.schema) else {
+        return;
+    };
+    gate.reencode_trials += 1;
+    let Ok(expected) = reference::encode(&value, &w.schema) else {
+        gate.reencode_divergences += 1;
+        return;
+    };
+    gate.reencode_noncanonical += usize::from(expected != bytes);
+    if codec.encode_decoded(w.type_id, bytes, arena, obj) != expected {
+        gate.reencode_divergences += 1;
     }
 }
 
@@ -474,6 +519,9 @@ fn render_json(mode: &str, rows: &[Row], geo: &[f64; 7], gate: &Gate) -> String 
                 ("verdict_mismatches", gate.report.mismatches.len().into()),
                 ("encode_divergences", gate.encode_divergences.into()),
                 ("roundtrip_divergences", gate.roundtrip_divergences.into()),
+                ("reencode_trials", gate.reencode_trials.into()),
+                ("reencode_noncanonical", gate.reencode_noncanonical.into()),
+                ("reencode_divergences", gate.reencode_divergences.into()),
             ]),
         ),
     ]))

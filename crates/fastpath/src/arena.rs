@@ -18,12 +18,12 @@
 //!
 //! String and bytes fields are not copied at all: their 8-byte slots pack
 //! `(length << 32) | input_offset`, borrowing the payload from the input
-//! buffer (which must outlive the arena's contents). Repeated fields store
-//! a 24-byte `{data_offset, count, capacity}` header, matching the
-//! `REPEATED_HEADER_BYTES` shape the rest of the suite uses. The arena
-//! also counts the bytes of the borrowed payloads long enough for the
-//! encoder to defer ([`DecodeArena::long_payload_bytes`]), so re-encoding
-//! can size its buffer without them.
+//! buffer (which must outlive the arena's contents). A sub-message's slot
+//! packs `(body_length << 32) | object_offset` the same way, its body's
+//! length as the input's prefix declared it, so re-encoding can write each
+//! length prefix before its body. Repeated fields store a 24-byte
+//! `{data_offset, count, capacity}` header, matching the
+//! `REPEATED_HEADER_BYTES` shape the rest of the suite uses.
 //!
 //! The arena also owns the decoder's scratch ([`Scratch`]): the repeated-
 //! field element buffers, each holding its field's elements already at
@@ -52,10 +52,6 @@ pub struct DecodeArena {
     /// are 32-bit, so this and `limit` are too.
     len: u32,
     limit: u32,
-    /// Bytes of the string and bytes payloads of at least
-    /// [`DEFER_MIN`](crate::reverse::DEFER_MIN) that the last decode
-    /// borrowed.
-    pub(crate) long_payload: usize,
     pub(crate) scratch: Scratch,
 }
 
@@ -121,7 +117,6 @@ impl DecodeArena {
             buf: Vec::new(),
             len: 0,
             limit: u32::try_from(limit).unwrap_or(u32::MAX),
-            long_payload: 0,
             scratch: Scratch::default(),
         }
     }
@@ -130,20 +125,11 @@ impl DecodeArena {
     /// scratch). Nothing is zeroed.
     pub fn reset(&mut self) {
         self.len = 0;
-        self.long_payload = 0;
     }
 
     /// Object bytes currently allocated (decoder scratch not included).
     pub fn len(&self) -> usize {
         self.len as usize
-    }
-
-    /// Bytes of the string and bytes payloads of at least
-    /// [`DEFER_MIN`](crate::reverse::DEFER_MIN) that the last decode
-    /// borrowed from its input, every arrival counted. Re-encoding sizes
-    /// its buffer from this count; it never changes the encoded bytes.
-    pub fn long_payload_bytes(&self) -> usize {
-        self.long_payload
     }
 
     /// Whether the arena holds no objects.
@@ -269,8 +255,9 @@ impl Default for DecodeArena {
     }
 }
 
-/// Packs a borrowed string payload `(input_offset, length)` into one slot
-/// word.
+/// Packs `(offset, length)` into one slot word: a borrowed string
+/// payload's input offset and length, or a sub-object's arena offset and
+/// its body's input length.
 #[inline]
 pub fn pack_str(input_off: usize, len: usize) -> u64 {
     debug_assert!(input_off <= u32::MAX as usize && len <= u32::MAX as usize);
@@ -330,6 +317,20 @@ mod tests {
         assert!(a.alloc(64).is_ok());
         let err = a.alloc(8).unwrap_err();
         assert!(matches!(err, RuntimeError::Arena(_)), "{err:?}");
+    }
+
+    /// The arena's own size is a host-path cost: an 8-byte field moved
+    /// host-blob by 2-8% (EXPERIMENTS "Encode-side fill and frame copy").
+    #[test]
+    fn decode_arena_stays_80_bytes() {
+        assert_eq!(
+            std::mem::size_of::<DecodeArena>(),
+            80,
+            "DecodeArena's size alone moves host-blob throughput: A/B a new \
+             field on host-blob against the same tree without it \
+             (EXPERIMENTS \"Encode-side fill and frame copy\") before \
+             changing this pin"
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The fast-path codec: SWAR-varint decode through precompiled dispatch
-//! tables into an arena, and reverse-order (memwriter) serialization.
+//! tables into an arena, and front-to-back serialization with length
+//! prefixes taken from the decode.
 //!
 //! [`FastCodec`] is `Codec`-shaped like `crates/cpu`'s software codec
 //! (`protoacc_cpu::SoftwareCodec`) and is held to that codec's *exact*
@@ -11,7 +12,7 @@
 
 use crate::arena::{pack_str, unpack_str, DecodeArena};
 use crate::dispatch::{CompiledSchema, FieldEntry, Op};
-use crate::reverse::{ReverseWriter, DEFER_MIN};
+use crate::forward::{fix_prefix, put_payload, put_varint, varint_len, SLACK};
 use crate::swar;
 use protoacc_runtime::object::value_from_bits;
 use protoacc_runtime::reference::MAX_DECODE_DEPTH;
@@ -153,41 +154,34 @@ impl FastCodec {
         arena: &DecodeArena,
         obj: u32,
     ) -> Vec<u8> {
-        // Canonical input re-encodes to exactly its own length, and the
-        // payloads the writer defers stay out of its buffer, so the rest
-        // fills this buffer exactly. Without a deferred payload
-        // `into_bytes` then moves nothing.
-        let capacity = input.len().saturating_sub(arena.long_payload_bytes());
-        let mut w = ReverseWriter::with_capacity(capacity);
-        self.rencode_obj(type_id, input, arena, obj, &mut w);
-        w.into_bytes()
+        // Canonical input re-encodes to exactly its own length, so this
+        // buffer holds the output and every wide store past its end.
+        let mut out = Vec::with_capacity(input.len() + SLACK);
+        self.encode_obj(type_id, input, arena, obj, &mut out);
+        out
     }
 
-    /// Prepends one object's present fields, found by a hasbits scan, last
-    /// field first. Each repeated field goes out with its op match hoisted
-    /// out of the element loop.
-    fn rencode_obj<'a>(
+    /// Appends one object's present fields, found by a hasbits scan, in
+    /// field-number order. Each repeated field goes out with its op match
+    /// hoisted out of the element loop.
+    fn encode_obj(
         &self,
         type_id: MessageId,
-        input: &'a [u8],
+        input: &[u8],
         arena: &DecodeArena,
         obj: u32,
-        w: &mut ReverseWriter<'a>,
+        out: &mut Vec<u8>,
     ) {
         let cm = self.compiled.message(type_id);
-        for entry in cm.present_rev(arena.bytes(obj, cm.object_size as usize)) {
+        for entry in cm.present(arena.bytes(obj, cm.object_size as usize)) {
             let slot = obj + entry.slot_offset;
             if !entry.repeated {
+                put_varint(out, entry.key_encoded);
                 match entry.op {
-                    Op::Bytes => {
-                        let (off, len) = unpack_str(arena.read_u64(slot));
-                        w.prepend_tail(input, off + len, len);
-                        w.prepend_varint(len as u64);
-                    }
-                    Op::Msg => self.rencode_sub(entry, input, arena, arena.read_u64(slot), w),
-                    op => prepend_scalar(op, arena.read_scalar(slot, entry.elem_size as usize), w),
+                    Op::Bytes => put_string(out, input, arena.read_u64(slot)),
+                    Op::Msg => self.encode_sub(entry, input, arena, arena.read_u64(slot), out),
+                    op => put_scalar(op, arena.read_scalar(slot, entry.elem_size as usize), out),
                 }
-                w.prepend_varint(entry.key_encoded);
                 continue;
             }
             let header = arena.read_u64(slot) as u32;
@@ -195,39 +189,49 @@ impl FastCodec {
             let count = arena.read_u64(header + 8) as usize;
             let elems = arena.bytes(data, count * usize::from(entry.elem_size));
             if entry.packed {
-                let before = w.len();
-                prepend_scalars(entry.op, elems, None, w);
-                w.prepend_varint((w.len() - before) as u64);
-                w.prepend_varint(entry.packed_key_encoded);
+                put_varint(out, entry.packed_key_encoded);
+                put_scalars(entry.op, elems, None, out);
                 continue;
             }
             match entry.op {
                 Op::Msg => {
-                    for word in elems.chunks_exact(8).rev() {
-                        self.rencode_sub(entry, input, arena, le::<8>(word), w);
-                        w.prepend_varint(entry.key_encoded);
+                    for word in elems.chunks_exact(8) {
+                        put_varint(out, entry.key_encoded);
+                        self.encode_sub(entry, input, arena, le::<8>(word), out);
                     }
                 }
-                Op::Bytes => prepend_strings(elems, entry.key_encoded, input, w),
-                op => prepend_scalars(op, elems, Some(entry.key_encoded), w),
+                Op::Bytes => {
+                    for word in elems.chunks_exact(8) {
+                        put_varint(out, entry.key_encoded);
+                        put_string(out, input, le::<8>(word));
+                    }
+                }
+                op => put_scalars(op, elems, Some(entry.key_encoded), out),
             }
         }
     }
 
-    /// One sub-message body behind its length prefix (no key); `word` is
-    /// the slot or element word holding the sub-object's offset.
-    fn rencode_sub<'a>(
+    /// One sub-message's length prefix and body (no key). `word` is the
+    /// slot or element word holding the sub-object's offset and its input
+    /// body length, which the prefix is written from; a body that comes out
+    /// another length (non-canonical input) gets its prefix rewritten.
+    fn encode_sub(
         &self,
         entry: &FieldEntry,
-        input: &'a [u8],
+        input: &[u8],
         arena: &DecodeArena,
         word: u64,
-        w: &mut ReverseWriter<'a>,
+        out: &mut Vec<u8>,
     ) {
         let sub = entry.sub.expect("Msg op has a sub type");
-        let before = w.len();
-        self.rencode_obj(sub, input, arena, word as u32, w);
-        w.prepend_varint((w.len() - before) as u64);
+        let (sub_obj, len) = unpack_str(word);
+        let at = out.len();
+        put_varint(out, len as u64);
+        let body = out.len();
+        self.encode_obj(sub, input, arena, sub_obj as u32, out);
+        if out.len() - body != len {
+            fix_prefix(out, at, body);
+        }
     }
 }
 
@@ -253,45 +257,65 @@ fn wire_varint(op: Op, bits: u64) -> u64 {
 }
 
 /// One singular scalar payload from its slot bits.
-fn prepend_scalar(op: Op, bits: u64, w: &mut ReverseWriter) {
+fn put_scalar(op: Op, bits: u64, out: &mut Vec<u8>) {
     match op {
-        Op::Fixed32 => w.prepend_fixed32(bits as u32),
-        Op::Fixed64 => w.prepend_fixed64(bits),
+        Op::Fixed32 => out.extend_from_slice(&(bits as u32).to_le_bytes()),
+        Op::Fixed64 => out.extend_from_slice(&bits.to_le_bytes()),
         Op::Bytes | Op::Msg => unreachable!("length-delimited ops handled by callers"),
-        op => w.prepend_varint(wire_varint(op, bits)),
+        op => put_varint(out, wire_varint(op, bits)),
     }
 }
 
-/// Prepends a repeated scalar field's arena array, last element first:
-/// each element behind `key` for an unpacked field, or bare as a packed
-/// body when `key` is `None`. Each op gets its own element loop.
-fn prepend_scalars(op: Op, elems: &[u8], key: Option<u64>, w: &mut ReverseWriter) {
-    match op {
-        Op::Fixed32 => prepend_fixed::<4>(elems, key, w),
-        Op::Fixed64 => prepend_fixed::<8>(elems, key, w),
-        Op::VarintRaw => prepend_varints::<8>(elems, key, w, |b| b),
-        Op::VarintI32 => prepend_varints::<4>(elems, key, w, |b| wire_varint(Op::VarintI32, b)),
-        Op::VarintU32 => prepend_varints::<4>(elems, key, w, |b| b),
-        Op::VarintBool => prepend_varints::<1>(elems, key, w, |b| b),
-        Op::VarintZig32 => prepend_varints::<4>(elems, key, w, |b| wire_varint(Op::VarintZig32, b)),
-        Op::VarintZig64 => prepend_varints::<8>(elems, key, w, |b| wire_varint(Op::VarintZig64, b)),
-        Op::Bytes | Op::Msg => unreachable!("length-delimited ops handled by callers"),
-    }
-}
-
-/// Varint elements of `N`-byte slots, last first, each behind `key` if
-/// given; `to_wire` maps slot bits to the wire varint.
+/// A string or bytes payload behind its length, from its (offset, len)
+/// word into `input`.
 #[inline(always)]
-fn prepend_varints<const N: usize>(
+fn put_string(out: &mut Vec<u8>, input: &[u8], word: u64) {
+    let (off, len) = unpack_str(word);
+    put_varint(out, len as u64);
+    put_payload(out, input, off, len);
+}
+
+/// Appends a repeated scalar field's arena array: each element behind
+/// `key` for an unpacked field, or, when `key` is `None`, a packed body
+/// behind its length. Each op gets its own element loop.
+fn put_scalars(op: Op, elems: &[u8], key: Option<u64>, out: &mut Vec<u8>) {
+    match op {
+        Op::Fixed32 => put_fixed::<4>(elems, key, out),
+        Op::Fixed64 => put_fixed::<8>(elems, key, out),
+        Op::VarintRaw => put_varints::<8>(elems, key, out, |b| b),
+        Op::VarintI32 => put_varints::<4>(elems, key, out, |b| wire_varint(Op::VarintI32, b)),
+        Op::VarintU32 => put_varints::<4>(elems, key, out, |b| b),
+        Op::VarintBool => put_varints::<1>(elems, key, out, |b| b),
+        Op::VarintZig32 => put_varints::<4>(elems, key, out, |b| wire_varint(Op::VarintZig32, b)),
+        Op::VarintZig64 => put_varints::<8>(elems, key, out, |b| wire_varint(Op::VarintZig64, b)),
+        Op::Bytes | Op::Msg => unreachable!("length-delimited ops handled by callers"),
+    }
+}
+
+/// Varint elements of `N`-byte slots, each behind `key` if given, else as
+/// a packed body behind its length, which one sizing pass finds; `to_wire`
+/// maps slot bits to the wire varint.
+#[inline(always)]
+fn put_varints<const N: usize>(
     elems: &[u8],
     key: Option<u64>,
-    w: &mut ReverseWriter,
+    out: &mut Vec<u8>,
     to_wire: impl Fn(u64) -> u64,
 ) {
-    for elem in elems.chunks_exact(N).rev() {
-        w.prepend_varint(to_wire(le::<N>(elem)));
-        if let Some(key) = key {
-            w.prepend_varint(key);
+    let values = elems.chunks_exact(N).map(|elem| to_wire(le::<N>(elem)));
+    match key {
+        None => {
+            let len: usize = values.clone().map(varint_len).sum();
+            put_varint(out, len as u64);
+            for value in values {
+                put_varint(out, value);
+            }
+        }
+        Some(key) => {
+            for value in values {
+                put_varint(out, key);
+                put_varint(out, value);
+            }
         }
     }
 }
@@ -300,33 +324,29 @@ fn prepend_varints<const N: usize>(
 /// the wire width, so a packed body is the array itself. Unpacked elements
 /// behind a 1-byte key fill one region front to back, key then element.
 #[inline(always)]
-fn prepend_fixed<const N: usize>(elems: &[u8], key: Option<u64>, w: &mut ReverseWriter) {
+fn put_fixed<const N: usize>(elems: &[u8], key: Option<u64>, out: &mut Vec<u8>) {
     match key {
-        None => w.prepend_slice(elems),
+        None => {
+            put_varint(out, elems.len() as u64);
+            out.extend_from_slice(elems);
+        }
         Some(key) if key < 0x80 => {
-            let region = w.prepend_region(elems.len() / N * (N + 1));
-            for (out, elem) in region.chunks_exact_mut(N + 1).zip(elems.chunks_exact(N)) {
-                out[0] = key as u8;
-                out[1..].copy_from_slice(elem);
+            let start = out.len();
+            out.resize(start + elems.len() / N * (N + 1), 0);
+            for (dst, elem) in out[start..]
+                .chunks_exact_mut(N + 1)
+                .zip(elems.chunks_exact(N))
+            {
+                dst[0] = key as u8;
+                dst[1..].copy_from_slice(elem);
             }
         }
         Some(key) => {
-            for elem in elems.chunks_exact(N).rev() {
-                w.prepend_slice(elem);
-                w.prepend_varint(key);
+            for elem in elems.chunks_exact(N) {
+                put_varint(out, key);
+                out.extend_from_slice(elem);
             }
         }
-    }
-}
-
-/// Unpacked string or bytes elements, each an (offset, len) word into
-/// `input`, last first: payload, length, key.
-fn prepend_strings<'a>(elems: &[u8], key: u64, input: &'a [u8], w: &mut ReverseWriter<'a>) {
-    for word in elems.chunks_exact(8).rev() {
-        let (off, len) = unpack_str(le::<8>(word));
-        w.prepend_tail(input, off + len, len);
-        w.prepend_varint(len as u64);
-        w.prepend_varint(key);
     }
 }
 
@@ -391,9 +411,6 @@ impl FastCodec {
         // key, and a hit skips key validation and the table lookup. Unknown
         // keys are never cached.
         let mut last: Option<(u64, &FieldEntry, WireType)> = None;
-        // Bytes of the payloads the encoder will defer, added to the
-        // arena's count when the frame closes.
-        let mut long = 0;
         let mut pos = start;
         while pos < end {
             let key_start = pos;
@@ -468,8 +485,6 @@ impl FastCodec {
                 // behind the same raw key bytes, in one loop for the op.
                 let acc = arena.scratch.accum(base, &mut hint, number);
                 let elems = &mut arena.scratch.accums[acc].elems;
-                let first = elems.len();
-                let run_start = pos;
                 pos = decode_run(
                     entry.op,
                     &full[..end],
@@ -477,22 +492,12 @@ impl FastCodec {
                     Some(&full[key_start..pos]),
                     elems,
                 )?;
-                // Only a run that spans DEFER_MIN bytes can hold a payload
-                // that long, so only such a run pays for a pass over its
-                // words.
-                if pos - run_start >= DEFER_MIN && entry.op == Op::Bytes {
-                    long += elems[first..]
-                        .chunks_exact(8)
-                        .map(|word| long_len(unpack_str(le::<8>(word)).1))
-                        .sum::<usize>();
-                }
                 continue;
             }
             match entry.op {
                 Op::Bytes => {
                     let (payload_off, len) = length_prefix(full, pos, end)?;
                     pos = payload_off + len;
-                    long += long_len(len);
                     arena.write_u64(obj + entry.slot_offset, pack_str(payload_off, len));
                     arena.set_bit(
                         obj + cm.hasbits_offset + entry.hasbit_byte,
@@ -507,7 +512,9 @@ impl FastCodec {
                     // surfaces before the sub-frame's own errors), and a
                     // repeated singular arrival overwrites the slot with the
                     // fresh object: last-one-wins, no merge — both mirroring
-                    // crates/cpu.
+                    // crates/cpu. The slot or element word keeps the body's
+                    // input length above the object offset, for the encoder
+                    // to write the length prefix from.
                     let sub_obj = arena.alloc_object(cs.message(sub))?;
                     self.frame(
                         arena,
@@ -518,13 +525,14 @@ impl FastCodec {
                         sub_obj,
                         depth + 1,
                     )?;
+                    let word = pack_str(sub_obj as usize, len);
                     if entry.repeated {
                         let acc = arena.scratch.accum(base, &mut hint, number);
                         arena.scratch.accums[acc]
                             .elems
-                            .extend_from_slice(&u64::from(sub_obj).to_le_bytes());
+                            .extend_from_slice(&word.to_le_bytes());
                     } else {
-                        arena.write_u64(obj + entry.slot_offset, u64::from(sub_obj));
+                        arena.write_u64(obj + entry.slot_offset, word);
                         arena.set_bit(
                             obj + cm.hasbits_offset + entry.hasbit_byte,
                             entry.hasbit_mask,
@@ -559,7 +567,6 @@ impl FastCodec {
             );
         }
         arena.scratch.accums.truncate(base);
-        arena.long_payload += long;
         Ok(())
     }
 }
@@ -669,13 +676,6 @@ fn varint_element(clamped: &[u8], pos: usize, op: Op) -> Result<(u64, usize), Ru
 fn bytes_element(clamped: &[u8], pos: usize) -> Result<(u64, usize), RuntimeError> {
     let (payload_off, len) = length_prefix(clamped, pos, clamped.len())?;
     Ok((pack_str(payload_off, len), payload_off + len - pos))
-}
-
-/// `len` if the encoder defers a payload that long, else 0, without a
-/// branch: a long payload is rare and would mispredict.
-#[inline(always)]
-fn long_len(len: usize) -> usize {
-    len & 0usize.wrapping_sub(usize::from(len >= DEFER_MIN))
 }
 
 /// Decodes a run of one repeated scalar, string or bytes field into

@@ -170,7 +170,7 @@ pub struct CompiledMessage {
     pub min_field: u32,
     /// Defined field numbers in ascending order (the value-tree conversion
     /// and the verifier walk these; the serializer scans hasbits instead,
-    /// see [`CompiledMessage::present_rev`]).
+    /// see [`CompiledMessage::present`]).
     pub numbers: Vec<u32>,
     table: TableImage,
 }
@@ -191,28 +191,28 @@ impl CompiledMessage {
     }
 
     /// The fields whose hasbits are set in `object` (one object's bytes,
-    /// `object_size` long), in descending field-number order: the order the
-    /// reverse serializer emits them in.
+    /// `object_size` long), in ascending field-number order: the order the
+    /// serializer emits them in.
     ///
-    /// A dense table scans the hasbits words from the top with
-    /// `leading_zeros`, the software form of the serializer frontend's
+    /// A dense table scans the hasbits words from the bottom with
+    /// `trailing_zeros`, the software form of the serializer frontend's
     /// sparse-hasbits scan (Section 4.5.3): bit `i` is field
     /// `min_field + i` and table index `i`, so absent fields cost nothing.
-    /// A sparse table walks its sorted entries backwards and tests each
-    /// entry's own hasbit.
+    /// A sparse table walks its sorted entries and tests each entry's own
+    /// hasbit.
     #[inline]
-    pub fn present_rev<'a>(&'a self, object: &'a [u8]) -> PresentRev<'a> {
+    pub fn present<'a>(&'a self, object: &'a [u8]) -> Present<'a> {
         let hasbits = &object[self.hasbits_offset as usize..];
         match &self.table {
-            TableImage::Dense(table) => PresentRev(Scan::Dense {
+            TableImage::Dense(table) => Present(Scan::Dense {
                 table,
                 hasbits,
                 word: 0,
                 base: 0,
-                words_left: table.len().div_ceil(64),
+                next: 0,
             }),
-            TableImage::Sparse(entries) => PresentRev(Scan::Sparse {
-                entries: entries.iter().rev(),
+            TableImage::Sparse(entries) => Present(Scan::Sparse {
+                entries: entries.iter(),
                 hasbits,
             }),
         }
@@ -220,7 +220,7 @@ impl CompiledMessage {
 
     /// Clears the hasbits that decode sets and readers test in `object` (one
     /// object's bytes, `object_size` long): for a dense table, the hasbits
-    /// words [`present_rev`](Self::present_rev) scans; for a sparse one,
+    /// words [`present`](Self::present) scans; for a sparse one,
     /// only each entry's own hasbit byte, since its array spans the whole
     /// field-number range.
     ///
@@ -294,30 +294,30 @@ impl CompiledMessage {
     }
 }
 
-/// Iterator over one object's present fields, last first; see
-/// [`CompiledMessage::present_rev`].
-pub struct PresentRev<'a>(Scan<'a>);
+/// Iterator over one object's present fields in field-number order; see
+/// [`CompiledMessage::present`].
+pub struct Present<'a>(Scan<'a>);
 
 enum Scan<'a> {
     /// Hasbits scan over a dense table. `hasbits` runs from the object's
     /// hasbits array to its end; `word` holds the current word's unvisited
-    /// bits, `base` the hasbit position of its bit 0, and `words_left` the
-    /// words below it still to load.
+    /// bits, `base` the hasbit position of its bit 0, and `next` the index
+    /// of the next word to load.
     Dense {
         table: &'a [Option<FieldEntry>],
         hasbits: &'a [u8],
         word: u64,
         base: usize,
-        words_left: usize,
+        next: usize,
     },
-    /// Reverse walk over a sparse table's sorted entries.
+    /// Walk over a sparse table's sorted entries.
     Sparse {
-        entries: std::iter::Rev<std::slice::Iter<'a, FieldEntry>>,
+        entries: std::slice::Iter<'a, FieldEntry>,
         hasbits: &'a [u8],
     },
 }
 
-impl<'a> Iterator for PresentRev<'a> {
+impl<'a> Iterator for Present<'a> {
     type Item = &'a FieldEntry;
 
     #[inline]
@@ -328,22 +328,22 @@ impl<'a> Iterator for PresentRev<'a> {
                 hasbits,
                 word,
                 base,
-                words_left,
+                next,
             } => loop {
                 while *word != 0 {
-                    let bit = 63 - word.leading_zeros() as usize;
-                    *word ^= 1 << bit;
+                    let bit = word.trailing_zeros() as usize;
+                    *word &= *word - 1;
                     // Decode sets bits of defined fields only; a bit on a
                     // hole or in the padding names no field.
                     if let Some(Some(entry)) = table.get(*base + bit) {
                         return Some(entry);
                     }
                 }
-                if *words_left == 0 {
+                if *next == table.len().div_ceil(64) {
                     return None;
                 }
-                *words_left -= 1;
-                *base = *words_left * 64;
+                *base = *next * 64;
+                *next += 1;
                 let at = *base / 8;
                 *word = u64::from_le_bytes(hasbits[at..at + 8].try_into().expect("8 bytes"));
             },
@@ -652,18 +652,18 @@ mod tests {
     }
 
     /// Sets the hasbits of `present` in a zeroed object of `cm` and returns
-    /// what `present_rev` reports for it.
+    /// what [`CompiledMessage::present`] reports for it.
     fn scan(cm: &CompiledMessage, present: &[u32]) -> Vec<u32> {
         let mut object = vec![0u8; cm.object_size as usize];
         for &n in present {
             let e = cm.entry(n).unwrap();
             object[(cm.hasbits_offset + e.hasbit_byte) as usize] |= e.hasbit_mask;
         }
-        cm.present_rev(&object).map(|e| e.number).collect()
+        cm.present(&object).map(|e| e.number).collect()
     }
 
     #[test]
-    fn present_rev_scans_hasbit_words_from_the_top() {
+    fn present_scans_hasbit_words_from_the_bottom() {
         let mut b = SchemaBuilder::new();
         let root = b.declare("Words");
         for n in [1u32, 63, 64, 65, 128, 129, 200] {
@@ -675,12 +675,13 @@ mod tests {
         assert_eq!(cm.table_kind(), TableKind::Dense);
         assert_eq!(scan(cm, &[]), Vec::<u32>::new());
         assert_eq!(
-            scan(cm, &[1, 63, 64, 65, 128, 129, 200]),
-            [200, 129, 128, 65, 64, 63, 1]
+            scan(cm, &[200, 129, 128, 65, 64, 63, 1]),
+            [1, 63, 64, 65, 128, 129, 200]
         );
         // Bits 63 and 64 sit on either side of the first word boundary.
-        assert_eq!(scan(cm, &[64, 65]), [65, 64]);
-        assert_eq!(scan(cm, &[1, 200]), [200, 1]);
+        assert_eq!(scan(cm, &[65, 64]), [64, 65]);
+        assert_eq!(scan(cm, &[200, 1]), [1, 200]);
+        assert_eq!(scan(cm, &[200]), [200]);
     }
 
     /// On an object full of stale bits, `clear_hasbits` leaves no field
@@ -707,7 +708,7 @@ mod tests {
             let cm = cs.message(cs.schema().iter().next().unwrap().0);
             let mut object = vec![0xffu8; cm.object_size as usize];
             cm.clear_hasbits(&mut object);
-            assert_eq!(cm.present_rev(&object).count(), 0);
+            assert_eq!(cm.present(&object).count(), 0);
             let hasbits = &object[cm.hasbits_offset as usize..];
             assert_eq!(hasbits.iter().filter(|&&b| b == 0).count(), *zeroed);
             assert!(object[..cm.hasbits_offset as usize]
@@ -717,12 +718,12 @@ mod tests {
     }
 
     #[test]
-    fn present_rev_walks_sparse_entries_backwards() {
+    fn present_walks_sparse_entries_in_order() {
         let cs = compile_span(1, DENSE_SPAN_LIMIT + 1);
         let cm = cs.message(cs.schema().iter().next().unwrap().0);
         assert_eq!(cm.table_kind(), TableKind::Sparse);
         let hi = u32::try_from(DENSE_SPAN_LIMIT).unwrap() + 1;
-        assert_eq!(scan(cm, &[1, hi]), [hi, 1]);
+        assert_eq!(scan(cm, &[hi, 1]), [1, hi]);
         assert_eq!(scan(cm, &[hi]), [hi]);
         assert_eq!(scan(cm, &[1]), [1]);
         assert_eq!(scan(cm, &[]), Vec::<u32>::new());

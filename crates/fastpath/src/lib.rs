@@ -11,11 +11,15 @@
 //! * **Precompiled branchless dispatch** ([`dispatch`]): per-schema tables
 //!   mapping field number → flat decode micro-op, the software analogue of
 //!   the accelerator's field-number→FSM-state descriptor lookup.
-//! * **Arena decode + reverse-order serialization** ([`arena`],
-//!   [`reverse`]): decoded objects bump-allocated in the exact ADT layouts
-//!   the simulator uses, strings borrowed zero-copy from the input, and
-//!   serialization running back-to-front so nested length prefixes need no
-//!   ByteSize pass (the memwriter trick).
+//! * **Arena decode + forward serialization** ([`arena`], `forward`):
+//!   decoded objects bump-allocated in the exact ADT layouts the simulator
+//!   uses, strings borrowed zero-copy from the input, and each
+//!   sub-message's input body length kept beside its object offset.
+//!   Re-encoding writes front to back into one buffer sized from the
+//!   input, each length prefix from that recorded length, so nested frames
+//!   need neither a ByteSize pass nor the memwriter's back-to-front order;
+//!   a prefix is rewritten only when non-canonical input changes a body's
+//!   length.
 //!
 //! [`FastCodec`] ties these together behind a `Codec`-shaped API and is held
 //! to `crates/cpu`'s exact observable semantics by the differential suite:
@@ -25,7 +29,7 @@
 pub mod arena;
 pub mod codec;
 pub mod dispatch;
-pub mod reverse;
+mod forward;
 pub mod swar;
 
 pub use arena::{pack_str, unpack_str, DecodeArena};
@@ -34,4 +38,3 @@ pub use dispatch::{
     encoded_key, CompiledMessage, CompiledSchema, FieldEntry, Op, TableImage, TableKind,
     DENSE_SPAN_LIMIT,
 };
-pub use reverse::ReverseWriter;

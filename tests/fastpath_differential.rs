@@ -13,7 +13,6 @@ mod common;
 
 use common::{load, load_binpb, root_of};
 use protoacc_suite::accel::DecodeFault;
-use protoacc_suite::fastpath::reverse::DEFER_MIN;
 use protoacc_suite::fastpath::{swar, DecodeArena, FastCodec, TableKind};
 use protoacc_suite::faults::{depth_bomb, mutate, DiffReport, FastpathHarness, Verdict};
 use protoacc_suite::hyperbench::{generate_suite, populate::populate_messages, ServiceProfile};
@@ -931,13 +930,12 @@ fn long_text(len: usize, seed: usize) -> String {
         .collect()
 }
 
-/// Payloads below, at and above `DEFER_MIN` (the encoder's deferral
-/// threshold) at depth 0, 1 and 2, and repeated long strings, some
-/// adjacent: every message decodes value-identically and re-encodes
-/// byte-identically to `reference::encode`, and the decoder counts exactly
-/// the payloads the encoder defers.
+/// Payloads below, at and above 8 KiB at depth 0, 1 and 2, and repeated
+/// long strings, some adjacent: every message decodes value-identically
+/// and re-encodes byte-identically to `reference::encode`.
 #[test]
 fn long_payloads_encode_byte_identically_at_every_depth() {
+    const LONG: usize = 8 * 1024;
     let schema = parse_proto(
         "message Leaf { optional bytes blob = 1; repeated string notes = 2; optional uint32 n = 3; }
          message Mid { optional Leaf leaf = 1; repeated Leaf leaves = 2; optional bytes blob = 3;
@@ -955,8 +953,7 @@ fn long_payloads_encode_byte_identically_at_every_depth() {
             .map(|(i, &len)| Value::Str(long_text(len, i)))
             .collect()
     };
-    let long = |lens: &[usize]| lens.iter().filter(|&&len| len >= DEFER_MIN).sum::<usize>();
-    let (below, at, above) = (DEFER_MIN - 1, DEFER_MIN, DEFER_MIN + 1);
+    let (below, at, above) = (LONG - 1, LONG, LONG + 1);
     let leaf_of = |blob_len: usize, note_lens: &[usize]| {
         let mut m = MessageValue::new(leaf);
         m.set_unchecked(1, blob(blob_len, 1));
@@ -975,29 +972,29 @@ fn long_payloads_encode_byte_identically_at_every_depth() {
         }
         m
     };
-    let mut cases: Vec<(String, MessageValue, usize)> = Vec::new();
-    for len in [below, at, above, 3 * DEFER_MIN] {
+    let mut cases: Vec<(String, MessageValue)> = Vec::new();
+    for len in [below, at, above, 3 * LONG] {
         let mut depth0 = MessageValue::new(top);
         depth0.set_unchecked(1, blob(len, 0));
         depth0.set_unchecked(4, Value::Str("name".into()));
-        cases.push((format!("depth 0, {len} B"), depth0, long(&[len])));
+        cases.push((format!("depth 0, {len} B"), depth0));
         let mut depth1 = MessageValue::new(top);
         depth1.set_unchecked(2, Value::Message(mid_of(len, None)));
-        cases.push((format!("depth 1, {len} B"), depth1, long(&[len])));
+        cases.push((format!("depth 1, {len} B"), depth1));
         let mut depth2 = MessageValue::new(top);
         let leaf = leaf_of(len, &[]);
         depth2.set_unchecked(2, Value::Message(mid_of(3, Some(leaf))));
-        cases.push((format!("depth 2, {len} B"), depth2, long(&[len])));
+        cases.push((format!("depth 2, {len} B"), depth2));
     }
-    let runs = [at, 12, above, 2 * DEFER_MIN, below, 0, at];
+    let runs = [at, 12, above, 2 * LONG, below, 0, at];
     let mut repeated = MessageValue::new(top);
     repeated.set_repeated(3, notes(&runs));
-    cases.push(("repeated long strings".into(), repeated, long(&runs)));
+    cases.push(("repeated long strings".into(), repeated));
     let mut everywhere = MessageValue::new(top);
     everywhere.set_unchecked(1, blob(above, 3));
     everywhere.set_repeated(3, notes(&runs));
     let deep = leaf_of(at, &[above, above, 40]);
-    everywhere.set_unchecked(2, Value::Message(mid_of(2 * DEFER_MIN, Some(deep))));
+    everywhere.set_unchecked(2, Value::Message(mid_of(2 * LONG, Some(deep))));
     everywhere.set_repeated(
         5,
         vec![
@@ -1005,16 +1002,126 @@ fn long_payloads_encode_byte_identically_at_every_depth() {
             Value::Message(mid_of(at, None)),
         ],
     );
-    let expected = long(&[above, 2 * DEFER_MIN, at, above, above, above, at, at]) + long(&runs);
-    cases.push(("long payloads at every depth".into(), everywhere, expected));
-    for (label, message, long_bytes) in &cases {
+    cases.push(("long payloads at every depth".into(), everywhere));
+    for (label, message) in &cases {
         check_message(label, &schema, top, message);
-        let wire = reference::encode(message, &schema).unwrap();
-        let mut arena = DecodeArena::new();
-        FastCodec::new(&schema)
-            .decode(top, &wire, &mut arena)
-            .unwrap();
-        assert_eq!(arena.long_payload_bytes(), *long_bytes, "{label}");
+    }
+}
+
+/// Both engines accept `wire`, which is not canonical: the fast path's
+/// tree equals the reference decoder's, and its re-encode equals the
+/// reference encoding of that tree and differs from `wire`.
+#[track_caller]
+fn check_re_encode(label: &str, h: &mut FastpathHarness, schema: &Schema, wire: &[u8]) {
+    let (fast, cpu) = h.verdicts(wire);
+    assert!(
+        fast.is_accept() && cpu.is_accept(),
+        "{label}: {fast:?} / {cpu:?}"
+    );
+    let codec = h.codec();
+    let mut arena = DecodeArena::new();
+    let type_id = root_of(schema);
+    let obj = codec.decode(type_id, wire, &mut arena).unwrap();
+    let back = codec.to_value(type_id, wire, &arena, obj);
+    let oracle = reference::decode(wire, type_id, schema).expect("reference decodes");
+    assert!(back.bits_eq(&oracle), "{label}: fastpath tree differs");
+    let expected = reference::encode(&oracle, schema).unwrap();
+    assert_ne!(expected, wire, "{label}: the input must not be canonical");
+    assert_eq!(
+        codec.encode_decoded(type_id, wire, &arena, obj),
+        expected,
+        "{label}: arena re-serialization differs"
+    );
+}
+
+/// Sub-message bodies that re-encode to another length, so the prefix the
+/// encoder writes from the decoded length must be rewritten: one case per
+/// rule (an unknown field dropped, a singular field sent twice, an
+/// overlong varint, a 5-byte negative int32, an unpacked arrival of a
+/// packed field), in singular and repeated sub-messages at depth 1 and 2,
+/// at body lengths whose prefix keeps its width and whose prefix crosses
+/// 127/128 and 16383/16384 either way.
+#[test]
+fn non_canonical_sub_messages_re_encode_like_the_reference() {
+    let schema = parse_proto(
+        "message Leaf { optional uint32 n = 1; optional int32 i = 2; optional string s = 3;
+                        repeated uint32 p = 4 [packed = true]; optional uint32 m = 5; }
+         message Mid { optional Leaf leaf = 1; repeated Leaf leaves = 2; optional string s = 3; }
+         message Top { optional Mid mid = 1; repeated Mid mids = 2; optional Leaf leaf = 3;
+                       repeated Leaf leaves = 4; }",
+    )
+    .unwrap();
+    let mut h = FastpathHarness::new(&schema, root_of(&schema));
+    // Each rule's Leaf bytes and the bytes its re-encode gains or loses.
+    let unknown = {
+        let mut piece = Vec::new();
+        put_varint_field(&mut piece, 99, 7);
+        piece
+    };
+    let rules: [(&str, Vec<u8>); 5] = [
+        ("unknown field", unknown),
+        ("singular sent twice", vec![0x08, 0x01, 0x08, 0x02]),
+        ("overlong varint", vec![0x08, 0x85, 0x80, 0x80, 0x00]),
+        (
+            "5-byte negative int32",
+            vec![0x10, 0xff, 0xff, 0xff, 0xff, 0x0f],
+        ),
+        (
+            "unpacked packed field",
+            vec![0x20, 0x01, 0x20, 0x02, 0x20, 0x03],
+        ),
+    ];
+    let canonical = [0x08, 0x07, 0x1a, 0x02, b'o', b'k'];
+    // A Leaf body of exactly `target` bytes: the rule's bytes, then a
+    // string and, where no string length fits, a 2-byte scalar.
+    let leaf_body = |piece: &[u8], target: usize| {
+        let fixed = piece.len() + 1;
+        (target.saturating_sub(fixed + 5)..target.saturating_sub(fixed)).find_map(|pad| {
+            let mut body = piece.to_vec();
+            put_ld_field(&mut body, 3, long_text(pad, target).as_bytes());
+            if body.len() + 2 == target {
+                put_varint_field(&mut body, 5, 1);
+            }
+            (body.len() == target).then_some(body)
+        })
+    };
+    let targets = (0..24).chain(123..=130).chain(16_379..=16_386);
+    for (rule, piece) in &rules {
+        for target in targets.clone() {
+            if target < piece.len() + 2 {
+                continue;
+            }
+            let body = leaf_body(piece, target).expect("a body of every longer length");
+            let label = |shape: &str| format!("{rule}, {target} B body, {shape}");
+            let mut wire = Vec::new();
+            put_ld_field(&mut wire, 3, &body);
+            check_re_encode(&label("depth 1 singular"), &mut h, &schema, &wire);
+            let mut wire = Vec::new();
+            for leaf in [&body[..], &canonical, &body] {
+                put_ld_field(&mut wire, 4, leaf);
+            }
+            check_re_encode(&label("depth 1 repeated"), &mut h, &schema, &wire);
+            let mut mid = Vec::new();
+            put_ld_field(&mut mid, 1, &body);
+            put_ld_field(&mut mid, 3, b"mid");
+            let mut wire = Vec::new();
+            put_ld_field(&mut wire, 1, &mid);
+            check_re_encode(&label("depth 2 singular"), &mut h, &schema, &wire);
+            let mut twice = Vec::new();
+            put_ld_field(&mut twice, 1, &canonical);
+            put_ld_field(&mut twice, 1, &body);
+            let mut wire = Vec::new();
+            put_ld_field(&mut wire, 1, &twice);
+            check_re_encode(&label("depth 2, sent twice"), &mut h, &schema, &wire);
+            let mut mids = Vec::new();
+            for leaf in [&body[..], &canonical, &body] {
+                put_ld_field(&mut mids, 2, leaf);
+            }
+            let mut wire = Vec::new();
+            put_ld_field(&mut wire, 2, &mids);
+            put_ld_field(&mut wire, 2, &mid);
+            check_re_encode(&label("depth 2 repeated"), &mut h, &schema, &wire);
+        }
     }
 }
 
