@@ -70,10 +70,13 @@
 #                           drives FrameDecoder) and sim-sharded (the one
 #                           workload on LLC-sliced memory, whose 2-worker
 #                           run must match its 1-worker run), and a
-#                           1-second --trace 1 run of host-small and of
+#                           1-second --trace 1 run of host-small, of
 #                           host-blob (the traced host paths the per-layer
 #                           numbers come from, host-blob's through the
-#                           encoder's long payloads); each
+#                           encoder's long payloads) and of sim-rpc-2x
+#                           (the traced RpcServer path: tracing must not
+#                           change its fingerprint, and its trace must pass
+#                           the audit); each
 #                           run's correctness gate (host byte identity, RPC
 #                           framing and accounting, sharded equivalence)
 #                           exits nonzero on any divergence
@@ -172,7 +175,7 @@ for workload in host-small host-blob sim-rpc-2x sim-sharded; do
     cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
 done
-for workload in host-small host-blob; do
+for workload in host-small host-blob sim-rpc-2x; do
     cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 1 > /dev/null
 done

@@ -50,7 +50,7 @@ pub mod from_trace;
 
 use std::collections::HashMap;
 
-use protoacc::{AccelConfig, CommandRecord};
+use protoacc::{AccelConfig, CommandRecord, CommandStatus, FALLBACK_INSTANCE};
 use protoacc_mem::{Cycles, MemConfig, BUS_WIDTH_BYTES, PAGE_SIZE};
 use protoacc_runtime::{AdtLayout, MessageLayouts};
 use protoacc_schema::{FieldType, MessageId, Schema};
@@ -800,7 +800,9 @@ pub struct CommandFootprint {
 /// Checks happens-before on the command lifecycle: per-command ordering
 /// (`enqueue ≤ dispatch`, `complete = dispatch + service`), per-instance
 /// serialization (an instance never runs two commands at once, in seq
-/// order), sharers sanity, and offered/completed/dropped accounting.
+/// order), sharers sanity, and offered/completed/dropped accounting. A
+/// shed, fallback or failed record ran on no instance and carries
+/// [`FALLBACK_INSTANCE`]; only an `Ok` record must name a real instance.
 #[must_use]
 pub fn check_lifecycle(
     records: &[CommandRecord],
@@ -830,7 +832,8 @@ pub fn check_lifecycle(
         if !seen.insert(r.seq) {
             push(Some(r.seq), format!("duplicate sequence number {}", r.seq));
         }
-        if r.instance >= instances {
+        let off_accel = r.instance == FALLBACK_INSTANCE && r.status != CommandStatus::Ok;
+        if r.instance >= instances && !off_accel {
             push(
                 Some(r.seq),
                 format!(
@@ -1136,7 +1139,7 @@ mod tests {
             wire_bytes: 64,
             deser: true,
             sharers: 1,
-            status: protoacc::CommandStatus::Ok,
+            status: CommandStatus::Ok,
             attempts: 1,
         }
     }
@@ -1149,6 +1152,22 @@ mod tests {
             record(2, 0, 50, 100, 60),
         ];
         assert!(check_lifecycle(&records, 2, 3, 0).is_empty());
+    }
+
+    #[test]
+    fn lifecycle_accepts_the_sentinel_only_off_the_accelerators() {
+        let shed = CommandRecord {
+            status: CommandStatus::Shed,
+            ..record(1, FALLBACK_INSTANCE, 5, 5, 1)
+        };
+        let records = [record(0, 0, 0, 0, 100), shed];
+        assert!(check_lifecycle(&records, 1, 2, 0).is_empty());
+        let served = [
+            record(0, 0, 0, 0, 100),
+            record(1, FALLBACK_INSTANCE, 5, 5, 1),
+        ];
+        let findings = check_lifecycle(&served, 1, 2, 0);
+        assert!(findings.iter().any(|f| f.detail.contains("out of range")));
     }
 
     #[test]

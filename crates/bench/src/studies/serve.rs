@@ -263,9 +263,8 @@ fn to_requests_watchdogged(
 /// however many faults are armed in it.
 ///
 /// Note the records of a faulted run are *not* fed to the absint lifecycle
-/// sanitizer: commands that degraded to the CPU carry the
-/// `FALLBACK_INSTANCE` sentinel and retried commands legitimately overlap
-/// their own earlier attempts, so the sanitizer checks nominal runs only.
+/// sanitizer: retried commands legitimately overlap their own earlier
+/// attempts, so the sanitizer checks nominal runs only.
 fn run_faulted(
     mix: &TrafficMix,
     events: &[TrafficEvent],

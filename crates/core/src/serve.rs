@@ -203,9 +203,10 @@ pub struct Request {
 }
 
 /// Per-command accounting: the three queue timestamps plus attribution.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandRecord {
-    /// Position in the offered stream (drops keep their slots).
+    /// Position in the offered stream across every run (drops keep their
+    /// slots).
     pub seq: usize,
     /// Arrival at the command queue.
     pub enqueue: Cycles,
@@ -392,6 +393,9 @@ pub struct ServeCluster {
     records: Vec<CommandRecord>,
     offered: u64,
     dropped: u64,
+    /// Dispatch times of commands still queued at `latest_arrival` (min-heap).
+    pending: BinaryHeap<Reverse<Cycles>>,
+    latest_arrival: Cycles,
     /// Retryable faults absorbed per instance (quarantine counter).
     fault_counts: Vec<u32>,
     /// Consecutive successful completions per instance since its last
@@ -437,6 +441,8 @@ impl ServeCluster {
             records: Vec::new(),
             offered: 0,
             dropped: 0,
+            pending: BinaryHeap::new(),
+            latest_arrival: 0,
             fault_counts: vec![0; config.instances],
             ok_streaks: vec![0; config.instances],
             shed: 0,
@@ -505,6 +511,11 @@ impl ServeCluster {
     ///    virtual CPU server: slower, but still a served response);
     /// 4. only with no fallback does a command end [`CommandStatus::Failed`].
     ///
+    /// Repeated calls form one run: sequence numbers and the queue carry
+    /// over. Arrivals must be sorted within a call, not across calls;
+    /// commands are served in offer order, and queue occupancy is counted
+    /// at the latest arrival offered so far.
+    ///
     /// # Errors
     ///
     /// Reserved for driver-level failures; decode and hardware faults are
@@ -520,19 +531,19 @@ impl ServeCluster {
         if let Some(t) = &self.tracer {
             mem.system.set_event_tracer(Some(t.clone()));
         }
-        // Dispatch times of admitted-but-not-yet-dispatched commands, as a
-        // min-heap so occupancy at any arrival time is cheap to maintain.
-        let mut pending: BinaryHeap<Reverse<Cycles>> = BinaryHeap::new();
         let mut last_arrival = 0;
-        for (seq, req) in requests.iter().enumerate() {
+        for req in requests {
             assert!(
                 req.arrival >= last_arrival,
                 "requests must be sorted by arrival"
             );
             last_arrival = req.arrival;
+            let seq = self.offered as usize;
             self.offered += 1;
-            while pending.peek().is_some_and(|Reverse(d)| *d <= req.arrival) {
-                pending.pop();
+            let clock = self.latest_arrival.max(req.arrival);
+            self.latest_arrival = clock;
+            while self.pending.peek().is_some_and(|Reverse(d)| *d <= clock) {
+                self.pending.pop();
             }
             // Admission control runs before enqueue: a doomed request is
             // shed immediately instead of consuming a queue slot.
@@ -540,7 +551,7 @@ impl ServeCluster {
             let record = if let Some(rec) = shed {
                 rec
             } else {
-                if pending.len() >= self.config.queue_depth {
+                if self.pending.len() >= self.config.queue_depth {
                     self.dropped += 1;
                     if self.tracer.is_some() {
                         self.emit(protoacc_trace::TraceEvent::CmdDrop {
@@ -587,7 +598,7 @@ impl ServeCluster {
                     attempts += 1;
                     let dispatch = now.max(self.busy_until[instance]);
                     if attempts == 1 {
-                        pending.push(Reverse(dispatch));
+                        self.pending.push(Reverse(dispatch));
                     }
                     if self.tracer.is_some() {
                         self.emit(protoacc_trace::TraceEvent::CmdDispatch {

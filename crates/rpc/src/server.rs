@@ -4,7 +4,10 @@
 //! Incoming connection bytes flow through each connection's
 //! [`FrameDecoder`]; every complete frame yields an [`RpcHeader`] that is
 //! resolved against the method table into a concrete accelerator
-//! [`Request`]. Three robustness mechanisms compose on that path, in order:
+//! [`Request`], offered to the cluster at once. The cluster's queue and
+//! sequence numbers persist across requests, so a whole schedule is one
+//! continuous cluster run under either dispatch policy. Three robustness
+//! mechanisms compose on that path, in order:
 //!
 //! 1. **Framing totality** — a malformed frame (reserved flag, oversized
 //!    or truncated length) is a typed [`FrameError`] that kills only its
@@ -14,7 +17,9 @@
 //!    `window` requests in flight. A frame arriving with the window
 //!    exhausted is *deferred*: its effective arrival becomes the completion
 //!    time of the oldest outstanding request (the moment a credit frees).
-//!    This bounds per-connection queue pressure without dropping anything.
+//!    This bounds per-connection pressure without dropping anything; across
+//!    connections, the cluster's `queue_depth` bounds the backlog and drops
+//!    what overflows it ([`ServeCluster::dropped`]).
 //! 3. **Admission control** — the method table carries each method's
 //!    abstract-interpretation cost ceiling
 //!    ([`Envelope::service_bounds`]`.upper`), and the frame header carries
@@ -30,7 +35,7 @@
 //! stats.
 
 use protoacc::serve::{Request, RequestOp, ServeCluster, ServeConfig};
-use protoacc::{AccelError, DispatchPolicy};
+use protoacc::AccelError;
 use protoacc_absint::Envelope;
 use protoacc_mem::{Cycles, Memory};
 use protoacc_trace::{SharedTracer, TraceEvent};
@@ -120,8 +125,6 @@ pub struct RpcStats {
     pub frame_errors: u64,
     /// Frames whose payload carried a malformed or unroutable header.
     pub header_errors: u64,
-    /// Requests offered to the cluster.
-    pub admitted: u64,
     /// Requests whose arrival was pushed back by credit-window exhaustion.
     pub deferred: u64,
 }
@@ -156,9 +159,16 @@ pub struct RpcServer {
     stats: RpcStats,
 }
 
-fn emit(tracer: &Option<SharedTracer>, event: TraceEvent) {
+/// Traces one frame-plane event: `len` bytes on `conn` decoded (`ok`) or
+/// refused at `at`.
+fn frame_decode(tracer: &Option<SharedTracer>, conn: usize, at: Cycles, len: usize, ok: bool) {
     if let Some(t) = tracer {
-        t.borrow_mut().record(event);
+        t.borrow_mut().record(TraceEvent::FrameDecode {
+            conn,
+            at,
+            len: len as u64,
+            ok,
+        });
     }
 }
 
@@ -169,10 +179,7 @@ impl RpcServer {
     ///
     /// # Panics
     ///
-    /// On a zero-credit window, or on [`DispatchPolicy::RoundRobin`]: the
-    /// server runs every request as its own one-request cluster run, whose
-    /// sequence number is always 0, so round-robin would bind every
-    /// request to instance 0.
+    /// On a zero-credit window.
     #[must_use]
     pub fn new(
         serve: ServeConfig,
@@ -182,11 +189,6 @@ impl RpcServer {
         arena_stride: u64,
     ) -> Self {
         assert!(rpc.window > 0, "a zero-credit window admits nothing");
-        assert!(
-            serve.policy != DispatchPolicy::RoundRobin,
-            "RpcServer runs each request as its own one-request cluster run, so round-robin \
-             would bind every request to instance 0; use DispatchPolicy::Fifo"
-        );
         RpcServer {
             cluster: ServeCluster::new(serve, arena_base, arena_stride),
             methods,
@@ -247,15 +249,7 @@ impl RpcServer {
         }
         if self.conns[f.conn].dead {
             self.stats.frame_errors += 1;
-            emit(
-                &self.tracer,
-                TraceEvent::FrameDecode {
-                    conn: f.conn,
-                    at: f.arrival,
-                    len: f.bytes.len() as u64,
-                    ok: false,
-                },
-            );
+            frame_decode(&self.tracer, f.conn, f.arrival, f.bytes.len(), false);
             return Ok(());
         }
         self.conns[f.conn].decoder.push(&f.bytes);
@@ -265,28 +259,12 @@ impl RpcServer {
                 Err(_) => {
                     self.conns[f.conn].dead = true;
                     self.stats.frame_errors += 1;
-                    emit(
-                        &self.tracer,
-                        TraceEvent::FrameDecode {
-                            conn: f.conn,
-                            at: f.arrival,
-                            len: f.bytes.len() as u64,
-                            ok: false,
-                        },
-                    );
+                    frame_decode(&self.tracer, f.conn, f.arrival, f.bytes.len(), false);
                     break;
                 }
                 Ok(Some(frame)) => {
                     self.stats.frames += 1;
-                    emit(
-                        &self.tracer,
-                        TraceEvent::FrameDecode {
-                            conn: f.conn,
-                            at: f.arrival,
-                            len: frame.payload.len() as u64,
-                            ok: true,
-                        },
-                    );
+                    frame_decode(&self.tracer, f.conn, f.arrival, frame.payload.len(), true);
                     let Ok((header, _)) = RpcHeader::decode(&frame.payload) else {
                         self.stats.header_errors += 1;
                         continue;
@@ -344,12 +322,8 @@ impl RpcServer {
         };
         let before = self.cluster.records().len();
         self.cluster.run(mem, std::slice::from_ref(&request))?;
-        self.stats.admitted += 1;
-        // The request's credit stays consumed until its completion time.
-        // Each request is its own one-request cluster run, so the cluster's
-        // queue starts empty every time and its `queue_depth` never drops
-        // anything: the credit window (connections x window) is the only
-        // bound on the backlog.
+        // The request's credit stays consumed until its completion time; a
+        // request the cluster's full queue dropped frees it at once.
         let completion = self
             .cluster
             .records()
@@ -366,15 +340,7 @@ impl RpcServer {
             if !state.dead && state.decoder.finish().is_err() {
                 state.dead = true;
                 self.stats.frame_errors += 1;
-                emit(
-                    &self.tracer,
-                    TraceEvent::FrameDecode {
-                        conn,
-                        at: 0,
-                        len: state.decoder.buffered() as u64,
-                        ok: false,
-                    },
-                );
+                frame_decode(&self.tracer, conn, 0, state.decoder.buffered(), false);
             }
         }
     }
@@ -385,6 +351,7 @@ mod tests {
     use super::*;
     use crate::frame::encode_frame;
     use protoacc::serve::CommandStatus;
+    use protoacc::DispatchPolicy;
     use protoacc_absint::Envelope;
     use protoacc_mem::{MemConfig, Memory};
     use protoacc_runtime::{object, reference, write_adts, BumpArena, MessageLayouts};
@@ -453,10 +420,14 @@ mod tests {
     }
 
     fn server(f: &Fixture, window: usize) -> RpcServer {
+        server_with_depth(f, window, 64)
+    }
+
+    fn server_with_depth(f: &Fixture, window: usize, queue_depth: usize) -> RpcServer {
         RpcServer::new(
             ServeConfig {
                 instances: 1,
-                queue_depth: 64,
+                queue_depth,
                 policy: DispatchPolicy::Fifo,
                 ..ServeConfig::default()
             },
@@ -480,20 +451,67 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "round-robin would bind every request to instance 0")]
-    fn round_robin_is_rejected() {
-        let f = fixture();
-        let _ = RpcServer::new(
-            ServeConfig {
-                instances: 2,
-                policy: DispatchPolicy::RoundRobin,
-                ..ServeConfig::default()
-            },
-            RpcConfig::default(),
-            f.methods,
-            0x1_0000_0000,
-            1 << 24,
+    fn queue_depth_drops_what_the_credits_let_through() {
+        let mut f = fixture();
+        // Eight credits on one connection, a two-deep queue: the window
+        // lets the whole burst through, and the queue the requests share
+        // across calls overflows.
+        let mut srv = server_with_depth(&f, 8, 2);
+        let frames: Vec<IncomingFrame> = (0..8)
+            .map(|_| IncomingFrame {
+                conn: 0,
+                arrival: 0,
+                bytes: request_frame(true, None),
+            })
+            .collect();
+        srv.serve(&mut f.mem, &frames).unwrap();
+        let cluster = srv.cluster();
+        assert_eq!(srv.stats().deferred, 0, "the window never binds");
+        assert!(cluster.dropped() > 0, "the queue must overflow");
+        assert_eq!(
+            cluster.records().len() as u64 + cluster.dropped(),
+            cluster.offered()
         );
+        assert_eq!(cluster.offered(), 8);
+        cluster.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn deferred_request_then_earlier_frame_serves_in_offer_order() {
+        let mut f = fixture();
+        let mut srv = server(&f, 1);
+        // Connection 0's second frame waits for its first to complete;
+        // connection 1's frame arrives before that, so the cluster is
+        // offered an arrival earlier than the one it saw last.
+        let frames = vec![
+            IncomingFrame {
+                conn: 0,
+                arrival: 0,
+                bytes: request_frame(true, None),
+            },
+            IncomingFrame {
+                conn: 0,
+                arrival: 0,
+                bytes: request_frame(true, None),
+            },
+            IncomingFrame {
+                conn: 1,
+                arrival: 1,
+                bytes: request_frame(false, None),
+            },
+        ];
+        srv.serve(&mut f.mem, &frames).unwrap();
+        assert_eq!(srv.stats().deferred, 1);
+        let records = srv.cluster().records();
+        let seqs: Vec<usize> = records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [0, 1, 2]);
+        let (deferred, earlier) = (records[1], records[2]);
+        assert!(earlier.enqueue < deferred.enqueue, "offered out of order");
+        assert!(
+            earlier.dispatch >= deferred.complete,
+            "served in offer order"
+        );
+        srv.cluster().check_invariants().unwrap();
     }
 
     #[test]
@@ -509,7 +527,7 @@ mod tests {
             .collect();
         srv.serve(&mut f.mem, &frames).unwrap();
         assert_eq!(srv.stats().frames, 6);
-        assert_eq!(srv.stats().admitted, 6);
+        assert_eq!(srv.cluster().offered(), 6);
         assert_eq!(srv.stats().frame_errors, 0);
         assert_eq!(srv.cluster().served(), 6);
         let (ok, fallback, rejected, failed, shed) = srv.cluster().status_counts();
@@ -572,7 +590,7 @@ mod tests {
         ];
         srv.serve(&mut f.mem, &frames).unwrap();
         assert_eq!(srv.stats().frame_errors, 2);
-        assert_eq!(srv.stats().admitted, 1, "healthy connection unaffected");
+        assert_eq!(srv.cluster().offered(), 1, "healthy connection unaffected");
         assert_eq!(srv.cluster().served(), 1);
     }
 

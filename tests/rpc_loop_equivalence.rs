@@ -1,4 +1,5 @@
-//! Open-loop vs closed-loop equivalence at low load.
+//! Open-loop vs closed-loop equivalence at low load, and RPC server vs
+//! batch cluster run equivalence.
 //!
 //! The two traffic disciplines answer different questions under overload
 //! (offered load vs self-throttling), but at low utilization they must
@@ -8,13 +9,20 @@
 //! utilization — median latency statistically indistinguishable between
 //! disciplines — and pins both disciplines' determinism: same seeds, same
 //! fingerprint, replay after replay.
+//!
+//! The RPC server offers every decoded request to one persistent cluster,
+//! so with a credit window that never binds and no deadlines it must
+//! produce exactly the records of one batch `ServeCluster::run` over the
+//! same requests: sequence numbers, queue and dispatch policy included.
 
 use protoacc_suite::accel::serve::CommandRecord;
+use protoacc_suite::accel::{DispatchPolicy, ServeCluster};
 use protoacc_suite::bench::serving::{
-    calibrate, closed_loop, fleet_mix, open_loop, RPC_INSTANCES as INSTANCES,
+    calibrate, closed_loop, config, fleet_mix, open_loop, request_frame, stream, Staging,
+    ARENA_BASE, ARENA_STRIDE, RPC_INSTANCES as INSTANCES,
 };
-use protoacc_suite::mem::Cycles;
-use protoacc_suite::rpc::RpcServer;
+use protoacc_suite::mem::{Cycles, MemConfig, Memory};
+use protoacc_suite::rpc::{IncomingFrame, RpcConfig, RpcServer};
 
 /// Target utilization: low enough that queueing is negligible and the
 /// disciplines converge.
@@ -94,4 +102,44 @@ fn loop_disciplines_agree_at_low_load_and_replay_deterministically() {
         "p50 diverged at low load: open={p50_open} closed={p50_closed} \
          (mean service {service:.0}, allowed {service:.0})"
     );
+}
+
+#[test]
+fn rpc_server_records_equal_one_batch_cluster_run() {
+    const N: usize = 64;
+    const CONNS: usize = 4;
+    let mix = fleet_mix(8);
+    // Sparse and deadline-free: admission control never sheds, and a
+    // window of N credits per connection never defers.
+    let events = stream(&mix, N, 2_000.0);
+    for policy in [DispatchPolicy::Fifo, DispatchPolicy::RoundRobin] {
+        let cfg = config(INSTANCES, 256, policy);
+
+        let mut mem = Memory::new(MemConfig::default());
+        let requests = Staging::new(&mix, &mut mem).requests(&events);
+        let mut batch = ServeCluster::new(cfg, ARENA_BASE, ARENA_STRIDE);
+        batch.run(&mut mem, &requests).unwrap();
+
+        let mut mem = Memory::new(MemConfig::default());
+        let methods = Staging::new(&mix, &mut mem).methods(&mix);
+        let frames: Vec<IncomingFrame> = events
+            .iter()
+            .enumerate()
+            .map(|(i, e)| IncomingFrame {
+                conn: i % CONNS,
+                arrival: e.arrival,
+                bytes: request_frame(&methods, e.prototype, e.deser, None),
+            })
+            .collect();
+        let rpc = RpcConfig {
+            window: N,
+            ..RpcConfig::default()
+        };
+        let mut srv = RpcServer::new(cfg, rpc, methods, ARENA_BASE, ARENA_STRIDE);
+        srv.serve(&mut mem, &frames).unwrap();
+
+        assert_eq!(srv.stats().deferred, 0, "{policy:?}: the window bound");
+        assert_eq!(batch.records().len(), N, "{policy:?}");
+        assert_eq!(srv.cluster().records(), batch.records(), "{policy:?}");
+    }
 }

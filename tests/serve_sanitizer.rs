@@ -12,14 +12,18 @@
 //!   check actually compares against the measured service times;
 //! * the serving studies' fleet mix, run concurrently on 1, 2 and 4
 //!   instances with isolated destination objects, stays inside its
-//!   envelopes and produces no findings.
+//!   envelopes and produces no findings;
+//! * the same mix served through the RPC server at twice saturation, with
+//!   deadlines, keeps a clean command lifecycle.
 
 use protoacc_suite::absint::from_trace::footprints_from_trace;
 use protoacc_suite::absint::{self, CommandFootprint, Envelope, FindingKind, ServiceBounds};
 use protoacc_suite::accel::{
     AccelConfig, CommandRecord, DispatchPolicy, Request, RequestOp, ServeCluster, ServeConfig,
 };
-use protoacc_suite::bench::serving::{config, fleet_mix, isolated, stream, Staging};
+use protoacc_suite::bench::serving::{
+    calibrate, config, fleet_mix, isolated, open_loop, stream, Staging, RPC_INSTANCES,
+};
 use protoacc_suite::lint::{findings_to_diagnostics, DiagCode, LintConfig, Severity};
 use protoacc_suite::mem::{MemConfig, Memory};
 use protoacc_suite::runtime::{
@@ -386,4 +390,20 @@ fn fleet_mix_runs_clean_at_every_width() {
                 .join("\n")
         );
     }
+}
+
+#[test]
+fn rpc_overload_keeps_a_clean_lifecycle() {
+    let mix = fleet_mix(8);
+    let gap = calibrate(&mix) / (RPC_INSTANCES as f64 * 2.0);
+    let srv = open_loop(&mix, 512, gap, Some(4));
+    let cluster = srv.cluster();
+    assert!(cluster.shed() > 0, "2x overload must shed");
+    let findings = absint::check_lifecycle(
+        cluster.records(),
+        RPC_INSTANCES,
+        cluster.offered(),
+        cluster.dropped(),
+    );
+    assert!(findings.is_empty(), "{findings:?}");
 }
