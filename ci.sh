@@ -83,7 +83,9 @@
 #   7. trace round trip     serve_tail_latency --trace emits a Chrome-trace
 #                           JSON, then profile_report --reparse re-parses
 #                           the file and re-runs the accounting audit
-#                           offline
+#                           offline; profile_report --smoke traces
+#                           standalone accelerators through their memory
+#                           system and fails on any audit discrepancy
 #   8. sharded scaling run  a short --bench-shards run emitting
 #                           target/BENCH_shard.json (fails if the sharded
 #                           engine regresses below 1.0x at the hardware's
@@ -185,6 +187,8 @@ cargo run --offline -q --release -p protoacc-bench --bin serve_tail_latency -- \
     --trace target/ci_trace.json
 cargo run --offline -q --release -p protoacc-bench --bin profile_report -- \
     --reparse target/ci_trace.json
+cargo run --offline -q --release -p protoacc-bench --bin profile_report -- \
+    --smoke
 
 echo "== sharded engine scaling run =="
 # Short scaling run (the repo-root BENCH_shard.json records the full

@@ -24,17 +24,10 @@
 
 use std::time::Instant;
 
-use hyperprotobench::generate_suite;
 use protoacc_bench::cli::Args;
-use protoacc_fastpath::CompiledSchema;
-use protoacc_faults::{mutate_adt, mutate_compiled, ADT_MUTATIONS, TABLE_MUTATIONS};
-use protoacc_runtime::MessageLayouts;
-use protoacc_schema::{parse_descriptor_set, parse_proto, Schema};
+use protoacc_bench::mutation::{corpus, run_campaign, MutationRow};
 use protoacc_trace::json::{self, Json};
-use protoacc_verify::{
-    build_adt_image, check_adt_image, verify_schema, verify_software, VerifyConfig,
-};
-use xrand::StdRng;
+use protoacc_verify::{verify_schema, VerifyConfig};
 
 /// Minimum fraction of applied mutants the verifier must detect.
 const DETECTION_FLOOR: f64 = 0.99;
@@ -47,15 +40,6 @@ struct CleanRow {
     wall_ms: f64,
 }
 
-/// Per-mutation-kind campaign tally.
-struct MutationRow {
-    plane: &'static str,
-    label: &'static str,
-    attempted: usize,
-    applied: usize,
-    detected: usize,
-}
-
 fn main() {
     let args = Args::parse("bench_verify [--smoke] [--out PATH] [--seed S]");
     let smoke = args.flag("--smoke");
@@ -65,11 +49,7 @@ fn main() {
     let seed = args.value("--seed").unwrap_or(0x7AB1E);
     let trials_per_workload = if smoke { 2 } else { 8 };
 
-    let workloads = build_workloads(seed);
-    if workloads.is_empty() {
-        eprintln!("bench_verify: no workloads (run from the repository root)");
-        std::process::exit(2);
-    }
+    let workloads = corpus(seed);
 
     // Gate 1: every clean workload verifies silently, timed.
     let config = VerifyConfig::default();
@@ -158,113 +138,6 @@ fn main() {
         );
         std::process::exit(1);
     }
-}
-
-/// The six HyperProtoBench suites (schemas only), every `protos/*.proto`,
-/// and every `protos/chain/*.binpb` descriptor set.
-fn build_workloads(seed: u64) -> Vec<(String, Schema)> {
-    let mut out: Vec<(String, Schema)> = generate_suite(1, seed)
-        .into_iter()
-        .map(|bench| (bench.profile.name.to_string(), bench.schema))
-        .collect();
-    for stem in ["addressbook", "storage_row", "telemetry"] {
-        let path = format!("protos/{stem}.proto");
-        let Ok(source) = std::fs::read_to_string(&path) else {
-            eprintln!("bench_verify: skipping {path} (not found)");
-            continue;
-        };
-        match parse_proto(&source) {
-            Ok(schema) => out.push((stem.to_string(), schema)),
-            Err(e) => eprintln!("bench_verify: skipping {path}: {e}"),
-        }
-    }
-    for stem in ["consensus", "gossip", "state_sync", "transaction"] {
-        let path = format!("protos/chain/{stem}.binpb");
-        let Ok(bytes) = std::fs::read(&path) else {
-            eprintln!("bench_verify: skipping {path} (not found)");
-            continue;
-        };
-        match parse_descriptor_set(&bytes) {
-            Ok(schema) => out.push((format!("chain/{stem}"), schema)),
-            Err(e) => eprintln!("bench_verify: skipping {path}: {e}"),
-        }
-    }
-    out
-}
-
-/// Applies every mutation kind `trials` times per workload, in both planes,
-/// and counts how many applied mutants the verifier flags.
-fn run_campaign(
-    workloads: &[(String, Schema)],
-    config: &VerifyConfig,
-    trials: usize,
-    seed: u64,
-) -> Vec<MutationRow> {
-    let mut rows = Vec::new();
-    for (kind_idx, &mutation) in TABLE_MUTATIONS.iter().enumerate() {
-        let mut row = MutationRow {
-            plane: "software",
-            label: mutation.label(),
-            attempted: 0,
-            applied: 0,
-            detected: 0,
-        };
-        for (w_idx, (_, schema)) in workloads.iter().enumerate() {
-            let layouts = MessageLayouts::compute(schema);
-            let compiled = CompiledSchema::compile(schema);
-            assert!(
-                verify_software(schema, &layouts, &compiled, config).is_empty(),
-                "clean baseline must be silent before mutating"
-            );
-            for trial in 0..trials {
-                row.attempted += 1;
-                let mut rng = StdRng::seed_from_u64(
-                    seed ^ (kind_idx as u64) << 24 ^ (w_idx as u64) << 12 ^ trial as u64,
-                );
-                let Some((mutated, _)) = mutate_compiled(schema, &compiled, mutation, &mut rng)
-                else {
-                    continue;
-                };
-                row.applied += 1;
-                if !verify_software(schema, &layouts, &mutated, config).is_empty() {
-                    row.detected += 1;
-                }
-            }
-        }
-        rows.push(row);
-    }
-    for (kind_idx, &mutation) in ADT_MUTATIONS.iter().enumerate() {
-        let mut row = MutationRow {
-            plane: "adt",
-            label: mutation.label(),
-            attempted: 0,
-            applied: 0,
-            detected: 0,
-        };
-        for (w_idx, (_, schema)) in workloads.iter().enumerate() {
-            let layouts = MessageLayouts::compute(schema);
-            let compiled = CompiledSchema::compile(schema);
-            for trial in 0..trials {
-                row.attempted += 1;
-                let mut rng = StdRng::seed_from_u64(
-                    seed ^ 0xADu64 << 32
-                        ^ (kind_idx as u64) << 24
-                        ^ (w_idx as u64) << 12
-                        ^ trial as u64,
-                );
-                let (mut mem, adts) = build_adt_image(schema, &layouts);
-                if mutate_adt(schema, &mut mem, &adts, mutation, &mut rng).is_none() {
-                    continue;
-                }
-                row.applied += 1;
-                if !check_adt_image(schema, &compiled, &mem, &adts).is_empty() {
-                    row.detected += 1;
-                }
-            }
-        }
-        rows.push(row);
-    }
-    rows
 }
 
 fn render_json(

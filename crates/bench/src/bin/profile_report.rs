@@ -47,8 +47,6 @@ fn profile_service(
 
     let log = TraceLog::shared();
     let mut accel = ProtoAccelerator::new(AccelConfig::default());
-    accel.set_tracer(Some(log.clone()));
-    accel.set_trace_instance(0);
     mem.system.set_event_tracer(Some(log.clone()));
     let mut clock: u64 = 0;
 
@@ -67,7 +65,6 @@ fn profile_service(
         let dest = dest_arena
             .alloc(layout.object_size(), 8)
             .expect("dest fits");
-        accel.set_trace_origin(clock);
         mem.system.set_trace_origin(clock);
         accel.deser_info(adts.addr(type_id), dest);
         let run = accel
@@ -88,7 +85,6 @@ fn profile_service(
         .collect();
     accel.ser_assign_arena(map::OUTPUT, map::ARENA_LEN, map::PTRS, 1 << 20);
     for &obj in &objects {
-        accel.set_trace_origin(clock);
         mem.system.set_trace_origin(clock);
         accel.ser_info(
             layout.hasbits_offset(),

@@ -18,6 +18,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cli;
+pub mod mutation;
 pub mod serving;
 pub mod studies;
 pub mod systems;

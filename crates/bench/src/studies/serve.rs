@@ -487,16 +487,12 @@ pub struct RpcCell {
 /// records complete in one cycle by construction and would drag the
 /// distribution toward zero exactly when shedding matters most.
 fn served_percentile(records: &[CommandRecord], p: f64) -> Cycles {
-    let mut latencies: Vec<Cycles> = records
+    let latencies: Vec<Cycles> = records
         .iter()
         .filter(|r| matches!(r.status, CommandStatus::Ok | CommandStatus::Fallback))
         .map(CommandRecord::latency)
         .collect();
-    if latencies.is_empty() {
-        return 0;
-    }
-    latencies.sort_unstable();
-    latencies[protoacc_trace::nearest_rank(p, latencies.len())]
+    protoacc_trace::metrics::exact_percentile(&latencies, p)
 }
 
 fn rpc_cell(discipline: &'static str, rho: f64, srv: &RpcServer) -> RpcCell {

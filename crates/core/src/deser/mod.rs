@@ -19,6 +19,7 @@ use protoacc_runtime::{
     reference, AdtLayout, BumpArena, FieldEntry, TypeCode, ADT_ENTRY_BYTES, REPEATED_HEADER_BYTES,
     STRING_OBJECT_BYTES, STRING_SSO_CAPACITY,
 };
+use protoacc_trace::{AdtUnit, FsmState, TraceEvent};
 use protoacc_wire::hw::{CombVarintDecoder, DecodedVarint, Utf8Validator};
 use protoacc_wire::{FieldKey, WireError, WireType, MAX_VARINT_LEN};
 
@@ -75,6 +76,50 @@ struct Frame {
     regions: BTreeMap<u32, RepeatedRegion>,
 }
 
+/// Records the FSM entering `state` at FSM time `fsm`.
+fn trace_fsm(mem: &Memory, fsm: Cycles, state: FsmState, field_number: u32) {
+    mem.system
+        .trace(|instance, origin| TraceEvent::FsmTransition {
+            instance,
+            at: origin + fsm,
+            state,
+            field_number,
+        });
+}
+
+/// Records one ADT-cache load that finished at FSM time `fsm`.
+fn trace_adt(mem: &Memory, fsm: Cycles, hit: bool, cycles: Cycles) {
+    mem.system.trace(|instance, origin| TraceEvent::AdtAccess {
+        instance,
+        at: origin + fsm,
+        unit: AdtUnit::Deser,
+        hit,
+        cycles,
+    });
+}
+
+/// Closes the span of the previously opened field, if any, and opens one
+/// for `next` at FSM time `fsm`; keeps no span while untraced.
+fn roll_field_span(
+    mem: &Memory,
+    pending: &mut Option<(u32, Cycles)>,
+    next: Option<u32>,
+    fsm: Cycles,
+) {
+    if !mem.system.tracing() {
+        return;
+    }
+    if let Some((field_number, start)) = pending.take() {
+        mem.system.trace(|instance, origin| TraceEvent::Field {
+            instance,
+            start: origin + start,
+            cycles: fsm - start,
+            field_number,
+        });
+    }
+    *pending = next.map(|f| (f, fsm));
+}
+
 /// The deserializer unit.
 #[derive(Debug)]
 pub struct DeserUnit {
@@ -89,9 +134,6 @@ pub struct DeserUnit {
     /// `input`; a successful op has popped every frame, so it comes back
     /// empty.
     frames: Vec<Frame>,
-    tracer: Option<protoacc_trace::SharedTracer>,
-    trace_instance: usize,
-    trace_origin: Cycles,
 }
 
 impl DeserUnit {
@@ -102,73 +144,7 @@ impl DeserUnit {
             config,
             input: Vec::new(),
             frames: Vec::new(),
-            tracer: None,
-            trace_instance: 0,
-            trace_origin: 0,
         }
-    }
-
-    /// Attaches (or detaches) a structured event tracer. Tracing is purely
-    /// observational: cycle results are identical with and without it.
-    pub fn set_tracer(&mut self, tracer: Option<protoacc_trace::SharedTracer>) {
-        self.tracer = tracer;
-    }
-
-    /// Instance id stamped on emitted events.
-    pub fn set_trace_instance(&mut self, instance: usize) {
-        self.trace_instance = instance;
-    }
-
-    /// Base timestamp for the next op's events (e.g. its dispatch time on
-    /// the serve cluster's queue clock); FSM-relative offsets are added.
-    pub fn set_trace_origin(&mut self, origin: Cycles) {
-        self.trace_origin = origin;
-    }
-
-    fn emit(&self, event: protoacc_trace::TraceEvent) {
-        if let Some(t) = &self.tracer {
-            t.borrow_mut().record(event);
-        }
-    }
-
-    fn emit_fsm(&self, fsm: Cycles, state: protoacc_trace::FsmState, field_number: u32) {
-        if self.tracer.is_some() {
-            self.emit(protoacc_trace::TraceEvent::FsmTransition {
-                instance: self.trace_instance,
-                at: self.trace_origin + fsm,
-                state,
-                field_number,
-            });
-        }
-    }
-
-    fn emit_adt(&self, fsm: Cycles, hit: bool, cycles: Cycles) {
-        if self.tracer.is_some() {
-            self.emit(protoacc_trace::TraceEvent::AdtAccess {
-                instance: self.trace_instance,
-                at: self.trace_origin + fsm,
-                unit: protoacc_trace::AdtUnit::Deser,
-                hit,
-                cycles,
-            });
-        }
-    }
-
-    /// Closes the span of the previously opened field, if any, and opens
-    /// one for `field_number` at FSM time `fsm`.
-    fn roll_field_span(&self, pending: &mut Option<(u32, Cycles)>, next: Option<u32>, fsm: Cycles) {
-        if self.tracer.is_none() {
-            return;
-        }
-        if let Some((field_number, start)) = pending.take() {
-            self.emit(protoacc_trace::TraceEvent::Field {
-                instance: self.trace_instance,
-                start: self.trace_origin + start,
-                cycles: fsm - start,
-                field_number,
-            });
-        }
-        *pending = next.map(|f| (f, fsm));
     }
 
     /// Executes one deserialization: input at `input_addr`/`input_len`,
@@ -198,15 +174,14 @@ impl DeserUnit {
         let stream_cycles = mem
             .system
             .stream(input_addr, input_len as usize, AccessKind::Read);
-        if self.tracer.is_some() {
-            self.emit(protoacc_trace::TraceEvent::MemloaderStream {
-                instance: self.trace_instance,
-                start: self.trace_origin,
+        mem.system
+            .trace(|instance, start| TraceEvent::MemloaderStream {
+                instance,
+                start,
                 cycles: stream_cycles,
                 bytes: input_len,
                 windows: input_len.div_ceil(memloader::WINDOW_BYTES as u64),
             });
-        }
         let mut input = std::mem::take(&mut self.input);
         input.resize(input_len as usize, 0);
         mem.data.read_bytes(input_addr, &mut input);
@@ -233,8 +208,8 @@ impl DeserUnit {
                 // End of (sub-)message: close regions and pop the stack.
                 let frame = frames.pop().expect("frame present");
                 fsm += 1;
-                self.roll_field_span(&mut open_field, None, fsm);
-                self.emit_fsm(fsm, protoacc_trace::FsmState::CloseFrame, 0);
+                roll_field_span(mem, &mut open_field, None, fsm);
+                trace_fsm(mem, fsm, FsmState::CloseFrame, 0);
                 self.close_frame(mem, arena, frame, &mut frames, &mut fsm, stats)?;
                 if frames.len() >= self.config.stack_depth {
                     fsm += self.config.stack_spill_cycles;
@@ -250,12 +225,12 @@ impl DeserUnit {
             stats.varints += 1;
             let key = FieldKey::from_encoded(decoded.value)?;
             fields += 1;
-            self.roll_field_span(&mut open_field, Some(key.field_number()), fsm_at_key);
-            self.emit_fsm(fsm, protoacc_trace::FsmState::ParseKey, key.field_number());
+            roll_field_span(mem, &mut open_field, Some(key.field_number()), fsm_at_key);
+            trace_fsm(mem, fsm, FsmState::ParseKey, key.field_number());
 
             let Some(entry_addr) = frames[top].adt.entry_addr(key.field_number()) else {
                 // Field number outside the defined range: skip the value.
-                self.emit_fsm(fsm, protoacc_trace::FsmState::Skip, key.field_number());
+                trace_fsm(mem, fsm, FsmState::Skip, key.field_number());
                 self.skip_value(&mut loader, key.wire_type(), frame_end, &mut fsm)?;
                 continue;
             };
@@ -265,13 +240,13 @@ impl DeserUnit {
                 self.adt_cache
                     .load(&mut mem.system, entry_addr, ADT_ENTRY_BYTES as usize);
             fsm += adt_cost;
-            self.emit_adt(fsm, adt_hit, adt_cost);
-            self.emit_fsm(fsm, protoacc_trace::FsmState::TypeInfo, key.field_number());
+            trace_adt(mem, fsm, adt_hit, adt_cost);
+            trace_fsm(mem, fsm, FsmState::TypeInfo, key.field_number());
             let mut entry_bytes = [0u8; ADT_ENTRY_BYTES as usize];
             mem.data.read_bytes(entry_addr, &mut entry_bytes);
             let entry = FieldEntry::from_bytes(&entry_bytes);
             if !entry.is_defined() {
-                self.emit_fsm(fsm, protoacc_trace::FsmState::Skip, key.field_number());
+                trace_fsm(mem, fsm, FsmState::Skip, key.field_number());
                 self.skip_value(&mut loader, key.wire_type(), frame_end, &mut fsm)?;
                 continue;
             }
@@ -318,7 +293,7 @@ impl DeserUnit {
 
             match entry.type_code {
                 TypeCode::Str | TypeCode::Bytes => {
-                    self.emit_fsm(fsm, protoacc_trace::FsmState::Write, key.field_number());
+                    trace_fsm(mem, fsm, FsmState::Write, key.field_number());
                     let len = self.read_length(&mut loader, frame_end, &mut fsm, stats)?;
                     let payload = loader.peek_bytes(len, frame_end).ok_or(AccelError::Wire(
                         WireError::LengthOutOfBounds {
@@ -351,7 +326,7 @@ impl DeserUnit {
                     }
                 }
                 TypeCode::Message => {
-                    self.emit_fsm(fsm, protoacc_trace::FsmState::OpenFrame, key.field_number());
+                    trace_fsm(mem, fsm, FsmState::OpenFrame, key.field_number());
                     let len = self.read_length(&mut loader, frame_end, &mut fsm, stats)?;
                     // Compared as a subtraction so an adversarial 64-bit
                     // declared length cannot overflow the position addition.
@@ -412,7 +387,7 @@ impl DeserUnit {
                     });
                 }
                 _scalar => {
-                    self.emit_fsm(fsm, protoacc_trace::FsmState::Write, key.field_number());
+                    trace_fsm(mem, fsm, FsmState::Write, key.field_number());
                     if packed_arrival {
                         let len = self.read_length(&mut loader, frame_end, &mut fsm, stats)?;
                         if len > frame_end - loader.position() {
@@ -466,7 +441,7 @@ impl DeserUnit {
             }
         }
 
-        self.roll_field_span(&mut open_field, None, fsm);
+        roll_field_span(mem, &mut open_field, None, fsm);
         stats.fields += fields;
         self.input = loader.into_inner();
         self.frames = frames;
@@ -493,7 +468,7 @@ impl DeserUnit {
     fn load_adt_header(&mut self, mem: &mut Memory, adt_ptr: u64, fsm: &mut Cycles) -> AdtLayout {
         let (cost, hit) = self.adt_cache.load(&mut mem.system, adt_ptr, 64);
         *fsm += cost;
-        self.emit_adt(*fsm, hit, cost);
+        trace_adt(mem, *fsm, hit, cost);
         AdtLayout::read(&mem.data, adt_ptr)
     }
 

@@ -64,11 +64,7 @@ pub struct ProtoAccelerator {
     staged_ser: Option<SerInfo>,
     pending_deser_cycles: Cycles,
     pending_ser_cycles: Cycles,
-    pending_ops_cycles: Cycles,
     stats: AccelStats,
-    tracer: Option<protoacc_trace::SharedTracer>,
-    trace_instance: usize,
-    trace_origin: Cycles,
 }
 
 impl ProtoAccelerator {
@@ -86,11 +82,7 @@ impl ProtoAccelerator {
             staged_ser: None,
             pending_deser_cycles: 0,
             pending_ser_cycles: 0,
-            pending_ops_cycles: 0,
             stats: AccelStats::default(),
-            tracer: None,
-            trace_instance: 0,
-            trace_origin: 0,
             config,
         }
     }
@@ -98,35 +90,6 @@ impl ProtoAccelerator {
     /// The configuration this accelerator was built with.
     pub fn config(&self) -> &AccelConfig {
         &self.config
-    }
-
-    /// Attaches (or detaches, with `None`) a structured-event tracer to both
-    /// units. Tracing is a pure observer and never perturbs cycle totals.
-    pub fn set_tracer(&mut self, tracer: Option<protoacc_trace::SharedTracer>) {
-        self.deser_unit.set_tracer(tracer.clone());
-        self.ser_unit.set_tracer(tracer.clone());
-        self.tracer = tracer;
-    }
-
-    /// Sets the instance id stamped onto this accelerator's trace events.
-    pub fn set_trace_instance(&mut self, instance: usize) {
-        self.deser_unit.set_trace_instance(instance);
-        self.ser_unit.set_trace_instance(instance);
-        self.trace_instance = instance;
-    }
-
-    /// Sets the cluster-cycle origin for unit-relative trace timestamps
-    /// (typically the dispatch cycle of the request being served).
-    pub fn set_trace_origin(&mut self, origin: Cycles) {
-        self.deser_unit.set_trace_origin(origin);
-        self.ser_unit.set_trace_origin(origin);
-        self.trace_origin = origin;
-    }
-
-    fn emit(&self, event: protoacc_trace::TraceEvent) {
-        if let Some(t) = &self.tracer {
-            t.borrow_mut().record(event);
-        }
     }
 
     /// Accumulated statistics.
@@ -217,17 +180,16 @@ impl ProtoAccelerator {
         // Audit anchor: the DeserOp span duration is exactly the quantity
         // added to `stats.deser_cycles` above, so traced spans must sum to
         // the reported total.
-        if self.tracer.is_some() {
-            self.emit(protoacc_trace::TraceEvent::DeserOp {
-                instance: self.trace_instance,
-                start: self.trace_origin,
+        mem.system
+            .trace(|instance, start| protoacc_trace::TraceEvent::DeserOp {
+                instance,
+                start,
                 cycles: run.cycles,
                 fsm_cycles: run.fsm_cycles,
                 stream_cycles: run.stream_cycles,
                 wire_bytes: run.wire_bytes,
                 fields: run.fields,
             });
-        }
         Ok(run)
     }
 
@@ -287,10 +249,10 @@ impl ProtoAccelerator {
         self.pending_ser_cycles += run.cycles;
         // Audit anchor: span duration == the quantity added to
         // `stats.ser_cycles` above.
-        if self.tracer.is_some() {
-            self.emit(protoacc_trace::TraceEvent::SerOp {
-                instance: self.trace_instance,
-                start: self.trace_origin,
+        mem.system
+            .trace(|instance, start| protoacc_trace::TraceEvent::SerOp {
+                instance,
+                start,
                 cycles: run.cycles,
                 frontend_cycles: run.frontend_cycles,
                 fsu_cycles: run.fsu_cycles,
@@ -298,7 +260,6 @@ impl ProtoAccelerator {
                 out_len: run.out_len,
                 fields: run.fields,
             });
-        }
         Ok(run)
     }
 
@@ -345,11 +306,8 @@ impl ProtoAccelerator {
             .ok_or(AccelError::ArenaNotAssigned {
                 unit: "deserializer",
             })?;
-        let run = self
-            .ops_unit
-            .merge(mem, arena, adt_ptr, dst_obj, src_obj, &mut self.stats)?;
-        self.pending_ops_cycles += run.cycles;
-        Ok(run)
+        self.ops_unit
+            .merge(mem, arena, adt_ptr, dst_obj, src_obj, &mut self.stats)
     }
 
     /// `do_proto_copy` (Section 7): replaces `dst_obj` with a deep copy of
@@ -375,7 +333,6 @@ impl ProtoAccelerator {
             .ops_unit
             .copy(mem, arena, adt_ptr, dst_obj, src_obj, &mut self.stats)?;
         self.stats.copy_ops += 1;
-        self.pending_ops_cycles += run.cycles;
         Ok(run)
     }
 
@@ -390,15 +347,7 @@ impl ProtoAccelerator {
         adt_ptr: u64,
         obj: u64,
     ) -> Result<OpsRun, AccelError> {
-        let run = self.ops_unit.clear(mem, adt_ptr, obj, &mut self.stats)?;
-        self.pending_ops_cycles += run.cycles;
-        Ok(run)
-    }
-
-    /// `block_for_ops_completion`: retires all in-flight merge/copy/clear
-    /// operations, returning the cycles they took since the last fence.
-    pub fn block_for_ops_completion(&mut self) -> Cycles {
-        std::mem::take(&mut self.pending_ops_cycles)
+        self.ops_unit.clear(mem, adt_ptr, obj, &mut self.stats)
     }
 
     /// Drops unit-internal cached state (between benchmark phases).

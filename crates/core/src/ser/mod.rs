@@ -14,6 +14,7 @@ pub mod memwriter;
 
 use protoacc_mem::{AccessKind, Cycles, Memory};
 use protoacc_runtime::{AdtLayout, FieldEntry, TypeCode, ADT_ENTRY_BYTES};
+use protoacc_trace::{AdtUnit, TraceEvent};
 use protoacc_wire::hw::CombVarintEncoder;
 use protoacc_wire::{FieldKey, WireType};
 
@@ -41,6 +42,17 @@ pub struct SerRun {
     pub fields: u64,
 }
 
+/// Records one ADT-cache load that finished at frontend time `frontend`.
+fn trace_adt(mem: &Memory, frontend: Cycles, hit: bool, cycles: Cycles) {
+    mem.system.trace(|instance, origin| TraceEvent::AdtAccess {
+        instance,
+        at: origin + frontend,
+        unit: AdtUnit::Ser,
+        hit,
+        cycles,
+    });
+}
+
 /// The serializer unit.
 #[derive(Debug)]
 pub struct SerUnit {
@@ -53,9 +65,6 @@ pub struct SerUnit {
     /// memwriter. Kept across fields and ops so its allocation is reused;
     /// each string overwrites all of it.
     payload: Vec<u8>,
-    tracer: Option<protoacc_trace::SharedTracer>,
-    trace_instance: usize,
-    trace_origin: Cycles,
 }
 
 impl SerUnit {
@@ -66,44 +75,6 @@ impl SerUnit {
             pool: FsuPool::new(config.field_serializers),
             payload: Vec::new(),
             config,
-            tracer: None,
-            trace_instance: 0,
-            trace_origin: 0,
-        }
-    }
-
-    /// Attaches (or detaches, with `None`) a structured-event tracer.
-    /// Tracing is a pure observer: it never changes cycle accounting.
-    pub fn set_tracer(&mut self, tracer: Option<protoacc_trace::SharedTracer>) {
-        self.tracer = tracer;
-    }
-
-    /// Sets the instance id stamped onto emitted events.
-    pub fn set_trace_instance(&mut self, instance: usize) {
-        self.trace_instance = instance;
-    }
-
-    /// Sets the cluster-cycle origin that unit-relative timestamps are
-    /// rebased onto.
-    pub fn set_trace_origin(&mut self, origin: Cycles) {
-        self.trace_origin = origin;
-    }
-
-    fn emit(&self, event: protoacc_trace::TraceEvent) {
-        if let Some(t) = &self.tracer {
-            t.borrow_mut().record(event);
-        }
-    }
-
-    fn emit_adt(&self, frontend: Cycles, hit: bool, cycles: Cycles) {
-        if self.tracer.is_some() {
-            self.emit(protoacc_trace::TraceEvent::AdtAccess {
-                instance: self.trace_instance,
-                at: self.trace_origin + frontend,
-                unit: protoacc_trace::AdtUnit::Ser,
-                hit,
-                cycles,
-            });
         }
     }
 
@@ -142,13 +113,14 @@ impl SerUnit {
         let out_len = cursor_before - out_addr;
         let memwriter_cycles = writer.cycles() - writer_cycles_before;
         let fsu_cycles = self.pool.max_busy();
-        if self.tracer.is_some() && memwriter_cycles > 0 {
-            self.emit(protoacc_trace::TraceEvent::MemwriterFlush {
-                instance: self.trace_instance,
-                start: self.trace_origin,
-                cycles: memwriter_cycles,
-                bytes: out_len,
-            });
+        if memwriter_cycles > 0 {
+            mem.system
+                .trace(|instance, start| TraceEvent::MemwriterFlush {
+                    instance,
+                    start,
+                    cycles: memwriter_cycles,
+                    bytes: out_len,
+                });
         }
         stats.fields += fields;
         let cycles =
@@ -189,7 +161,7 @@ impl SerUnit {
     ) -> Result<(), AccelError> {
         let (adt_cost, adt_hit) = self.adt_cache.load(&mut mem.system, adt_ptr, 64);
         *frontend += adt_cost;
-        self.emit_adt(*frontend, adt_hit, adt_cost);
+        trace_adt(mem, *frontend, adt_hit, adt_cost);
         let adt = AdtLayout::read(&mem.data, adt_ptr);
         let span = adt.span();
         if span == 0 {
@@ -227,7 +199,7 @@ impl SerUnit {
                 self.adt_cache
                     .load(&mut mem.system, entry_addr, ADT_ENTRY_BYTES as usize);
             *frontend += entry_cost;
-            self.emit_adt(*frontend, entry_hit, entry_cost);
+            trace_adt(mem, *frontend, entry_hit, entry_cost);
             let mut entry_bytes = [0u8; ADT_ENTRY_BYTES as usize];
             mem.data.read_bytes(entry_addr, &mut entry_bytes);
             let entry = FieldEntry::from_bytes(&entry_bytes);
@@ -289,15 +261,13 @@ impl SerUnit {
             // Non-sub-message field: one handle-field-op to an FSU.
             let fsu_cost = self.ser_field(mem, writer, entry, number, slot, stats)?;
             let (unit, start_busy) = self.pool.dispatch(fsu_cost);
-            if self.tracer.is_some() {
-                self.emit(protoacc_trace::TraceEvent::FsuOp {
-                    instance: self.trace_instance,
-                    unit,
-                    start: self.trace_origin + start_busy,
-                    cycles: fsu_cost,
-                    field_number: number,
-                });
-            }
+            mem.system.trace(|instance, origin| TraceEvent::FsuOp {
+                instance,
+                unit,
+                start: origin + start_busy,
+                cycles: fsu_cost,
+                field_number: number,
+            });
         }
         Ok(())
     }

@@ -408,9 +408,10 @@ pub struct ServeCluster {
     /// The software fallback path is one serialized virtual CPU server.
     cpu_busy_until: Cycles,
     retries: u64,
-    /// Structured-event tracer threaded through the instances, the memory
-    /// system, and the queue itself. `None` (the default) keeps every trace
-    /// hook a dead branch, so cycle accounting is bit-identical either way.
+    /// Structured-event tracer of the queue, lent to the memory system
+    /// (and through it to the instances) during each run. `None` (the
+    /// default) keeps every trace hook a dead branch, so cycle accounting
+    /// is bit-identical either way.
     tracer: Option<protoacc_trace::SharedTracer>,
 }
 
@@ -457,14 +458,13 @@ impl ServeCluster {
     }
 
     /// Attaches (or detaches, with `None`) a structured-event tracer. The
-    /// tracer is threaded into every accelerator instance; the shared memory
-    /// system joins it for the duration of each [`ServeCluster::run_with`].
-    /// Tracing observes the run — it never changes cycle accounting.
+    /// cluster records its queue events (`Cmd*`) here on its own clock; for
+    /// the duration of each [`ServeCluster::run_with`] the tracer is also
+    /// attached to the shared memory system, through which the instances
+    /// record their unit events, stamped with the attempt's requester id
+    /// (the instance index). Tracing observes the run — it never changes
+    /// cycle accounting.
     pub fn set_tracer(&mut self, tracer: Option<protoacc_trace::SharedTracer>) {
-        for (i, accel) in self.accels.iter_mut().enumerate() {
-            accel.set_tracer(tracer.clone());
-            accel.set_trace_instance(i);
-        }
         self.tracer = tracer;
     }
 
@@ -823,7 +823,6 @@ impl ServeCluster {
         if self.tracer.is_some() {
             // Unit-relative trace timestamps rebase onto this attempt's
             // dispatch cycle.
-            self.accels[instance].set_trace_origin(dispatch);
             mem.system.set_trace_origin(dispatch);
         }
         self.recycle_if_low(instance);
@@ -1119,15 +1118,11 @@ impl ServeCluster {
     /// minimum instead of indexing arbitrarily). Returns 0 if nothing
     /// completed.
     pub fn latency_percentile(&self, p: f64) -> Cycles {
-        if self.records.is_empty() {
-            return 0;
-        }
-        let mut latencies: Vec<Cycles> = self.records.iter().map(CommandRecord::latency).collect();
-        latencies.sort_unstable();
+        let latencies: Vec<Cycles> = self.records.iter().map(CommandRecord::latency).collect();
         // The rank rule is shared with `protoacc_trace::Histogram` so the
         // exact path here and the metrics-registry histogram path cannot
         // disagree by more than bucket quantization.
-        latencies[protoacc_trace::nearest_rank(p, latencies.len())]
+        protoacc_trace::metrics::exact_percentile(&latencies, p)
     }
 
     /// Checks the queue-accounting invariants, returning a description of

@@ -288,32 +288,21 @@ impl ShardedCluster {
         self.outcomes.iter().map(|o| o.gbits).sum()
     }
 
-    /// The merged latency *set*: every completed command's latency,
-    /// concatenated in shard-index order, then sorted. Identical to what a
-    /// sequential engine over the same cells would produce — sorting a
-    /// fixed multiset is order-insensitive, and the multiset is fixed by
-    /// the decomposition.
+    /// Nearest-rank percentile over the merged latency set, every
+    /// completed command's latency across shards, under the same shared
+    /// rank rule as `ServeCluster::latency_percentile` (NaN and
+    /// out-of-range `p` clamp). Identical to what a sequential engine over
+    /// the same cells would report: the percentile of a fixed multiset does
+    /// not depend on its order, and the decomposition fixes the multiset.
+    /// Returns 0 if nothing completed.
     #[must_use]
-    pub fn latencies(&self) -> Vec<Cycles> {
-        let mut all: Vec<Cycles> = self
+    pub fn latency_percentile(&self, p: f64) -> Cycles {
+        let latencies: Vec<Cycles> = self
             .outcomes
             .iter()
             .flat_map(|o| o.records.iter().map(CommandRecord::latency))
             .collect();
-        all.sort_unstable();
-        all
-    }
-
-    /// Nearest-rank percentile over the merged latency set, under the same
-    /// shared rank rule as `ServeCluster::latency_percentile` (NaN and
-    /// out-of-range `p` clamp). Returns 0 if nothing completed.
-    #[must_use]
-    pub fn latency_percentile(&self, p: f64) -> Cycles {
-        let lat = self.latencies();
-        if lat.is_empty() {
-            return 0;
-        }
-        lat[protoacc_trace::nearest_rank(p, lat.len())]
+        protoacc_trace::metrics::exact_percentile(&latencies, p)
     }
 
     /// First invariant violation across shards (tagged with its shard), or

@@ -225,9 +225,10 @@ pub struct MemSystem {
     overlap: u64,
     armed: Vec<ArmedFault>,
     fault: Option<MemFault>,
-    /// Structured event sink (`protoacc-trace`); `None` (the default) is
-    /// the zero-cost path — instrumentation never feeds back into cycle
-    /// arithmetic, it only observes.
+    /// Structured event sink (`protoacc-trace`) of this system's accesses
+    /// and of the accelerator units that reach memory through it; `None`
+    /// (the default) is the zero-cost path — instrumentation never feeds
+    /// back into cycle arithmetic, it only observes.
     event_tracer: Option<protoacc_trace::SharedTracer>,
     /// `(timeline base, self.cycles when the base was set)`: event
     /// timestamps are `base + (cycles_at_issue - cycles_at_base)`, letting
@@ -277,14 +278,36 @@ impl MemSystem {
     }
 
     /// Attaches (or detaches, with `None`) a structured event tracer, the
-    /// one observer of individual accesses. While attached, every
+    /// one sink of every microarchitectural event. While attached, every
     /// non-empty `access`/`stream`/`pipelined` call emits a
     /// [`protoacc_trace::TraceEvent::MemAccess`] with its cache-level
-    /// breakdown (the aliasing sanitizer builds its footprints from these).
-    /// Purely observational: cycle accounting is identical with and
-    /// without a tracer.
+    /// breakdown (the aliasing sanitizer builds its footprints from these),
+    /// and the accelerator units record their own events through
+    /// [`MemSystem::trace`]. Purely observational: cycle accounting is
+    /// identical with and without a tracer.
     pub fn set_event_tracer(&mut self, tracer: Option<protoacc_trace::SharedTracer>) {
         self.event_tracer = tracer;
+    }
+
+    /// Whether an event tracer is attached.
+    #[inline]
+    pub fn tracing(&self) -> bool {
+        self.event_tracer.is_some()
+    }
+
+    /// Records the event `event(requester, origin)` builds, if a tracer is
+    /// attached; otherwise the closure never runs. `requester` is the
+    /// current requester, which for an accelerator unit is its instance
+    /// id, and `origin` the timeline base of the last
+    /// [`MemSystem::set_trace_origin`], onto which the caller adds its
+    /// own unit-relative cycle offsets.
+    #[inline]
+    pub fn trace(&self, event: impl FnOnce(usize, Cycles) -> protoacc_trace::TraceEvent) {
+        if let Some(tracer) = &self.event_tracer {
+            tracer
+                .borrow_mut()
+                .record(event(self.requester, self.trace_origin.0));
+        }
     }
 
     /// Pins the event timeline: subsequent events are stamped
@@ -512,7 +535,7 @@ impl MemSystem {
     /// event tracer is attached; `None` otherwise (the zero-cost path).
     #[inline]
     fn snap_for_event(&self) -> Option<(RequesterStats, Cycles)> {
-        if self.event_tracer.is_some() {
+        if self.tracing() {
             Some((self.requesters[self.requester], self.cycles))
         } else {
             None
@@ -552,27 +575,22 @@ impl MemSystem {
         cost: Cycles,
         tlb_cost: Cycles,
     ) {
-        let Some(tracer) = self.event_tracer.as_ref() else {
-            return;
-        };
         let now = self.requesters[self.requester];
-        let at = self.trace_origin.0 + start_cycles.saturating_sub(self.trace_origin.1);
-        tracer
-            .borrow_mut()
-            .record(protoacc_trace::TraceEvent::MemAccess {
-                requester: self.requester,
-                at,
-                cycles: cost,
-                addr,
-                len: len as u64,
-                write: matches!(kind, AccessKind::Write),
-                mode,
-                tlb_walk_cycles: tlb_cost,
-                l1_hits: now.l1_hits - before.l1_hits,
-                l2_hits: now.l2_hits - before.l2_hits,
-                llc_hits: now.llc_hits - before.llc_hits,
-                dram_accesses: now.dram_accesses - before.dram_accesses,
-            });
+        let since_origin = start_cycles.saturating_sub(self.trace_origin.1);
+        self.trace(|requester, origin| protoacc_trace::TraceEvent::MemAccess {
+            requester,
+            at: origin + since_origin,
+            cycles: cost,
+            addr,
+            len: len as u64,
+            write: matches!(kind, AccessKind::Write),
+            mode,
+            tlb_walk_cycles: tlb_cost,
+            l1_hits: now.l1_hits - before.l1_hits,
+            l2_hits: now.l2_hits - before.l2_hits,
+            llc_hits: now.llc_hits - before.llc_hits,
+            dram_accesses: now.dram_accesses - before.dram_accesses,
+        });
     }
 
     /// Translates every page of the byte range `[addr, last]`: the page of

@@ -469,8 +469,10 @@ impl TraceEvent {
     }
 }
 
-/// Shared tracer handle. Model structs hold an `Option<SharedTracer>`
-/// (`None` disables tracing); `Rc` sharing keeps `Clone` working on structs
+/// Shared tracer handle. The memory system holds an `Option<SharedTracer>`
+/// (`None` disables tracing) and records every accelerator unit's events
+/// along with its own; the serve cluster and RPC server hold one for their
+/// queue and frame events. `Rc` sharing keeps `Clone` working on structs
 /// that carry one and lets the caller retain a handle to drain events.
 pub type SharedTracer = Rc<RefCell<TraceLog>>;
 
@@ -484,7 +486,7 @@ pub struct TraceLog {
 
 impl TraceLog {
     /// Creates an empty shared log. Keep one clone to drain events and pass
-    /// another into the model via the `set_tracer` setters.
+    /// another into the model via `set_tracer`/`set_event_tracer`.
     #[must_use]
     pub fn shared() -> SharedTracer {
         Rc::new(RefCell::new(TraceLog::default()))
@@ -497,8 +499,8 @@ impl TraceLog {
 }
 
 /// Nearest-rank index for a percentile over `len` sorted samples: the
-/// single percentile rule shared by `ServeCluster::latency_percentile` and
-/// [`Histogram::percentile`] so the exact and histogram paths always land
+/// single percentile rule shared by [`metrics::exact_percentile`] (behind
+/// `ServeCluster::latency_percentile`) and [`Histogram::percentile`] so the exact and histogram paths always land
 /// on the same rank (and therefore in the same log-2 bucket).
 ///
 /// `NaN` maps to 0, the percentile is clamped to `[0, 100]`, and the rank

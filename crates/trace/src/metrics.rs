@@ -313,8 +313,10 @@ impl MetricsRegistry {
     }
 }
 
-/// Exact nearest-rank percentile over an unsorted sample set — the
-/// reference the histogram path is validated against in tests. Shares
+/// Exact nearest-rank percentile over an unsorted sample set: the serve
+/// cluster's, the sharded engine's and the serving studies' latency
+/// percentiles, and the reference the histogram path is validated against
+/// in tests. Returns 0 for no samples. Shares
 /// [`nearest_rank`]'s clamping: NaN resolves to the minimum sample and `p`
 /// outside `[0, 100]` clamps to the nearest bound.
 #[must_use]

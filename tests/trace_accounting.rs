@@ -13,9 +13,11 @@
 //! counters, and the sanitizer is clean on the trace's footprints.
 
 use protoacc_suite::absint::{from_trace, sanitize};
+use protoacc_suite::accel::deser::DeserRun;
+use protoacc_suite::accel::ser::SerRun;
 use protoacc_suite::accel::{
-    CommandStatus, DispatchPolicy, InstanceFault, InstanceFaultKind, Request, RequestOp,
-    ServeCluster, ServeConfig,
+    AccelConfig, AccelStats, CommandStatus, DispatchPolicy, InstanceFault, InstanceFaultKind,
+    ProtoAccelerator, Request, RequestOp, ServeCluster, ServeConfig,
 };
 use protoacc_suite::bench::serving::{config, fleet_mix, isolated, stream};
 use protoacc_suite::hyperbench::{Generator, ServiceProfile};
@@ -155,6 +157,135 @@ fn traced_sums(events: &[TraceEvent], instance: usize) -> (u64, Cycles, u64, Cyc
         }
     }
     sums
+}
+
+/// What one standalone accelerator run returns, plus its trace.
+struct StandaloneRun {
+    deser: Vec<DeserRun>,
+    ser: Vec<SerRun>,
+    stats: AccelStats,
+    events: Vec<TraceEvent>,
+}
+
+/// Runs bench0 through one `ProtoAccelerator` outside any cluster, with
+/// its traffic attributed to requester `requester`: every message
+/// deserialized, then every message's object serialized. With `traced`,
+/// the tracer is attached to the memory system and nowhere else.
+fn run_standalone(requester: usize, traced: bool) -> StandaloneRun {
+    let bench = Generator::new(ServiceProfile::bench(0), 0x7C1).generate(MESSAGES);
+    let layouts = MessageLayouts::compute(&bench.schema);
+    let mut mem = Memory::new(MemConfig::default());
+    let mut setup = BumpArena::new(SETUP_BASE, 1 << 22);
+    let adts = write_adts(&bench.schema, &layouts, &mut mem.data, &mut setup).unwrap();
+    let layout = layouts.layout(bench.type_id);
+    let adt = adts.addr(bench.type_id);
+
+    let log = TraceLog::shared();
+    if traced {
+        mem.system.set_event_tracer(Some(log.clone()));
+    }
+    mem.system.set_requester(requester);
+    let mut accel = ProtoAccelerator::new(AccelConfig::default());
+    accel.deser_assign_arena(ARENA_BASE, ARENA_STRIDE);
+    accel.ser_assign_arena(
+        ARENA_BASE + ARENA_STRIDE,
+        ARENA_STRIDE,
+        ARENA_BASE + 2 * ARENA_STRIDE,
+        1 << 16,
+    );
+    let mut input_cursor = INPUT_BASE;
+    let mut objects = BumpArena::new(OBJECT_BASE, 1 << 26);
+    let mut dests = BumpArena::new(DEST_BASE, 1 << 28);
+    let mut deser = Vec::with_capacity(MESSAGES);
+    for m in &bench.messages {
+        let wire = reference::encode(m, &bench.schema).unwrap();
+        mem.data.write_bytes(input_cursor, &wire);
+        accel.deser_info(adt, dests.alloc(layout.object_size(), 8).unwrap());
+        let run = accel.do_proto_deser(
+            &mut mem,
+            input_cursor,
+            wire.len() as u64,
+            layout.min_field(),
+        );
+        deser.push(run.expect("bench0 deserializes"));
+        input_cursor += wire.len() as u64 + 64;
+    }
+    let mut ser = Vec::with_capacity(MESSAGES);
+    for m in &bench.messages {
+        let obj =
+            object::write_message(&mut mem.data, &bench.schema, &layouts, &mut objects, m).unwrap();
+        accel.ser_info(
+            layout.hasbits_offset(),
+            layout.min_field(),
+            layout.max_field(),
+        );
+        ser.push(
+            accel
+                .do_proto_ser(&mut mem, adt, obj)
+                .expect("bench0 serializes"),
+        );
+    }
+    mem.system.set_event_tracer(None);
+    let events = std::mem::take(&mut log.borrow_mut().events);
+    StandaloneRun {
+        deser,
+        ser,
+        stats: accel.stats(),
+        events,
+    }
+}
+
+#[test]
+fn standalone_accelerator_stamps_its_events_with_the_memory_requester() {
+    const REQUESTER: usize = 3;
+    let run = run_standalone(REQUESTER, true);
+
+    // Every unit event, and every memory access under it, carries the
+    // requester id the memory system was given: no instance id is set
+    // anywhere else.
+    let mut kinds = std::collections::BTreeSet::new();
+    for e in &run.events {
+        let stamped = match *e {
+            TraceEvent::DeserOp { instance, .. }
+            | TraceEvent::SerOp { instance, .. }
+            | TraceEvent::MemloaderStream { instance, .. }
+            | TraceEvent::FsmTransition { instance, .. }
+            | TraceEvent::Field { instance, .. }
+            | TraceEvent::AdtAccess { instance, .. }
+            | TraceEvent::FsuOp { instance, .. }
+            | TraceEvent::MemwriterFlush { instance, .. } => instance,
+            TraceEvent::MemAccess { requester, .. } => requester,
+            ref other => panic!("a standalone accelerator traced {}", other.kind()),
+        };
+        assert_eq!(stamped, REQUESTER, "{} carries the wrong id", e.kind());
+        kinds.insert(e.kind());
+    }
+    assert_eq!(
+        kinds.len(),
+        9,
+        "every unit event kind and mem_access must appear, got {kinds:?}"
+    );
+
+    let stats = run.stats;
+    assert_eq!(stats.deser_ops, MESSAGES as u64);
+    assert_eq!(stats.ser_ops, MESSAGES as u64);
+    let expected = [ExpectedStats {
+        instance: REQUESTER,
+        deser_ops: stats.deser_ops,
+        deser_cycles: stats.deser_cycles,
+        ser_ops: stats.ser_ops,
+        ser_cycles: stats.ser_cycles,
+        saturated: stats.saturated,
+    }];
+    let report = audit(&run.events, &expected);
+    assert!(report.ok(), "audit problems: {:?}", report.problems);
+
+    // Tracing is a pure observer of the standalone accelerator too.
+    let untraced = run_standalone(REQUESTER, false);
+    assert!(untraced.events.is_empty());
+    assert_eq!(untraced.deser, run.deser);
+    assert_eq!(untraced.ser, run.ser);
+    assert_eq!(untraced.stats, run.stats);
 }
 
 #[test]

@@ -12,40 +12,28 @@
 //!   once (a kind with zero detections means a whole corruption class is
 //!   invisible to the verifier).
 //!
-//! `cargo run -p protoacc-bench --bin bench_verify` runs the same campaign
-//! at larger trial counts and emits `target/BENCH_verify.json` for CI.
+//! The campaign is `protoacc_bench::mutation::run_campaign`; `cargo run -p
+//! protoacc-bench --bin bench_verify` runs it at larger trial counts and
+//! emits `target/BENCH_verify.json` for CI.
 
-mod common;
-
-use common::{load, load_binpb};
+use protoacc_suite::bench::mutation::{corpus, run_campaign};
 use protoacc_suite::fastpath::CompiledSchema;
-use protoacc_suite::faults::{mutate_adt, mutate_compiled, ADT_MUTATIONS, TABLE_MUTATIONS};
-use protoacc_suite::hyperbench::generate_suite;
+use protoacc_suite::faults::{mutate_compiled, TABLE_MUTATIONS};
 use protoacc_suite::runtime::MessageLayouts;
 use protoacc_suite::schema::Schema;
-use protoacc_suite::verify::{
-    build_adt_image, check_adt_image, verify_schema, verify_software, VerifyConfig,
-};
+use protoacc_suite::verify::{verify_schema, verify_software, VerifyConfig};
 use protoacc_suite::xrand::StdRng;
 
-fn corpus() -> Vec<(String, Schema)> {
-    let mut out: Vec<(String, Schema)> = generate_suite(1, 0x7AB1E)
-        .into_iter()
-        .map(|b| (b.profile.name.to_string(), b.schema))
-        .collect();
-    for stem in ["addressbook", "storage_row", "telemetry"] {
-        out.push((stem.to_string(), load(&format!("{stem}.proto"))));
-    }
-    for stem in ["consensus", "gossip", "state_sync", "transaction"] {
-        out.push((format!("chain/{stem}"), load_binpb(stem)));
-    }
-    out
+/// The shared corpus, with the HyperProtoBench suites generated from the
+/// seed `bench_verify` uses by default.
+fn workloads() -> Vec<(String, Schema)> {
+    corpus(0x7AB1E)
 }
 
 #[test]
 fn every_clean_schema_verifies_silently() {
     let config = VerifyConfig::default();
-    for (name, schema) in corpus() {
+    for (name, schema) in workloads() {
         let report = verify_schema(&schema, &config);
         assert!(
             report.is_clean(),
@@ -60,89 +48,30 @@ fn every_clean_schema_verifies_silently() {
 #[test]
 fn mutation_campaign_detects_at_least_99_percent() {
     const TRIALS: usize = 3;
-    let config = VerifyConfig::default();
-    let corpus = corpus();
+    let rows = run_campaign(&workloads(), &VerifyConfig::default(), TRIALS, 0x5EED);
 
-    let mut attempted = 0usize;
-    let mut applied = 0usize;
-    let mut detected = 0usize;
-    let mut escapes: Vec<String> = Vec::new();
-
-    // Software plane: corrupt the compiled dispatch tables.
-    for (kind_idx, &mutation) in TABLE_MUTATIONS.iter().enumerate() {
-        let mut kind_detected = 0usize;
-        for (w_idx, (name, schema)) in corpus.iter().enumerate() {
-            let layouts = MessageLayouts::compute(schema);
-            let compiled = CompiledSchema::compile(schema);
-            for trial in 0..TRIALS {
-                attempted += 1;
-                let mut rng = StdRng::seed_from_u64(
-                    0x5EED ^ (kind_idx as u64) << 24 ^ (w_idx as u64) << 12 ^ trial as u64,
-                );
-                let Some((mutated, id)) = mutate_compiled(schema, &compiled, mutation, &mut rng)
-                else {
-                    continue;
-                };
-                applied += 1;
-                if verify_software(schema, &layouts, &mutated, &config).is_empty() {
-                    escapes.push(format!(
-                        "software `{}` on {name}/{} (seed trial {trial}) escaped",
-                        mutation.label(),
-                        schema.message(id).name()
-                    ));
-                } else {
-                    detected += 1;
-                    kind_detected += 1;
-                }
-            }
-        }
+    // A kind with zero detections means a whole corruption class is
+    // invisible to the verifier.
+    for row in &rows {
         assert!(
-            kind_detected > 0,
-            "software mutation kind `{}` was never detected",
-            mutation.label()
+            row.detected > 0,
+            "{} mutation kind `{}` was never detected",
+            row.plane,
+            row.label
         );
     }
-
-    // Hardware plane: corrupt the ADT image in guest memory.
-    for (kind_idx, &mutation) in ADT_MUTATIONS.iter().enumerate() {
-        let mut kind_detected = 0usize;
-        for (w_idx, (name, schema)) in corpus.iter().enumerate() {
-            let layouts = MessageLayouts::compute(schema);
-            let compiled = CompiledSchema::compile(schema);
-            for trial in 0..TRIALS {
-                attempted += 1;
-                let mut rng = StdRng::seed_from_u64(
-                    0xADu64 << 32 ^ (kind_idx as u64) << 24 ^ (w_idx as u64) << 12 ^ trial as u64,
-                );
-                let (mut mem, adts) = build_adt_image(schema, &layouts);
-                let Some(id) = mutate_adt(schema, &mut mem, &adts, mutation, &mut rng) else {
-                    continue;
-                };
-                applied += 1;
-                if check_adt_image(schema, &compiled, &mem, &adts).is_empty() {
-                    escapes.push(format!(
-                        "adt `{}` on {name}/{} (seed trial {trial}) escaped",
-                        mutation.label(),
-                        schema.message(id).name()
-                    ));
-                } else {
-                    detected += 1;
-                    kind_detected += 1;
-                }
-            }
-        }
-        assert!(
-            kind_detected > 0,
-            "adt mutation kind `{}` was never detected",
-            mutation.label()
-        );
-    }
-
+    let attempted: usize = rows.iter().map(|r| r.attempted).sum();
+    let applied: usize = rows.iter().map(|r| r.applied).sum();
+    let detected: usize = rows.iter().map(|r| r.detected).sum();
     assert!(
         applied * 2 >= attempted,
         "most mutations must be applicable"
     );
     let rate = detected as f64 / applied as f64;
+    let escapes: Vec<&str> = rows
+        .iter()
+        .flat_map(|r| r.escapes.iter().map(String::as_str))
+        .collect();
     assert!(
         rate >= 0.99,
         "detection rate {rate:.4} below 0.99 ({detected}/{applied}); escapes:\n{}",
@@ -155,7 +84,7 @@ fn verifier_is_total_over_mutated_artifacts() {
     // Every mutation kind, every schema, one seed each: the verifier must
     // return violations, never panic or overflow, on arbitrary corruption.
     let config = VerifyConfig::default();
-    for (name, schema) in corpus() {
+    for (name, schema) in workloads() {
         let layouts = MessageLayouts::compute(&schema);
         let compiled = CompiledSchema::compile(&schema);
         for (kind_idx, &mutation) in TABLE_MUTATIONS.iter().enumerate() {
