@@ -60,10 +60,13 @@
 #                           then bench_verify runs the seeded table/ADT
 #                           mutation campaign (>=99% detection, clean
 #                           schemas silent; emits target/BENCH_verify.json)
-#   6. fast-path gate       bench_codec --smoke (fails on any byte or verdict
-#                           divergence, including the re-encode of every
-#                           truncated or mutated input both decoders
-#                           accept; emits target/BENCH_codec.json); then
+#   6. fast-path gate       bench_codec --smoke, run from crates/bench so
+#                           its corpus must load by the crate's own anchor
+#                           rather than the working directory (fails on any
+#                           byte or verdict divergence, including the
+#                           re-encode of every truncated or mutated input
+#                           both decoders accept, and panics on a missing
+#                           chain fixture; emits target/BENCH_codec.json); then
 #                           the perfbench package's own tests, a 1-second
 #                           --trace 0 run of host-small, host-blob,
 #                           sim-rpc-2x (the one workload where RpcServer
@@ -161,9 +164,10 @@ cargo run --offline -q --release -p protoacc-bench --bin bench_verify -- \
 echo "== fast-path codec gate (smoke bench, perfbench) =="
 # Smoke bench doubles as a divergence gate: exits nonzero on any verdict or
 # byte divergence (re-encodes of accepted faulty inputs included) and emits
-# target/BENCH_codec.json next to BENCH_lint.json.
-cargo run --offline -q --release -p protoacc-bench --bin bench_codec -- \
-    --smoke --out target/BENCH_codec.json
+# target/BENCH_codec.json next to BENCH_lint.json. It runs from crates/bench
+# so a corpus read relative to the working directory would fail here.
+(cd crates/bench && cargo run --offline -q --release -p protoacc-bench --bin bench_codec -- \
+    --smoke --out ../../target/BENCH_codec.json)
 # The benchmark's host correctness gate: every request of its fixed
 # populations must encode byte-identically to reference::encode, round-trip
 # through encode_decoded, and frame cleanly, or the run exits 1. sim-rpc-2x

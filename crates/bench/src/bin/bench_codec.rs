@@ -29,13 +29,13 @@ use std::time::Instant;
 
 use hyperprotobench::{generate_suite, populate::populate_messages, ServiceProfile};
 use protoacc_bench::cli::Args;
+use protoacc_bench::mutation::{chain_schema, CHAIN};
 use protoacc_bench::{geomean, Workload};
 use protoacc_cpu::{CostTable, SoftwareCodec};
 use protoacc_fastpath::{DecodeArena, FastCodec};
 use protoacc_faults::{mutate, DiffReport, FastpathHarness};
 use protoacc_mem::Memory;
 use protoacc_runtime::{object, reference, BumpArena, MessageLayouts};
-use protoacc_schema::parse_descriptor_set;
 use protoacc_trace::json::{self, Json};
 use xrand::StdRng;
 
@@ -111,10 +111,6 @@ fn main() {
     let target_secs = if smoke { 0.02 } else { 0.25 };
 
     let workloads = build_workloads(count, seed);
-    if workloads.is_empty() {
-        eprintln!("bench_codec: no workloads (run from the repository root)");
-        std::process::exit(2);
-    }
 
     // Correctness gate first: the throughput of a wrong codec is irrelevant.
     let mut gate = Gate::default();
@@ -209,7 +205,9 @@ fn main() {
 }
 
 /// The six HyperProtoBench suites plus every `protos/chain/*.binpb`
-/// descriptor-set schema, each with a seeded population.
+/// descriptor-set schema, each with a seeded population. The corpus is
+/// found from any working directory; a missing or unparsable fixture
+/// panics.
 fn build_workloads(count: usize, seed: u64) -> Vec<Workload> {
     let mut out: Vec<Workload> = generate_suite(count, seed)
         .into_iter()
@@ -218,26 +216,10 @@ fn build_workloads(count: usize, seed: u64) -> Vec<Workload> {
             ..bench.into()
         })
         .collect();
-    let chain = ["consensus", "gossip", "state_sync", "transaction"];
-    for (i, stem) in chain.iter().enumerate() {
-        let path = format!("protos/chain/{stem}.binpb");
-        let Ok(bytes) = std::fs::read(&path) else {
-            eprintln!("bench_codec: skipping {path} (not found)");
-            continue;
-        };
-        let schema = match parse_descriptor_set(&bytes) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("bench_codec: skipping {path}: {e}");
-                continue;
-            }
-        };
-        // Root: the last top-level message, the corpus convention.
+    for (i, stem) in CHAIN.into_iter().enumerate() {
+        let schema = chain_schema(stem);
         let root = schema
-            .iter()
-            .filter(|(_, m)| !m.name().contains('.'))
-            .map(|(id, _)| id)
-            .last()
+            .default_root()
             .expect("descriptor set has at least one message");
         let shape = ServiceProfile::bench(4).shape;
         let messages = populate_messages(

@@ -47,10 +47,7 @@ fn main() {
             std::process::exit(2);
         }),
         None => schema
-            .iter()
-            .filter(|(_, m)| !m.name().contains('.'))
-            .map(|(id, _)| id)
-            .last()
+            .default_root()
             .expect("schema has at least one message"),
     };
     let count = args.value("--count").unwrap_or(32);

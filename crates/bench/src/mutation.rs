@@ -35,13 +35,25 @@ pub fn corpus(suite_seed: u64) -> Vec<(String, Schema)> {
         let schema = parse_proto(&source).unwrap_or_else(|e| panic!("{path}: {e}"));
         out.push((stem.to_string(), schema));
     }
-    for stem in ["consensus", "gossip", "state_sync", "transaction"] {
-        let path = format!("{PROTOS}/chain/{stem}.binpb");
-        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let schema = parse_descriptor_set(&bytes).unwrap_or_else(|e| panic!("{path}: {e}"));
-        out.push((format!("chain/{stem}"), schema));
+    for stem in CHAIN {
+        out.push((format!("chain/{stem}"), chain_schema(stem)));
     }
     out
+}
+
+/// The stems of the `protos/chain/*.binpb` descriptor-set corpus.
+pub const CHAIN: [&str; 4] = ["consensus", "gossip", "state_sync", "transaction"];
+
+/// Decodes `protos/chain/<stem>.binpb`, anchored on this crate's directory.
+///
+/// # Panics
+///
+/// Panics if the fixture is missing or does not parse.
+#[must_use]
+pub fn chain_schema(stem: &str) -> Schema {
+    let path = format!("{PROTOS}/chain/{stem}.binpb");
+    let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    parse_descriptor_set(&bytes).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
 /// One mutation kind's tally over the whole corpus.

@@ -100,8 +100,10 @@ pub fn scaling_multi_accel(out: &mut String) -> fmt::Result {
     writeln!(out)?;
     writeln!(
         out,
-        "(contention on the shared LLC/DRAM path erodes per-instance throughput as\n\
-         instances are added — the integration cost a per-core deployment pays)"
+        "(instances take turns on one memory system and each sums its own op cycles;\n\
+         no bandwidth split is modelled, so efficiency shows only shared-cache\n\
+         interference, which the LLC absorbs here. For contention on the shared\n\
+         LLC/DRAM path see serve_tail_latency's instance-scaling table)"
     )
 }
 

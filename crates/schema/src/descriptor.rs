@@ -268,6 +268,16 @@ impl Schema {
             .map(|(i, m)| (MessageId(i), m))
     }
 
+    /// The root a tool takes when none is named: the last top-level
+    /// (unnested) message, since corpus files build up to their aggregate
+    /// type. `None` for a schema without messages.
+    pub fn default_root(&self) -> Option<MessageId> {
+        self.iter()
+            .filter(|(_, m)| !m.name().contains('.'))
+            .map(|(id, _)| id)
+            .last()
+    }
+
     /// Validates that every `Message` field reference points into this
     /// schema.
     ///

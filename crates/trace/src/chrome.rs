@@ -28,7 +28,7 @@
 
 use crate::audit::ExpectedStats;
 use crate::json::{self, Json};
-use crate::{AdtUnit, CmdOutcome, FsmState, MemAccessMode, TraceEvent, FALLBACK_TRACK};
+use crate::{read_field, TraceEvent, FALLBACK_TRACK};
 
 /// Version of the trace JSON schema produced by [`export`].
 pub const SCHEMA_VERSION: u32 = 1;
@@ -46,302 +46,152 @@ fn display_tid(instance: usize) -> u64 {
     }
 }
 
-/// `(key, value)` args named after the event's own fields: `field` takes
-/// the binding of that name, `field = expr` a derived value.
-macro_rules! args {
-    ($($field:ident $(= $value:expr)?),* $(,)?) => {
-        vec![$((stringify!($field), Json::from(args!(@value $field $($value)?)))),*]
-    };
-    (@value $field:ident) => { $field };
-    (@value $field:ident $value:expr) => { $value };
-}
-
-struct EventJson {
+/// How one event is drawn: its name, its track (`pid`, `tid`), its
+/// timestamp and, for a complete ("X") span, its duration; `dur: None`
+/// draws an instant ("i"). Its `args` come from its declaration in
+/// [`TraceEvent`].
+struct Drawn {
     name: String,
     pid: u64,
     tid: u64,
     ts: u64,
-    /// `Some(dur)` renders a complete ("X") span, `None` an instant ("i").
     dur: Option<u64>,
-    /// Every field of the event; the exporter puts its `kind` in front.
-    args: Vec<(&'static str, Json)>,
 }
 
-fn evt_json(e: &TraceEvent) -> EventJson {
+fn instant(name: impl Into<String>, pid: u64, tid: u64, at: u64) -> Drawn {
+    let name = name.into();
+    Drawn {
+        name,
+        pid,
+        tid,
+        ts: at,
+        dur: None,
+    }
+}
+
+fn span(name: impl Into<String>, pid: u64, tid: u64, start: u64, cycles: u64) -> Drawn {
+    let name = name.into();
+    Drawn {
+        name,
+        pid,
+        tid,
+        ts: start,
+        dur: Some(cycles),
+    }
+}
+
+/// The one presentation arm per event kind.
+fn drawn(e: &TraceEvent) -> Drawn {
+    use TraceEvent as E;
+    // Serve-cluster tracks: tid 0 for the queue, one per instance above it.
+    let cmd_tid = |instance| display_tid(instance) + 1;
     match *e {
-        TraceEvent::CmdEnqueue {
+        E::CmdEnqueue { seq, at, .. } => instant(format!("enqueue#{seq}"), 0, 0, at),
+        E::CmdDrop { seq, at } => instant(format!("drop#{seq}"), 0, 0, at),
+        E::CmdShed { seq, at, .. } => instant(format!("shed#{seq}"), 0, 0, at),
+        E::FrameDecode { conn, at, .. } => instant(format!("frame@{conn}"), 0, 0, at),
+        E::CmdDispatch {
+            seq, at, instance, ..
+        } => instant(format!("dispatch#{seq}"), 0, cmd_tid(instance), at),
+        E::CmdRetry {
+            seq, at, instance, ..
+        } => instant(format!("retry#{seq}"), 0, cmd_tid(instance), at),
+        E::CmdFallback { seq, at } => instant(format!("fallback#{seq}"), 0, 0, at),
+        E::CmdComplete {
             seq,
-            at,
-            wire_bytes,
-            deser,
-        } => EventJson {
-            name: format!("enqueue#{seq}"),
-            pid: 0,
-            tid: 0,
-            ts: at,
-            dur: None,
-            args: args![seq, at, wire_bytes, deser],
-        },
-        TraceEvent::CmdDrop { seq, at } => EventJson {
-            name: format!("drop#{seq}"),
-            pid: 0,
-            tid: 0,
-            ts: at,
-            dur: None,
-            args: args![seq, at],
-        },
-        TraceEvent::CmdShed {
-            seq,
-            at,
-            deadline,
-            estimate,
-        } => EventJson {
-            name: format!("shed#{seq}"),
-            pid: 0,
-            tid: 0,
-            ts: at,
-            dur: None,
-            args: args![seq, at, deadline, estimate],
-        },
-        TraceEvent::FrameDecode { conn, at, len, ok } => EventJson {
-            name: format!("frame@{conn}"),
-            pid: 0,
-            tid: 0,
-            ts: at,
-            dur: None,
-            args: args![conn, at, len, ok],
-        },
-        TraceEvent::CmdDispatch {
-            seq,
-            at,
-            instance,
-            attempt,
-        } => EventJson {
-            name: format!("dispatch#{seq}"),
-            pid: 0,
-            tid: display_tid(instance) + 1,
-            ts: at,
-            dur: None,
-            args: args![seq, at, instance, attempt],
-        },
-        TraceEvent::CmdRetry {
-            seq,
-            at,
-            instance,
-            attempt,
-        } => EventJson {
-            name: format!("retry#{seq}"),
-            pid: 0,
-            tid: display_tid(instance) + 1,
-            ts: at,
-            dur: None,
-            args: args![seq, at, instance, attempt],
-        },
-        TraceEvent::CmdFallback { seq, at } => EventJson {
-            name: format!("fallback#{seq}"),
-            pid: 0,
-            tid: 0,
-            ts: at,
-            dur: None,
-            args: args![seq, at],
-        },
-        TraceEvent::CmdComplete {
-            seq,
-            enqueue,
             dispatch,
-            complete,
             service,
             instance,
-            wire_bytes,
-            deser,
-            sharers,
-            attempts,
-            outcome,
-        } => EventJson {
-            name: format!("cmd#{seq}"),
-            pid: 0,
-            tid: display_tid(instance) + 1,
-            ts: dispatch,
-            dur: Some(service),
-            args: args![
-                seq,
-                enqueue,
-                dispatch,
-                complete,
-                service,
-                instance,
-                wire_bytes,
-                deser,
-                sharers,
-                attempts,
-                outcome = outcome.label()
-            ],
-        },
-        TraceEvent::DeserOp {
+            ..
+        } => span(
+            format!("cmd#{seq}"),
+            0,
+            cmd_tid(instance),
+            dispatch,
+            service,
+        ),
+        E::DeserOp {
             instance,
             start,
             cycles,
-            fsm_cycles,
-            stream_cycles,
-            wire_bytes,
-            fields,
-        } => EventJson {
-            name: "deser_op".to_string(),
-            pid: 1,
-            tid: display_tid(instance),
-            ts: start,
-            dur: Some(cycles),
-            args: args![
-                instance,
-                start,
-                cycles,
-                fsm_cycles,
-                stream_cycles,
-                wire_bytes,
-                fields
-            ],
-        },
-        TraceEvent::SerOp {
+            ..
+        } => span("deser_op", 1, display_tid(instance), start, cycles),
+        E::SerOp {
             instance,
             start,
             cycles,
-            frontend_cycles,
-            fsu_cycles,
-            memwriter_cycles,
-            out_len,
-            fields,
-        } => EventJson {
-            name: "ser_op".to_string(),
-            pid: 1,
-            tid: display_tid(instance),
-            ts: start,
-            dur: Some(cycles),
-            args: args![
-                instance,
-                start,
-                cycles,
-                frontend_cycles,
-                fsu_cycles,
-                memwriter_cycles,
-                out_len,
-                fields
-            ],
-        },
-        TraceEvent::MemloaderStream {
+            ..
+        } => span("ser_op", 1, display_tid(instance), start, cycles),
+        E::MemloaderStream {
             instance,
             start,
             cycles,
-            bytes,
-            windows,
-        } => EventJson {
-            name: "memloader".to_string(),
-            pid: 1,
-            tid: display_tid(instance),
-            ts: start,
-            dur: Some(cycles),
-            args: args![instance, start, cycles, bytes, windows],
-        },
-        TraceEvent::FsmTransition {
+            ..
+        } => span("memloader", 1, display_tid(instance), start, cycles),
+        E::FsmTransition {
             instance,
             at,
             state,
-            field_number,
-        } => EventJson {
-            name: format!("fsm:{}", state.label()),
-            pid: 1,
-            tid: display_tid(instance),
-            ts: at,
-            dur: None,
-            args: args![instance, at, state = state.label(), field_number],
-        },
-        TraceEvent::Field {
-            instance,
-            start,
-            cycles,
-            field_number,
-        } => EventJson {
-            name: format!("field#{field_number}"),
-            pid: 1,
-            tid: display_tid(instance),
-            ts: start,
-            dur: Some(cycles),
-            args: args![instance, start, cycles, field_number],
-        },
-        TraceEvent::AdtAccess {
-            instance,
+            ..
+        } => instant(
+            format!("fsm:{}", state.label()),
+            1,
+            display_tid(instance),
             at,
-            unit,
-            hit,
-            cycles,
-        } => EventJson {
-            name: format!("adt:{}", if hit { "hit" } else { "miss" }),
-            pid: 1,
-            tid: display_tid(instance),
-            ts: at,
-            dur: None,
-            args: args![instance, at, unit = unit.label(), hit, cycles],
-        },
-        TraceEvent::FsuOp {
+        ),
+        E::Field {
             instance,
-            unit,
             start,
             cycles,
             field_number,
-        } => EventJson {
-            name: format!("fsu#{unit}"),
-            pid: 2,
-            tid: display_tid(instance) * 256 + unit as u64,
-            ts: start,
-            dur: Some(cycles),
-            args: args![instance, unit, start, cycles, field_number],
-        },
-        TraceEvent::MemwriterFlush {
+        } => span(
+            format!("field#{field_number}"),
+            1,
+            display_tid(instance),
+            start,
+            cycles,
+        ),
+        E::AdtAccess {
+            instance, at, hit, ..
+        } => {
+            let name = if hit { "adt:hit" } else { "adt:miss" };
+            instant(name, 1, display_tid(instance), at)
+        }
+        E::FsuOp {
+            instance,
+            unit,
+            start,
+            cycles,
+            ..
+        } => {
+            let tid = display_tid(instance) * 256 + unit as u64;
+            span(format!("fsu#{unit}"), 2, tid, start, cycles)
+        }
+        E::MemwriterFlush {
             instance,
             start,
             cycles,
-            bytes,
-        } => EventJson {
-            name: "memwriter".to_string(),
-            pid: 2,
-            tid: display_tid(instance) * 256 + 255,
-            ts: start,
-            dur: Some(cycles),
-            args: args![instance, start, cycles, bytes],
-        },
-        TraceEvent::MemAccess {
+            ..
+        } => span(
+            "memwriter",
+            2,
+            display_tid(instance) * 256 + 255,
+            start,
+            cycles,
+        ),
+        E::MemAccess {
             requester,
             at,
             cycles,
-            addr,
-            len,
-            write,
             mode,
-            tlb_walk_cycles,
-            l1_hits,
-            l2_hits,
-            llc_hits,
-            dram_accesses,
-        } => EventJson {
-            name: format!("mem:{}", mode.label()),
-            pid: 3,
-            tid: requester as u64,
-            ts: at,
-            dur: Some(cycles),
-            args: args![
-                requester,
-                at,
-                cycles,
-                addr,
-                len,
-                write,
-                mode = mode.label(),
-                tlb_walk_cycles,
-                l1_hits,
-                l2_hits,
-                llc_hits,
-                dram_accesses
-            ],
-        },
+            ..
+        } => span(
+            format!("mem:{}", mode.label()),
+            3,
+            requester as u64,
+            at,
+            cycles,
+        ),
     }
 }
 
@@ -391,16 +241,22 @@ pub fn export(events: &[TraceEvent], expected: &[ExpectedStats]) -> String {
 }
 
 fn event_obj(e: &TraceEvent) -> Json {
-    let j = evt_json(e);
-    let mut members = vec![("name", Json::Str(j.name)), ("cat", "protoacc".into())];
-    match j.dur {
-        Some(dur) => members.extend([("ph", "X".into()), ("ts", j.ts.into()), ("dur", dur.into())]),
-        None => members.extend([("ph", "i".into()), ("ts", j.ts.into()), ("s", "t".into())]),
+    let Drawn {
+        name,
+        pid,
+        tid,
+        ts,
+        dur,
+    } = drawn(e);
+    let mut members = vec![("name", Json::Str(name)), ("cat", "protoacc".into())];
+    match dur {
+        Some(dur) => members.extend([("ph", "X".into()), ("ts", ts.into()), ("dur", dur.into())]),
+        None => members.extend([("ph", "i".into()), ("ts", ts.into()), ("s", "t".into())]),
     }
-    let args = std::iter::once(("kind", e.kind().into())).chain(j.args);
+    let args = std::iter::once(("kind", e.kind().into())).chain(e.args());
     members.extend([
-        ("pid", j.pid.into()),
-        ("tid", j.tid.into()),
+        ("pid", pid.into()),
+        ("tid", tid.into()),
         ("args", Json::obj(args)),
     ]);
     Json::obj(members)
@@ -417,173 +273,6 @@ pub struct ParsedTrace {
     pub expected: Vec<ExpectedStats>,
 }
 
-/// Reads `args[key]` with `read`, naming `kind` and `key` when it is
-/// missing or of the wrong type.
-fn field<'j, T>(
-    args: &'j Json,
-    key: &str,
-    kind: &str,
-    read: impl FnOnce(&'j Json) -> Option<T>,
-) -> Result<T, String> {
-    args.get(key)
-        .and_then(read)
-        .ok_or_else(|| format!("{kind} event missing or mistyped field '{key}'"))
-}
-
-#[allow(clippy::too_many_lines)]
-fn event_from_args(args: &Json) -> Result<Option<TraceEvent>, String> {
-    let Some(kind) = args.get("kind").and_then(Json::as_str) else {
-        // Metadata events (process names) carry no kind tag.
-        return Ok(None);
-    };
-    let u = |key: &str| field(args, key, kind, Json::as_u64);
-    let b = |key: &str| field(args, key, kind, Json::as_bool);
-    let s = |key: &str| field(args, key, kind, Json::as_str);
-    let event = match kind {
-        "cmd_enqueue" => TraceEvent::CmdEnqueue {
-            seq: u("seq")? as usize,
-            at: u("at")?,
-            wire_bytes: u("wire_bytes")?,
-            deser: b("deser")?,
-        },
-        "cmd_drop" => TraceEvent::CmdDrop {
-            seq: u("seq")? as usize,
-            at: u("at")?,
-        },
-        "cmd_shed" => TraceEvent::CmdShed {
-            seq: u("seq")? as usize,
-            at: u("at")?,
-            deadline: u("deadline")?,
-            estimate: u("estimate")?,
-        },
-        "frame_decode" => TraceEvent::FrameDecode {
-            conn: u("conn")? as usize,
-            at: u("at")?,
-            len: u("len")?,
-            ok: b("ok")?,
-        },
-        "cmd_dispatch" => TraceEvent::CmdDispatch {
-            seq: u("seq")? as usize,
-            at: u("at")?,
-            instance: u("instance")? as usize,
-            attempt: u("attempt")? as u32,
-        },
-        "cmd_retry" => TraceEvent::CmdRetry {
-            seq: u("seq")? as usize,
-            at: u("at")?,
-            instance: u("instance")? as usize,
-            attempt: u("attempt")? as u32,
-        },
-        "cmd_fallback" => TraceEvent::CmdFallback {
-            seq: u("seq")? as usize,
-            at: u("at")?,
-        },
-        "cmd_complete" => {
-            let outcome = s("outcome")?;
-            TraceEvent::CmdComplete {
-                seq: u("seq")? as usize,
-                enqueue: u("enqueue")?,
-                dispatch: u("dispatch")?,
-                complete: u("complete")?,
-                service: u("service")?,
-                instance: u("instance")? as usize,
-                wire_bytes: u("wire_bytes")?,
-                deser: b("deser")?,
-                sharers: u("sharers")? as usize,
-                attempts: u("attempts")? as u32,
-                outcome: CmdOutcome::from_label(outcome)
-                    .ok_or_else(|| format!("unknown outcome '{outcome}'"))?,
-            }
-        }
-        "deser_op" => TraceEvent::DeserOp {
-            instance: u("instance")? as usize,
-            start: u("start")?,
-            cycles: u("cycles")?,
-            fsm_cycles: u("fsm_cycles")?,
-            stream_cycles: u("stream_cycles")?,
-            wire_bytes: u("wire_bytes")?,
-            fields: u("fields")?,
-        },
-        "ser_op" => TraceEvent::SerOp {
-            instance: u("instance")? as usize,
-            start: u("start")?,
-            cycles: u("cycles")?,
-            frontend_cycles: u("frontend_cycles")?,
-            fsu_cycles: u("fsu_cycles")?,
-            memwriter_cycles: u("memwriter_cycles")?,
-            out_len: u("out_len")?,
-            fields: u("fields")?,
-        },
-        "memloader_stream" => TraceEvent::MemloaderStream {
-            instance: u("instance")? as usize,
-            start: u("start")?,
-            cycles: u("cycles")?,
-            bytes: u("bytes")?,
-            windows: u("windows")?,
-        },
-        "fsm_transition" => {
-            let state = s("state")?;
-            TraceEvent::FsmTransition {
-                instance: u("instance")? as usize,
-                at: u("at")?,
-                state: FsmState::from_label(state)
-                    .ok_or_else(|| format!("unknown fsm state '{state}'"))?,
-                field_number: u("field_number")? as u32,
-            }
-        }
-        "field" => TraceEvent::Field {
-            instance: u("instance")? as usize,
-            start: u("start")?,
-            cycles: u("cycles")?,
-            field_number: u("field_number")? as u32,
-        },
-        "adt_access" => {
-            let unit = s("unit")?;
-            TraceEvent::AdtAccess {
-                instance: u("instance")? as usize,
-                at: u("at")?,
-                unit: AdtUnit::from_label(unit)
-                    .ok_or_else(|| format!("unknown adt unit '{unit}'"))?,
-                hit: b("hit")?,
-                cycles: u("cycles")?,
-            }
-        }
-        "fsu_op" => TraceEvent::FsuOp {
-            instance: u("instance")? as usize,
-            unit: u("unit")? as usize,
-            start: u("start")?,
-            cycles: u("cycles")?,
-            field_number: u("field_number")? as u32,
-        },
-        "memwriter_flush" => TraceEvent::MemwriterFlush {
-            instance: u("instance")? as usize,
-            start: u("start")?,
-            cycles: u("cycles")?,
-            bytes: u("bytes")?,
-        },
-        "mem_access" => {
-            let mode = s("mode")?;
-            TraceEvent::MemAccess {
-                requester: u("requester")? as usize,
-                at: u("at")?,
-                cycles: u("cycles")?,
-                addr: u("addr")?,
-                len: u("len")?,
-                write: b("write")?,
-                mode: MemAccessMode::from_label(mode)
-                    .ok_or_else(|| format!("unknown access mode '{mode}'"))?,
-                tlb_walk_cycles: u("tlb_walk_cycles")?,
-                l1_hits: u("l1_hits")?,
-                l2_hits: u("l2_hits")?,
-                llc_hits: u("llc_hits")?,
-                dram_accesses: u("dram_accesses")?,
-            }
-        }
-        other => return Err(format!("unknown event kind '{other}'")),
-    };
-    Ok(Some(event))
-}
-
 /// Parses a trace file produced by [`export`] back into its event stream
 /// and embedded expected-stats block.
 ///
@@ -597,8 +286,8 @@ pub fn parse(text: &str) -> Result<ParsedTrace, String> {
     let schema_version = root
         .get("schema_version")
         .and_then(Json::as_u64)
-        .ok_or_else(|| "missing schema_version".to_string())? as u32;
-    if schema_version != SCHEMA_VERSION {
+        .ok_or_else(|| "missing schema_version".to_string())?;
+    if schema_version != u64::from(SCHEMA_VERSION) {
         return Err(format!(
             "unsupported schema_version {schema_version} (expected {SCHEMA_VERSION})"
         ));
@@ -609,11 +298,12 @@ pub fn parse(text: &str) -> Result<ParsedTrace, String> {
         .and_then(Json::as_arr)
         .ok_or_else(|| "missing traceEvents array".to_string())?
     {
+        // Metadata events (process names) carry no kind tag.
         let Some(args) = raw.get("args") else {
             continue;
         };
-        if let Some(event) = event_from_args(args)? {
-            events.push(event);
+        if let Some(kind) = args.get("kind").and_then(Json::as_str) {
+            events.push(TraceEvent::from_args(kind, args)?);
         }
     }
     let mut expected = Vec::new();
@@ -623,19 +313,19 @@ pub fn parse(text: &str) -> Result<ParsedTrace, String> {
         .and_then(Json::as_arr)
     {
         for s in list {
-            let u = |key: &str| field(s, key, "expected_stats", Json::as_u64);
+            let kind = "expected_stats";
             expected.push(ExpectedStats {
-                instance: u("instance")? as usize,
-                deser_ops: u("deser_ops")?,
-                deser_cycles: u("deser_cycles")?,
-                ser_ops: u("ser_ops")?,
-                ser_cycles: u("ser_cycles")?,
-                saturated: field(s, "saturated", "expected_stats", Json::as_bool)?,
+                instance: read_field(s, kind, "instance")?,
+                deser_ops: read_field(s, kind, "deser_ops")?,
+                deser_cycles: read_field(s, kind, "deser_cycles")?,
+                ser_ops: read_field(s, kind, "ser_ops")?,
+                ser_cycles: read_field(s, kind, "ser_cycles")?,
+                saturated: read_field(s, kind, "saturated")?,
             });
         }
     }
     Ok(ParsedTrace {
-        schema_version,
+        schema_version: SCHEMA_VERSION,
         events,
         expected,
     })
@@ -644,9 +334,10 @@ pub fn parse(text: &str) -> Result<ParsedTrace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AdtUnit, CmdOutcome, FsmState, MemAccessMode};
 
     fn sample_events() -> Vec<TraceEvent> {
-        vec![
+        let mut events = vec![
             TraceEvent::CmdEnqueue {
                 seq: 0,
                 at: 10,
@@ -777,20 +468,92 @@ mod tests {
                 attempts: 0,
                 outcome: CmdOutcome::Shed,
             },
-        ]
+        ];
+        // Every label of the four label enums, and the largest value of
+        // each integer field type.
+        events.extend(
+            [
+                FsmState::ParseKey,
+                FsmState::TypeInfo,
+                FsmState::Write,
+                FsmState::OpenFrame,
+                FsmState::CloseFrame,
+                FsmState::Skip,
+            ]
+            .into_iter()
+            .map(|state| TraceEvent::FsmTransition {
+                instance: 0,
+                at: 21,
+                state,
+                field_number: u32::MAX,
+            }),
+        );
+        events.push(TraceEvent::AdtAccess {
+            instance: 0,
+            at: u64::MAX,
+            unit: AdtUnit::Ser,
+            hit: true,
+            cycles: 1,
+        });
+        events.extend(
+            [MemAccessMode::Blocking, MemAccessMode::Pipelined]
+                .into_iter()
+                .map(|mode| TraceEvent::MemAccess {
+                    requester: usize::MAX,
+                    at: 30,
+                    cycles: u64::MAX,
+                    addr: u64::MAX,
+                    len: 1,
+                    write: true,
+                    mode,
+                    tlb_walk_cycles: 4,
+                    l1_hits: 0,
+                    l2_hits: 0,
+                    llc_hits: 1,
+                    dram_accesses: u64::MAX,
+                }),
+        );
+        events.extend(
+            [CmdOutcome::Ok, CmdOutcome::Rejected, CmdOutcome::Failed]
+                .into_iter()
+                .map(|outcome| TraceEvent::CmdComplete {
+                    seq: usize::MAX,
+                    enqueue: 0,
+                    dispatch: 1,
+                    complete: u64::MAX,
+                    service: u64::MAX - 1,
+                    instance: usize::MAX - 1,
+                    wire_bytes: u64::MAX,
+                    deser: true,
+                    sharers: usize::MAX,
+                    attempts: u32::MAX,
+                    outcome,
+                }),
+        );
+        events.push(TraceEvent::CmdDispatch {
+            seq: usize::MAX,
+            at: u64::MAX,
+            instance: 0,
+            attempt: u32::MAX,
+        });
+        events
     }
 
-    #[test]
-    fn export_parse_round_trips_every_event_kind() {
-        let events = sample_events();
-        let expected = vec![ExpectedStats {
+    fn sample_expected() -> Vec<ExpectedStats> {
+        vec![ExpectedStats {
             instance: 1,
             deser_ops: 1,
             deser_cycles: 52,
             ser_ops: 1,
             ser_cycles: 44,
             saturated: false,
-        }];
+        }]
+    }
+
+    #[test]
+    fn export_parse_round_trips_every_event_kind() {
+        let events = sample_events();
+        let expected = sample_expected();
         let json = export(&events, &expected);
         let parsed = parse(&json).expect("round trip");
         assert_eq!(parsed.schema_version, SCHEMA_VERSION);
@@ -798,13 +561,83 @@ mod tests {
         assert_eq!(parsed.expected, expected);
     }
 
+    /// Pins the exported bytes: key names, key order and layout. The
+    /// round trip cannot see a key renamed on both sides; this can.
+    #[test]
+    fn export_matches_golden_file() {
+        let golden = include_str!("../tests/golden/sample_trace.json");
+        assert_eq!(
+            export(&sample_events(), &sample_expected()),
+            golden,
+            "Chrome trace bytes drifted from tests/golden/sample_trace.json"
+        );
+    }
+
+    /// A `u32` field given a value past `u32::MAX` is a typed error, not
+    /// a silent truncation.
+    #[test]
+    fn out_of_range_u32_fields_are_mistyped_not_truncated() {
+        for (kind, key, others) in [
+            (
+                "cmd_dispatch",
+                "attempt",
+                r#""seq": 0, "at": 0, "instance": 0"#,
+            ),
+            (
+                "cmd_retry",
+                "attempt",
+                r#""seq": 0, "at": 0, "instance": 0"#,
+            ),
+            (
+                "cmd_complete",
+                "attempts",
+                r#""seq": 0, "enqueue": 0, "dispatch": 0, "complete": 0, "service": 0,
+                   "instance": 0, "wire_bytes": 0, "deser": true, "sharers": 1,
+                   "outcome": "ok""#,
+            ),
+            (
+                "fsm_transition",
+                "field_number",
+                r#""instance": 0, "at": 0, "state": "skip""#,
+            ),
+            (
+                "field",
+                "field_number",
+                r#""instance": 0, "start": 0, "cycles": 0"#,
+            ),
+            (
+                "fsu_op",
+                "field_number",
+                r#""instance": 0, "unit": 0, "start": 0, "cycles": 0"#,
+            ),
+        ] {
+            let trace = |value: u64| {
+                format!(
+                    r#"{{"schema_version": 1, "traceEvents": [{{"args": {{"kind": "{kind}", {others}, "{key}": {value}}}}}]}}"#
+                )
+            };
+            assert!(parse(&trace(u64::from(u32::MAX))).is_ok(), "{kind}");
+            let err = parse(&trace(u64::from(u32::MAX) + 1)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("{kind} event missing or mistyped field '{key}'")
+            );
+        }
+    }
+
     #[test]
     fn export_is_versioned_and_rejects_other_versions() {
         let json = export(&[], &[]);
         assert!(json.contains("\"schema_version\": 1"));
-        let bumped = json.replace("\"schema_version\": 1", "\"schema_version\": 99");
-        let err = parse(&bumped).unwrap_err();
-        assert!(err.contains("unsupported schema_version"), "{err}");
+        // 2^32 + 1 would read as version 1 if truncated to u32.
+        for other in ["99", "4294967297"] {
+            let bumped = json.replace(
+                "\"schema_version\": 1",
+                &format!("\"schema_version\": {other}"),
+            );
+            let err = parse(&bumped).unwrap_err();
+            assert!(err.contains("unsupported schema_version"), "{err}");
+        }
     }
 
     #[test]

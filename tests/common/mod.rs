@@ -26,13 +26,10 @@ pub fn load_binpb(stem: &str) -> Schema {
     parse_descriptor_set(&bytes).unwrap_or_else(|e| panic!("{stem}.binpb must parse: {e}"))
 }
 
-/// The corpus convention: the last top-level message is the aggregate root.
+/// The schema's aggregate root ([`Schema::default_root`]).
 pub fn root_of(schema: &Schema) -> MessageId {
     schema
-        .iter()
-        .filter(|(_, m)| !m.name().contains('.'))
-        .map(|(id, _)| id)
-        .last()
+        .default_root()
         .expect("schema has at least one message")
 }
 
