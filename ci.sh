@@ -5,6 +5,9 @@
 # Steps:
 #   1. formatting           cargo fmt --check
 #   2. lints                cargo clippy --all-targets -- -D warnings
+#   2b. docs                cargo doc --workspace --no-deps with rustdoc
+#                           warnings denied (broken or ambiguous intra-doc
+#                           links, public docs linking private items)
 #   3. tier-1 tests         cargo build --release && cargo test: the root
 #                           package's unit and doc tests and every
 #                           tests/*.rs suite, each run once here and only
@@ -12,11 +15,16 @@
 #                           decoder robustness (truncation at every offset,
 #                           seeded wire faults, descriptor depth bomb), the
 #                           table/ADT mutation campaign (verify_mutation),
-#                           accel-vs-CPU verdict parity on 10k corrupted
-#                           inputs (corruption_differential, fault_matrix),
-#                           the varint boundary sweep and fastpath-vs-CPU
-#                           differential, envelope soundness and the serve
-#                           sanitizer (PA007/PA008/PA009 over the fleet mix
+#                           the differential oracle's four-way judgements
+#                           (accelerator, CPU and fast-path verdicts on two
+#                           10k corruption sweeps, byte-identical re-encodes,
+#                           trees and bytes against the reference:
+#                           corruption_differential, fastpath_differential,
+#                           accel_differential, random_accel,
+#                           cross_system), the fault
+#                           matrix, the varint boundary sweep, envelope
+#                           soundness and the serve sanitizer
+#                           (PA007/PA008/PA009 over the fleet mix
 #                           at 1/2/4 instances), trace accounting (tracing
 #                           is a pure observer, the audit is exact, records
 #                           rebuild from the trace, mem_access events fold
@@ -63,10 +71,11 @@
 #   6. fast-path gate       bench_codec --smoke, run from crates/bench so
 #                           its corpus must load by the crate's own anchor
 #                           rather than the working directory (fails on any
-#                           byte or verdict divergence, including the
-#                           re-encode of every truncated or mutated input
-#                           both decoders accept, and panics on a missing
-#                           chain fixture; emits target/BENCH_codec.json); then
+#                           divergence the differential oracle reports,
+#                           including the re-encodes of every truncated or
+#                           mutated input all three decoders accept, and
+#                           panics on a missing chain fixture; emits
+#                           target/BENCH_codec.json); then
 #                           the perfbench package's own tests, a 1-second
 #                           --trace 0 run of host-small, host-blob,
 #                           sim-rpc-2x (the one workload where RpcServer
@@ -101,6 +110,9 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "== tier-1: release build + root test suite =="
 cargo build --offline --release
@@ -162,10 +174,11 @@ cargo run --offline -q --release -p protoacc-bench --bin bench_verify -- \
     --smoke --out target/BENCH_verify.json
 
 echo "== fast-path codec gate (smoke bench, perfbench) =="
-# Smoke bench doubles as a divergence gate: exits nonzero on any verdict or
-# byte divergence (re-encodes of accepted faulty inputs included) and emits
-# target/BENCH_codec.json next to BENCH_lint.json. It runs from crates/bench
-# so a corpus read relative to the working directory would fail here.
+# Smoke bench doubles as a divergence gate: exits nonzero on any divergence
+# the differential oracle reports (re-encodes of accepted faulty inputs
+# included) and emits target/BENCH_codec.json next to BENCH_lint.json. It
+# runs from crates/bench so a corpus read relative to the working directory
+# would fail here.
 (cd crates/bench && cargo run --offline -q --release -p protoacc-bench --bin bench_codec -- \
     --smoke --out ../../target/BENCH_codec.json)
 # The benchmark's host correctness gate: every request of its fixed

@@ -16,14 +16,16 @@
 //! ```
 //!
 //! `--smoke` shrinks populations and timing windows for CI, but always runs
-//! the full correctness gate: byte-identical encodes vs the reference
-//! encoder, value-identical round trips, and verdict-identical decodes vs
-//! `crates/cpu` over clean, truncated, and seeded-mutated inputs. Every
-//! truncated or mutated input that both the fast path and the reference
-//! decoder accept must also re-encode to the reference encoding of the
-//! reference decoder's value; such inputs may be non-canonical, which is
-//! where the encoder rewrites a length prefix. Any divergence is reported
-//! in the JSON and fails the process.
+//! the full correctness gate: the differential oracle
+//! (`protoacc_faults::Oracle`) judges every message clean — every codec's
+//! encode byte-identical to the reference encoder, every decode back to
+//! the message — and truncated and seeded-mutated, where the accelerator,
+//! `crates/cpu` and the fast path must give the same verdict, and every
+//! input all three accept must re-encode byte-identically on all three
+//! and, when the reference decoder accepts it too, to the reference
+//! encoding of the reference decoder's value. Such inputs may be
+//! non-canonical, which is where the fast-path encoder rewrites a length
+//! prefix. Any divergence is reported in the JSON and fails the process.
 
 use std::time::Instant;
 
@@ -33,7 +35,7 @@ use protoacc_bench::mutation::{chain_schema, CHAIN};
 use protoacc_bench::{geomean, Workload};
 use protoacc_cpu::{CostTable, SoftwareCodec};
 use protoacc_fastpath::{DecodeArena, FastCodec};
-use protoacc_faults::{mutate, DiffReport, FastpathHarness};
+use protoacc_faults::{mutate, DiffReport, Divergence, Oracle};
 use protoacc_mem::Memory;
 use protoacc_runtime::{object, reference, BumpArena, MessageLayouts};
 use protoacc_trace::json::{self, Json};
@@ -86,19 +88,6 @@ impl Spread {
     }
 }
 
-/// Correctness-gate tally across all workloads.
-#[derive(Default)]
-struct Gate {
-    report: DiffReport,
-    encode_divergences: usize,
-    roundtrip_divergences: usize,
-    /// Truncated or mutated inputs both decoders accepted, re-encoded.
-    reencode_trials: usize,
-    /// Those whose reference encoding differs from the input.
-    reencode_noncanonical: usize,
-    reencode_divergences: usize,
-}
-
 fn main() {
     let args = Args::parse("bench_codec [--smoke] [--out PATH] [--count N] [--seed S]");
     let smoke = args.flag("--smoke");
@@ -113,11 +102,9 @@ fn main() {
     let workloads = build_workloads(count, seed);
 
     // Correctness gate first: the throughput of a wrong codec is irrelevant.
-    let mut gate = Gate::default();
     let mutations = if smoke { 24 } else { 120 };
-    for w in &workloads {
-        differential_gate(w, mutations, seed, &mut gate);
-    }
+    let (report, reencoded) = differential_gate(&workloads, mutations, seed);
+    let [_, encode, roundtrip, reencode] = divergences(&report);
 
     let mut rows = Vec::new();
     println!("GB/s per timed pass: median (min-p90)");
@@ -157,12 +144,12 @@ fn main() {
     println!(
         "differential: {} ({} encode, {} round-trip divergences); \
          {} re-encodes of accepted faulty inputs ({} non-canonical), {} divergences",
-        gate.report.summary(),
-        gate.encode_divergences,
-        gate.roundtrip_divergences,
-        gate.reencode_trials,
-        gate.reencode_noncanonical,
-        gate.reencode_divergences
+        report.summary(),
+        encode,
+        roundtrip,
+        reencoded,
+        report.non_canonical,
+        reencode
     );
 
     let json = render_json(
@@ -177,7 +164,8 @@ fn main() {
             g_ref_se,
             deser_speedup,
         ],
-        &gate,
+        &report,
+        reencoded,
     );
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         let _ = std::fs::create_dir_all(dir);
@@ -188,12 +176,8 @@ fn main() {
     }
     println!("wrote {out_path}");
 
-    let divergent = !gate.report.is_clean()
-        || gate.encode_divergences > 0
-        || gate.roundtrip_divergences > 0
-        || gate.reencode_divergences > 0;
-    if divergent {
-        eprintln!("bench_codec: DIVERGENCE between fastpath and its oracles — failing");
+    if !report.is_clean() {
+        eprintln!("bench_codec: DIVERGENCE between the codecs — failing");
         std::process::exit(1);
     }
     if !smoke && deser_speedup < 2.0 {
@@ -239,69 +223,55 @@ fn build_workloads(count: usize, seed: u64) -> Vec<Workload> {
     out
 }
 
-/// Byte-identity, round-trip, and verdict agreement for one workload.
-fn differential_gate(w: &Workload, mutations: usize, seed: u64, gate: &mut Gate) {
-    let mut h = FastpathHarness::new(&w.schema, w.type_id);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF_5EED);
-    let mut arena = DecodeArena::new();
-    let codec = h.codec().clone();
-    for m in &w.messages {
-        let wire = reference::encode(m, &w.schema).expect("workload encodes");
-        // Decode round trip to a value-identical tree; the arena re-encode
-        // must be byte-identical to the reference encoder.
-        match codec.decode(w.type_id, &wire, &mut arena) {
-            Ok(obj) => {
-                let back = codec.to_value(w.type_id, &wire, &arena, obj);
-                if !back.bits_eq(m) {
-                    gate.roundtrip_divergences += 1;
-                }
-                if codec.encode_decoded(w.type_id, &wire, &arena, obj) != wire {
-                    gate.encode_divergences += 1;
-                }
+/// The label of a workload message's own encoding in the gate's report.
+const CLEAN: &str = "clean";
+
+/// Judges every workload message through one oracle per workload: clean,
+/// with the encode side (`judge_value`), then truncated at sampled offsets
+/// and seeded-mutated. Returns the tally and how many of the faulty inputs
+/// all three decoders accepted, and so re-encoded.
+fn differential_gate(workloads: &[Workload], mutations: usize, seed: u64) -> (DiffReport, usize) {
+    let mut report = DiffReport::default();
+    let mut reencoded = 0;
+    for w in workloads {
+        let mut oracle = Oracle::new(&w.schema, w.type_id);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF_5EED);
+        for m in &w.messages {
+            let wire = reference::encode(m, &w.schema).expect("workload encodes");
+            report.record(CLEAN, &wire, &oracle.judge_value(m));
+            let stride = (wire.len() / 32).max(1);
+            let cuts = (0..wire.len())
+                .step_by(stride)
+                .map(|cut| ("truncate", wire[..cut].to_vec()));
+            let mutants = (0..mutations).map(|_| {
+                let (fault, bytes) = mutate(&wire, &mut rng);
+                (fault.label(), bytes)
+            });
+            for (label, bytes) in cuts.chain(mutants) {
+                let judgement = oracle.judge(&bytes);
+                report.record(label, &bytes, &judgement);
+                reencoded += usize::from(judgement.encoded.is_some());
             }
-            Err(_) => gate.roundtrip_divergences += 1,
-        }
-        // Verdict agreement: clean, truncated at sampled offsets, mutated;
-        // each faulty input both sides accept is re-encoded too.
-        h.observe("clean", &wire, &mut gate.report);
-        let stride = (wire.len() / 32).max(1);
-        for cut in (0..wire.len()).step_by(stride) {
-            h.observe("truncate", &wire[..cut], &mut gate.report);
-            reencode_gate(w, &codec, &mut arena, &wire[..cut], gate);
-        }
-        for _ in 0..mutations {
-            let (fault, mutated) = mutate(&wire, &mut rng);
-            h.observe(fault.label(), &mutated, &mut gate.report);
-            reencode_gate(w, &codec, &mut arena, &mutated, gate);
         }
     }
+    (report, reencoded)
 }
 
-/// When both the fast path and the reference decoder accept `bytes`, the
-/// fast path's re-encode must equal the reference encoding of the
-/// reference decoder's value.
-fn reencode_gate(
-    w: &Workload,
-    codec: &FastCodec,
-    arena: &mut DecodeArena,
-    bytes: &[u8],
-    gate: &mut Gate,
-) {
-    let Ok(obj) = codec.decode(w.type_id, bytes, arena) else {
-        return;
-    };
-    let Ok(value) = reference::decode(bytes, w.type_id, &w.schema) else {
-        return;
-    };
-    gate.reencode_trials += 1;
-    let Ok(expected) = reference::encode(&value, &w.schema) else {
-        gate.reencode_divergences += 1;
-        return;
-    };
-    gate.reencode_noncanonical += usize::from(expected != bytes);
-    if codec.encode_decoded(w.type_id, bytes, arena, obj) != expected {
-        gate.reencode_divergences += 1;
+/// The report's mismatches by kind: verdict mismatches anywhere, then
+/// encode and round-trip divergences of clean messages, then re-encode
+/// divergences of faulty inputs.
+fn divergences(report: &DiffReport) -> [usize; 4] {
+    let mut counts = [0; 4];
+    for m in &report.mismatches {
+        let clean = m.label == CLEAN;
+        let verdict = matches!(m.divergence, Divergence::Verdict(_));
+        let bytes = matches!(m.divergence, Divergence::Bytes(_));
+        counts[0] += usize::from(verdict);
+        counts[1] += usize::from(clean && bytes);
+        counts[2] += usize::from(clean && !bytes);
+        counts[3] += usize::from(!clean && !verdict);
     }
+    counts
 }
 
 fn measure_workload(w: &Workload, target_secs: f64) -> Row {
@@ -460,7 +430,14 @@ fn throughput(
     }
 }
 
-fn render_json(mode: &str, rows: &[Row], geo: &[f64; 7], gate: &Gate) -> String {
+fn render_json(
+    mode: &str,
+    rows: &[Row],
+    geo: &[f64; 7],
+    report: &DiffReport,
+    reencoded: usize,
+) -> String {
+    let [verdict, encode, roundtrip, reencode] = divergences(report);
     let workloads = rows.iter().map(|r| {
         let mut members = vec![
             ("name", r.name.as_str().into()),
@@ -495,15 +472,15 @@ fn render_json(mode: &str, rows: &[Row], geo: &[f64; 7], gate: &Gate) -> String 
         (
             "differential",
             Json::obj([
-                ("trials", gate.report.trials.into()),
-                ("accepted", gate.report.accepted.into()),
-                ("rejected", gate.report.rejected.into()),
-                ("verdict_mismatches", gate.report.mismatches.len().into()),
-                ("encode_divergences", gate.encode_divergences.into()),
-                ("roundtrip_divergences", gate.roundtrip_divergences.into()),
-                ("reencode_trials", gate.reencode_trials.into()),
-                ("reencode_noncanonical", gate.reencode_noncanonical.into()),
-                ("reencode_divergences", gate.reencode_divergences.into()),
+                ("trials", report.trials.into()),
+                ("accepted", report.accepted.into()),
+                ("rejected", report.rejected.into()),
+                ("verdict_mismatches", verdict.into()),
+                ("encode_divergences", encode.into()),
+                ("roundtrip_divergences", roundtrip.into()),
+                ("reencode_trials", reencoded.into()),
+                ("reencode_noncanonical", report.non_canonical.into()),
+                ("reencode_divergences", reencode.into()),
             ]),
         ),
     ]))

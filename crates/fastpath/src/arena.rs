@@ -25,7 +25,7 @@
 //! `{data_offset, count, capacity}` header, matching the
 //! `REPEATED_HEADER_BYTES` shape the rest of the suite uses.
 //!
-//! The arena also owns the decoder's scratch ([`Scratch`]): the repeated-
+//! The arena also owns the decoder's scratch (`Scratch`): the repeated-
 //! field element buffers, each holding its field's elements already at
 //! their arena width ([`Op::width`](crate::dispatch::Op::width)) so that
 //! placing the array is one copy, and the accumulator stack. Callers

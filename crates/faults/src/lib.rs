@@ -29,30 +29,29 @@
 //!   instrumented CPU codec wrapped as a [`protoacc::FallbackCodec`], so
 //!   offered load is still served (slower, measured) with every accelerator
 //!   instance down.
-//! * [`differential`] runs the same bytes through the accelerator model and
-//!   the CPU reference decoder and demands the *same verdict class*
-//!   ([`protoacc::DecodeFault`]) from both — the contract that makes the
-//!   accelerator a drop-in replacement even on hostile input. [`fastdiff`]
-//!   holds the native fast-path codec (`protoacc-fastpath`) to the same
-//!   contract against the same CPU oracle.
+//! * [`oracle::Oracle`] stages the accelerator model, the CPU codec, the
+//!   native fast path (`protoacc-fastpath`) and the value-tree reference
+//!   once per message type and judges every input against all four: the
+//!   same verdict class ([`protoacc::DecodeFault`]) from the three
+//!   decoders, byte-identical re-encodes, and trees and bytes equal to the
+//!   reference's — the contract that makes the accelerator a drop-in
+//!   replacement even on hostile input.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod differential;
 pub mod fallback;
-pub mod fastdiff;
 pub mod frames;
 pub mod instance;
 pub mod memory;
+pub mod oracle;
 pub mod tables;
 pub mod wire;
 
-pub use differential::{DiffReport, DifferentialHarness, Verdict};
 pub use fallback::SoftwareFallback;
-pub use fastdiff::FastpathHarness;
 pub use frames::{FrameFault, FRAME_FAULTS};
 pub use instance::{random_script, InstanceFaultPlan};
+pub use oracle::{Codec, DiffReport, Divergence, Judgement, Oracle, Verdict};
 pub use tables::{
     mutate_adt, mutate_compiled, AdtMutation, TableMutation, ADT_MUTATIONS, TABLE_MUTATIONS,
 };

@@ -1,6 +1,6 @@
 //! Fleet-distribution traffic generator for the serving model.
 //!
-//! Converts [`ShapeModel`](crate::protobufz::ShapeModel) message-shape
+//! Converts [`ShapeModel`] message-shape
 //! samples into *concrete* schemas and message values (so the accelerator
 //! and software codecs can actually process them), then replays a request
 //! stream over that population at a configurable offered load with seeded

@@ -361,8 +361,8 @@ pub struct LintConfig {
     /// wire length the per-type watchdog ceiling is evaluated at.
     pub max_wire_bytes: u64,
     /// Watchdog cycle budget the serve layer is configured with. When set,
-    /// any type whose static service ceiling at [`max_wire_bytes`]
-    /// (`LintConfig::max_wire_bytes`) exceeds it fires PA010. `None`
+    /// any type whose static service ceiling at
+    /// [`LintConfig::max_wire_bytes`] exceeds it fires PA010. `None`
     /// disables the check.
     pub watchdog_budget: Option<Cycles>,
     /// PA012 threshold: maximum tolerated decoded-footprint growth in bytes

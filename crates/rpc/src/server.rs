@@ -10,9 +10,9 @@
 //! mechanisms compose on that path, in order:
 //!
 //! 1. **Framing totality** — a malformed frame (reserved flag, oversized
-//!    or truncated length) is a typed [`FrameError`] that kills only its
-//!    connection; the request never reaches the cluster and the byte is
-//!    accounted in [`RpcStats::frame_errors`].
+//!    or truncated length) is a typed [`FrameError`](crate::FrameError)
+//!    that kills only its connection; the request never reaches the
+//!    cluster and the byte is accounted in [`RpcStats::frame_errors`].
 //! 2. **Credit-window flow control** — each connection may have at most
 //!    `window` requests in flight. A frame arriving with the window
 //!    exhausted is *deferred*: its effective arrival becomes the completion

@@ -22,7 +22,7 @@
 //! `expected_stats`, is the `ci.sh` trace gate. Like the lint report, the
 //! file carries a versioned [`SCHEMA_VERSION`] field.
 //!
-//! The [`json`](crate::json) module writes and reads the file: [`export`]
+//! The [`json`] module writes and reads the file: [`export`]
 //! builds a [`Json`] value and hands it to the shared writer, and [`parse`]
 //! reads the events back out of the shared parser's value.
 

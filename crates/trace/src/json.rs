@@ -2,7 +2,7 @@
 //! writes or reads: the Chrome trace, the lint report and the
 //! `BENCH_*.json` files.
 //!
-//! [`write`] has a single layout. Each member of a top-level object goes on
+//! [`write`](fn@write) has a single layout. Each member of a top-level object goes on
 //! its own line at indent 2, a non-empty array member puts one element per
 //! line at indent 4, and everything else is inline with `, ` and `: ` as
 //! separators. Objects keep their insertion order and numbers keep the

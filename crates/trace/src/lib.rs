@@ -21,7 +21,7 @@
 //!   same format so CI can round-trip a trace file.
 //! * [`json`] — the one JSON value, writer and parser that the trace
 //!   and every lint and `BENCH_*.json` report are written and read with.
-//! * [`audit`] — an aggregating profile reporter whose per-type cycle
+//! * [`audit`](mod@audit) — an aggregating profile reporter whose per-type cycle
 //!   breakdowns are cross-checked against `AccelStats`: the traced
 //!   [`TraceEvent::DeserOp`]/[`TraceEvent::SerOp`] spans must sum *exactly*
 //!   to the cycles the stats counters report, a built-in accounting audit.
@@ -30,7 +30,7 @@
 //!   rule is shared (via [`nearest_rank`]) with
 //!   `ServeCluster::latency_percentile` so the two paths cannot disagree by
 //!   more than one histogram bucket.
-//! * [`stitch`] — merges per-shard logs into one stream with disjoint ids.
+//! * [`stitch`](mod@stitch) — merges per-shard logs into one stream with disjoint ids.
 
 #![warn(missing_docs)]
 

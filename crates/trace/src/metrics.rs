@@ -3,7 +3,7 @@
 //! Histograms bucket a `u64` value by its bit length: bucket 0 holds the
 //! value 0, bucket `i >= 1` holds values in `[2^(i-1), 2^i - 1]`. With 65
 //! buckets the full `u64` range is covered. Percentiles use the same
-//! [`nearest_rank`](crate::nearest_rank) rule as the serve layer's exact
+//! [`nearest_rank`] rule as the serve layer's exact
 //! path, so the two can never disagree by more than the width of one
 //! bucket — a property the crate's tests pin down.
 

@@ -4,7 +4,7 @@
 //! shard, each in a private timestamp space (every shard starts its queue
 //! clock at 0) and a private id space (instances, memory requesters, and
 //! command sequence numbers all start at 0). Stitching turns those logs
-//! into one global log the existing consumers — [`audit`](crate::audit),
+//! into one global log the existing consumers — [`audit`](mod@crate::audit),
 //! [`MetricsRegistry`](crate::MetricsRegistry), the Chrome exporter — can
 //! process unchanged:
 //!

@@ -648,7 +648,7 @@ fn op_of_type_code(tc: TypeCode) -> Option<Op> {
 
 /// PA019 over one schema: read back every ADT from guest memory and hold it
 /// to the software table, header words and entries alike. Holes are probed
-/// (exhaustively up to [`FULL_SWEEP_SPAN`], sampled beyond) and must decode
+/// (exhaustively up to `FULL_SWEEP_SPAN`, sampled beyond) and must decode
 /// as `Undefined` with a clear `is_submessage` bit.
 pub fn check_adt_image(
     schema: &Schema,

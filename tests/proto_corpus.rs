@@ -1,16 +1,14 @@
 //! Parses the realistic `.proto` corpus in `protos/`, checks `protodb`
-//! statistics, and drives populated messages through the full accelerator
-//! path for each schema.
+//! statistics, and drives populated messages, their truncations and a
+//! depth bomb through the differential oracle for each schema.
 
 mod common;
 
 use common::load;
-use protoacc_suite::accel::{AccelConfig, ProtoAccelerator};
+use protoacc_suite::accel::DecodeFault;
+use protoacc_suite::faults::{depth_bomb, Oracle, Verdict};
 use protoacc_suite::fleet::protodb::analyze_schema;
-use protoacc_suite::mem::{MemConfig, Memory};
-use protoacc_suite::runtime::{
-    object, reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value,
-};
+use protoacc_suite::runtime::{reference, MessageValue, Value};
 use protoacc_suite::schema::Schema;
 
 #[test]
@@ -65,37 +63,14 @@ fn corpus_schemas_round_trip_through_the_accelerator() {
         let type_id = schema.id_by_name(root).unwrap_or_else(|| panic!("{root}"));
         let message = build(&schema);
         message.validate(&schema).expect("corpus message validates");
-        let layouts = MessageLayouts::compute(&schema);
-        let mut mem = Memory::new(MemConfig::default());
-        let mut arena = BumpArena::new(0x1_0000, 1 << 24);
-        let adts = write_adts(&schema, &layouts, &mut mem.data, &mut arena).unwrap();
-        let mut accel = ProtoAccelerator::new(AccelConfig::default());
-        accel.ser_assign_arena(0x4000_0000, 1 << 24, 0x7000_0000, 1 << 14);
-        accel.deser_assign_arena(0x8000_0000, 1 << 24);
-
-        let obj =
-            object::write_message(&mut mem.data, &schema, &layouts, &mut arena, &message).unwrap();
-        let layout = layouts.layout(type_id);
-        accel.ser_info(
-            layout.hasbits_offset(),
-            layout.min_field(),
-            layout.max_field(),
-        );
-        let ser = accel
-            .do_proto_ser(&mut mem, adts.addr(type_id), obj)
-            .unwrap();
+        // Every codec serializes the message byte-identically to the
+        // reference and decodes those bytes back to it.
+        let judgement = Oracle::new(&schema, type_id).judge_value(&message);
         assert_eq!(
-            mem.data.read_vec(ser.out_addr, ser.out_len as usize),
-            reference::encode(&message, &schema).unwrap(),
-            "{file} serializer bytes"
+            judgement.verdict(),
+            Some(Verdict::Accept),
+            "{file}: {judgement:?}"
         );
-        let dest = arena.alloc(layout.object_size(), 8).unwrap();
-        accel.deser_info(adts.addr(type_id), dest);
-        accel
-            .do_proto_deser(&mut mem, ser.out_addr, ser.out_len, layout.min_field())
-            .unwrap();
-        let back = object::read_message(&mem.data, &schema, &layouts, type_id, dest).unwrap();
-        assert!(back.bits_eq(&message), "{file} round trip");
     }
 }
 
@@ -210,50 +185,48 @@ fn build_tablet(schema: &Schema) -> MessageValue {
 }
 
 /// Every prefix of every corpus message's encoding must decode or cleanly
-/// error — never panic, never hang — and the accelerator's verdict must
-/// match the CPU reference decoder's at every cut point.
+/// error — never panic, never hang — and every codec must agree at every
+/// cut point.
 #[test]
 fn corpus_wire_truncated_at_every_offset_errors_cleanly() {
-    use protoacc_suite::faults::DifferentialHarness;
     for (file, root, build) in corpus_messages() {
         let schema = load(file);
         let type_id = schema.id_by_name(root).unwrap_or_else(|| panic!("{root}"));
         let message = build(&schema);
         let wire = reference::encode(&message, &schema).unwrap();
-        let mut harness = DifferentialHarness::new(&schema, type_id);
+        let mut oracle = Oracle::new(&schema, type_id);
         for cut in 0..wire.len() {
-            let (accel, cpu) = harness.verdicts(&wire[..cut]);
-            assert_eq!(
-                accel,
-                cpu,
-                "{file} truncated at byte {cut}/{}: accel {accel:?} vs cpu {cpu:?}",
+            let judgement = oracle.judge(&wire[..cut]);
+            assert!(
+                judgement.verdict().is_some(),
+                "{file} truncated at byte {cut}/{}: {judgement:?}",
                 wire.len()
             );
         }
-        let (accel, cpu) = harness.verdicts(&wire);
-        assert!(
-            accel.is_accept() && cpu.is_accept(),
-            "{file}: untruncated wire must decode on both sides"
+        let judgement = oracle.judge(&wire);
+        assert_eq!(
+            judgement.verdict(),
+            Some(Verdict::Accept),
+            "{file}: untruncated wire must decode everywhere ({judgement:?})"
         );
     }
 }
 
 /// A recursion depth bomb on the storage schema's recursive field
 /// (`Row.tombstone_shadow = 15`) must be rejected with the typed depth
-/// fault on both decoders — bounded work, no stack exhaustion, no panic.
+/// fault by every decoder — bounded work, no stack exhaustion, no panic.
 #[test]
 fn storage_row_depth_bomb_is_rejected_with_depth_exceeded() {
-    use protoacc_suite::accel::DecodeFault;
-    use protoacc_suite::faults::{depth_bomb, DifferentialHarness, Verdict};
     let schema = load("storage_row.proto");
     let row_id = schema.id_by_name("Row").unwrap();
-    let mut harness = DifferentialHarness::new(&schema, row_id);
-    let bomb = depth_bomb(15, 300);
-    let (accel, cpu) = harness.verdicts(&bomb);
-    assert_eq!(accel, Verdict::Reject(DecodeFault::DepthExceeded));
-    assert_eq!(cpu, Verdict::Reject(DecodeFault::DepthExceeded));
-    // Under the limit the same nesting decodes fine on both sides.
-    let shallow = depth_bomb(15, 10);
-    let (accel, cpu) = harness.verdicts(&shallow);
-    assert!(accel.is_accept() && cpu.is_accept(), "{accel:?} / {cpu:?}");
+    let mut oracle = Oracle::new(&schema, row_id);
+    let bomb = oracle.judge(&depth_bomb(15, 300));
+    assert_eq!(
+        bomb.verdict(),
+        Some(Verdict::Reject(DecodeFault::DepthExceeded)),
+        "{bomb:?}"
+    );
+    // Under the limit the same nesting decodes fine everywhere.
+    let shallow = oracle.judge(&depth_bomb(15, 10));
+    assert_eq!(shallow.verdict(), Some(Verdict::Accept), "{shallow:?}");
 }

@@ -1,15 +1,14 @@
 //! Randomized tests: arbitrary messages through the accelerator agree with
 //! the reference codec in both directions, and arbitrary or corrupted bytes
-//! never panic it. Driven by the workspace's deterministic PRNG (`xrand`);
-//! enable the `slow-tests` feature to multiply the iteration counts.
+//! never panic it. Every input goes through the differential oracle, so
+//! the CPU codec and the fast path are held to the same answers. Driven by
+//! the workspace's deterministic PRNG (`xrand`); enable the `slow-tests`
+//! feature to multiply the iteration counts.
 
-use protoacc::{AccelConfig, ProtoAccelerator};
-use protoacc_mem::{MemConfig, Memory};
-use protoacc_runtime::{
-    object, reference, write_adts, BumpArena, MessageLayouts, MessageValue, Value,
-};
-use protoacc_schema::{FieldType, MessageId, Schema, SchemaBuilder};
-use xrand::{Rng, StdRng};
+use protoacc_suite::faults::{Oracle, Verdict};
+use protoacc_suite::runtime::{reference, MessageValue, Value};
+use protoacc_suite::schema::{FieldType, MessageId, Schema, SchemaBuilder};
+use protoacc_suite::xrand::{Rng, StdRng};
 
 /// Iteration count, scaled up under `--features slow-tests`.
 fn cases(default: usize) -> usize {
@@ -121,25 +120,19 @@ fn random_outer(rng: &mut StdRng, outer: MessageId, inner: MessageId) -> Message
     m
 }
 
-/// Feeding arbitrary bytes to the deserializer must fail gracefully —
-/// never panic, never write outside its arena, never loop forever.
+/// Feeding arbitrary bytes to the decoders must fail gracefully — never
+/// panic, never write outside their arenas, never loop forever — and all
+/// three must give the same verdict.
 #[test]
 fn accel_deser_survives_arbitrary_input() {
     let mut rng = StdRng::seed_from_u64(0xACC_0001);
     let (schema, outer, _) = test_schema();
-    let layouts = MessageLayouts::compute(&schema);
+    let mut oracle = Oracle::new(&schema, outer);
     for _ in 0..cases(64) {
         let bytes = random_bytes(&mut rng, 512);
-        let mut mem = Memory::new(MemConfig::default());
-        let mut setup = BumpArena::new(0x1_0000, 1 << 22);
-        let adts = write_adts(&schema, &layouts, &mut mem.data, &mut setup).unwrap();
-        mem.data.write_bytes(0x20_0000, &bytes);
-        let dest = setup.alloc(layouts.layout(outer).object_size(), 8).unwrap();
-        let mut accel = ProtoAccelerator::new(AccelConfig::default());
-        accel.deser_assign_arena(0x100_0000, 1 << 22);
-        accel.deser_info(adts.addr(outer), dest);
-        // Result may be Ok (bytes happened to parse) or Err; both are fine.
-        let _ = accel.do_proto_deser(&mut mem, 0x20_0000, bytes.len() as u64, 1);
+        // The bytes may happen to parse or not; both are fine.
+        let judgement = oracle.judge(&bytes);
+        assert!(judgement.verdict().is_some(), "{bytes:02x?}: {judgement:?}");
     }
 }
 
@@ -149,7 +142,7 @@ fn accel_deser_survives_arbitrary_input() {
 fn accel_deser_survives_corruption() {
     let mut rng = StdRng::seed_from_u64(0xACC_0002);
     let (schema, outer, inner) = test_schema();
-    let layouts = MessageLayouts::compute(&schema);
+    let mut oracle = Oracle::new(&schema, outer);
     for _ in 0..cases(64) {
         let m = random_outer(&mut rng, outer, inner);
         let mut wire = reference::encode(&m, &schema).unwrap();
@@ -158,17 +151,8 @@ fn accel_deser_survives_corruption() {
         }
         let idx = rng.gen_range(0usize..wire.len());
         wire[idx] ^= 1 << rng.gen_range(0u8..8);
-        let mut mem = Memory::new(MemConfig::default());
-        let mut setup = BumpArena::new(0x1_0000, 1 << 22);
-        let adts = write_adts(&schema, &layouts, &mut mem.data, &mut setup).unwrap();
-        mem.data.write_bytes(0x20_0000, &wire);
-        let dest = setup
-            .alloc(layouts.layout(m.type_id()).object_size(), 8)
-            .unwrap();
-        let mut accel = ProtoAccelerator::new(AccelConfig::default());
-        accel.deser_assign_arena(0x100_0000, 1 << 24);
-        accel.deser_info(adts.addr(m.type_id()), dest);
-        let _ = accel.do_proto_deser(&mut mem, 0x20_0000, wire.len() as u64, 1);
+        let judgement = oracle.judge(&wire);
+        assert!(judgement.verdict().is_some(), "{wire:02x?}: {judgement:?}");
     }
 }
 
@@ -176,25 +160,13 @@ fn accel_deser_survives_corruption() {
 fn accel_deser_matches_reference() {
     let mut rng = StdRng::seed_from_u64(0xACC_0003);
     let (schema, outer, inner) = test_schema();
-    let layouts = MessageLayouts::compute(&schema);
+    let mut oracle = Oracle::new(&schema, outer);
     for _ in 0..cases(64) {
         let m = random_outer(&mut rng, outer, inner);
-        let mut mem = Memory::new(MemConfig::default());
-        let mut setup = BumpArena::new(0x1_0000, 1 << 22);
-        let adts = write_adts(&schema, &layouts, &mut mem.data, &mut setup).unwrap();
         let wire = reference::encode(&m, &schema).unwrap();
-        mem.data.write_bytes(0x20_0000, &wire);
-        let dest = setup
-            .alloc(layouts.layout(m.type_id()).object_size(), 8)
-            .unwrap();
-        let mut accel = ProtoAccelerator::new(AccelConfig::default());
-        accel.deser_assign_arena(0x100_0000, 1 << 24);
-        accel.deser_info(adts.addr(m.type_id()), dest);
-        accel
-            .do_proto_deser(&mut mem, 0x20_0000, wire.len() as u64, 1)
-            .unwrap();
-        let back = object::read_message(&mem.data, &schema, &layouts, m.type_id(), dest).unwrap();
-        assert!(back.bits_eq(&m));
+        let judgement = oracle.judge(&wire);
+        assert_eq!(judgement.verdict(), Some(Verdict::Accept), "{judgement:?}");
+        assert!(judgement.tree.is_some_and(|tree| tree.bits_eq(&m)));
     }
 }
 
@@ -202,26 +174,10 @@ fn accel_deser_matches_reference() {
 fn accel_ser_matches_reference_bytes() {
     let mut rng = StdRng::seed_from_u64(0xACC_0004);
     let (schema, outer, inner) = test_schema();
-    let layouts = MessageLayouts::compute(&schema);
+    let mut oracle = Oracle::new(&schema, outer);
     for _ in 0..cases(64) {
         let m = random_outer(&mut rng, outer, inner);
-        let mut mem = Memory::new(MemConfig::default());
-        let mut setup = BumpArena::new(0x1_0000, 1 << 22);
-        let adts = write_adts(&schema, &layouts, &mut mem.data, &mut setup).unwrap();
-        let obj = object::write_message(&mut mem.data, &schema, &layouts, &mut setup, &m).unwrap();
-        let mut accel = ProtoAccelerator::new(AccelConfig::default());
-        accel.ser_assign_arena(0x300_0000, 1 << 24, 0x500_0000, 1 << 16);
-        let layout = layouts.layout(m.type_id());
-        accel.ser_info(
-            layout.hasbits_offset(),
-            layout.min_field(),
-            layout.max_field(),
-        );
-        let run = accel
-            .do_proto_ser(&mut mem, adts.addr(m.type_id()), obj)
-            .unwrap();
-        let got = mem.data.read_vec(run.out_addr, run.out_len as usize);
-        let expect = reference::encode(&m, &schema).unwrap();
-        assert_eq!(got, expect);
+        let judgement = oracle.judge_value(&m);
+        assert_eq!(judgement.verdict(), Some(Verdict::Accept), "{judgement:?}");
     }
 }

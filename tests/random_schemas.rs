@@ -1,14 +1,15 @@
 //! Randomized test over *schemas*, not just values: random service profiles
 //! and seeds generate arbitrary schemas + populations, and every system must
-//! agree on every message, in both directions, plus merge semantics.
+//! agree on every message, in both directions (through the differential
+//! oracle), plus the accelerator's merge semantics.
 //! Driven by the workspace's deterministic PRNG (`xrand`); enable the
 //! `slow-tests` feature to multiply the seed count.
 
 use protoacc_suite::accel::{AccelConfig, ProtoAccelerator};
-use protoacc_suite::cpu::{CostTable, SoftwareCodec};
+use protoacc_suite::faults::{Oracle, Verdict};
 use protoacc_suite::hyperbench::{Generator, ServiceProfile};
 use protoacc_suite::mem::{MemConfig, Memory};
-use protoacc_suite::runtime::{object, reference, write_adts, BumpArena, MessageLayouts};
+use protoacc_suite::runtime::{object, write_adts, BumpArena, MessageLayouts};
 use protoacc_suite::xrand::{Rng, StdRng};
 
 /// Seeds tried per service, scaled up under `--features slow-tests`.
@@ -33,65 +34,16 @@ fn every_system_agrees_on_random_schemas() {
 
 fn check_service(service: usize, seed: u64) {
     let bench = Generator::new(ServiceProfile::bench(service), seed).generate(3);
-    let layouts = MessageLayouts::compute(&bench.schema);
-    let mut mem = Memory::new(MemConfig::default());
-    let mut setup = BumpArena::new(0x1_0000, 1 << 26);
-    let adts = write_adts(&bench.schema, &layouts, &mut mem.data, &mut setup).unwrap();
-    let mut accel = ProtoAccelerator::new(AccelConfig::default());
-    accel.deser_assign_arena(0x2_0000_0000, 1 << 28);
-    accel.ser_assign_arena(0x4000_0000, 1 << 28, 0x7000_0000, 1 << 16);
-    let boom = CostTable::boom();
-    let codec = SoftwareCodec::new(&boom);
-    let layout = layouts.layout(bench.type_id);
-    let mut cpu_arena = BumpArena::new(0x3_0000_0000, 1 << 28);
-
+    // Every codec serializes each message byte-identically to the
+    // reference and decodes those bytes back to it.
+    let mut oracle = Oracle::new(&bench.schema, bench.type_id);
     for m in &bench.messages {
-        let expect = reference::encode(m, &bench.schema).unwrap();
-
-        // Accelerator serialization is byte-identical.
-        let obj =
-            object::write_message(&mut mem.data, &bench.schema, &layouts, &mut setup, m).unwrap();
-        accel.ser_info(
-            layout.hasbits_offset(),
-            layout.min_field(),
-            layout.max_field(),
-        );
-        let ser = accel
-            .do_proto_ser(&mut mem, adts.addr(bench.type_id), obj)
-            .unwrap();
+        let judgement = oracle.judge_value(m);
         assert_eq!(
-            mem.data.read_vec(ser.out_addr, ser.out_len as usize),
-            expect.clone(),
-            "service {service} seed {seed}"
+            judgement.verdict(),
+            Some(Verdict::Accept),
+            "service {service} seed {seed}: {judgement:?}"
         );
-
-        // Accelerator deserialization of those bytes round-trips.
-        let dest = setup.alloc(layout.object_size(), 8).unwrap();
-        accel.deser_info(adts.addr(bench.type_id), dest);
-        accel
-            .do_proto_deser(&mut mem, ser.out_addr, ser.out_len, layout.min_field())
-            .unwrap();
-        let back =
-            object::read_message(&mem.data, &bench.schema, &layouts, bench.type_id, dest).unwrap();
-        assert!(back.bits_eq(m), "service {service} seed {seed}");
-
-        // CPU codec round-trips the same bytes.
-        let dest2 = cpu_arena.alloc(layout.object_size(), 8).unwrap();
-        codec
-            .deserialize(
-                &mut mem,
-                &bench.schema,
-                &layouts,
-                bench.type_id,
-                ser.out_addr,
-                ser.out_len,
-                dest2,
-                &mut cpu_arena,
-            )
-            .unwrap();
-        let back2 =
-            object::read_message(&mem.data, &bench.schema, &layouts, bench.type_id, dest2).unwrap();
-        assert!(back2.bits_eq(m), "service {service} seed {seed}");
     }
 
     // Merge the population pairwise on the accelerator and check against
@@ -99,6 +51,12 @@ fn check_service(service: usize, seed: u64) {
     if bench.messages.len() >= 2 {
         let a = &bench.messages[0];
         let b = &bench.messages[1];
+        let layouts = MessageLayouts::compute(&bench.schema);
+        let mut mem = Memory::new(MemConfig::default());
+        let mut setup = BumpArena::new(0x1_0000, 1 << 26);
+        let adts = write_adts(&bench.schema, &layouts, &mut mem.data, &mut setup).unwrap();
+        let mut accel = ProtoAccelerator::new(AccelConfig::default());
+        accel.deser_assign_arena(0x2_0000_0000, 1 << 28);
         let dst =
             object::write_message(&mut mem.data, &bench.schema, &layouts, &mut setup, a).unwrap();
         let src =
