@@ -419,6 +419,6 @@ mod tests {
         let findings = sanitize_trace(&events, 1, &[]);
         assert!(findings
             .iter()
-            .any(|f| matches!(f.kind, crate::FindingKind::Lifecycle)));
+            .any(|f| f.code == crate::DiagCode::LifecycleOrder));
     }
 }

@@ -34,14 +34,16 @@
 //!
 //! On top of the envelope, this crate checks dynamic traces of the
 //! multi-instance serving model ([`protoacc::ServeCluster`]) and reports
-//! [`Finding`]s in three categories, surfaced by `protoacc-lint` as
-//! diagnostics:
+//! [`Finding`]s under three codes, surfaced by `protoacc-lint` as
+//! diagnostics: PA007 (measured service cycles inside the static envelope),
+//! PA008 (the command lifecycle, [`protoacc::check_lifecycle`]) and PA009
+//! (no overlapping buffers among in-flight commands).
 //!
-//! | Code  | Kind                       | Check                                           |
-//! |-------|----------------------------|--------------------------------------------------|
-//! | PA007 | [`FindingKind::Envelope`]  | measured service cycles inside the static envelope |
-//! | PA008 | [`FindingKind::Lifecycle`] | happens-before on enqueue → dispatch → complete  |
-//! | PA009 | [`FindingKind::Aliasing`]  | no overlapping buffers among in-flight commands  |
+//! # Diagnostic codes
+//!
+//! [`DiagCode`] is the workspace's one list of `PAxxx` codes, each with its
+//! name and default severity; the sanitizer's findings, the translation
+//! validator's violations and the lint's diagnostics all carry it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -49,8 +51,9 @@
 pub mod from_trace;
 
 use std::collections::HashMap;
+use std::fmt;
 
-use protoacc::{AccelConfig, CommandRecord, CommandStatus, FALLBACK_INSTANCE};
+use protoacc::{AccelConfig, CommandRecord};
 use protoacc_mem::{Cycles, MemConfig, BUS_WIDTH_BYTES, PAGE_SIZE};
 use protoacc_runtime::{AdtLayout, MessageLayouts};
 use protoacc_schema::{FieldType, MessageId, Schema};
@@ -732,39 +735,208 @@ pub fn composed_service_ceiling(
 }
 
 // ---------------------------------------------------------------------------
-// Sanitizer
+// Diagnostic codes
 // ---------------------------------------------------------------------------
 
-/// Category of a dynamic sanitizer finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FindingKind {
-    /// PA007: measured service cycles fell outside the static envelope.
-    Envelope,
-    /// PA008: command-lifecycle ordering violated (happens-before,
-    /// per-instance serialization, or accounting).
-    Lifecycle,
-    /// PA009: two concurrently in-flight commands touched overlapping
-    /// arena byte ranges, at least one writing.
-    Aliasing,
+/// How seriously a diagnostic should be treated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Severity {
+    /// Suppressed: recorded in no report.
+    Allow,
+    /// Reported, but does not fail a lint gate by default.
+    Warn,
+    /// Reported and fails the lint gate.
+    Deny,
 }
 
-impl FindingKind {
-    /// Stable diagnostic code, aligned with `protoacc-lint`.
+impl Severity {
+    /// Lower-case name as used in CLI flags and JSON output.
     #[must_use]
-    pub fn code(self) -> &'static str {
+    pub fn as_str(self) -> &'static str {
         match self {
-            FindingKind::Envelope => "PA007",
-            FindingKind::Lifecycle => "PA008",
-            FindingKind::Aliasing => "PA009",
+            Severity::Allow => "allow",
+            Severity::Warn => "warn",
+            Severity::Deny => "deny",
         }
     }
+
+    /// Parses a CLI severity name.
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        [Severity::Allow, Severity::Warn, Severity::Deny]
+            .into_iter()
+            .find(|v| v.as_str() == s)
+    }
 }
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// Declares [`DiagCode`] from one list: each code's doc, its stable
+/// `PAxxx` string, its kebab-case name and its default severity.
+macro_rules! diag_codes {
+    ($($(#[$doc:meta])* $variant:ident = ($code:literal, $name:literal, $severity:ident),)*) => {
+        /// Stable identifier of one check: the lint's static checks
+        /// (PA001–PA006, PA010–PA015), the serve sanitizer (PA007–PA009) and
+        /// the translation validator (PA016–PA020).
+        ///
+        /// Only a *provably* spilling type (finite nesting depth greater than
+        /// the stack depth) denies by default among the static codes;
+        /// everything else — including recursive types whose instance depth
+        /// is data-dependent — warns. The sanitizer codes always report
+        /// genuine model violations, so they deny, and so do PA016–PA019: a
+        /// disproved table/layout property is a compiler bug that silently
+        /// corrupts data, never a schema style concern. PA020 is a budget
+        /// threshold, so it warns.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum DiagCode {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl DiagCode {
+            /// Every code, in PA-number order.
+            pub const ALL: &'static [DiagCode] = &[$(DiagCode::$variant),*];
+
+            /// The stable `PAxxx` code string.
+            #[must_use]
+            pub fn code(self) -> &'static str {
+                match self {
+                    $(DiagCode::$variant => $code,)*
+                }
+            }
+
+            /// Short kebab-case name.
+            #[must_use]
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(DiagCode::$variant => $name,)*
+                }
+            }
+
+            /// Default severity when no override is configured.
+            #[must_use]
+            pub fn default_severity(self) -> Severity {
+                match self {
+                    $(DiagCode::$variant => Severity::$severity,)*
+                }
+            }
+        }
+    };
+}
+
+diag_codes! {
+    /// Message nesting can exceed the on-chip metadata stack depth, so
+    /// sub-message pushes/pops spill to DRAM (Section 3.8).
+    StackSpill = ("PA001", "stack-spill", Deny),
+    /// A field number is wide enough that its wire key no longer fits the
+    /// 2-byte key fast path.
+    WideKey = ("PA002", "wide-key", Warn),
+    /// Field numbers are sparse enough that a dense hasbits mapping would
+    /// waste per-field work (the rejected alternative of Section 4.2,
+    /// crossover analysis in Section 3.7).
+    SparseHasbits = ("PA003", "sparse-hasbits", Warn),
+    /// A schema feature the accelerator punts to software (proto2
+    /// `required` presence enforcement; UTF-8 validation of `string` fields
+    /// when proto3 semantics are enabled, Section 7).
+    SoftwareFallback = ("PA004", "software-fallback", Warn),
+    /// Packed repeated elements are far narrower than the 16-byte consumer
+    /// window, so the field-handling FSM, not the memloader, bounds
+    /// throughput.
+    WindowStarve = ("PA005", "window-starve", Warn),
+    /// The descriptor-table working set of one root message exceeds the
+    /// accelerator's ADT-entry cache, thrashing to the L2.
+    AdtThrash = ("PA006", "adt-thrash", Warn),
+    /// A measured command service time fell outside the static
+    /// `[lower, upper]` cycle envelope — either the model charged cycles
+    /// the abstract interpretation says are impossible, or the envelope
+    /// itself is unsound. Sanitizer-only.
+    EnvelopeViolation = ("PA007", "envelope-violation", Deny),
+    /// The serve-model command lifecycle broke a rule of
+    /// [`protoacc::check_lifecycle`] (dispatch before enqueue, overlapping
+    /// commands on one instance, completion inconsistent with dispatch +
+    /// service, accounting). Sanitizer-only.
+    LifecycleOrder = ("PA008", "lifecycle-order", Deny),
+    /// Two commands in flight at the same time touched overlapping memory
+    /// ranges with at least one writer — an arena-aliasing hazard a real
+    /// multi-instance accelerator would corrupt data on. Sanitizer-only.
+    ArenaAliasing = ("PA009", "arena-aliasing", Deny),
+    /// The static service-time ceiling of a message type (the envelope's
+    /// upper bound at the configured maximum wire length) exceeds the
+    /// configured watchdog cycle budget — a worst-case-but-correct command
+    /// would be killed by the serve layer's watchdog.
+    WatchdogBudget = ("PA010", "watchdog-budget", Warn),
+    /// The message type lies on a reference cycle, so wire input alone
+    /// chooses the nesting depth — the static twin of the fault plane's
+    /// depth bomb, bounded at runtime only by the serve watchdog. Unlike
+    /// PA001 (the stack-spill cost), this reports the cycle itself, with
+    /// the shortest path back to the type.
+    RecursionCycle = ("PA011", "recursion-cycle", Warn),
+    /// The worst-case decoded in-memory footprint grows faster than the
+    /// configured bytes-per-wire-byte limit — a decompression-bomb-shaped
+    /// type that inflates in memory before the watchdog can see a single
+    /// cycle overrun.
+    WireAmplification = ("PA012", "wire-amplification", Warn),
+    /// The type's field numbers span a wider range than the configured
+    /// limit; hasbits words, dense-mapping tables and serializer span scans
+    /// all scale with the *span*, not the field count.
+    FieldFragmentation = ("PA013", "field-fragmentation", Warn),
+    /// A repeated scalar field is not `[packed = true]`, so every element
+    /// pays its own wire key and FSM record instead of streaming through
+    /// the packed-element fast path.
+    UnpackedRepeated = ("PA014", "unpacked-repeated", Warn),
+    /// The *composed* worst-case service ceiling (this type plus the
+    /// sub-object machinery of every reachable child type) exceeds the
+    /// watchdog budget even though the type's own PA010 ceiling fits.
+    ComposedEnvelope = ("PA015", "composed-envelope", Warn),
+    /// A layout region (vptr, hasbits array, or a field slot) escapes
+    /// `object_size` or aliases another region. Verifier-only.
+    SlotOverlap = ("PA016", "slot-overlap", Deny),
+    /// A dispatch table resolves an undefined field number, fails to
+    /// resolve a defined one, or its dense/sparse access paths disagree
+    /// entry-for-entry. Verifier-only.
+    DispatchTotality = ("PA017", "dispatch-totality", Deny),
+    /// A compiled dispatch entry's op, wire type, element size, slot
+    /// offset, hasbit position, or pre-encoded key disagrees with an
+    /// independent re-derivation from the schema. Verifier-only.
+    EntryConsistency = ("PA018", "entry-consistency", Deny),
+    /// The hardware ADT image in guest memory diverges from the software
+    /// fast-path table — header word or field entry. Verifier-only.
+    AdtEquivalence = ("PA019", "adt-equivalence", Deny),
+    /// A type's span-proportional table memory (software dense table or
+    /// hardware ADT image) exceeds the configured byte budget — PA013's
+    /// span heuristic sharpened to measured bytes. Verifier-only.
+    TableBlowup = ("PA020", "dense-table-blowup", Warn),
+}
+
+impl DiagCode {
+    /// Parses either a `PAxxx` code (any case) or a kebab-case name.
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        DiagCode::ALL
+            .iter()
+            .copied()
+            .find(|c| c.code().eq_ignore_ascii_case(s) || c.name() == s)
+    }
+}
+
+impl fmt::Display for DiagCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} ({})", self.code(), self.name())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sanitizer
+// ---------------------------------------------------------------------------
 
 /// One sanitizer finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// What kind of violation this is.
-    pub kind: FindingKind,
+    /// PA007, PA008 or PA009.
+    pub code: DiagCode,
     /// The offending command's sequence number, when attributable.
     pub seq: Option<usize>,
     /// Human-readable description.
@@ -795,95 +967,6 @@ pub struct CommandFootprint {
     pub reads: Vec<(u64, u64)>,
     /// Half-open `[base, end)` ranges written, sorted and merged.
     pub writes: Vec<(u64, u64)>,
-}
-
-/// Checks happens-before on the command lifecycle: per-command ordering
-/// (`enqueue ≤ dispatch`, `complete = dispatch + service`), per-instance
-/// serialization (an instance never runs two commands at once, in seq
-/// order), sharers sanity, and offered/completed/dropped accounting. A
-/// shed, fallback or failed record ran on no instance and carries
-/// [`FALLBACK_INSTANCE`]; only an `Ok` record must name a real instance.
-#[must_use]
-pub fn check_lifecycle(
-    records: &[CommandRecord],
-    instances: usize,
-    offered: u64,
-    dropped: u64,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut push = |seq: Option<usize>, detail: String| {
-        findings.push(Finding {
-            kind: FindingKind::Lifecycle,
-            seq,
-            detail,
-        });
-    };
-    if records.len() as u64 + dropped != offered {
-        push(
-            None,
-            format!(
-                "accounting: {} completed + {dropped} dropped != {offered} offered",
-                records.len()
-            ),
-        );
-    }
-    let mut seen = std::collections::HashSet::new();
-    for r in records {
-        if !seen.insert(r.seq) {
-            push(Some(r.seq), format!("duplicate sequence number {}", r.seq));
-        }
-        let off_accel = r.instance == FALLBACK_INSTANCE && r.status != CommandStatus::Ok;
-        if r.instance >= instances && !off_accel {
-            push(
-                Some(r.seq),
-                format!(
-                    "instance {} out of range (cluster has {instances})",
-                    r.instance
-                ),
-            );
-        }
-        if r.dispatch < r.enqueue {
-            push(
-                Some(r.seq),
-                format!(
-                    "dispatched at {} before enqueue at {}",
-                    r.dispatch, r.enqueue
-                ),
-            );
-        }
-        if r.complete != r.dispatch + r.service {
-            push(
-                Some(r.seq),
-                format!(
-                    "complete {} != dispatch {} + service {}",
-                    r.complete, r.dispatch, r.service
-                ),
-            );
-        }
-        if r.sharers < 1 || r.sharers > instances.max(1) {
-            push(
-                Some(r.seq),
-                format!("sharers {} outside [1, {instances}]", r.sharers),
-            );
-        }
-    }
-    for inst in 0..instances {
-        let mut mine: Vec<&CommandRecord> = records.iter().filter(|r| r.instance == inst).collect();
-        mine.sort_by_key(|r| r.seq);
-        for pair in mine.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if b.dispatch < a.complete {
-                push(
-                    Some(b.seq),
-                    format!(
-                        "instance {inst} dispatched command {} at {} before command {} completed at {}",
-                        b.seq, b.dispatch, a.seq, a.complete
-                    ),
-                );
-            }
-        }
-    }
-    findings
 }
 
 fn ranges_conflict(a: &[(u64, u64)], b: &[(u64, u64)]) -> Option<(u64, u64)> {
@@ -923,7 +1006,7 @@ pub fn check_aliasing(records: &[CommandRecord], footprints: &[CommandFootprint]
                 .or_else(|| ranges_conflict(&fa.reads, &fb.writes));
             if let Some((lo, hi)) = conflict {
                 findings.push(Finding {
-                    kind: FindingKind::Aliasing,
+                    code: DiagCode::ArenaAliasing,
                     seq: Some(a.seq),
                     detail: format!(
                         "commands {} and {} are concurrently in flight and both touch bytes [{lo:#x}, {hi:#x}) with at least one write",
@@ -949,7 +1032,7 @@ pub fn check_envelopes(records: &[CommandRecord], bounds: &[ServiceBounds]) -> V
         };
         if r.service < b.lower || r.service > b.upper {
             findings.push(Finding {
-                kind: FindingKind::Envelope,
+                code: DiagCode::EnvelopeViolation,
                 seq: Some(r.seq),
                 detail: format!(
                     "command {} measured {} service cycles, outside its static envelope [{}, {}]",
@@ -971,7 +1054,15 @@ pub fn sanitize(
     dropped: u64,
     bounds: &[ServiceBounds],
 ) -> Vec<Finding> {
-    let mut findings = check_lifecycle(records, instances, offered, dropped);
+    let mut findings: Vec<Finding> =
+        protoacc::check_lifecycle(records, instances, offered, dropped)
+            .into_iter()
+            .map(|v| Finding {
+                code: DiagCode::LifecycleOrder,
+                seq: v.seq,
+                detail: v.detail,
+            })
+            .collect();
     findings.extend(check_aliasing(records, footprints));
     findings.extend(check_envelopes(records, bounds));
     findings
@@ -980,10 +1071,28 @@ pub fn sanitize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use protoacc::CommandStatus;
     use protoacc_schema::parse_proto;
 
     fn mem() -> MemConfig {
         MemConfig::default()
+    }
+
+    #[test]
+    fn diag_codes_are_numbered_in_order_and_parse_both_ways() {
+        assert_eq!(DiagCode::ALL.len(), 20);
+        for (i, &code) in DiagCode::ALL.iter().enumerate() {
+            assert_eq!(code.code(), format!("PA{:03}", i + 1));
+            assert_eq!(DiagCode::parse(&code.code().to_lowercase()), Some(code));
+            assert_eq!(DiagCode::parse(code.name()), Some(code));
+        }
+        assert_eq!(DiagCode::parse("PA021"), None);
+        // Provable spills, sanitizer findings and disproved compiler output
+        // deny; every other code warns.
+        let deny: Vec<usize> = (1..=20)
+            .filter(|&n| DiagCode::ALL[n - 1].default_severity() == Severity::Deny)
+            .collect();
+        assert_eq!(deny, [1, 7, 8, 9, 16, 17, 18, 19]);
     }
 
     #[test]
@@ -1145,44 +1254,6 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_clean_run_has_no_findings() {
-        let records = [
-            record(0, 0, 0, 0, 100),
-            record(1, 1, 5, 5, 80),
-            record(2, 0, 50, 100, 60),
-        ];
-        assert!(check_lifecycle(&records, 2, 3, 0).is_empty());
-    }
-
-    #[test]
-    fn lifecycle_accepts_the_sentinel_only_off_the_accelerators() {
-        let shed = CommandRecord {
-            status: CommandStatus::Shed,
-            ..record(1, FALLBACK_INSTANCE, 5, 5, 1)
-        };
-        let records = [record(0, 0, 0, 0, 100), shed];
-        assert!(check_lifecycle(&records, 1, 2, 0).is_empty());
-        let served = [
-            record(0, 0, 0, 0, 100),
-            record(1, FALLBACK_INSTANCE, 5, 5, 1),
-        ];
-        let findings = check_lifecycle(&served, 1, 2, 0);
-        assert!(findings.iter().any(|f| f.detail.contains("out of range")));
-    }
-
-    #[test]
-    fn lifecycle_detects_overlap_and_accounting() {
-        // Command 2 dispatches on instance 0 before command 0 completes.
-        let records = [record(0, 0, 0, 0, 100), record(2, 0, 50, 60, 60)];
-        let findings = check_lifecycle(&records, 1, 2, 0);
-        assert!(findings.iter().any(|f| f.detail.contains("before command")));
-        let bad_accounting = check_lifecycle(&records, 1, 5, 1);
-        assert!(bad_accounting
-            .iter()
-            .any(|f| f.detail.contains("accounting")));
-    }
-
-    #[test]
     fn aliasing_requires_time_overlap_and_a_writer() {
         let a = record(0, 0, 0, 0, 100);
         let b = record(1, 1, 0, 50, 100);
@@ -1205,7 +1276,7 @@ mod tests {
         ];
         let findings = check_aliasing(&[a, b], &fps);
         assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].kind, FindingKind::Aliasing);
+        assert_eq!(findings[0].code, DiagCode::ArenaAliasing);
         // Same ranges but disjoint in time: fine.
         let fps = [
             fp(0, vec![], vec![(0x8000, 0x8100)]),
@@ -1230,7 +1301,6 @@ mod tests {
         }];
         let findings = check_envelopes(&[r], &tight);
         assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].kind, FindingKind::Envelope);
-        assert_eq!(findings[0].kind.code(), "PA007");
+        assert_eq!(findings[0].code, DiagCode::EnvelopeViolation);
     }
 }

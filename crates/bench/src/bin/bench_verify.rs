@@ -70,7 +70,7 @@ fn main() {
             wall_ms
         );
         for v in &report.violations {
-            eprintln!("  {} {}: {}", v.property.code(), v.type_name, v.detail);
+            eprintln!("  {} {}: {}", v.code.code(), v.type_name, v.detail);
         }
         clean_rows.push(CleanRow {
             name: name.clone(),

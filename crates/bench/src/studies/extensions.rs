@@ -1,6 +1,6 @@
-//! Studies beyond the paper's figures: multi-accelerator scaling, the
-//! message-size sweep, the Optimus Prime comparison, the in-order host
-//! core, and the exported HyperProtoBench schemas.
+//! Studies beyond the paper's figures: the message-size sweep, the Optimus
+//! Prime comparison, the in-order host core, and the exported
+//! HyperProtoBench schemas.
 
 use std::fmt::{self, Write};
 
@@ -17,95 +17,6 @@ use protoacc_schema::{FieldType, SchemaBuilder};
 
 use crate::ubench::nonalloc_workloads;
 use crate::{geomean, geomean_gbits, measure, Direction, SystemKind, Workload};
-
-/// Multiple accelerator instances sharing one memory hierarchy (the
-/// Appendix A customization space mentions multi-core systems; a datacenter
-/// SoC would instantiate one accelerator per core). Instances interleave
-/// operations over a *shared* L2/LLC, so scaling is sublinear once the
-/// working sets contend; the study reports aggregate and per-instance
-/// throughput for 1..8 instances.
-pub fn scaling_multi_accel(out: &mut String) -> fmt::Result {
-    writeln!(
-        out,
-        "Multi-accelerator scaling (bench3 deserialization, shared L2/LLC)"
-    )?;
-    writeln!(
-        out,
-        "{:<12} {:>20} {:>20} {:>12}",
-        "instances", "aggregate Gbits/s", "per-instance", "efficiency"
-    )?;
-    let bench = Generator::new(ServiceProfile::bench(3), 0x5CA1E).generate(24);
-    let layouts = MessageLayouts::compute(&bench.schema);
-    let layout = layouts.layout(bench.type_id);
-    let mut single = 0.0f64;
-    for n in [1usize, 2, 4, 8] {
-        let mut mem = Memory::new(MemConfig::default());
-        let mut setup = BumpArena::new(0x1_0000, 1 << 26);
-        let adts = write_adts(&bench.schema, &layouts, &mut mem.data, &mut setup)
-            .expect("ADTs fit the setup arena");
-
-        // Stage per-instance copies of the inputs at disjoint addresses.
-        let mut inputs: Vec<Vec<(u64, u64)>> = Vec::new();
-        for inst in 0..n {
-            let mut cursor = 0x2000_0000 + (inst as u64) * (1 << 26);
-            let mut list = Vec::new();
-            for m in &bench.messages {
-                let wire = reference::encode(m, &bench.schema).expect("bench encodes");
-                mem.data.write_bytes(cursor, &wire);
-                list.push((cursor, wire.len() as u64));
-                cursor += wire.len() as u64 + 32;
-            }
-            inputs.push(list);
-        }
-        let mut accels: Vec<ProtoAccelerator> = (0..n)
-            .map(|inst| {
-                let mut a = ProtoAccelerator::new(AccelConfig::default());
-                a.deser_assign_arena(0x1_0000_0000 + (inst as u64) * (1 << 28), 1 << 28);
-                a
-            })
-            .collect();
-        let mut dest_arena = BumpArena::new(0x8_0000_0000, 1 << 30);
-
-        // Interleave ops round-robin over the shared memory system; the
-        // slowest instance's total models the parallel completion time.
-        let mut per_inst_cycles = vec![0u64; n];
-        let mut bytes = 0u64;
-        #[allow(clippy::needless_range_loop)] // instances index several arrays
-        for op in 0..bench.messages.len() {
-            for inst in 0..n {
-                let (addr, len) = inputs[inst][op];
-                let dest = dest_arena
-                    .alloc(layout.object_size(), 8)
-                    .expect("dest arena sized for the bench");
-                accels[inst].deser_info(adts.addr(bench.type_id), dest);
-                let run = accels[inst]
-                    .do_proto_deser(&mut mem, addr, len, layout.min_field())
-                    .expect("bench deserializes on the accelerator");
-                per_inst_cycles[inst] += run.cycles;
-                bytes += len;
-            }
-        }
-        let slowest = per_inst_cycles.iter().copied().max().unwrap_or(1);
-        let aggregate = bytes as f64 * 8.0 * 2.0 / slowest as f64;
-        let per_instance = aggregate / n as f64;
-        if n == 1 {
-            single = per_instance;
-        }
-        writeln!(
-            out,
-            "{n:<12} {aggregate:>20.3} {per_instance:>20.3} {:>11.0}%",
-            per_instance / single * 100.0
-        )?;
-    }
-    writeln!(out)?;
-    writeln!(
-        out,
-        "(instances take turns on one memory system and each sums its own op cycles;\n\
-         no bandwidth split is modelled, so efficiency shows only shared-cache\n\
-         interference, which the LLC absorbs here. For contention on the shared\n\
-         LLC/DRAM path see serve_tail_latency's instance-scaling table)"
-    )
-}
 
 /// Sixteen messages of about `target_bytes` on the wire: two 3-byte
 /// varints and a bytes payload.

@@ -37,7 +37,6 @@ pub const STUDIES: &[(&str, Study)] = &[
     ("sec7_future_ops", sec7::sec7_future_ops),
     ("sec7_frontend_pressure", sec7::sec7_frontend_pressure),
     ("sec7_ctor_dtor", sec7::sec7_ctor_dtor),
-    ("scaling_multi_accel", extensions::scaling_multi_accel),
     ("sweep_message_size", extensions::sweep_message_size),
     ("related_optimus_prime", extensions::related_optimus_prime),
     ("config_inorder_core", extensions::config_inorder_core),

@@ -94,8 +94,9 @@ pub use config::AccelConfig;
 pub use error::{AccelError, DecodeFault, FaultCategory};
 pub use rocc::ProtoAccelerator;
 pub use serve::{
-    CommandRecord, CommandStatus, DispatchPolicy, FallbackCodec, InstanceFault, InstanceFaultKind,
-    Request, RequestOp, ServeCluster, ServeConfig, FALLBACK_INSTANCE,
+    check_lifecycle, CommandRecord, CommandStatus, DispatchPolicy, FallbackCodec, InstanceFault,
+    InstanceFaultKind, LifecycleViolation, Request, RequestOp, ServeCluster, ServeConfig,
+    FALLBACK_INSTANCE,
 };
 pub use shard::{run_indexed, ShardOutcome, ShardedCluster};
 pub use stats::AccelStats;

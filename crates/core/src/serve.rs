@@ -21,7 +21,7 @@
 //! initial memory state produces byte-identical reports.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 
 use protoacc_mem::{Cycles, Memory, RequesterStats};
 
@@ -1125,52 +1125,114 @@ impl ServeCluster {
         protoacc_trace::metrics::exact_percentile(&latencies, p)
     }
 
-    /// Checks the queue-accounting invariants, returning a description of
-    /// the first violation:
-    ///
-    /// * completions ≤ dispatches ≤ enqueues (with drops making up the gap),
-    /// * per command: enqueue ≤ dispatch < complete and latency ≥ service,
-    /// * per instance: commands do not overlap in time.
+    /// Checks the command lifecycle of every record so far with
+    /// [`check_lifecycle`].
     ///
     /// # Errors
     ///
-    /// A human-readable description of the violated invariant.
+    /// The description of the first violated rule, prefixed with
+    /// `cmd {seq}: ` when one command is at fault.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let completions = self.records.len() as u64;
-        if completions + self.dropped != self.offered {
-            return Err(format!(
-                "accounting leak: {} completed + {} dropped != {} offered",
-                completions, self.dropped, self.offered
-            ));
-        }
-        let mut per_instance_last: Vec<Cycles> = vec![0; self.config.instances];
-        for r in &self.records {
-            if r.dispatch < r.enqueue {
-                return Err(format!("cmd {}: dispatched before enqueue", r.seq));
-            }
-            if r.complete <= r.dispatch {
-                return Err(format!("cmd {}: completed at or before dispatch", r.seq));
-            }
-            if r.latency() < r.service {
-                return Err(format!("cmd {}: latency below service time", r.seq));
-            }
-            // Fallback/failed records carry the sentinel instance; they run
-            // on the virtual CPU server, outside the per-instance timeline.
-            if r.instance != FALLBACK_INSTANCE {
-                if r.dispatch < per_instance_last[r.instance] {
-                    return Err(format!(
-                        "cmd {}: overlaps previous command on instance {}",
-                        r.seq, r.instance
-                    ));
-                }
-                per_instance_last[r.instance] = r.complete;
-                if r.sharers == 0 || r.sharers > self.config.instances {
-                    return Err(format!("cmd {}: impossible sharer count", r.seq));
-                }
-            }
-        }
-        Ok(())
+        let found = check_lifecycle(
+            &self.records,
+            self.config.instances,
+            self.offered,
+            self.dropped,
+        );
+        found.first().map_or(Ok(()), |v| {
+            Err(v
+                .seq
+                .map_or(v.detail.clone(), |s| format!("cmd {s}: {}", v.detail)))
+        })
     }
+}
+
+/// One broken rule of the command lifecycle, found by [`check_lifecycle`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LifecycleViolation {
+    /// The offending command's sequence number, when one command is at fault.
+    pub seq: Option<usize>,
+    /// What went wrong, with the numbers.
+    pub detail: String,
+}
+
+/// Checks the command lifecycle (the PA008 rule) of `records` from a
+/// cluster of `instances` instances that was offered `offered` requests and
+/// dropped `dropped` of them, in one pass over the records:
+///
+/// * accounting: every offered request is a record or a drop;
+/// * per command: a sequence number no other record has,
+///   `enqueue ≤ dispatch`, `complete = dispatch + service` with `complete`
+///   after `dispatch`, and a sharer count in `[1, instances]` (together
+///   these give latency ≥ service);
+/// * per instance: the instance exists, and it never dispatches a command
+///   before the one it ran last, in record order, completed. A shed,
+///   fallback or failed record ran on no instance and carries
+///   [`FALLBACK_INSTANCE`]; only an `Ok` record must name a real instance.
+#[must_use]
+pub fn check_lifecycle(
+    records: &[CommandRecord],
+    instances: usize,
+    offered: u64,
+    dropped: u64,
+) -> Vec<LifecycleViolation> {
+    let mut found = Vec::new();
+    macro_rules! flag {
+        ($seq:expr, $($detail:tt)*) => {
+            found.push(LifecycleViolation { seq: $seq, detail: format!($($detail)*) })
+        };
+    }
+    let completed = records.len();
+    if completed as u64 + dropped != offered {
+        flag!(
+            None,
+            "accounting leak: {completed} completed + {dropped} dropped != {offered} offered"
+        );
+    }
+    let mut seen = HashSet::with_capacity(completed);
+    // `(seq, complete)` of the command each instance ran last.
+    let mut last: Vec<Option<(usize, Cycles)>> = vec![None; instances];
+    for r in records {
+        let (seq, enqueue, dispatch, complete) = (r.seq, r.enqueue, r.dispatch, r.complete);
+        let (service, instance, sharers, at) = (r.service, r.instance, r.sharers, Some(r.seq));
+        if !seen.insert(seq) {
+            flag!(at, "duplicate sequence number {seq}");
+        }
+        if dispatch < enqueue {
+            flag!(at, "dispatched at {dispatch} before enqueue at {enqueue}");
+        }
+        if dispatch.checked_add(service) != Some(complete) {
+            flag!(
+                at,
+                "complete {complete} != dispatch {dispatch} + service {service}"
+            );
+        }
+        if complete <= dispatch {
+            flag!(
+                at,
+                "completed at {complete}, not after dispatch at {dispatch}"
+            );
+        }
+        if sharers < 1 || sharers > instances.max(1) {
+            flag!(at, "sharers {sharers} outside [1, {instances}]");
+        }
+        if instance == FALLBACK_INSTANCE && r.status != CommandStatus::Ok {
+            continue;
+        }
+        let Some(prev) = last.get_mut(instance) else {
+            flag!(
+                at,
+                "instance {instance} out of range (cluster has {instances})"
+            );
+            continue;
+        };
+        if let Some((before, done)) = prev.replace((seq, complete)) {
+            if dispatch < done {
+                flag!(at, "instance {instance} dispatched command {seq} at {dispatch} before command {before} completed at {done}");
+            }
+        }
+    }
+    found
 }
 
 #[cfg(test)]
@@ -1787,5 +1849,101 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run_once(), run_once());
+    }
+
+    /// An `Ok` record on `instance` that completes `service` cycles after
+    /// its dispatch.
+    fn record(
+        seq: usize,
+        instance: usize,
+        enqueue: Cycles,
+        dispatch: Cycles,
+        service: Cycles,
+    ) -> CommandRecord {
+        CommandRecord {
+            seq,
+            enqueue,
+            dispatch,
+            complete: dispatch + service,
+            service,
+            instance,
+            wire_bytes: 64,
+            deser: true,
+            sharers: 1,
+            status: CommandStatus::Ok,
+            attempts: 1,
+        }
+    }
+
+    /// Whether some violation of `records` has `detail` in its text.
+    fn flags(records: &[CommandRecord], instances: usize, offered: u64, detail: &str) -> bool {
+        check_lifecycle(records, instances, offered, 0)
+            .iter()
+            .any(|v| v.detail.contains(detail))
+    }
+
+    #[test]
+    fn lifecycle_clean_run_has_no_findings() {
+        let records = [
+            record(0, 0, 0, 0, 100),
+            record(1, 1, 5, 5, 80),
+            record(2, 0, 50, 100, 60),
+        ];
+        assert!(check_lifecycle(&records, 2, 3, 0).is_empty());
+    }
+
+    #[test]
+    fn lifecycle_accepts_the_sentinel_only_off_the_accelerators() {
+        let shed = CommandRecord {
+            status: CommandStatus::Shed,
+            ..record(1, FALLBACK_INSTANCE, 5, 5, 1)
+        };
+        let records = [record(0, 0, 0, 0, 100), shed];
+        assert!(check_lifecycle(&records, 1, 2, 0).is_empty());
+        let served = [
+            record(0, 0, 0, 0, 100),
+            record(1, FALLBACK_INSTANCE, 5, 5, 1),
+        ];
+        assert!(flags(&served, 1, 2, "out of range"));
+    }
+
+    #[test]
+    fn lifecycle_detects_overlap_and_accounting() {
+        // Command 2 dispatches on instance 0 before command 0 completes.
+        let records = [record(0, 0, 0, 0, 100), record(2, 0, 50, 60, 60)];
+        assert!(flags(&records, 1, 2, "before command 0 completed at 100"));
+        let bad_accounting = check_lifecycle(&records, 1, 5, 1);
+        assert!(bad_accounting
+            .iter()
+            .any(|v| v.seq.is_none() && v.detail.contains("accounting")));
+    }
+
+    #[test]
+    fn lifecycle_flags_duplicates_bad_completion_zero_service_and_unknown_instances() {
+        let twice = [record(0, 0, 0, 0, 100), record(0, 1, 0, 0, 100)];
+        assert!(flags(&twice, 2, 2, "duplicate sequence number 0"));
+        let late = CommandRecord {
+            complete: 150,
+            ..record(0, 0, 0, 0, 100)
+        };
+        assert!(flags(
+            &[late],
+            1,
+            1,
+            "complete 150 != dispatch 0 + service 100"
+        ));
+        let elsewhere = [record(0, 2, 0, 0, 100)];
+        assert!(flags(&elsewhere, 2, 1, "instance 2 out of range"));
+        let instant = record(0, 0, 0, 10, 0);
+        assert_eq!(instant.complete, instant.dispatch);
+        assert!(flags(&[instant], 1, 1, "not after dispatch"));
+        // The check_invariants wrapper reports the first violation.
+        let mut cluster = ServeCluster::new(ServeConfig::default(), 0, 1 << 20);
+        cluster.records = twice.to_vec();
+        cluster.offered = 2;
+        assert_eq!(
+            cluster.check_invariants(),
+            Err("cmd 0: duplicate sequence number 0".to_string())
+        );
     }
 }

@@ -38,7 +38,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use protoacc_lint::{
-    lint_schema, lint_schema_verified, DiagCode, LintConfig, LintReport, Severity, ALL_CODES,
+    lint_schema, lint_schema_verified, DiagCode, LintConfig, LintReport, Severity,
 };
 use protoacc_schema::{parse_descriptor_set, parse_proto};
 use protoacc_trace::json::{self, Json};
@@ -213,7 +213,7 @@ fn render_bench(rows: &[BenchRow], report: &LintReport, total_ms: f64) -> String
             ("wall_ms", Json::fixed(r.wall_ms, 3)),
         ])
     });
-    let codes = ALL_CODES
+    let codes = DiagCode::ALL
         .iter()
         .map(|code| (code.code(), report.with_code(*code).count().into()));
     json::write(&Json::obj([

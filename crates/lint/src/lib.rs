@@ -12,29 +12,15 @@
 //!
 //! # Diagnostic codes
 //!
-//! | Code  | Name               | Hardware limit it guards                     |
-//! |-------|--------------------|----------------------------------------------|
-//! | PA001 | stack-spill        | sub-message metadata stacks (Section 3.8)    |
-//! | PA002 | wide-key           | 2-byte field-key fast path                   |
-//! | PA003 | sparse-hasbits     | dense-hasbits packing crossover (Section 3.7)|
-//! | PA004 | software-fallback  | features the hardware punts to software      |
-//! | PA005 | window-starve      | 16-byte memloader consumer window            |
-//! | PA006 | adt-thrash         | accelerator ADT-entry cache                  |
-//! | PA007 | envelope-violation | static `[lower, upper]` cycle envelope (dynamic, via `protoacc-absint`) |
-//! | PA008 | lifecycle-order    | serve-model command happens-before (dynamic) |
-//! | PA009 | arena-aliasing     | overlapping in-flight command buffers (dynamic) |
-//! | PA010 | watchdog-budget    | static service ceiling vs the serve watchdog |
-//! | PA011 | recursion-cycle    | message reference cycles with no depth bound |
-//! | PA012 | wire-amplification | decoded-footprint / wire-byte ratio ceiling   |
-//! | PA013 | field-fragmentation| sparse field-number spans (hasbits/dispatch) |
-//! | PA014 | unpacked-repeated  | repeated scalars missing the packed fast path|
-//! | PA015 | composed-envelope  | cross-message composed ceiling vs watchdog   |
-//!
-//! PA007–PA009 are *sanitizer* codes: they are never produced by
-//! [`lint_schema`] itself but by replaying a serving-model trace through
-//! [`protoacc_absint::sanitize`] and mapping the findings with
-//! [`findings_to_diagnostics`], so dynamic violations flow through the same
-//! severity/exit-code machinery as static findings.
+//! Every code, with its name, default severity and the hardware limit it
+//! guards, is declared once as [`DiagCode`] (in `protoacc-absint`,
+//! re-exported here). PA007–PA009 are *sanitizer* codes: they are never
+//! produced by [`lint_schema`] itself but by replaying a serving-model
+//! trace through [`protoacc_absint::sanitize`] and mapping the findings
+//! with [`findings_to_diagnostics`], so dynamic violations flow through the
+//! same severity/exit-code machinery as static findings. PA016–PA020 come
+//! from the `protoacc-verify` translation validator
+//! ([`lint_schema_verified`]).
 //!
 //! # Example
 //!
@@ -58,259 +44,14 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use protoacc::AccelConfig;
-use protoacc_absint::{
-    amplification_bound, composed_service_ceiling, Envelope, Finding, FindingKind, Interval,
-};
+use protoacc_absint::{amplification_bound, composed_service_ceiling, Envelope, Finding, Interval};
+pub use protoacc_absint::{DiagCode, Severity};
 use protoacc_fastpath::{CompiledSchema, TableKind};
 use protoacc_mem::{Cycles, MemConfig};
 use protoacc_runtime::{MessageLayouts, MessageValue};
 use protoacc_schema::{FieldType, Label, MessageId, Schema};
 use protoacc_trace::json::{self, Json};
 use protoacc_wire::{FieldKey, MAX_VARINT_LEN};
-
-/// How seriously a diagnostic should be treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Suppressed: recorded in no report.
-    Allow,
-    /// Reported, but does not fail a lint gate by default.
-    Warn,
-    /// Reported and fails the lint gate.
-    Deny,
-}
-
-impl Severity {
-    /// Lower-case name as used in CLI flags and JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Allow => "allow",
-            Severity::Warn => "warn",
-            Severity::Deny => "deny",
-        }
-    }
-
-    /// Parses a CLI severity name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "allow" => Some(Severity::Allow),
-            "warn" => Some(Severity::Warn),
-            "deny" => Some(Severity::Deny),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Stable identifier of one lint check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DiagCode {
-    /// PA001: message nesting can exceed the on-chip metadata stack depth,
-    /// so sub-message pushes/pops spill to DRAM (Section 3.8).
-    StackSpill,
-    /// PA002: a field number is wide enough that its wire key no longer
-    /// fits the 2-byte key fast path.
-    WideKey,
-    /// PA003: field numbers are sparse enough that a dense hasbits mapping
-    /// would waste per-field work (the rejected alternative of Section 4.2,
-    /// crossover analysis in Section 3.7).
-    SparseHasbits,
-    /// PA004: a schema feature the accelerator punts to software (proto2
-    /// `required` presence enforcement; UTF-8 validation of `string`
-    /// fields when proto3 semantics are enabled, Section 7).
-    SoftwareFallback,
-    /// PA005: packed repeated elements are far narrower than the 16-byte
-    /// consumer window, so the field-handling FSM, not the memloader,
-    /// bounds throughput.
-    WindowStarve,
-    /// PA006: the descriptor-table working set of one root message exceeds
-    /// the accelerator's ADT-entry cache, thrashing to the L2.
-    AdtThrash,
-    /// PA007: a measured command service time fell outside the static
-    /// `[lower, upper]` cycle envelope computed by `protoacc-absint` —
-    /// either the model charged cycles the abstract interpretation says are
-    /// impossible, or the envelope itself is unsound. Sanitizer-only.
-    EnvelopeViolation,
-    /// PA008: the serve-model command lifecycle violated happens-before
-    /// (dispatch before enqueue, overlapping commands on one instance,
-    /// completion inconsistent with dispatch + service). Sanitizer-only.
-    LifecycleOrder,
-    /// PA009: two commands in flight at the same time touched overlapping
-    /// memory ranges with at least one writer — an arena-aliasing hazard a
-    /// real multi-instance accelerator would corrupt data on.
-    /// Sanitizer-only.
-    ArenaAliasing,
-    /// PA010: the static service-time ceiling of a message type (the
-    /// abstract-interpretation envelope's upper bound at the configured
-    /// maximum wire length) exceeds the configured watchdog cycle budget —
-    /// a worst-case-but-correct command would be killed by the serve
-    /// layer's watchdog, so the budget (or the schema) must change.
-    WatchdogBudget,
-    /// PA011: the message type lies on a reference cycle, so wire input
-    /// alone chooses the nesting depth — the static twin of the fault
-    /// plane's depth bomb, bounded at runtime only by the serve watchdog.
-    /// Unlike PA001 (which flags the stack-spill cost), this reports the
-    /// cycle itself, with the shortest path back to the type.
-    RecursionCycle,
-    /// PA012: the worst-case decoded in-memory footprint grows faster than
-    /// the configured bytes-per-wire-byte limit (`amplification_limit`) —
-    /// a decompression-bomb-shaped type that inflates in memory before the
-    /// watchdog can see a single cycle overrun.
-    WireAmplification,
-    /// PA013: the type's field numbers span a range wider than
-    /// `fragmentation_span`; hasbits words, dense-mapping tables, and
-    /// serializer span scans all scale with the *span*, not the field
-    /// count, so sparse numbering bloats every per-message structure.
-    FieldFragmentation,
-    /// PA014: a repeated scalar field is not `[packed = true]`, so every
-    /// element pays its own wire key and FSM record instead of streaming
-    /// through the packed-element fast path.
-    UnpackedRepeated,
-    /// PA015: the *composed* worst-case service ceiling (this type plus the
-    /// sub-object machinery of every reachable child type) exceeds the
-    /// watchdog budget even though the type's own PA010 ceiling fits — the
-    /// composition gap a per-type check cannot see.
-    ComposedEnvelope,
-    /// PA016: a layout region (vptr, hasbits array, or a field slot)
-    /// escapes `object_size` or aliases another region — the translation
-    /// validator disproved slot-overlap freedom of the compiled artifacts.
-    /// Verifier-only.
-    SlotOverlap,
-    /// PA017: a dispatch table resolves an undefined field number, fails to
-    /// resolve a defined one, or its dense/sparse access paths disagree
-    /// entry-for-entry. Verifier-only.
-    DispatchTotality,
-    /// PA018: a compiled dispatch entry's op, wire type, element size, slot
-    /// offset, hasbit position, or pre-encoded key disagrees with an
-    /// independent re-derivation from the schema. Verifier-only.
-    EntryConsistency,
-    /// PA019: the hardware ADT image in guest memory diverges from the
-    /// software fast-path table — header word or field entry. Verifier-only.
-    AdtEquivalence,
-    /// PA020: a type's span-proportional table memory (software dense table
-    /// or hardware ADT image) exceeds the configured byte budget —
-    /// PA013's span heuristic sharpened to measured bytes. Verifier-only.
-    TableBlowup,
-}
-
-/// Every diagnostic code, in PA-number order.
-pub const ALL_CODES: [DiagCode; 20] = [
-    DiagCode::StackSpill,
-    DiagCode::WideKey,
-    DiagCode::SparseHasbits,
-    DiagCode::SoftwareFallback,
-    DiagCode::WindowStarve,
-    DiagCode::AdtThrash,
-    DiagCode::EnvelopeViolation,
-    DiagCode::LifecycleOrder,
-    DiagCode::ArenaAliasing,
-    DiagCode::WatchdogBudget,
-    DiagCode::RecursionCycle,
-    DiagCode::WireAmplification,
-    DiagCode::FieldFragmentation,
-    DiagCode::UnpackedRepeated,
-    DiagCode::ComposedEnvelope,
-    DiagCode::SlotOverlap,
-    DiagCode::DispatchTotality,
-    DiagCode::EntryConsistency,
-    DiagCode::AdtEquivalence,
-    DiagCode::TableBlowup,
-];
-
-impl DiagCode {
-    /// The stable `PAxxx` code string.
-    pub fn code(self) -> &'static str {
-        match self {
-            DiagCode::StackSpill => "PA001",
-            DiagCode::WideKey => "PA002",
-            DiagCode::SparseHasbits => "PA003",
-            DiagCode::SoftwareFallback => "PA004",
-            DiagCode::WindowStarve => "PA005",
-            DiagCode::AdtThrash => "PA006",
-            DiagCode::EnvelopeViolation => "PA007",
-            DiagCode::LifecycleOrder => "PA008",
-            DiagCode::ArenaAliasing => "PA009",
-            DiagCode::WatchdogBudget => "PA010",
-            DiagCode::RecursionCycle => "PA011",
-            DiagCode::WireAmplification => "PA012",
-            DiagCode::FieldFragmentation => "PA013",
-            DiagCode::UnpackedRepeated => "PA014",
-            DiagCode::ComposedEnvelope => "PA015",
-            DiagCode::SlotOverlap => "PA016",
-            DiagCode::DispatchTotality => "PA017",
-            DiagCode::EntryConsistency => "PA018",
-            DiagCode::AdtEquivalence => "PA019",
-            DiagCode::TableBlowup => "PA020",
-        }
-    }
-
-    /// Short kebab-case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DiagCode::StackSpill => "stack-spill",
-            DiagCode::WideKey => "wide-key",
-            DiagCode::SparseHasbits => "sparse-hasbits",
-            DiagCode::SoftwareFallback => "software-fallback",
-            DiagCode::WindowStarve => "window-starve",
-            DiagCode::AdtThrash => "adt-thrash",
-            DiagCode::EnvelopeViolation => "envelope-violation",
-            DiagCode::LifecycleOrder => "lifecycle-order",
-            DiagCode::ArenaAliasing => "arena-aliasing",
-            DiagCode::WatchdogBudget => "watchdog-budget",
-            DiagCode::RecursionCycle => "recursion-cycle",
-            DiagCode::WireAmplification => "wire-amplification",
-            DiagCode::FieldFragmentation => "field-fragmentation",
-            DiagCode::UnpackedRepeated => "unpacked-repeated",
-            DiagCode::ComposedEnvelope => "composed-envelope",
-            DiagCode::SlotOverlap => "slot-overlap",
-            DiagCode::DispatchTotality => "dispatch-totality",
-            DiagCode::EntryConsistency => "entry-consistency",
-            DiagCode::AdtEquivalence => "adt-equivalence",
-            DiagCode::TableBlowup => "dense-table-blowup",
-        }
-    }
-
-    /// Default severity when no override is configured.
-    ///
-    /// Only a *provably* spilling type (finite nesting depth greater than
-    /// the stack depth) denies by default among the static codes; everything
-    /// else — including recursive types whose instance depth is
-    /// data-dependent — warns. The sanitizer codes (PA007–PA009) always
-    /// report genuine model violations, so they all deny, and so do the
-    /// translation-validation codes PA016–PA019: a disproved table/layout
-    /// property is a compiler bug that silently corrupts data, never a
-    /// schema style concern. PA020 is a budget threshold, so it warns.
-    pub fn default_severity(self) -> Severity {
-        match self {
-            DiagCode::StackSpill
-            | DiagCode::EnvelopeViolation
-            | DiagCode::LifecycleOrder
-            | DiagCode::ArenaAliasing
-            | DiagCode::SlotOverlap
-            | DiagCode::DispatchTotality
-            | DiagCode::EntryConsistency
-            | DiagCode::AdtEquivalence => Severity::Deny,
-            _ => Severity::Warn,
-        }
-    }
-
-    /// Parses either a `PAxxx` code or a kebab-case name.
-    pub fn parse(s: &str) -> Option<Self> {
-        ALL_CODES
-            .into_iter()
-            .find(|c| c.code().eq_ignore_ascii_case(s) || c.name() == s)
-    }
-}
-
-impl fmt::Display for DiagCode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({})", self.code(), self.name())
-    }
-}
 
 /// One finding of the analyzer.
 #[derive(Debug, Clone, PartialEq)]
@@ -401,20 +142,32 @@ impl Default for LintConfig {
 }
 
 impl LintConfig {
-    /// Effective severity for a code after overrides.
-    pub fn severity(&self, code: DiagCode) -> Severity {
-        self.severity_or(code, code.default_severity())
-    }
-
-    /// Effective severity with a caller-supplied default, used when one
-    /// code has variants of different gravity (PA001 denies on provably
-    /// deep finite nesting but only warns on data-dependent recursion).
-    pub fn severity_or(&self, code: DiagCode, default: Severity) -> Severity {
-        self.overrides
+    /// A diagnostic of `code` at its effective severity (`default` unless
+    /// overridden), or `None` when that severity is `Allow`. The default
+    /// is the caller's because one code can have variants of different
+    /// gravity (PA001 denies on provably deep finite nesting but only
+    /// warns on data-dependent recursion).
+    fn diagnostic(
+        &self,
+        code: DiagCode,
+        default: Severity,
+        message_type: &str,
+        field: Option<String>,
+        detail: String,
+    ) -> Option<Diagnostic> {
+        let severity = self
+            .overrides
             .iter()
             .rev()
             .find(|(c, _)| *c == code)
-            .map_or(default, |(_, s)| *s)
+            .map_or(default, |(_, s)| *s);
+        (severity != Severity::Allow).then(|| Diagnostic {
+            code,
+            severity,
+            message_type: message_type.to_string(),
+            field,
+            detail,
+        })
     }
 }
 
@@ -745,17 +498,9 @@ pub fn lint_schema(schema: &Schema, config: &LintConfig) -> LintReport {
         );
 
         let mut push = |code: DiagCode, default: Severity, field: Option<&str>, detail: String| {
-            let severity = config.severity_or(code, default);
-            if severity == Severity::Allow {
-                return;
-            }
-            report.diagnostics.push(Diagnostic {
-                code,
-                severity,
-                message_type: msg.name().to_string(),
-                field: field.map(str::to_string),
-                detail,
-            });
+            let field = field.map(str::to_string);
+            let d = config.diagnostic(code, default, msg.name(), field, detail);
+            report.diagnostics.extend(d);
         };
 
         // PA001 stack-spill: root-level nesting check. A finite depth past
@@ -1023,22 +768,9 @@ pub fn findings_to_diagnostics(findings: &[Finding], config: &LintConfig) -> Vec
     findings
         .iter()
         .filter_map(|f| {
-            let code = match f.kind {
-                FindingKind::Envelope => DiagCode::EnvelopeViolation,
-                FindingKind::Lifecycle => DiagCode::LifecycleOrder,
-                FindingKind::Aliasing => DiagCode::ArenaAliasing,
-            };
-            let severity = config.severity(code);
-            if severity == Severity::Allow {
-                return None;
-            }
-            Some(Diagnostic {
-                code,
-                severity,
-                message_type: "<serve>".to_string(),
-                field: f.seq.map(|s| format!("cmd#{s}")),
-                detail: f.detail.clone(),
-            })
+            let field = f.seq.map(|s| format!("cmd#{s}"));
+            let default = f.code.default_severity();
+            config.diagnostic(f.code, default, "<serve>", field, f.detail.clone())
         })
         .collect()
 }
@@ -1046,10 +778,6 @@ pub fn findings_to_diagnostics(findings: &[Finding], config: &LintConfig) -> Vec
 /// Maps translation-validator [`protoacc_verify::Violation`]s onto the lint
 /// diagnostic machinery, so PA016–PA020 share severity overrides and
 /// exit-code behavior with the static checks.
-///
-/// PA016–PA019 disprove compiler output, not schema style, so they default
-/// to [`Severity::Deny`]; PA020 is a capacity judgment and defaults to
-/// [`Severity::Warn`].
 pub fn violations_to_diagnostics(
     violations: &[protoacc_verify::Violation],
     config: &LintConfig,
@@ -1057,24 +785,8 @@ pub fn violations_to_diagnostics(
     violations
         .iter()
         .filter_map(|v| {
-            let code = match v.property {
-                protoacc_verify::Property::SlotOverlap => DiagCode::SlotOverlap,
-                protoacc_verify::Property::DispatchTotality => DiagCode::DispatchTotality,
-                protoacc_verify::Property::EntryConsistency => DiagCode::EntryConsistency,
-                protoacc_verify::Property::AdtEquivalence => DiagCode::AdtEquivalence,
-                protoacc_verify::Property::TableBlowup => DiagCode::TableBlowup,
-            };
-            let severity = config.severity(code);
-            if severity == Severity::Allow {
-                return None;
-            }
-            Some(Diagnostic {
-                code,
-                severity,
-                message_type: v.type_name.clone(),
-                field: None,
-                detail: v.detail.clone(),
-            })
+            let default = v.code.default_severity();
+            config.diagnostic(v.code, default, &v.type_name, None, v.detail.clone())
         })
         .collect()
 }
@@ -1268,90 +980,73 @@ mod tests {
     }
 
     #[test]
-    fn sanitizer_findings_map_to_deny_diagnostics() {
-        let findings = vec![
-            Finding {
-                kind: FindingKind::Envelope,
-                seq: Some(3),
-                detail: "service 1 below lower bound 10".to_string(),
-            },
-            Finding {
-                kind: FindingKind::Lifecycle,
-                seq: None,
-                detail: "record accounting mismatch".to_string(),
-            },
-            Finding {
-                kind: FindingKind::Aliasing,
-                seq: Some(7),
-                detail: "write/write overlap".to_string(),
-            },
+    fn findings_and_violations_map_onto_diagnostics_with_overrides() {
+        let finding = |code, seq| Finding {
+            code,
+            seq,
+            detail: "sanitizer detail".to_string(),
+        };
+        let findings = [
+            finding(DiagCode::EnvelopeViolation, Some(3)),
+            finding(DiagCode::LifecycleOrder, None),
+            finding(DiagCode::ArenaAliasing, Some(7)),
         ];
+        let violation = |code| protoacc_verify::Violation {
+            code,
+            type_name: "T".to_string(),
+            detail: "verifier detail".to_string(),
+        };
+        let violations = [
+            violation(DiagCode::SlotOverlap),
+            violation(DiagCode::TableBlowup),
+        ];
+        let shape = |diags: Vec<Diagnostic>| -> Vec<(DiagCode, Severity, String, Option<String>)> {
+            diags
+                .into_iter()
+                .map(|d| (d.code, d.severity, d.message_type, d.field))
+                .collect()
+        };
+        let serve = |code, seq: Option<&str>| {
+            (
+                code,
+                Severity::Deny,
+                "<serve>".to_string(),
+                seq.map(str::to_string),
+            )
+        };
         let config = LintConfig::default();
-        let diags = findings_to_diagnostics(&findings, &config);
-        assert_eq!(diags.len(), 3);
-        assert_eq!(diags[0].code, DiagCode::EnvelopeViolation);
-        assert_eq!(diags[0].severity, Severity::Deny);
-        assert_eq!(diags[0].field.as_deref(), Some("cmd#3"));
-        assert_eq!(diags[1].code, DiagCode::LifecycleOrder);
-        assert_eq!(diags[1].field, None);
-        assert_eq!(diags[2].code, DiagCode::ArenaAliasing);
-        // Severity overrides apply to sanitizer codes too.
+        assert_eq!(
+            shape(findings_to_diagnostics(&findings, &config)),
+            [
+                serve(DiagCode::EnvelopeViolation, Some("cmd#3")),
+                serve(DiagCode::LifecycleOrder, None),
+                serve(DiagCode::ArenaAliasing, Some("cmd#7")),
+            ]
+        );
+        assert_eq!(
+            shape(violations_to_diagnostics(&violations, &config)),
+            [
+                (DiagCode::SlotOverlap, Severity::Deny, "T".to_string(), None),
+                (DiagCode::TableBlowup, Severity::Warn, "T".to_string(), None),
+            ]
+        );
+        // Severity overrides apply to both.
         let mut quiet = LintConfig::default();
-        quiet
-            .overrides
-            .push((DiagCode::ArenaAliasing, Severity::Allow));
-        let diags = findings_to_diagnostics(&findings, &quiet);
-        assert_eq!(diags.len(), 2);
-        assert!(diags.iter().all(|d| d.code != DiagCode::ArenaAliasing));
-    }
-
-    #[test]
-    fn pa007_through_pa009_parse_and_deny_by_default() {
-        for (code, s) in [
-            (DiagCode::EnvelopeViolation, "PA007"),
-            (DiagCode::LifecycleOrder, "pa008"),
-            (DiagCode::ArenaAliasing, "arena-aliasing"),
-        ] {
-            assert_eq!(DiagCode::parse(s), Some(code));
-            assert_eq!(code.default_severity(), Severity::Deny);
-        }
-        assert_eq!(DiagCode::parse("PA010"), Some(DiagCode::WatchdogBudget));
+        quiet.overrides.extend([
+            (DiagCode::ArenaAliasing, Severity::Allow),
+            (DiagCode::SlotOverlap, Severity::Allow),
+        ]);
         assert_eq!(
-            DiagCode::parse("watchdog-budget"),
-            Some(DiagCode::WatchdogBudget)
+            shape(findings_to_diagnostics(&findings, &quiet)),
+            [
+                serve(DiagCode::EnvelopeViolation, Some("cmd#3")),
+                serve(DiagCode::LifecycleOrder, None),
+            ]
         );
-        assert_eq!(DiagCode::WatchdogBudget.default_severity(), Severity::Warn);
-        assert_eq!(ALL_CODES.len(), 20);
-        // The new whole-schema codes parse both ways and warn by default.
-        for (code, pa, name) in [
-            (DiagCode::RecursionCycle, "PA011", "recursion-cycle"),
-            (DiagCode::WireAmplification, "PA012", "wire-amplification"),
-            (DiagCode::FieldFragmentation, "PA013", "field-fragmentation"),
-            (DiagCode::UnpackedRepeated, "PA014", "unpacked-repeated"),
-            (DiagCode::ComposedEnvelope, "PA015", "composed-envelope"),
-        ] {
-            assert_eq!(DiagCode::parse(pa), Some(code));
-            assert_eq!(DiagCode::parse(name), Some(code));
-            assert_eq!(code.default_severity(), Severity::Warn);
-        }
-        // Verifier codes: PA016–PA019 disprove compiler output (deny);
-        // PA020 is a capacity judgment (warn).
-        for (code, pa, name) in [
-            (DiagCode::SlotOverlap, "PA016", "slot-overlap"),
-            (DiagCode::DispatchTotality, "PA017", "dispatch-totality"),
-            (DiagCode::EntryConsistency, "PA018", "entry-consistency"),
-            (DiagCode::AdtEquivalence, "PA019", "adt-equivalence"),
-        ] {
-            assert_eq!(DiagCode::parse(pa), Some(code));
-            assert_eq!(DiagCode::parse(name), Some(code));
-            assert_eq!(code.default_severity(), Severity::Deny);
-        }
-        assert_eq!(DiagCode::parse("PA020"), Some(DiagCode::TableBlowup));
         assert_eq!(
-            DiagCode::parse("dense-table-blowup"),
-            Some(DiagCode::TableBlowup)
+            shape(violations_to_diagnostics(&violations, &quiet)),
+            [(DiagCode::TableBlowup, Severity::Warn, "T".to_string(), None)]
         );
-        assert_eq!(DiagCode::TableBlowup.default_severity(), Severity::Warn);
     }
 
     #[test]
@@ -1562,33 +1257,5 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].severity, Severity::Warn);
         assert_eq!(d[0].message_type, "Point");
-    }
-
-    #[test]
-    fn violations_map_onto_diagnostics_with_overrides() {
-        let violations = vec![
-            protoacc_verify::Violation {
-                property: protoacc_verify::Property::SlotOverlap,
-                type_name: "T".to_string(),
-                detail: "slots alias".to_string(),
-            },
-            protoacc_verify::Violation {
-                property: protoacc_verify::Property::AdtEquivalence,
-                type_name: "T".to_string(),
-                detail: "adt diverges".to_string(),
-            },
-        ];
-        let diags = violations_to_diagnostics(&violations, &LintConfig::default());
-        assert_eq!(diags.len(), 2);
-        assert_eq!(diags[0].code, DiagCode::SlotOverlap);
-        assert_eq!(diags[0].severity, Severity::Deny);
-        assert_eq!(diags[1].code, DiagCode::AdtEquivalence);
-        let mut quiet = LintConfig::default();
-        quiet
-            .overrides
-            .push((DiagCode::SlotOverlap, Severity::Allow));
-        let diags = violations_to_diagnostics(&violations, &quiet);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, DiagCode::AdtEquivalence);
     }
 }

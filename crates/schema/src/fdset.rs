@@ -679,6 +679,58 @@ mod tests {
         }
     }
 
+    /// A one-file descriptor set declaring `messages` at top level.
+    fn set_of(messages: &[&[u8]]) -> Vec<u8> {
+        let mut file = WireWriter::new();
+        for m in messages {
+            file.write_length_delimited_field(FILE_MESSAGE_TYPE, m)
+                .unwrap();
+        }
+        let mut set = WireWriter::new();
+        set.write_length_delimited_field(SET_FILE, file.as_bytes())
+            .unwrap();
+        set.into_bytes()
+    }
+
+    #[test]
+    fn both_front_ends_reject_a_repeated_message_name() {
+        let rejects = |result: Result<Schema, SchemaError>, dup: &str| {
+            assert!(
+                matches!(&result, Err(SchemaError::DuplicateMessageName { name }) if name == dup),
+                "{dup}: {result:?}"
+            );
+        };
+        rejects(
+            parse_proto(
+                "message A { optional int32 x = 1; }\n\
+                 message A { optional int32 y = 2; }\n\
+                 message C { optional A a = 1; }",
+            ),
+            "A",
+        );
+        rejects(
+            parse_proto(
+                "message A {\n\
+                   message B { optional int32 x = 1; }\n\
+                   message B { optional int32 y = 2; }\n\
+                 }",
+            ),
+            "A.B",
+        );
+
+        let one = parse_proto("message A { message B { optional int32 x = 1; } }").unwrap();
+        let encoded = |name: &str| encode_message(&one, one.message(one.id_by_name(name).unwrap()));
+        let (a, b) = (encoded("A"), encoded("A.B"));
+        rejects(parse_descriptor_set(&set_of(&[&a, &a])), "A");
+        let mut twice = WireWriter::new();
+        twice
+            .write_length_delimited_field(MSG_NESTED_TYPE, &b)
+            .unwrap();
+        let a_with_b_twice = [a.as_slice(), twice.as_bytes()].concat();
+        rejects(parse_descriptor_set(&set_of(&[&a_with_b_twice])), "A.B");
+        assert!(parse_descriptor_set(&set_of(&[&a])).is_ok());
+    }
+
     #[test]
     fn text_and_binary_front_ends_agree() {
         let (schema, back) = round_trip(

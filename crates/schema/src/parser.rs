@@ -45,7 +45,7 @@ pub fn parse_proto(source: &str) -> Result<Schema, SchemaError> {
     // Pass 1: assign ids to all (nested) messages and collect enum names.
     let mut builder = Resolver::default();
     for item in &ast {
-        builder.collect(item, "");
+        builder.collect(item, "")?;
     }
     // Pass 2: resolve field types and build descriptors.
     let mut schema = Schema::new();
@@ -399,21 +399,24 @@ struct Resolver {
 }
 
 impl Resolver {
-    fn collect(&mut self, item: &Item, scope: &str) {
+    fn collect(&mut self, item: &Item, scope: &str) -> Result<(), SchemaError> {
         match item {
             Item::Message { name, nested, .. } => {
                 let full = qualify(scope, name);
                 let slot = self.order.len();
-                self.message_ids.insert(full.clone(), slot);
+                if self.message_ids.insert(full.clone(), slot).is_some() {
+                    return Err(SchemaError::DuplicateMessageName { name: full });
+                }
                 self.order.push(full.clone());
                 for n in nested {
-                    self.collect(n, &full);
+                    self.collect(n, &full)?;
                 }
             }
             Item::Enum { name } => {
                 self.enums.push(qualify(scope, name));
             }
         }
+        Ok(())
     }
 
     fn lower(

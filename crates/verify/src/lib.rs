@@ -8,30 +8,24 @@
 //! becomes silent data corruption. This crate treats every compiled
 //! artifact — [`MessageLayouts`], [`CompiledSchema`], and the hardware ADT
 //! image in guest memory — as *untrusted compiler output* and re-proves
-//! five properties per schema, from the [`Schema`] alone:
-//!
-//! | code  | property |
-//! |-------|----------|
-//! | PA016 | **slot-overlap**: no two slots, the vptr, or the hasbits array alias any byte; every region lies inside `object_size` |
-//! | PA017 | **dispatch-totality**: the dispatch table resolves exactly the schema's field set; holes, below-`min_field`, and past-`max_field` probes reject; dense and sparse access paths agree entry-for-entry |
-//! | PA018 | **entry-consistency**: each [`FieldEntry`]'s op, wire type, elem size, slot offset, hasbit byte/mask, and pre-encoded keys match an independent re-derivation |
-//! | PA019 | **adt-equivalence**: the simulator's descriptor-table image in guest memory agrees with the fast path's table, field by field |
-//! | PA020 | **dense-table-blowup**: span-proportional table memory stays under a configurable budget (sharpens PA013 from "span looks wide" to bytes) |
+//! five properties per schema, from the [`Schema`] alone: slot-overlap
+//! freedom (PA016), dispatch totality (PA017), entry consistency (PA018),
+//! hardware/software ADT equivalence (PA019) and the table memory budget
+//! (PA020). Each [`Violation`] names its property by its [`DiagCode`],
+//! whose docs state the rule.
 //!
 //! Detection power is proven, not asserted: the table-mutation plane in
 //! `protoacc_faults::tables` seeds corruptions (offset bumps, mask swaps, op
 //! substitutions, dropped/duplicated entries) into otherwise well-formed
 //! artifacts, and CI requires this verifier to flag ≥99% of seeded mutants
 //! while staying silent on every clean schema in the tree.
-//!
-//! [`FieldEntry`]: protoacc_fastpath::FieldEntry
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeSet;
 
-use protoacc_absint::table_footprint;
+use protoacc_absint::{table_footprint, DiagCode};
 use protoacc_fastpath::{
     encoded_key, CompiledMessage, CompiledSchema, FieldEntry as SwEntry, Op, TableImage, TableKind,
     DENSE_SPAN_LIMIT,
@@ -58,61 +52,11 @@ const FULL_SWEEP_SPAN: u64 = DENSE_SPAN_LIMIT;
 /// the sample set does not resonate with power-of-two numbering habits.
 const HOLE_SAMPLE_STRIDE: u64 = 251;
 
-/// The five properties the verifier re-proves per schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Property {
-    /// PA016: a layout region escapes `object_size` or aliases another.
-    SlotOverlap,
-    /// PA017: the dispatch table resolves a hole, misses a defined field,
-    /// or its two access paths disagree.
-    DispatchTotality,
-    /// PA018: a compiled entry disagrees with independent re-derivation
-    /// from the schema.
-    EntryConsistency,
-    /// PA019: the hardware ADT image diverges from the software table.
-    AdtEquivalence,
-    /// PA020: span-proportional table memory exceeds the budget.
-    TableBlowup,
-}
-
-/// Every property, for sweeps and reporting.
-pub const ALL_PROPERTIES: [Property; 5] = [
-    Property::SlotOverlap,
-    Property::DispatchTotality,
-    Property::EntryConsistency,
-    Property::AdtEquivalence,
-    Property::TableBlowup,
-];
-
-impl Property {
-    /// Stable diagnostic code (continues the lint PA-series).
-    pub fn code(self) -> &'static str {
-        match self {
-            Property::SlotOverlap => "PA016",
-            Property::DispatchTotality => "PA017",
-            Property::EntryConsistency => "PA018",
-            Property::AdtEquivalence => "PA019",
-            Property::TableBlowup => "PA020",
-        }
-    }
-
-    /// Short stable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Property::SlotOverlap => "slot-overlap",
-            Property::DispatchTotality => "dispatch-totality",
-            Property::EntryConsistency => "entry-consistency",
-            Property::AdtEquivalence => "adt-equivalence",
-            Property::TableBlowup => "dense-table-blowup",
-        }
-    }
-}
-
 /// One disproved property: which check failed, on which type, and how.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// The property that failed.
-    pub property: Property,
+    /// The property that failed (PA016–PA020).
+    pub code: DiagCode,
     /// Fully qualified message type name.
     pub type_name: String,
     /// Human-readable account of the disagreement.
@@ -192,14 +136,14 @@ pub fn check_regions(type_name: &str, object_size: u64, regions: &[Region]) -> V
     for r in &sorted {
         if r.end < r.start {
             violations.push(Violation {
-                property: Property::SlotOverlap,
+                code: DiagCode::SlotOverlap,
                 type_name: type_name.to_string(),
                 detail: format!("{} is inverted: [{}, {})", r.label, r.start, r.end),
             });
         }
         if r.end > object_size {
             violations.push(Violation {
-                property: Property::SlotOverlap,
+                code: DiagCode::SlotOverlap,
                 type_name: type_name.to_string(),
                 detail: format!(
                     "{} spans [{}, {}) past object_size {object_size}",
@@ -213,7 +157,7 @@ pub fn check_regions(type_name: &str, object_size: u64, regions: &[Region]) -> V
         // Zero-width regions (empty hasbits arrays) cannot alias anything.
         if a.start < a.end && b.start < b.end && b.start < a.end {
             violations.push(Violation {
-                property: Property::SlotOverlap,
+                code: DiagCode::SlotOverlap,
                 type_name: type_name.to_string(),
                 detail: format!(
                     "{} [{}, {}) overlaps {} [{}, {})",
@@ -362,7 +306,7 @@ fn check_dispatch(
     let mut violations = Vec::new();
     let mut push = |detail: String| {
         violations.push(Violation {
-            property: Property::DispatchTotality,
+            code: DiagCode::DispatchTotality,
             type_name: type_name.to_string(),
             detail,
         });
@@ -498,7 +442,7 @@ pub fn check_entries(
         let type_name = descriptor.name();
         let mut push = |detail: String| {
             violations.push(Violation {
-                property: Property::EntryConsistency,
+                code: DiagCode::EntryConsistency,
                 type_name: type_name.to_string(),
                 detail,
             });
@@ -663,7 +607,7 @@ pub fn check_adt_image(
         let type_name = descriptor.name();
         let mut push = |detail: String| {
             violations.push(Violation {
-                property: Property::AdtEquivalence,
+                code: DiagCode::AdtEquivalence,
                 type_name: type_name.to_string(),
                 detail,
             });
@@ -798,7 +742,7 @@ pub fn check_table_budgets(schema: &Schema, config: &VerifyConfig) -> Vec<Violat
         let fp = table_footprint(span, sw_table_entry_bytes(), DENSE_SPAN_LIMIT);
         if fp.worst_bytes() > config.dense_table_budget {
             violations.push(Violation {
-                property: Property::TableBlowup,
+                code: DiagCode::TableBlowup,
                 type_name: descriptor.name().to_string(),
                 detail: format!(
                     "span {span} costs {} table bytes (software dense {}, hardware ADT {}), \
@@ -954,7 +898,7 @@ mod tests {
         // Overlapping slots.
         let v = check_regions("T", 64, &[r("a", 8, 16), r("b", 12, 20)]);
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].property, Property::SlotOverlap);
+        assert_eq!(v[0].code, DiagCode::SlotOverlap);
         assert!(v[0].detail.contains("overlaps"));
         // Region past object_size.
         let v = check_regions("T", 16, &[r("a", 8, 24)]);
@@ -1045,17 +989,8 @@ mod tests {
         };
         let v = check_table_budgets(&schema, &tight);
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].property, Property::TableBlowup);
+        assert_eq!(v[0].code, DiagCode::TableBlowup);
         assert_eq!(v[0].type_name, "Wide");
-    }
-
-    #[test]
-    fn property_codes_are_stable() {
-        let codes: Vec<&str> = ALL_PROPERTIES.iter().map(|p| p.code()).collect();
-        assert_eq!(codes, vec!["PA016", "PA017", "PA018", "PA019", "PA020"]);
-        for p in ALL_PROPERTIES {
-            assert!(!p.name().is_empty());
-        }
     }
 
     #[test]

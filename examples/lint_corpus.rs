@@ -56,8 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let envelope = Envelope::deser(&schema, &layouts, book_id, &accel_config, &mem_config)
         .bounds(wire.len() as u64, 1);
     println!(
-        "AddressBook: PA001 diagnostics = {pa001}, predicted spill = {}",
-        { predicts_spill(&book, &accel_config) }
+        "AddressBook: {} diagnostics = {pa001}, predicted spill = {}",
+        DiagCode::StackSpill.code(),
+        predicts_spill(&book, &accel_config)
     );
     println!(
         "simulated {} cycles inside the envelope [{}, {}] ({} wire bytes); spills = {}",

@@ -17,9 +17,10 @@
 //!   deadlines, keeps a clean command lifecycle.
 
 use protoacc_suite::absint::from_trace::footprints_from_trace;
-use protoacc_suite::absint::{self, CommandFootprint, Envelope, FindingKind, ServiceBounds};
+use protoacc_suite::absint::{self, CommandFootprint, Envelope, ServiceBounds};
 use protoacc_suite::accel::{
-    AccelConfig, CommandRecord, DispatchPolicy, Request, RequestOp, ServeCluster, ServeConfig,
+    check_lifecycle, AccelConfig, CommandRecord, DispatchPolicy, Request, RequestOp, ServeCluster,
+    ServeConfig,
 };
 use protoacc_suite::bench::serving::{
     calibrate, config, fleet_mix, isolated, open_loop, stream, Staging, RPC_INSTANCES,
@@ -227,7 +228,7 @@ fn shared_destination_across_instances_trips_pa009() {
     );
     let aliasing: Vec<_> = findings
         .iter()
-        .filter(|x| x.kind == FindingKind::Aliasing)
+        .filter(|x| x.code == DiagCode::ArenaAliasing)
         .collect();
     assert!(!aliasing.is_empty(), "shared dest must alias: {findings:?}");
     // And nothing else fired: the hazard is isolated to PA009.
@@ -267,34 +268,27 @@ fn tampered_records_trip_pa008() {
     // Rewind one dispatch before its enqueue: a causality violation no
     // legal scheduler can produce.
     records[3].dispatch = records[3].enqueue.saturating_sub(1);
-    let findings = absint::check_lifecycle(&records, 2, requests.len() as u64, 0);
+    let findings = check_lifecycle(&records, 2, requests.len() as u64, 0);
     assert!(
-        findings
-            .iter()
-            .any(|x| x.kind == FindingKind::Lifecycle && x.seq == Some(records[3].seq)),
+        findings.iter().any(|x| x.seq == Some(records[3].seq)),
         "{findings:?}"
     );
 
     // Duplicate sequence numbers are double-retirement.
     let mut records = cluster.records().to_vec();
     records[1].seq = records[0].seq;
-    let findings = absint::check_lifecycle(&records, 2, requests.len() as u64, 1);
+    let findings = check_lifecycle(&records, 2, requests.len() as u64, 1);
     assert!(
-        findings.iter().any(|x| x.kind == FindingKind::Lifecycle),
+        findings.iter().any(|x| x.detail.contains("duplicate")),
         "{findings:?}"
     );
 
     // Accounting: completed + dropped must equal offered.
-    let findings = absint::check_lifecycle(cluster.records(), 2, requests.len() as u64 + 5, 0);
-    assert!(
-        findings
-            .iter()
-            .any(|x| x.kind == FindingKind::Lifecycle && x.seq.is_none()),
-        "{findings:?}"
-    );
+    let findings = check_lifecycle(cluster.records(), 2, requests.len() as u64 + 5, 0);
+    assert!(findings.iter().any(|x| x.seq.is_none()), "{findings:?}");
 
     // The untampered records are clean.
-    let findings = absint::check_lifecycle(cluster.records(), 2, requests.len() as u64, 0);
+    let findings = check_lifecycle(cluster.records(), 2, requests.len() as u64, 0);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -321,7 +315,9 @@ fn tightened_envelopes_trip_pa007() {
         .collect();
     let findings = absint::check_envelopes(cluster.records(), &impossible);
     assert_eq!(findings.len(), cluster.records().len());
-    assert!(findings.iter().all(|x| x.kind == FindingKind::Envelope));
+    assert!(findings
+        .iter()
+        .all(|x| x.code == DiagCode::EnvelopeViolation));
 
     // A floor above the measured time also violates (two-sided check).
     let too_high: Vec<ServiceBounds> = cluster
@@ -399,7 +395,7 @@ fn rpc_overload_keeps_a_clean_lifecycle() {
     let srv = open_loop(&mix, 512, gap, Some(4));
     let cluster = srv.cluster();
     assert!(cluster.shed() > 0, "2x overload must shed");
-    let findings = absint::check_lifecycle(
+    let findings = check_lifecycle(
         cluster.records(),
         RPC_INSTANCES,
         cluster.offered(),
