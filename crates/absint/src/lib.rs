@@ -199,8 +199,8 @@ pub enum Direction {
 ///
 /// Built once per `(schema, root)` by abstractly interpreting the
 /// field-handler FSM over the interval domain; evaluated per wire length in
-/// O(1). Bounds are *unit-level* — they bound the cycles returned by
-/// `block_for_{deser,ser}_completion`, which include one RoCC dispatch. For
+/// O(1). Bounds are *unit-level* — they bound the `cycles` of the run
+/// `do_proto_{deser,ser}` returns, which include one RoCC dispatch. For
 /// the serving model's per-command service time (which pays a second
 /// dispatch) use [`Envelope::service_bounds`].
 #[derive(Debug, Clone)]

@@ -66,13 +66,18 @@ fn profile_service(
             .alloc(layout.object_size(), 8)
             .expect("dest fits");
         mem.system.set_trace_origin(clock);
-        accel.deser_info(adts.addr(type_id), dest);
         let run = accel
-            .do_proto_deser(&mut mem, addr, len, layout.min_field())
+            .do_proto_deser(
+                &mut mem,
+                adts.addr(type_id),
+                addr,
+                len,
+                dest,
+                layout.min_field(),
+            )
             .expect("workload deserializes on the accelerator");
         clock += run.cycles;
     }
-    accel.block_for_deser_completion();
 
     // Serialize a materialized copy of the same population.
     let mut obj_arena = BumpArena::new(map::OBJECTS + (map::ARENA_LEN / 2), map::ARENA_LEN / 2);
@@ -86,17 +91,18 @@ fn profile_service(
     accel.ser_assign_arena(map::OUTPUT, map::ARENA_LEN, map::PTRS, 1 << 20);
     for &obj in &objects {
         mem.system.set_trace_origin(clock);
-        accel.ser_info(
-            layout.hasbits_offset(),
-            layout.min_field(),
-            layout.max_field(),
-        );
         let run = accel
-            .do_proto_ser(&mut mem, adts.addr(type_id), obj)
+            .do_proto_ser(
+                &mut mem,
+                adts.addr(type_id),
+                obj,
+                layout.hasbits_offset(),
+                layout.min_field(),
+                layout.max_field(),
+            )
             .expect("workload serializes on the accelerator");
         clock += run.cycles;
     }
-    accel.block_for_ser_completion();
 
     mem.system.set_event_tracer(None);
     let stats = accel.stats();

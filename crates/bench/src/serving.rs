@@ -375,10 +375,7 @@ const RPC_WINDOW: usize = 16;
 pub fn server(methods: Vec<Method>) -> RpcServer {
     RpcServer::new(
         config(RPC_INSTANCES, 256, DispatchPolicy::Fifo),
-        RpcConfig {
-            window: RPC_WINDOW,
-            ..RpcConfig::default()
-        },
+        RpcConfig { window: RPC_WINDOW },
         methods,
         ARENA_BASE,
         ARENA_STRIDE,

@@ -131,13 +131,15 @@ fn compare(workload: &Workload) -> (u64, u64, u64) {
     accel.ser_assign_arena(0x4000_0000, 1 << 28, 0x7000_0000, 1 << 16);
     let mut protoacc_accel = 0u64;
     for (&obj, expected) in objects.iter().zip(&expected) {
-        accel.ser_info(
-            layout.hasbits_offset(),
-            layout.min_field(),
-            layout.max_field(),
-        );
         let run = accel
-            .do_proto_ser(&mut mem, adts.addr(workload.type_id), obj)
+            .do_proto_ser(
+                &mut mem,
+                adts.addr(workload.type_id),
+                obj,
+                layout.hasbits_offset(),
+                layout.min_field(),
+                layout.max_field(),
+            )
             .expect("workload serializes on the accelerator");
         assert_eq!(
             &mem.data.read_vec(run.out_addr, run.out_len as usize),

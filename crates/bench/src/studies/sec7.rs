@@ -256,9 +256,15 @@ pub fn sec7_ctor_dtor(out: &mut String) -> fmt::Result {
         let dest = setup
             .alloc(layout.object_size(), 8)
             .expect("setup arena sized for the bench");
-        accel.deser_info(adts.addr(bench.type_id), dest);
         let run = accel
-            .do_proto_deser(&mut mem, cursor, wire.len() as u64, layout.min_field())
+            .do_proto_deser(
+                &mut mem,
+                adts.addr(bench.type_id),
+                cursor,
+                wire.len() as u64,
+                dest,
+                layout.min_field(),
+            )
             .expect("bench deserializes on the accelerator");
         deser_cycles += run.cycles;
         cursor += wire.len() as u64 + 32;

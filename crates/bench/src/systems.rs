@@ -292,30 +292,35 @@ fn run_accel(
                 .collect();
             timed(passes, || {
                 accel.deser_assign_arena(map::ARENA, map::ARENA_LEN);
+                let mut cycles = 0;
                 for (&(addr, len), &dest) in inputs.iter().zip(&dests) {
-                    accel.deser_info(adt, dest);
-                    accel
-                        .do_proto_deser(&mut mem, addr, len, layout.min_field())
+                    let run = accel
+                        .do_proto_deser(&mut mem, adt, addr, len, dest, layout.min_field())
                         .expect("workload deserializes on the accelerator");
+                    cycles += run.cycles;
                 }
-                accel.block_for_deser_completion()
+                cycles
             })
         }
         Direction::Serialize => {
             let objects = stage_objects(&mut mem, workload, &layouts);
             timed(passes, || {
                 accel.ser_assign_arena(map::OUTPUT, map::ARENA_LEN, map::PTRS, 1 << 20);
+                let mut cycles = 0;
                 for &obj in &objects {
-                    accel.ser_info(
-                        layout.hasbits_offset(),
-                        layout.min_field(),
-                        layout.max_field(),
-                    );
-                    accel
-                        .do_proto_ser(&mut mem, adt, obj)
+                    let run = accel
+                        .do_proto_ser(
+                            &mut mem,
+                            adt,
+                            obj,
+                            layout.hasbits_offset(),
+                            layout.min_field(),
+                            layout.max_field(),
+                        )
                         .expect("workload serializes on the accelerator");
+                    cycles += run.cycles;
                 }
-                accel.block_for_ser_completion()
+                cycles
             })
         }
     }

@@ -15,11 +15,17 @@ pub enum AccelError {
         /// Which unit ("deserializer" or "serializer").
         unit: &'static str,
     },
-    /// `do_proto_deser` was issued without a preceding `deser_info` (or
-    /// `do_proto_ser` without `ser_info`).
-    MissingInfo {
-        /// Which instruction was missing.
-        instruction: &'static str,
+    /// A command operand that duplicates an ADT header word (the hasbits
+    /// offset or a field-number bound) disagreed with it. Checked before
+    /// any timed access, so the command changed no state.
+    OperandMismatch {
+        /// Which operand (`"hasbits_offset"`, `"min_field"` or
+        /// `"max_field"`).
+        operand: &'static str,
+        /// The value software supplied.
+        supplied: u64,
+        /// The value in the ADT header.
+        adt: u64,
     },
     /// The serialized input was malformed.
     Wire(WireError),
@@ -54,9 +60,11 @@ impl fmt::Display for AccelError {
             AccelError::ArenaNotAssigned { unit } => {
                 write!(f, "{unit} arena not assigned before dispatch")
             }
-            AccelError::MissingInfo { instruction } => {
-                write!(f, "`{instruction}` must precede the dispatch instruction")
-            }
+            AccelError::OperandMismatch {
+                operand,
+                supplied,
+                adt,
+            } => write!(f, "operand {operand} is {supplied} but the ADT says {adt}"),
             AccelError::Wire(e) => write!(f, "wire error: {e}"),
             AccelError::BadAdtEntry { field_number } => {
                 write!(f, "invalid ADT entry for field {field_number}")
@@ -251,11 +259,12 @@ impl DecodeFault {
         match e {
             AccelError::Wire(w) => DecodeFault::from_wire(w),
             AccelError::Runtime(r) => DecodeFault::from_runtime(r),
-            AccelError::BadAdtEntry { .. } => DecodeFault::SchemaMismatch,
+            AccelError::BadAdtEntry { .. } | AccelError::OperandMismatch { .. } => {
+                DecodeFault::SchemaMismatch
+            }
             AccelError::Arena(_)
             | AccelError::OutputOverflow
-            | AccelError::ArenaNotAssigned { .. }
-            | AccelError::MissingInfo { .. } => DecodeFault::ResourceExhausted,
+            | AccelError::ArenaNotAssigned { .. } => DecodeFault::ResourceExhausted,
             AccelError::Watchdog { .. } => DecodeFault::WatchdogKill,
             AccelError::Mem(_) => DecodeFault::MemoryFault,
         }
@@ -305,6 +314,15 @@ mod tests {
             ),
             (
                 AccelError::BadAdtEntry { field_number: 9 },
+                DecodeFault::SchemaMismatch,
+                FaultCategory::Schema,
+            ),
+            (
+                AccelError::OperandMismatch {
+                    operand: "min_field",
+                    supplied: 2,
+                    adt: 1,
+                },
                 DecodeFault::SchemaMismatch,
                 FaultCategory::Schema,
             ),

@@ -7,10 +7,10 @@
 //!
 //! The model reproduces the paper's microarchitecture:
 //!
-//! * **RoCC command interface** ([`ProtoAccelerator`]) — the custom
-//!   instructions of Sections 4.4.1 and 4.5.2 (`deser_info`,
-//!   `do_proto_deser`, `block_for_deser_completion`, the serializer
-//!   equivalents, and `{ser,deser}_assign_arena`).
+//! * **RoCC command interface** ([`ProtoAccelerator`]) — the commands of
+//!   Sections 4.4.1 and 4.5.2 (`{ser,deser}_assign_arena`,
+//!   `do_proto_deser`, `do_proto_ser`), each one call whose operands are
+//!   checked against the ADT header.
 //! * **Deserializer unit** ([`deser`]) — memloader with a 16-byte consumer
 //!   window, field-handler FSM (parseKey → typeInfo → per-type write
 //!   states), single-cycle combinational varint decode, ADT loader, hasbits
@@ -62,10 +62,8 @@
 //! let mut accel = ProtoAccelerator::new(AccelConfig::default());
 //! accel.deser_assign_arena(0x400000, 1 << 20);
 //! let dest = 0x300000;
-//! accel.deser_info(adts.addr(point), dest);
-//! accel.do_proto_deser(&mut mem, 0x200000, wire.len() as u64, 1)?;
-//! let cycles = accel.block_for_deser_completion();
-//! assert!(cycles > 0);
+//! let run = accel.do_proto_deser(&mut mem, adts.addr(point), 0x200000, wire.len() as u64, dest, 1)?;
+//! assert!(run.cycles > 0);
 //!
 //! let back = protoacc_runtime::object::read_message(&mem.data, &schema, &layouts, point, dest)?;
 //! assert!(back.bits_eq(&msg));

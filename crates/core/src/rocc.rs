@@ -1,25 +1,27 @@
 //! The RoCC command interface (Sections 4.1, 4.4.1, 4.5.2).
 //!
 //! The BOOM core dispatches custom RISC-V instructions to the accelerator
-//! with low latency; each can carry two 64-bit register operands. The
-//! modeled instruction set:
+//! with low latency. The modeled command set:
 //!
-//! | instruction | operands | effect |
+//! | command | operands | effect |
 //! |---|---|---|
 //! | `deser_assign_arena` | base, len | hand an accelerator arena to the deserializer |
-//! | `deser_info` | ADT ptr, dest object ptr | stage the next deserialization |
-//! | `do_proto_deser` | input ptr, (len, min field) | kick off a deserialization |
-//! | `block_for_deser_completion` | — | fence until all in-flight deserializations retire |
+//! | `do_proto_deser` | ADT ptr, input ptr, len, dest object ptr, min field | deserialize one message |
 //! | `ser_assign_arena` | out base, len (+ pointer-buffer region) | hand output + pointer-buffer regions to the serializer |
-//! | `ser_info` | hasbits offset, (min, max field) | stage the next serialization |
-//! | `do_proto_ser` | ADT ptr, object ptr | kick off a serialization |
-//! | `block_for_ser_completion` | — | fence until all in-flight serializations retire |
+//! | `do_proto_ser` | ADT ptr, object ptr, hasbits offset, min field, max field | serialize one message |
 //!
-//! Between a user program touching a protobuf and the accelerator operating
-//! on it, only a fence is needed (the accelerator is coherent through the
-//! shared L2).
+//! In hardware each command is an `*_info` instruction followed by a
+//! `do_proto_*` instruction, because one RoCC instruction carries only two
+//! 64-bit register operands, and software fences with
+//! `block_for_*_completion` before reading the result. The model takes
+//! each command as one call that returns its run, cycles included; the
+//! split and the fence charged no cycles, so nothing is lost. The
+//! software-supplied hasbits offset and field-number bounds duplicate ADT
+//! header words, and a command whose operands disagree with its ADT is
+//! refused with [`AccelError::OperandMismatch`] before any timed access.
 
-use protoacc_mem::{Cycles, Memory};
+use protoacc_mem::Memory;
+use protoacc_runtime::adt::header;
 use protoacc_runtime::BumpArena;
 
 use crate::deser::{DeserRun, DeserUnit};
@@ -32,20 +34,18 @@ use crate::{AccelConfig, AccelError, AccelStats};
 /// length.
 const PTR_SLOT_BYTES: u64 = 16;
 
-#[derive(Debug, Clone, Copy)]
-struct DeserInfo {
-    adt_ptr: u64,
-    dest_obj: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-#[allow(dead_code)] // staged per the paper's ABI; the unit re-derives the
-                    // same facts from the ADT header when recursing into
-                    // sub-message types
-struct SerInfo {
-    hasbits_offset: u64,
-    min_field: u32,
-    max_field: u32,
+/// Checks one software-supplied operand against the ADT header word it
+/// duplicates.
+fn check_operand(operand: &'static str, supplied: u64, adt: u64) -> Result<(), AccelError> {
+    if supplied == adt {
+        Ok(())
+    } else {
+        Err(AccelError::OperandMismatch {
+            operand,
+            supplied,
+            adt,
+        })
+    }
 }
 
 /// The protobuf accelerator: deserializer and serializer units behind the
@@ -60,10 +60,6 @@ pub struct ProtoAccelerator {
     ser_writer: Option<ReverseWriter>,
     ptr_buf: Option<(u64, u64)>,
     ptr_count: u64,
-    staged_deser: Option<DeserInfo>,
-    staged_ser: Option<SerInfo>,
-    pending_deser_cycles: Cycles,
-    pending_ser_cycles: Cycles,
     stats: AccelStats,
 }
 
@@ -78,10 +74,6 @@ impl ProtoAccelerator {
             ser_writer: None,
             ptr_buf: None,
             ptr_count: 0,
-            staged_deser: None,
-            staged_ser: None,
-            pending_deser_cycles: 0,
-            pending_ser_cycles: 0,
             stats: AccelStats::default(),
             config,
         }
@@ -130,45 +122,40 @@ impl ProtoAccelerator {
         self.ptr_count = 0;
     }
 
-    /// `deser_info`: stages the ADT pointer and destination object for the
-    /// next deserialization.
-    pub fn deser_info(&mut self, adt_ptr: u64, dest_obj: u64) {
-        self.staged_deser = Some(DeserInfo { adt_ptr, dest_obj });
-    }
-
-    /// `do_proto_deser`: kicks off a deserialization of `input_len` bytes at
-    /// `input_addr`. `min_field` is supplied by software per the paper's ABI
-    /// (the ADT header also carries it; they must agree).
-    ///
-    /// Returns the per-operation run record; cycle totals also accumulate
-    /// for [`ProtoAccelerator::block_for_deser_completion`].
+    /// `do_proto_deser`: deserializes `input_len` wire bytes at
+    /// `input_addr` into `dest_obj`, an object of the type whose ADT is at
+    /// `adt_ptr`. `min_field` must equal the ADT header's.
     ///
     /// # Errors
     ///
-    /// [`AccelError::ArenaNotAssigned`]/[`AccelError::MissingInfo`] on
-    /// protocol misuse, or any wire/arena failure from the unit.
+    /// [`AccelError::ArenaNotAssigned`] without a deserializer arena,
+    /// [`AccelError::OperandMismatch`] when `min_field` disagrees with the
+    /// ADT (no state changes), or any wire/arena failure from the unit.
     pub fn do_proto_deser(
         &mut self,
         mem: &mut Memory,
+        adt_ptr: u64,
         input_addr: u64,
         input_len: u64,
+        dest_obj: u64,
         min_field: u32,
     ) -> Result<DeserRun, AccelError> {
-        let info = self.staged_deser.ok_or(AccelError::MissingInfo {
-            instruction: "deser_info",
-        })?;
         let arena = self
             .deser_arena
             .as_mut()
             .ok_or(AccelError::ArenaNotAssigned {
                 unit: "deserializer",
             })?;
-        let _ = min_field;
+        check_operand(
+            "min_field",
+            min_field.into(),
+            mem.data.read_u32(adt_ptr + header::MIN_FIELD).into(),
+        )?;
         let run = self.deser_unit.run(
             mem,
             arena,
-            info.adt_ptr,
-            info.dest_obj,
+            adt_ptr,
+            dest_obj,
             input_addr,
             input_len,
             &mut self.stats,
@@ -176,7 +163,6 @@ impl ProtoAccelerator {
         self.stats.deser_ops += 1;
         self.stats.deser_cycles += run.cycles;
         self.stats.deser_wire_bytes += run.wire_bytes;
-        self.pending_deser_cycles += run.cycles;
         // Audit anchor: the DeserOp span duration is exactly the quantity
         // added to `stats.deser_cycles` above, so traced spans must sum to
         // the reported total.
@@ -193,43 +179,46 @@ impl ProtoAccelerator {
         Ok(run)
     }
 
-    /// `block_for_deser_completion`: retires all in-flight deserializations,
-    /// returning the cycles they took since the last fence.
-    pub fn block_for_deser_completion(&mut self) -> Cycles {
-        std::mem::take(&mut self.pending_deser_cycles)
-    }
-
-    /// `ser_info`: stages the hasbits offset and field-number range for the
-    /// next serialization.
-    pub fn ser_info(&mut self, hasbits_offset: u64, min_field: u32, max_field: u32) {
-        self.staged_ser = Some(SerInfo {
-            hasbits_offset,
-            min_field,
-            max_field,
-        });
-    }
-
-    /// `do_proto_ser`: kicks off serialization of the object at `obj_ptr`
-    /// whose type's ADT is at `adt_ptr`. The output lands in the assigned
-    /// output region; a pointer/length pair is appended to the pointer
-    /// buffer.
+    /// `do_proto_ser`: serializes the object at `obj_ptr` whose type's ADT
+    /// is at `adt_ptr`. `hasbits_offset`, `min_field` and `max_field` must
+    /// equal the ADT header's. The output lands in the assigned output
+    /// region; a pointer/length pair is appended to the pointer buffer.
     ///
     /// # Errors
     ///
-    /// Protocol misuse, output overflow, or malformed object state.
+    /// [`AccelError::ArenaNotAssigned`] without a serializer region,
+    /// [`AccelError::OperandMismatch`] naming the first operand that
+    /// disagrees with the ADT (no state changes), output overflow, or
+    /// malformed object state.
     pub fn do_proto_ser(
         &mut self,
         mem: &mut Memory,
         adt_ptr: u64,
         obj_ptr: u64,
+        hasbits_offset: u64,
+        min_field: u32,
+        max_field: u32,
     ) -> Result<SerRun, AccelError> {
-        let _info = self.staged_ser.ok_or(AccelError::MissingInfo {
-            instruction: "ser_info",
-        })?;
         let writer = self
             .ser_writer
             .as_mut()
             .ok_or(AccelError::ArenaNotAssigned { unit: "serializer" })?;
+        let adt = &mem.data;
+        check_operand(
+            "hasbits_offset",
+            hasbits_offset,
+            adt.read_u64(adt_ptr + header::HASBITS_OFFSET),
+        )?;
+        check_operand(
+            "min_field",
+            min_field.into(),
+            adt.read_u32(adt_ptr + header::MIN_FIELD).into(),
+        )?;
+        check_operand(
+            "max_field",
+            max_field.into(),
+            adt.read_u32(adt_ptr + header::MAX_FIELD).into(),
+        )?;
         let run = self
             .ser_unit
             .run(mem, writer, adt_ptr, obj_ptr, &mut self.stats)?;
@@ -246,7 +235,6 @@ impl ProtoAccelerator {
         self.stats.ser_ops += 1;
         self.stats.ser_cycles += run.cycles;
         self.stats.ser_wire_bytes += run.out_len;
-        self.pending_ser_cycles += run.cycles;
         // Audit anchor: span duration == the quantity added to
         // `stats.ser_cycles` above.
         mem.system
@@ -261,12 +249,6 @@ impl ProtoAccelerator {
                 fields: run.fields,
             });
         Ok(run)
-    }
-
-    /// `block_for_ser_completion`: retires all in-flight serializations,
-    /// returning the cycles they took since the last fence.
-    pub fn block_for_ser_completion(&mut self) -> Cycles {
-        std::mem::take(&mut self.pending_ser_cycles)
     }
 
     /// Returns the `n`th serialized output as `(address, length)`, read from

@@ -73,6 +73,25 @@ impl CommandStatus {
     }
 }
 
+/// `(ok, fallback, rejected, failed, shed)` counts over `records`: the one
+/// status fold behind [`ServeCluster::status_counts`] and the sharded
+/// merge's.
+pub(crate) fn status_counts<'a>(
+    records: impl IntoIterator<Item = &'a CommandRecord>,
+) -> (u64, u64, u64, u64, u64) {
+    let mut c = (0, 0, 0, 0, 0);
+    for r in records {
+        match r.status {
+            CommandStatus::Ok => c.0 += 1,
+            CommandStatus::Fallback => c.1 += 1,
+            CommandStatus::Rejected(_) => c.2 += 1,
+            CommandStatus::Failed(_) => c.3 += 1,
+            CommandStatus::Shed => c.4 += 1,
+        }
+    }
+    c
+}
+
 /// What a scripted instance-plane fault does to its instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstanceFaultKind {
@@ -139,7 +158,9 @@ impl DispatchPolicy {
     }
 }
 
-/// The operation a request asks for.
+/// The operation a request asks for: one RoCC command's operands, in the
+/// order [`ProtoAccelerator::do_proto_deser`] and
+/// [`ProtoAccelerator::do_proto_ser`] take them.
 #[derive(Debug, Clone, Copy)]
 pub enum RequestOp {
     /// Deserialize `input_len` wire bytes at `input_addr` into `dest_obj`.
@@ -161,7 +182,7 @@ pub enum RequestOp {
         adt_ptr: u64,
         /// Root object address.
         obj_ptr: u64,
-        /// Hasbits offset staged via `ser_info`.
+        /// Hasbits offset of the root type.
         hasbits_offset: u64,
         /// Lowest field number of the root type.
         min_field: u32,
@@ -834,32 +855,18 @@ impl ServeCluster {
                 input_len,
                 dest_obj,
                 min_field,
-            } => {
-                accel.deser_info(adt_ptr, dest_obj);
-                match accel.do_proto_deser(mem, input_addr, input_len, min_field) {
-                    Ok(run) => {
-                        accel.block_for_deser_completion();
-                        Ok((run.cycles, run.wire_bytes))
-                    }
-                    Err(e) => Err(e),
-                }
-            }
+            } => accel
+                .do_proto_deser(mem, adt_ptr, input_addr, input_len, dest_obj, min_field)
+                .map(|run| (run.cycles, run.wire_bytes)),
             RequestOp::Serialize {
                 adt_ptr,
                 obj_ptr,
                 hasbits_offset,
                 min_field,
                 max_field,
-            } => {
-                accel.ser_info(hasbits_offset, min_field, max_field);
-                match accel.do_proto_ser(mem, adt_ptr, obj_ptr) {
-                    Ok(run) => {
-                        accel.block_for_ser_completion();
-                        Ok((run.cycles, run.out_len))
-                    }
-                    Err(e) => Err(e),
-                }
-            }
+            } => accel
+                .do_proto_ser(mem, adt_ptr, obj_ptr, hasbits_offset, min_field, max_field)
+                .map(|run| (run.cycles, run.out_len)),
         };
         mem.system.set_sharers(1);
         // An injected memory fault (ECC, stall) outranks the functional
@@ -1045,17 +1052,7 @@ impl ServeCluster {
     /// Commands resolved with each terminal status, as
     /// `(ok, fallback, rejected, failed, shed)`.
     pub fn status_counts(&self) -> (u64, u64, u64, u64, u64) {
-        let mut c = (0, 0, 0, 0, 0);
-        for r in &self.records {
-            match r.status {
-                CommandStatus::Ok => c.0 += 1,
-                CommandStatus::Fallback => c.1 += 1,
-                CommandStatus::Rejected(_) => c.2 += 1,
-                CommandStatus::Failed(_) => c.3 += 1,
-                CommandStatus::Shed => c.4 += 1,
-            }
-        }
-        c
+        status_counts(&self.records)
     }
 
     /// Instances no longer eligible for dispatch: scripted dead (crash or
@@ -1497,6 +1494,34 @@ mod tests {
         assert_eq!(r.wire_bytes, 0);
         assert_eq!(cluster.retries(), 0);
         assert!(r.status.is_served());
+    }
+
+    #[test]
+    fn mismatched_operand_is_rejected_without_retry() {
+        let mut f = fixture();
+        let reqs = vec![Request {
+            arrival: 0,
+            watchdog: None,
+            deadline: None,
+            cost: None,
+            op: RequestOp::Deserialize {
+                adt_ptr: f.adt_ptr,
+                input_addr: f.input_addr,
+                input_len: f.input_len,
+                dest_obj: f.dest_obj,
+                min_field: f.min_field + 1,
+            },
+        }];
+        let mut cluster = ServeCluster::new(ServeConfig::default(), 0x1_0000_0000, 1 << 24);
+        cluster.run(&mut f.mem, &reqs).unwrap();
+        cluster.check_invariants().unwrap();
+        let r = &cluster.records()[0];
+        assert_eq!(
+            r.status,
+            CommandStatus::Rejected(DecodeFault::SchemaMismatch)
+        );
+        assert_eq!(r.attempts, 1);
+        assert_eq!(cluster.retries(), 0);
     }
 
     #[test]

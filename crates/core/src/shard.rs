@@ -108,14 +108,6 @@ pub struct ShardOutcome {
     pub shed: u64,
     /// Retry attempts consumed.
     pub retries: u64,
-    /// Commands served (Ok + Fallback).
-    pub served: u64,
-    /// `(ok, fallback, rejected, failed, shed)` terminal counts.
-    pub status_counts: (u64, u64, u64, u64, u64),
-    /// Wire bytes moved by served commands.
-    pub completed_wire_bytes: u64,
-    /// `[first dispatch, last completion]` of served commands.
-    pub service_window: Option<(Cycles, Cycles)>,
     /// Shard-local throughput over its service window.
     pub gbits: f64,
     /// Shard-local ids of quarantined instances.
@@ -149,10 +141,6 @@ impl ShardOutcome {
             dropped: cluster.dropped(),
             shed: cluster.shed(),
             retries: cluster.retries(),
-            served: cluster.served(),
-            status_counts: cluster.status_counts(),
-            completed_wire_bytes: cluster.completed_wire_bytes(),
-            service_window: cluster.service_window(),
             gbits: cluster.throughput_gbits(),
             quarantined: cluster.quarantined_instances(),
             invariants: cluster.check_invariants(),
@@ -170,6 +158,19 @@ impl ShardOutcome {
     #[must_use]
     pub fn service_cycles(&self) -> Cycles {
         self.records.iter().map(|r| r.service).sum()
+    }
+
+    /// Commands with a definitive response, as [`ServeCluster::served`]
+    /// counts them.
+    #[must_use]
+    pub fn served(&self) -> u64 {
+        self.records.iter().filter(|r| r.status.is_served()).count() as u64
+    }
+
+    /// Wire bytes moved by this shard's completed commands.
+    #[must_use]
+    pub fn wire_bytes(&self) -> u64 {
+        self.records.iter().map(|r| r.wire_bytes).sum()
     }
 }
 
@@ -250,7 +251,7 @@ impl ShardedCluster {
     /// Total served commands across shards.
     #[must_use]
     pub fn served(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.served).sum()
+        self.outcomes.iter().map(ShardOutcome::served).sum()
     }
 
     /// Total completed records across shards.
@@ -259,25 +260,10 @@ impl ShardedCluster {
         self.outcomes.iter().map(|o| o.records.len()).sum()
     }
 
-    /// Element-wise sum of `(ok, fallback, rejected, failed, shed)`.
+    /// `(ok, fallback, rejected, failed, shed)` over every shard's records.
     #[must_use]
     pub fn status_counts(&self) -> (u64, u64, u64, u64, u64) {
-        self.outcomes.iter().fold((0, 0, 0, 0, 0), |acc, o| {
-            let c = o.status_counts;
-            (
-                acc.0 + c.0,
-                acc.1 + c.1,
-                acc.2 + c.2,
-                acc.3 + c.3,
-                acc.4 + c.4,
-            )
-        })
-    }
-
-    /// Total wire bytes moved by served commands.
-    #[must_use]
-    pub fn completed_wire_bytes(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.completed_wire_bytes).sum()
+        crate::serve::status_counts(self.outcomes.iter().flat_map(|o| &o.records))
     }
 
     /// Sum of per-shard throughputs. Shards are independent machines with
@@ -400,8 +386,8 @@ impl ShardedCluster {
                 o.dropped,
                 o.shed,
                 o.retries,
-                o.served,
-                o.completed_wire_bytes,
+                o.served(),
+                o.wire_bytes(),
                 o.gbits,
                 o.quarantined,
                 o.service_cycles(),

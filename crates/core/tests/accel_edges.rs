@@ -75,9 +75,15 @@ fn deeply_nested_messages_spill_the_stack_and_still_decode() {
     let dest = setup_arena
         .alloc(layouts.layout(node).object_size(), 8)
         .unwrap();
-    accel.deser_info(adts.addr(node), dest);
     accel
-        .do_proto_deser(&mut mem, INPUT_ADDR, wire.len() as u64, 1)
+        .do_proto_deser(
+            &mut mem,
+            adts.addr(node),
+            INPUT_ADDR,
+            wire.len() as u64,
+            dest,
+            1,
+        )
         .unwrap();
     let stats = accel.stats();
     assert!(
@@ -92,8 +98,16 @@ fn deeply_nested_messages_spill_the_stack_and_still_decode() {
     let obj =
         object::write_message(&mut mem.data, &schema, &layouts, &mut setup_arena, &m).unwrap();
     let layout = layouts.layout(node);
-    accel.ser_info(layout.hasbits_offset(), 1, 2);
-    let run = accel.do_proto_ser(&mut mem, adts.addr(node), obj).unwrap();
+    let run = accel
+        .do_proto_ser(
+            &mut mem,
+            adts.addr(node),
+            obj,
+            layout.hasbits_offset(),
+            1,
+            2,
+        )
+        .unwrap();
     assert_eq!(mem.data.read_vec(run.out_addr, run.out_len as usize), wire);
 }
 
@@ -104,19 +118,28 @@ fn batched_serializations_pack_output_and_pointer_buffer() {
     let mut accel = ProtoAccelerator::new(AccelConfig::default());
     accel.ser_assign_arena(0x300_0000, 1 << 24, 0x500_0000, 1 << 16);
     let mut expected = Vec::new();
+    let mut cycles = 0;
     for i in 0..5 {
         let mut m = MessageValue::new(s.outer);
         m.set(1, Value::Int32(i)).unwrap();
         m.set(7, Value::Str(format!("message number {i}"))).unwrap();
         let obj = object::write_message(&mut s.mem.data, &s.schema, &s.layouts, &mut s.arena, &m)
             .unwrap();
-        accel.ser_info(layout.hasbits_offset(), 1, layout.max_field());
-        accel
-            .do_proto_ser(&mut s.mem, s.adts.addr(s.outer), obj)
+        let run = accel
+            .do_proto_ser(
+                &mut s.mem,
+                s.adts.addr(s.outer),
+                obj,
+                layout.hasbits_offset(),
+                1,
+                layout.max_field(),
+            )
             .unwrap();
+        cycles += run.cycles;
         expected.push(reference::encode(&m, &s.schema).unwrap());
     }
-    assert!(accel.block_for_ser_completion() > 0);
+    assert!(cycles > 0);
+    assert_eq!(cycles, accel.stats().ser_cycles);
     assert_eq!(accel.serialized_outputs(), 5);
     for (i, expect) in expected.iter().enumerate() {
         let (addr, len) = accel.serialized_output(&s.mem, i as u64).unwrap();
@@ -143,9 +166,15 @@ fn arena_exhaustion_is_reported() {
         .unwrap();
     let mut accel = ProtoAccelerator::new(AccelConfig::default());
     accel.deser_assign_arena(0x100_0000, 16); // far too small
-    accel.deser_info(s.adts.addr(s.outer), dest);
     assert!(matches!(
-        accel.do_proto_deser(&mut s.mem, INPUT_ADDR, wire.len() as u64, 1),
+        accel.do_proto_deser(
+            &mut s.mem,
+            s.adts.addr(s.outer),
+            INPUT_ADDR,
+            wire.len() as u64,
+            dest,
+            1
+        ),
         Err(AccelError::Arena(_))
     ));
 }
@@ -153,25 +182,74 @@ fn arena_exhaustion_is_reported() {
 #[test]
 fn protocol_misuse_is_rejected() {
     let mut s = setup();
+    let adt = s.adts.addr(s.outer);
+    let layout = s.layouts.layout(s.outer);
+    let (hasbits, min, max) = (
+        layout.hasbits_offset(),
+        layout.min_field(),
+        layout.max_field(),
+    );
     let mut fresh = ProtoAccelerator::new(AccelConfig::default());
     assert!(matches!(
-        fresh.do_proto_deser(&mut s.mem, INPUT_ADDR, 0, 1),
-        Err(AccelError::MissingInfo { .. })
-    ));
-    fresh.deser_info(s.adts.addr(s.outer), 0x9000);
-    assert!(matches!(
-        fresh.do_proto_deser(&mut s.mem, INPUT_ADDR, 0, 1),
+        fresh.do_proto_deser(&mut s.mem, adt, INPUT_ADDR, 0, 0x9000, min),
         Err(AccelError::ArenaNotAssigned { .. })
     ));
     assert!(matches!(
-        fresh.do_proto_ser(&mut s.mem, s.adts.addr(s.outer), 0x9000),
-        Err(AccelError::MissingInfo { .. })
-    ));
-    fresh.ser_info(8, 1, 15);
-    assert!(matches!(
-        fresh.do_proto_ser(&mut s.mem, s.adts.addr(s.outer), 0x9000),
+        fresh.do_proto_ser(&mut s.mem, adt, 0x9000, hasbits, min, max),
         Err(AccelError::ArenaNotAssigned { .. })
     ));
+
+    // With both arenas assigned, each operand that disagrees with the ADT
+    // header is named, and the refused command changes no state.
+    fresh.deser_assign_arena(0x100_0000, 1 << 20);
+    fresh.ser_assign_arena(0x300_0000, 1 << 20, 0x500_0000, 1 << 12);
+    let mismatch = |operand, supplied, adt| {
+        Err(AccelError::OperandMismatch {
+            operand,
+            supplied,
+            adt,
+        })
+    };
+    let before = (fresh.stats(), format!("{:?}", s.mem.system.stats()));
+    assert_eq!(
+        fresh
+            .do_proto_deser(&mut s.mem, adt, INPUT_ADDR, 0, 0x9000, min + 1)
+            .map(|_| ()),
+        mismatch("min_field", u64::from(min + 1), u64::from(min))
+    );
+    let ser_cases = [
+        (
+            hasbits + 8,
+            min,
+            max,
+            mismatch("hasbits_offset", hasbits + 8, hasbits),
+        ),
+        (
+            hasbits,
+            min + 1,
+            max,
+            mismatch("min_field", u64::from(min + 1), u64::from(min)),
+        ),
+        (
+            hasbits,
+            min,
+            max + 1,
+            mismatch("max_field", u64::from(max + 1), u64::from(max)),
+        ),
+    ];
+    for (hasbits, min, max, expect) in ser_cases {
+        assert_eq!(
+            fresh
+                .do_proto_ser(&mut s.mem, adt, 0x9000, hasbits, min, max)
+                .map(|_| ()),
+            expect
+        );
+    }
+    assert_eq!(
+        (fresh.stats(), format!("{:?}", s.mem.system.stats())),
+        before
+    );
+    assert_eq!(fresh.serialized_outputs(), 0);
 }
 
 #[test]
@@ -209,20 +287,30 @@ fn large_minimum_field_numbers_use_offset_hasbits() {
     let dest = arena.alloc(layout.object_size(), 8).unwrap();
     let mut accel = ProtoAccelerator::new(AccelConfig::default());
     accel.deser_assign_arena(0x100_0000, 1 << 22);
-    accel.deser_info(adts.addr(id), dest);
     accel
-        .do_proto_deser(&mut mem, INPUT_ADDR, wire.len() as u64, layout.min_field())
+        .do_proto_deser(
+            &mut mem,
+            adts.addr(id),
+            INPUT_ADDR,
+            wire.len() as u64,
+            dest,
+            layout.min_field(),
+        )
         .unwrap();
     let back = object::read_message(&mem.data, &schema, &layouts, id, dest).unwrap();
     assert!(back.bits_eq(&m));
 
     // And back out through the serializer, byte-identical.
     accel.ser_assign_arena(0x40_0000, 1 << 20, 0x60_0000, 1 << 12);
-    accel.ser_info(
-        layout.hasbits_offset(),
-        layout.min_field(),
-        layout.max_field(),
-    );
-    let run = accel.do_proto_ser(&mut mem, adts.addr(id), dest).unwrap();
+    let run = accel
+        .do_proto_ser(
+            &mut mem,
+            adts.addr(id),
+            dest,
+            layout.hasbits_offset(),
+            layout.min_field(),
+            layout.max_field(),
+        )
+        .unwrap();
     assert_eq!(mem.data.read_vec(run.out_addr, run.out_len as usize), wire);
 }

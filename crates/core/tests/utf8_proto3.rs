@@ -41,8 +41,7 @@ fn deser(
     let dest = arena.alloc(layouts.layout(id).object_size(), 8).unwrap();
     let mut accel = ProtoAccelerator::new(config);
     accel.deser_assign_arena(0x100_0000, 1 << 22);
-    accel.deser_info(adts.addr(id), dest);
-    accel.do_proto_deser(mem, 0x20_0000, wire.len() as u64, 1)?;
+    accel.do_proto_deser(mem, adts.addr(id), 0x20_0000, wire.len() as u64, dest, 1)?;
     Ok(dest)
 }
 
@@ -149,9 +148,15 @@ fn validation_costs_at_most_a_cycle_per_string() {
         accel.deser_assign_arena(0x100_0000, 1 << 22);
         mem.data.write_bytes(0x20_0000, &wire);
         let dest = arena.alloc(layouts.layout(id).object_size(), 8).unwrap();
-        accel.deser_info(adts.addr(id), dest);
         accel
-            .do_proto_deser(&mut mem, 0x20_0000, wire.len() as u64, 1)
+            .do_proto_deser(
+                &mut mem,
+                adts.addr(id),
+                0x20_0000,
+                wire.len() as u64,
+                dest,
+                1,
+            )
             .unwrap()
             .fsm_cycles
     };

@@ -257,8 +257,14 @@ impl Oracle {
         }
         let len = bytes.len() as u64;
         let mut accel = accelerator();
-        accel.deser_info(self.adts.addr(self.type_id), self.dest_accel);
-        let accel_decode = accel.do_proto_deser(&mut self.mem, INPUT_BASE, len, layout.min_field());
+        let accel_decode = accel.do_proto_deser(
+            &mut self.mem,
+            self.adts.addr(self.type_id),
+            INPUT_BASE,
+            len,
+            self.dest_accel,
+            layout.min_field(),
+        );
         self.cpu_arena.reset();
         let (_, cpu_decode) = SoftwareCodec::new(&self.cost).try_deserialize(
             &mut self.mem,
@@ -387,13 +393,15 @@ impl Oracle {
     /// pointer-buffer entry is not the output `do_proto_ser` returned.
     fn accel_serialize(&mut self, accel: &mut ProtoAccelerator, obj: u64) -> Option<Vec<u8>> {
         let layout = self.layouts.layout(self.type_id);
-        accel.ser_info(
-            layout.hasbits_offset(),
-            layout.min_field(),
-            layout.max_field(),
-        );
         let run = accel
-            .do_proto_ser(&mut self.mem, self.adts.addr(self.type_id), obj)
+            .do_proto_ser(
+                &mut self.mem,
+                self.adts.addr(self.type_id),
+                obj,
+                layout.hasbits_offset(),
+                layout.min_field(),
+                layout.max_field(),
+            )
             .ok()?;
         let (addr, len) = accel.serialized_output(&self.mem, accel.serialized_outputs() - 1)?;
         ((addr, len) == (run.out_addr, run.out_len))

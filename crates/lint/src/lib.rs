@@ -49,6 +49,7 @@ pub use protoacc_absint::{DiagCode, Severity};
 use protoacc_fastpath::{CompiledSchema, TableKind};
 use protoacc_mem::{Cycles, MemConfig};
 use protoacc_runtime::{MessageLayouts, MessageValue};
+use protoacc_schema::density::CROSSOVER_DENSITY;
 use protoacc_schema::{FieldType, Label, MessageId, Schema};
 use protoacc_trace::json::{self, Json};
 use protoacc_wire::{FieldKey, MAX_VARINT_LEN};
@@ -84,6 +85,22 @@ impl fmt::Display for Diagnostic {
     }
 }
 
+/// Maximum wire length (bytes) a deployment admits per message: the wire
+/// length the per-type watchdog ceiling (PA010) and the composed ceiling
+/// (PA015) are evaluated at, and PA012's example message size.
+pub const MAX_WIRE_BYTES: u64 = 4096;
+
+/// PA012 threshold: maximum tolerated decoded-footprint growth in bytes per
+/// wire byte. One cache line materialized per wire byte consumed; past
+/// that, a small hostile message inflates memory orders of magnitude faster
+/// than it streams in.
+pub const AMPLIFICATION_LIMIT: f64 = 64.0;
+
+/// PA013 threshold: widest tolerated field-number span per type. Past it,
+/// span-proportional structures (16-byte ADT entries, hasbits words,
+/// serializer scans) cross the megabyte scale for a single message type.
+pub const FRAGMENTATION_SPAN: u64 = 65536;
+
 /// Analyzer configuration: the hardware limits to lint against plus
 /// per-code severity overrides.
 #[derive(Debug, Clone)]
@@ -94,28 +111,10 @@ pub struct LintConfig {
     /// Memory-system configuration the cycle envelopes are computed
     /// against (cache/DRAM latencies, line size, MSHR count).
     pub mem: MemConfig,
-    /// Density below which a layout is flagged dense-hasbits-unfriendly.
-    /// Default 1/64: past that sparsity, a dense mapping table's extra
-    /// 32-bit read per field (Section 4.2) buys nothing.
-    pub density_floor: f64,
-    /// Maximum wire length (bytes) the deployment admits per message; the
-    /// wire length the per-type watchdog ceiling is evaluated at.
-    pub max_wire_bytes: u64,
     /// Watchdog cycle budget the serve layer is configured with. When set,
-    /// any type whose static service ceiling at
-    /// [`LintConfig::max_wire_bytes`] exceeds it fires PA010. `None`
-    /// disables the check.
+    /// any type whose static service ceiling at [`MAX_WIRE_BYTES`] exceeds
+    /// it fires PA010. `None` disables the check.
     pub watchdog_budget: Option<Cycles>,
-    /// PA012 threshold: maximum tolerated decoded-footprint growth in bytes
-    /// per wire byte. Default 64 — one cache line materialized per wire
-    /// byte consumed; past that, a small hostile message inflates memory
-    /// orders of magnitude faster than it streams in.
-    pub amplification_limit: f64,
-    /// PA013 threshold: widest tolerated field-number span per type.
-    /// Default 65536 — past that, span-proportional structures (16-byte ADT
-    /// entries, hasbits words, serializer scans) cross the megabyte scale
-    /// for a single message type.
-    pub fragmentation_span: u64,
     /// PA020 threshold (verifier mode): widest tolerated span-proportional
     /// table footprint per type, in bytes — the larger of the software
     /// dense dispatch table and the hardware ADT image. Default
@@ -130,11 +129,7 @@ impl Default for LintConfig {
         LintConfig {
             accel: AccelConfig::default(),
             mem: MemConfig::default(),
-            density_floor: 1.0 / 64.0,
-            max_wire_bytes: 4096,
             watchdog_budget: None,
-            amplification_limit: 64.0,
-            fragmentation_span: 65536,
             dense_table_budget: protoacc_verify::DEFAULT_DENSE_TABLE_BUDGET,
             overrides: Vec::new(),
         }
@@ -231,17 +226,17 @@ pub struct TypeSummary {
     /// [`ENVELOPE_REFERENCE_BYTES`] of wire output, single-tenant.
     pub ser_envelope: Interval,
     /// Static watchdog ceiling: the deserialize *service*-time upper bound
-    /// (envelope upper plus RoCC dispatch) at [`LintConfig::max_wire_bytes`]
-    /// of wire input, single-tenant. No correct single-tenant command on
+    /// (envelope upper plus RoCC dispatch) at [`MAX_WIRE_BYTES`] of wire
+    /// input, single-tenant. No correct single-tenant command on
     /// this type can run longer, so a serve deployment programs its
     /// watchdog with exactly this value.
     pub watchdog_ceiling: Cycles,
     /// Worst-case decoded-footprint growth in bytes per wire byte (the
     /// slope of [`protoacc_absint::AmplificationBound`]); PA012 compares it
-    /// against [`LintConfig::amplification_limit`].
+    /// against [`AMPLIFICATION_LIMIT`].
     pub amplification: f64,
-    /// Cross-message composed service ceiling at
-    /// [`LintConfig::max_wire_bytes`]: the PA010 ceiling plus the
+    /// Cross-message composed service ceiling at [`MAX_WIRE_BYTES`]: the
+    /// PA010 ceiling plus the
     /// sub-object machinery of every reachable child type
     /// ([`protoacc_absint::composed_service_ceiling`]); PA015 compares it
     /// against the watchdog budget.
@@ -486,7 +481,7 @@ pub fn lint_schema(schema: &Schema, config: &LintConfig) -> LintReport {
         let deser_envelope = deser_env.bounds(ENVELOPE_REFERENCE_BYTES, 1);
         let ser_envelope = Envelope::ser(schema, &layouts, id, &config.accel, &config.mem)
             .bounds(ENVELOPE_REFERENCE_BYTES, 1);
-        let watchdog_ceiling = deser_env.service_bounds(config.max_wire_bytes, 1).upper;
+        let watchdog_ceiling = deser_env.service_bounds(MAX_WIRE_BYTES, 1).upper;
         let amplification = amplification_bound(schema, &layouts, id);
         let composed_ceiling = composed_service_ceiling(
             schema,
@@ -494,7 +489,7 @@ pub fn lint_schema(schema: &Schema, config: &LintConfig) -> LintReport {
             id,
             &config.accel,
             &config.mem,
-            config.max_wire_bytes,
+            MAX_WIRE_BYTES,
         );
 
         let mut push = |code: DiagCode, default: Severity, field: Option<&str>, detail: String| {
@@ -568,7 +563,7 @@ pub fn lint_schema(schema: &Schema, config: &LintConfig) -> LintReport {
         }
 
         // PA003 sparse-hasbits: per-type layout density.
-        if layout.defined_fields() > 0 && layout.static_density() < config.density_floor {
+        if layout.defined_fields() > 0 && layout.static_density() < CROSSOVER_DENSITY {
             push(
                 DiagCode::SparseHasbits,
                 Severity::Warn,
@@ -580,14 +575,14 @@ pub fn lint_schema(schema: &Schema, config: &LintConfig) -> LintReport {
                     layout.defined_fields(),
                     layout.field_number_span(),
                     layout.static_density(),
-                    config.density_floor
+                    CROSSOVER_DENSITY
                 ),
             );
         }
 
         // PA013 field-fragmentation: span-proportional structures.
         let span = layout.field_number_span();
-        if span > config.fragmentation_span {
+        if span > FRAGMENTATION_SPAN {
             push(
                 DiagCode::FieldFragmentation,
                 Severity::Warn,
@@ -597,13 +592,13 @@ pub fn lint_schema(schema: &Schema, config: &LintConfig) -> LintReport {
                      words, dense-mapping tables and serializer span scans all \
                      scale with the span, not the field count",
                     layout.defined_fields(),
-                    config.fragmentation_span
+                    FRAGMENTATION_SPAN
                 ),
             );
         }
 
         // PA012 wire-amplification: decoded-footprint growth per wire byte.
-        if amplification.per_wire_byte > config.amplification_limit {
+        if amplification.per_wire_byte > AMPLIFICATION_LIMIT {
             push(
                 DiagCode::WireAmplification,
                 Severity::Warn,
@@ -613,9 +608,9 @@ pub fn lint_schema(schema: &Schema, config: &LintConfig) -> LintReport {
                      byte (limit {:.1}): a {}-byte message can materialize \
                      ~{} bytes before the watchdog sees a single cycle overrun",
                     amplification.per_wire_byte,
-                    config.amplification_limit,
-                    config.max_wire_bytes,
-                    amplification.footprint_upper(config.max_wire_bytes)
+                    AMPLIFICATION_LIMIT,
+                    MAX_WIRE_BYTES,
+                    amplification.footprint_upper(MAX_WIRE_BYTES)
                 ),
             );
         }
@@ -709,11 +704,10 @@ pub fn lint_schema(schema: &Schema, config: &LintConfig) -> LintReport {
                     None,
                     format!(
                         "static service ceiling is {watchdog_ceiling} cycles at \
-                         {} wire bytes, over the configured {budget}-cycle \
+                         {MAX_WIRE_BYTES} wire bytes, over the configured {budget}-cycle \
                          watchdog budget; a worst-case-but-correct command \
                          would be killed (raise the budget or shrink \
-                         `max_wire_bytes`)",
-                        config.max_wire_bytes
+                         `max_wire_bytes`)"
                     ),
                 );
             }
@@ -729,12 +723,11 @@ pub fn lint_schema(schema: &Schema, config: &LintConfig) -> LintReport {
                     None,
                     format!(
                         "composed worst-case ceiling is {composed_ceiling} \
-                         cycles at {} wire bytes, over the {budget}-cycle \
+                         cycles at {MAX_WIRE_BYTES} wire bytes, over the {budget}-cycle \
                          watchdog budget, even though this type's own ceiling \
                          ({watchdog_ceiling}) fits: the sub-object machinery \
                          of {children} reachable child type(s) composes past \
-                         the budget",
-                        config.max_wire_bytes
+                         the budget"
                     ),
                 );
             }

@@ -80,22 +80,18 @@ impl Method {
     }
 }
 
-/// Transport-layer configuration.
+/// Transport-layer configuration. Every connection's decoder refuses
+/// frames longer than [`DEFAULT_MAX_FRAME_LEN`].
 #[derive(Debug, Clone, Copy)]
 pub struct RpcConfig {
     /// Per-connection in-flight window (credits). A connection never has
     /// more than this many requests between admission and completion.
     pub window: usize,
-    /// Frame payload-length ceiling handed to every connection's decoder.
-    pub max_frame_len: u64,
 }
 
 impl Default for RpcConfig {
     fn default() -> Self {
-        RpcConfig {
-            window: 4,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
-        }
+        RpcConfig { window: 4 }
     }
 }
 
@@ -139,9 +135,9 @@ struct ConnState {
 }
 
 impl ConnState {
-    fn new(max_frame_len: u64) -> Self {
+    fn new() -> Self {
         ConnState {
-            decoder: FrameDecoder::new(max_frame_len),
+            decoder: FrameDecoder::new(DEFAULT_MAX_FRAME_LEN),
             in_flight: Vec::new(),
             dead: false,
         }
@@ -242,10 +238,8 @@ impl RpcServer {
     /// Feeds one byte chunk to its connection and serves every frame that
     /// completes.
     fn ingest(&mut self, mem: &mut Memory, f: &IncomingFrame) -> Result<(), AccelError> {
-        let max_frame_len = self.config.max_frame_len;
         if f.conn >= self.conns.len() {
-            self.conns
-                .resize_with(f.conn + 1, || ConnState::new(max_frame_len));
+            self.conns.resize_with(f.conn + 1, ConnState::new);
         }
         if self.conns[f.conn].dead {
             self.stats.frame_errors += 1;
@@ -431,10 +425,7 @@ mod tests {
                 policy: DispatchPolicy::Fifo,
                 ..ServeConfig::default()
             },
-            RpcConfig {
-                window,
-                ..RpcConfig::default()
-            },
+            RpcConfig { window },
             f.methods.clone(),
             0x1_0000_0000,
             1 << 24,

@@ -23,14 +23,23 @@ pub const ADT_HEADER_BYTES: u64 = 64;
 /// Size of one field entry in bytes (128 bits).
 pub const ADT_ENTRY_BYTES: u64 = 16;
 
-/// Header field offsets within the 64-byte header region.
-mod header {
+/// Header field offsets within the 64-byte header region. The RoCC
+/// commands check their hasbits-offset and field-number operands against
+/// the words at these offsets.
+pub mod header {
+    /// Default-instance pointer (u64).
     pub const DEFAULT_INSTANCE: u64 = 0;
+    /// Object size (u64).
     pub const OBJECT_SIZE: u64 = 8;
+    /// Hasbits offset within objects (u64).
     pub const HASBITS_OFFSET: u64 = 16;
+    /// Smallest defined field number (u32).
     pub const MIN_FIELD: u64 = 24;
+    /// Largest defined field number (u32).
     pub const MAX_FIELD: u64 = 28;
+    /// Field-entry region pointer (u64).
     pub const ENTRIES_PTR: u64 = 32;
+    /// is_submessage bit-field pointer (u64).
     pub const IS_SUBMESSAGE_PTR: u64 = 40;
 }
 

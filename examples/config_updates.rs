@@ -79,8 +79,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mem.data.write_bytes(addr, &wire);
         // deserialize the delta…
         let delta_obj = setup.alloc(layout.object_size(), 8)?;
-        accel.deser_info(adts.addr(cfg_id), delta_obj);
-        let d = accel.do_proto_deser(&mut mem, addr, wire.len() as u64, layout.min_field())?;
+        let d = accel.do_proto_deser(
+            &mut mem,
+            adts.addr(cfg_id),
+            addr,
+            wire.len() as u64,
+            delta_obj,
+            layout.min_field(),
+        )?;
         // …and merge it into the live config.
         let m = accel.do_proto_merge(&mut mem, adts.addr(cfg_id), base_obj, delta_obj)?;
         accel_cycles += d.cycles + m.cycles;

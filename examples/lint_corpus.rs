@@ -48,8 +48,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     accel.deser_assign_arena(0x8000_0000, 1 << 24);
     let layout = layouts.layout(book_id);
     let dest = arena.alloc(layout.object_size(), 8)?;
-    accel.deser_info(adts.addr(book_id), dest);
-    let run = accel.do_proto_deser(&mut mem, 0x1000_0000, wire.len() as u64, layout.min_field())?;
+    let run = accel.do_proto_deser(
+        &mut mem,
+        adts.addr(book_id),
+        0x1000_0000,
+        wire.len() as u64,
+        dest,
+        layout.min_field(),
+    )?;
 
     let report = lint_schema(&schema, &config);
     let pa001 = report.with_code(DiagCode::StackSpill).count();

@@ -58,18 +58,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Serialize on the accelerator: materialize the C++-like object
-    //    graph, then issue the RoCC instruction sequence.
+    //    graph, then issue one `do_proto_ser` command.
     let obj = object::write_message(&mut mem.data, &schema, &layouts, &mut setup_arena, &route)?;
     let mut accel = ProtoAccelerator::new(AccelConfig::default());
     accel.ser_assign_arena(0x40_0000, 1 << 20, 0x60_0000, 1 << 12);
     let layout = layouts.layout(route_id);
-    accel.ser_info(
+    let ser_run = accel.do_proto_ser(
+        &mut mem,
+        adts.addr(route_id),
+        obj,
         layout.hasbits_offset(),
         layout.min_field(),
         layout.max_field(),
-    );
-    let ser_run = accel.do_proto_ser(&mut mem, adts.addr(route_id), obj)?;
-    accel.block_for_ser_completion();
+    )?;
     let wire = mem
         .data
         .read_vec(ser_run.out_addr, ser_run.out_len as usize);
@@ -89,14 +90,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. Deserialize the same bytes on the accelerator.
     accel.deser_assign_arena(0x100_0000, 1 << 22);
     let dest = setup_arena.alloc(layout.object_size(), 8)?;
-    accel.deser_info(adts.addr(route_id), dest);
     let deser_run = accel.do_proto_deser(
         &mut mem,
+        adts.addr(route_id),
         ser_run.out_addr,
         ser_run.out_len,
+        dest,
         layout.min_field(),
     )?;
-    accel.block_for_deser_completion();
     println!(
         "deserialized in {} accelerator cycles ({} fields, {} varints decoded)",
         deser_run.cycles,

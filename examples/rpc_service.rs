@@ -136,33 +136,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let req_obj =
             object::write_message(&mut mem.data, &schema, &layouts, &mut arena, &request)?;
         let req_layout = layouts.layout(req_id);
-        accel.ser_info(
+        let ser = accel.do_proto_ser(
+            &mut mem,
+            adts.addr(req_id),
+            req_obj,
             req_layout.hasbits_offset(),
             req_layout.min_field(),
             req_layout.max_field(),
-        );
-        let ser = accel.do_proto_ser(&mut mem, adts.addr(req_id), req_obj)?;
+        )?;
         let dest = arena.alloc(req_layout.object_size(), 8)?;
-        accel.deser_info(adts.addr(req_id), dest);
-        let deser =
-            accel.do_proto_deser(&mut mem, ser.out_addr, ser.out_len, req_layout.min_field())?;
+        let deser = accel.do_proto_deser(
+            &mut mem,
+            adts.addr(req_id),
+            ser.out_addr,
+            ser.out_len,
+            dest,
+            req_layout.min_field(),
+        )?;
         let seen = object::read_message(&mem.data, &schema, &layouts, req_id, dest)?;
         let response = build_response(&schema, &seen, i);
         let resp_obj =
             object::write_message(&mut mem.data, &schema, &layouts, &mut arena, &response)?;
         let resp_layout = layouts.layout(resp_id);
-        accel.ser_info(
+        let ser2 = accel.do_proto_ser(
+            &mut mem,
+            adts.addr(resp_id),
+            resp_obj,
             resp_layout.hasbits_offset(),
             resp_layout.min_field(),
             resp_layout.max_field(),
-        );
-        let ser2 = accel.do_proto_ser(&mut mem, adts.addr(resp_id), resp_obj)?;
+        )?;
         let dest = arena.alloc(resp_layout.object_size(), 8)?;
-        accel.deser_info(adts.addr(resp_id), dest);
         let deser2 = accel.do_proto_deser(
             &mut mem,
+            adts.addr(resp_id),
             ser2.out_addr,
             ser2.out_len,
+            dest,
             resp_layout.min_field(),
         )?;
         accel_cycles += ser.cycles + deser.cycles + ser2.cycles + deser2.cycles;

@@ -29,8 +29,7 @@
 //! let mut accel = ProtoAccelerator::new(AccelConfig::default());
 //! accel.deser_assign_arena(0x20_0000, 1 << 20);
 //! let dest = arena.alloc(layouts.layout(id).object_size(), 8)?;
-//! accel.deser_info(adts.addr(id), dest);
-//! let run = accel.do_proto_deser(&mut mem, 0x10_0000, wire.len() as u64, 1)?;
+//! let run = accel.do_proto_deser(&mut mem, adts.addr(id), 0x10_0000, wire.len() as u64, dest, 1)?;
 //! assert!(run.cycles > 0);
 //! let back = object::read_message(&mem.data, &schema, &layouts, id, dest)?;
 //! assert!(back.bits_eq(&ping));

@@ -104,12 +104,13 @@ pub fn measure(
     let mut accel = ProtoAccelerator::new(*config);
     accel.deser_assign_arena(0x20_0000_0000, 1 << 24);
     let dest = arena.alloc(layout.object_size(), 8).unwrap();
-    accel.deser_info(adts.addr(type_id), dest);
     let deser = accel
         .do_proto_deser(
             &mut mem,
+            adts.addr(type_id),
             0x10_0000_0000,
             wire.len() as u64,
+            dest,
             layout.min_field(),
         )
         .unwrap();
@@ -121,13 +122,15 @@ pub fn measure(
         let obj =
             object::write_message(&mut mem.data, schema, &layouts, &mut arena, message).unwrap();
         accel.ser_assign_arena(0x30_0000_0000, 1 << 24, 0x31_0000_0000, 1 << 16);
-        accel.ser_info(
-            layout.hasbits_offset(),
-            layout.min_field(),
-            layout.max_field(),
-        );
         let run = accel
-            .do_proto_ser(&mut mem, adts.addr(type_id), obj)
+            .do_proto_ser(
+                &mut mem,
+                adts.addr(type_id),
+                obj,
+                layout.hasbits_offset(),
+                layout.min_field(),
+                layout.max_field(),
+            )
             .unwrap();
         assert_eq!(
             mem.data.read_vec(run.out_addr, run.out_len as usize),

@@ -71,13 +71,15 @@ fn proto_text_to_accelerator_round_trip() {
     let obj =
         object::write_message(&mut mem.data, &schema, &layouts, &mut setup, &message).unwrap();
     let layout = layouts.layout(series_id);
-    accel.ser_info(
-        layout.hasbits_offset(),
-        layout.min_field(),
-        layout.max_field(),
-    );
     let ser = accel
-        .do_proto_ser(&mut mem, adts.addr(series_id), obj)
+        .do_proto_ser(
+            &mut mem,
+            adts.addr(series_id),
+            obj,
+            layout.hasbits_offset(),
+            layout.min_field(),
+            layout.max_field(),
+        )
         .unwrap();
     let expect = reference::encode(&message, &schema).unwrap();
     assert_eq!(
@@ -87,9 +89,15 @@ fn proto_text_to_accelerator_round_trip() {
 
     // Deserialize the accelerator's own output back.
     let dest = setup.alloc(layout.object_size(), 8).unwrap();
-    accel.deser_info(adts.addr(series_id), dest);
     accel
-        .do_proto_deser(&mut mem, ser.out_addr, ser.out_len, layout.min_field())
+        .do_proto_deser(
+            &mut mem,
+            adts.addr(series_id),
+            ser.out_addr,
+            ser.out_len,
+            dest,
+            layout.min_field(),
+        )
         .unwrap();
     let back = object::read_message(&mem.data, &schema, &layouts, series_id, dest).unwrap();
     assert!(back.bits_eq(&message));
@@ -137,8 +145,8 @@ fn performance_ordering_holds_on_a_representative_workload() {
 
 #[test]
 fn batching_deserializations_matches_paper_api_flow() {
-    // §4.4.1: the CPU can issue several deser_info/do_proto_deser pairs and
-    // fence once with block_for_deser_completion.
+    // §4.4.1: the CPU can issue several deserializations back to back; each
+    // command's run carries its own cycles.
     let schema = parse_proto(PROTO_SOURCE).unwrap();
     let layouts = MessageLayouts::compute(&schema);
     let series_id = schema.id_by_name("Series").unwrap();
@@ -161,17 +169,24 @@ fn batching_deserializations_matches_paper_api_flow() {
         cursor += wire.len() as u64 + 32;
     }
     let mut dests = Vec::new();
+    let mut total = 0;
     for &(addr, len) in &inputs {
         let dest = setup.alloc(layout.object_size(), 8).unwrap();
-        accel.deser_info(adts.addr(series_id), dest);
-        accel
-            .do_proto_deser(&mut mem, addr, len, layout.min_field())
+        let run = accel
+            .do_proto_deser(
+                &mut mem,
+                adts.addr(series_id),
+                addr,
+                len,
+                dest,
+                layout.min_field(),
+            )
             .unwrap();
+        assert!(run.cycles > 0);
+        total += run.cycles;
         dests.push(dest);
     }
-    let total = accel.block_for_deser_completion();
-    assert!(total > 0);
-    assert_eq!(accel.block_for_deser_completion(), 0, "fence drains");
+    assert_eq!(total, accel.stats().deser_cycles);
     for (dest, original) in dests.iter().zip(&originals) {
         let back = object::read_message(&mem.data, &schema, &layouts, series_id, *dest).unwrap();
         assert!(back.bits_eq(original));

@@ -131,10 +131,7 @@ fn rpc_server_records_equal_one_batch_cluster_run() {
                 bytes: request_frame(&methods, e.prototype, e.deser, None),
             })
             .collect();
-        let rpc = RpcConfig {
-            window: N,
-            ..RpcConfig::default()
-        };
+        let rpc = RpcConfig { window: N };
         let mut srv = RpcServer::new(cfg, rpc, methods, ARENA_BASE, ARENA_STRIDE);
         srv.serve(&mut mem, &frames).unwrap();
 

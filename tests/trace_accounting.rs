@@ -200,11 +200,12 @@ fn run_standalone(requester: usize, traced: bool) -> StandaloneRun {
     for m in &bench.messages {
         let wire = reference::encode(m, &bench.schema).unwrap();
         mem.data.write_bytes(input_cursor, &wire);
-        accel.deser_info(adt, dests.alloc(layout.object_size(), 8).unwrap());
         let run = accel.do_proto_deser(
             &mut mem,
+            adt,
             input_cursor,
             wire.len() as u64,
+            dests.alloc(layout.object_size(), 8).unwrap(),
             layout.min_field(),
         );
         deser.push(run.expect("bench0 deserializes"));
@@ -214,14 +215,16 @@ fn run_standalone(requester: usize, traced: bool) -> StandaloneRun {
     for m in &bench.messages {
         let obj =
             object::write_message(&mut mem.data, &bench.schema, &layouts, &mut objects, m).unwrap();
-        accel.ser_info(
-            layout.hasbits_offset(),
-            layout.min_field(),
-            layout.max_field(),
-        );
         ser.push(
             accel
-                .do_proto_ser(&mut mem, adt, obj)
+                .do_proto_ser(
+                    &mut mem,
+                    adt,
+                    obj,
+                    layout.hasbits_offset(),
+                    layout.min_field(),
+                    layout.max_field(),
+                )
                 .expect("bench0 serializes"),
         );
     }
